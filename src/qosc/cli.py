@@ -31,6 +31,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from .hopfstar import (
     parity_metric,
     with_flavor,
 )
-from .jsonio import cnum, dumps, params_to_json, rep_to_json, report_to_json
+from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
 from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, check_identities_symbolic
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
@@ -204,27 +205,22 @@ def _run_star(rep: Rep, family: str, tol: float) -> list[Entry]:
 
 
 def _family_runs(family: str, rep: Rep, cfg: RunConfig) -> list[Entry]:
-    if family == "algebra":
-        return [(r, "pass") for r in check_defining_relations(rep, cfg.tol)]
-    if family == "ladder":
-        n_max = min(cfg.n_max, rep.k + 1)
-        return [(r, "pass") for r in check_ladder_identities(rep, n_max, cfg.tol)]
-    if family == "casimir":
-        return [(r, "pass") for r in casimir(rep, cfg.tol).reports]
-    if family == "hopf":
-        return [(r, "pass") for r in check_hopf_axioms(rep, cfg.tol)]
+    """Entries of one family other than casimir, which every point runs anyway."""
     if family in ("star:canonical", "star:imaginary"):
         return _run_star(rep, family, cfg.tol)
-    if family == "suq2":
-        triple = to_su2(rep)
-        reports = list(check_su2(triple, cfg.tol)) + [check_equivalence(rep, cfg.tol)]
-        return [(r, "pass") for r in reports]
-    if family == "symbolic":
-        reports = check_identities_symbolic(
-            rep.params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper
-        )
-        return [(r, "pass") for r in reports]
-    raise ValueError(f"unknown check family {family!r}")
+    if family == "algebra":
+        reports = check_defining_relations(rep, cfg.tol)
+    elif family == "ladder":
+        reports = check_ladder_identities(rep, min(cfg.n_max, rep.k + 1), cfg.tol)
+    elif family == "hopf":
+        reports = check_hopf_axioms(rep, cfg.tol)
+    elif family == "suq2":
+        reports = check_su2(to_su2(rep), cfg.tol) + [check_equivalence(rep, cfg.tol)]
+    elif family == "symbolic":
+        reports = check_identities_symbolic(rep.params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
+    else:
+        raise ValueError(f"unknown check family {family!r}")
+    return [(r, "pass") for r in reports]
 
 
 def _entries_match(entries: Sequence[Entry]) -> bool:
@@ -270,14 +266,6 @@ def _report_params(params: QParams, k: Optional[int]) -> dict[str, Any]:
     if k is not None:
         doc["k"] = k
     return doc
-
-
-def _verify_doc(params: QParams, k: int, entries: Sequence[Entry], scalar: complex) -> dict[str, Any]:
-    return {
-        "params": _report_params(params, k),
-        "checks": [report_to_json(r, expected=e) for r, e in entries],
-        "casimir": cnum(scalar),
-    }
 
 
 def _verify_text(doc: dict[str, Any]) -> str:
@@ -379,40 +367,36 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_point(cfg: RunConfig, epsilon: float, k: int) -> tuple[QParams, Rep, complex, dict[str, list[Entry]]]:
-    params = _resolve_params(cfg, epsilon)
-    rep = build_rep(params, k)
-    scalar = casimir(rep, cfg.tol).scalar
-    by_family = {family: _family_runs(family, rep, cfg) for family in cfg.checks}
-    return params, rep, scalar, by_family
-
-
-def _aggregate_row(
+def _run_point(
     cfg: RunConfig, epsilon: float, k: int
-) -> tuple[dict[str, Any], Optional[dict[str, list[Entry]]], Optional[QParams]]:
+) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[QoscError]]:
+    """Build one point and run its families: entries by family, CSV row, params, skip error.
+
+    A point that cannot be built is skipped whole; a spin map rejected at a
+    singular locus skips only that family."""
     row: dict[str, Any] = {col: None for col in _CSV_COLUMNS}
     row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
     try:
         params = _resolve_params(cfg, epsilon)
         rep = build_rep(params, k)
-    except DegenerateParameter:
-        row["status"] = "skipped:singular"
-        return row, None, None
-    except ParityViolation:
-        row["status"] = "skipped:parity"
-        return row, None, None
-    row["l"] = params.l
-    scalar = casimir(rep, cfg.tol).scalar
-    row["casimir_re"], row["casimir_im"] = scalar.real, scalar.imag
+    except (DegenerateParameter, ParityViolation) as exc:
+        reason = "singular" if isinstance(exc, DegenerateParameter) else "parity"
+        row["status"] = f"skipped:{reason}"
+        return {}, row, None, exc
+    cas = casimir(rep, cfg.tol)
+    row.update(l=params.l, casimir_re=cas.scalar.real, casimir_im=cas.scalar.imag)
     by_family: dict[str, list[Entry]] = {}
-    singular = False
+    singular: Optional[DegenerateParameter] = None
     for family in cfg.checks:
         try:
-            entries = _family_runs(family, rep, cfg)
-        except DegenerateParameter:
+            if family == "casimir":
+                entries = [(r, "pass") for r in cas.reports]
+            else:
+                entries = _family_runs(family, rep, cfg)
+        except DegenerateParameter as exc:
             if family != "suq2":
                 raise
-            singular = True  # su map rejected at a singular locus; other checks stand
+            singular = exc  # su map rejected at a singular locus; other checks stand
             continue
         by_family[family] = entries
         column = _RESIDUAL_COLUMN.get(family)
@@ -424,33 +408,34 @@ def _aggregate_row(
                 row[column] = worst if prior is None else max(prior, worst)
     mismatch = not all(_entries_match(entries) for entries in by_family.values())
     row["status"] = "fail" if mismatch else ("skipped:singular" if singular else "ok")
-    return row, by_family, params
+    return by_family, row, params, singular
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    params, _, scalar, by_family = _run_point(cfg, cfg.epsilon, cfg.k)
+    by_family, row, params, skipped = _run_point(cfg, cfg.epsilon, cfg.k)
+    if skipped is not None:
+        raise skipped
     entries = [entry for family in cfg.checks for entry in by_family[family]]
-    doc = _verify_doc(params, cfg.k, entries, scalar)
-    if cfg.fmt == "json":
-        _emit(cfg, dumps(doc) + "\n")
-    elif cfg.fmt == "csv":
-        row, _, _ = _aggregate_row(cfg, cfg.epsilon, cfg.k)
+    if cfg.fmt == "csv":
         _emit(cfg, _csv_text([row]))
     else:
-        _emit(cfg, _verify_text(doc))
+        doc = {
+            "params": _report_params(params, cfg.k),
+            "checks": [report_to_json(r, expected=e) for r, e in entries],
+            "casimir": [row["casimir_re"], row["casimir_im"]],
+        }
+        _emit(cfg, dumps(doc) + "\n" if cfg.fmt == "json" else _verify_text(doc))
     return 0 if _entries_match(entries) else 1
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    rows = [
-        _aggregate_row(cfg, epsilon, k)[0] for epsilon in cfg.epsilons for k in cfg.ks
-    ]
+    rows = [_run_point(cfg, epsilon, k)[1] for epsilon in cfg.epsilons for k in cfg.ks]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text(rows))
     elif cfg.fmt == "json":
-        _emit(cfg, dumps({"rows": [dict(zip(_CSV_COLUMNS, (r[c] for c in _CSV_COLUMNS))) for r in rows]}) + "\n")
+        _emit(cfg, dumps({"rows": rows}) + "\n")
     else:
         _emit(cfg, _table_text(rows))
     if all(row["status"].startswith("skipped") for row in rows):
@@ -588,6 +573,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     explicit = args.tol if args.tol is not None else env_tol
     if explicit is not None and explicit <= 0:
         raise ValueError(f"tolerance must be positive, got {explicit}")
+    if explicit is not None and not math.isfinite(explicit):
+        raise ValueError(f"tolerance must be finite, got {explicit}")
     tol = explicit if explicit is not None else DEFAULT_TOL
     sym_tol = explicit if explicit is not None else DEFAULT_SYMBOLIC_TOL
 
@@ -636,10 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except QoscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QoscError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,15 +22,15 @@ from enum import Enum
 
 import numpy as np
 
-from .algcheck import CheckReport, compare, report, residual_of
+from .algcheck import DEFAULT_TOL, CheckReport, compare, report, residual_of
 from .errors import DimensionTooLarge, ModeMismatch, NoSolution
 from .qcore import Mode, QParams, qnum
 from .repbuild import Rep
 
-DEFAULT_TOL = 1e-10
-
 #: largest allowed dimension (k+1)**3 for the coassociativity check
 COASSOC_CAP = 1000
+
+_GENERATORS = ("a", "abar", "N")
 
 
 class Flavor(str, Enum):
@@ -58,40 +58,18 @@ class TensorSum:
             self._realized = acc
         return self._realized
 
-    def swapped(self) -> "TensorSum":
-        return TensorSum(tuple((right, left) for left, right in self.terms))
 
-    def scaled(self, c: complex) -> "TensorSum":
-        return TensorSum(tuple((c * left, right) for left, right in self.terms))
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """Permutation P with ``P (A x B) P = B x A`` on a d*d tensor square."""
-    p = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            p[i * d + j, j * d + i] = 1.0
-    return p
+def _swap_factors(m: np.ndarray, d: int) -> np.ndarray:
+    """Conjugate a d*d tensor-square operator by the factor swap: ``A (x) B -> B (x) A``."""
+    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def _group_like(rep: Rep, sign: float) -> np.ndarray:
-    p = rep.params
-    return np.diag([p.qpow(sign * 0.5 * (v + p.gamma)) for v in np.diag(rep.Nmat)])
+def _hopf_table(p: QParams):
+    """Coproduct, counit and antipode of every symbol.
 
-
-def _symbol_tables(rep: Rep):
-    p = rep.params
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    realize = {
-        "a": rep.A,
-        "abar": rep.Abar,
-        "N": rep.Nmat,
-        "qp": _group_like(rep, +1.0),
-        "qm": _group_like(rep, -1.0),
-        "one": eye,
-        "gone": p.gamma * eye,
-    }
+    Coproducts are sums of symbol pairs.  Every antipode image is affine,
+    ``(coef, symbol, const)`` standing for ``coef * symbol + const * 1``.
+    """
     cop = {
         "a": (("a", "qp"), ("qm", "a")),
         "abar": (("abar", "qp"), ("qm", "abar")),
@@ -106,38 +84,60 @@ def _symbol_tables(rep: Rep):
         "qp": 1.0, "qm": 1.0, "one": 1.0, "gone": p.gamma,
     }
     antipode = {
-        "a": ((-p.qpow(-0.5), "a"),),
-        "abar": ((-p.qpow(0.5), "abar"),),
-        "N": ((-1.0, "N"), (-2.0 * p.gamma, "one")),
-        "qp": ((1.0, "qm"),),
-        "qm": ((1.0, "qp"),),
-        "one": ((1.0, "one"),),
-        "gone": ((1.0, "gone"),),
+        "a": (-p.qpow(-0.5), "a", 0.0),
+        "abar": (-p.qpow(0.5), "abar", 0.0),
+        "N": (-1.0, "N", -2.0 * p.gamma),
+        "qp": (1.0, "qm", 0.0),
+        "qm": (1.0, "qp", 0.0),
+        "one": (1.0, "one", 0.0),
+        "gone": (1.0, "gone", 0.0),
     }
-    return realize, cop, counit, antipode
+    return cop, counit, antipode
+
+
+def _realize(rep: Rep) -> dict[str, np.ndarray]:
+    """Matrix of every symbol of :func:`_hopf_table`; ``qp``, ``qm`` are ``K``, ``K^-1``."""
+    p = rep.params
+    shifted = np.diag(rep.Nmat) + p.gamma
+    eye = np.eye(rep.dim, dtype=complex)
+    return {
+        "a": rep.A,
+        "abar": rep.Abar,
+        "N": rep.Nmat,
+        "qp": np.diag([p.qpow(0.5 * v) for v in shifted]),
+        "qm": np.diag([p.qpow(-0.5 * v) for v in shifted]),
+        "one": eye,
+        "gone": p.gamma * eye,
+    }
+
+
+def _affine_matrix(elem, realize: dict[str, np.ndarray]) -> np.ndarray:
+    c, gen, const = elem
+    return c * realize[gen] + const * realize["one"]
+
+
+def _tensor(realize: dict[str, np.ndarray], pairs) -> TensorSum:
+    return TensorSum(tuple((realize[le], realize[ri]) for le, ri in pairs))
 
 
 def coproduct(rep: Rep, gen: str) -> TensorSum:
     """Coproduct of a generator, realized on the tensor square of the rep."""
-    realize, cop, _, _ = _symbol_tables(rep)
-    if gen not in ("a", "abar", "N"):
+    if gen not in _GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    return TensorSum(tuple((realize[le], realize[ri]) for le, ri in cop[gen]))
+    cop, _, _ = _hopf_table(rep.params)
+    return _tensor(_realize(rep), cop[gen])
 
 
 def check_hopf_axioms(
     rep: Rep, tol: float = DEFAULT_TOL, coassoc_cap: int = COASSOC_CAP
 ) -> list[CheckReport]:
     """Algebra-map property of the coproduct plus the three Hopf axioms."""
-    realize, cop, counit, antipode = _symbol_tables(rep)
     p = rep.params
-    eye = realize["one"]
+    cop, counit, antipode = _hopf_table(p)
+    realize = _realize(rep)
     out: list[CheckReport] = []
 
-    def realized(gen: str) -> np.ndarray:
-        return TensorSum(tuple((realize[le], realize[ri]) for le, ri in cop[gen])).realized
-
-    da, dab, dn = realized("a"), realized("abar"), realized("N")
+    da, dab, dn = (_tensor(realize, cop[gen]).realized for gen in _GENERATORS)
     nvals = np.diag(dn)
     step = np.diag([qnum(v + 1.0, p.log_q) - qnum(v, p.log_q) for v in nvals])
     out.append(report("homomorphism_commutator",
@@ -151,7 +151,7 @@ def check_hopf_axioms(
         raise DimensionTooLarge(
             f"coassociativity needs dimension {rep.dim ** 3} > cap {coassoc_cap}"
         )
-    for gen in ("a", "abar", "N"):
+    for gen in _GENERATORS:
         left = sum(
             np.kron(np.kron(realize[l1], realize[l2]), realize[ri])
             for le, ri in cop[gen]
@@ -164,19 +164,17 @@ def check_hopf_axioms(
         )
         out.append(compare(f"coassoc_{gen}", left, right, tol))
 
-    for gen in ("a", "abar", "N"):
+    for gen in _GENERATORS:
         lhs_l = sum(counit[le] * realize[ri] for le, ri in cop[gen])
         lhs_r = sum(realize[le] * counit[ri] for le, ri in cop[gen])
         out.append(compare(f"counit_left_{gen}", lhs_l, realize[gen], tol))
         out.append(compare(f"counit_right_{gen}", lhs_r, realize[gen], tol))
 
-    def s_image(gen: str) -> np.ndarray:
-        return sum(c * realize[g] for c, g in antipode[gen])
-
-    for gen in ("a", "abar", "N"):
-        target = counit[gen] * eye
-        lhs_l = sum(s_image(le) @ realize[ri] for le, ri in cop[gen])
-        lhs_r = sum(realize[le] @ s_image(ri) for le, ri in cop[gen])
+    s_image = {sym: _affine_matrix(elem, realize) for sym, elem in antipode.items()}
+    for gen in _GENERATORS:
+        target = counit[gen] * realize["one"]
+        lhs_l = sum(s_image[le] @ realize[ri] for le, ri in cop[gen])
+        lhs_r = sum(realize[le] @ s_image[ri] for le, ri in cop[gen])
         out.append(compare(f"antipode_left_{gen}", lhs_l, target, tol))
         out.append(compare(f"antipode_right_{gen}", lhs_r, target, tol))
     return out
@@ -226,26 +224,22 @@ def with_flavor(inv: InvolutionSpec, flavor: Flavor | str) -> InvolutionSpec:
     return dataclasses.replace(inv, flavor=Flavor(flavor))
 
 
-# affine single-generator elements (coeff, gen, const) for the antipode arms
-_S_TABLE = {
-    "a": lambda p: (-p.qpow(-0.5), "a", 0.0),
-    "abar": lambda p: (-p.qpow(0.5), "abar", 0.0),
-    "N": lambda p: (-1.0, "N", -2.0 * p.gamma),
-}
+def _star_table(inv: InvolutionSpec):
+    """Star image of each generator, affine as in the antipode table."""
+    return {"a": (inv.alpha, "abar", 0.0), "abar": (inv.beta, "a", 0.0),
+            "N": (1.0, "N", inv.eta)}
 
 
-def _star_affine(elem, inv: InvolutionSpec):
+def _star_affine(elem, star):
     c, gen, d = elem
-    table = {"a": (inv.alpha, "abar", 0.0), "abar": (inv.beta, "a", 0.0),
-             "N": (1.0, "N", inv.eta)}
-    coef, target, const = table[gen]
+    coef, target, const = star[gen]
     cc = np.conjugate(c)
     return (cc * coef, target, cc * const + np.conjugate(d))
 
 
-def _s_affine(elem, params: QParams):
+def _s_affine(elem, antipode):
     c, gen, d = elem
-    coef, target, const = _S_TABLE[gen](params)
+    coef, target, const = antipode[gen]
     return (c * coef, target, c * const + d)
 
 
@@ -263,19 +257,16 @@ def check_star_structure(
     involution's flavor, counit reality, and the flavor's antipode axiom.
     """
     p = rep.params
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
+    cop, counit, antipode = _hopf_table(p)
+    realize = _realize(rep)
+    star = _star_table(inv)
     minv = None if metric is None else np.linalg.inv(metric)
 
     def adjoint(m: np.ndarray) -> np.ndarray:
         h = m.conj().T
         return h if metric is None else minv @ h @ metric
 
-    img = {
-        "a": inv.alpha * rep.Abar,
-        "abar": inv.beta * rep.A,
-        "N": rep.Nmat + inv.eta * eye,
-    }
+    img = {gen: _affine_matrix(star[gen], realize) for gen in _GENERATORS}
     out: list[CheckReport] = []
 
     # conjugated defining relations, with q replaced by conj(q)
@@ -290,43 +281,35 @@ def check_star_structure(
     out.append(compare("algebra_compat_lower",
                        img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"], tol))
 
-    base = {"a": rep.A, "abar": rep.Abar, "N": rep.Nmat}
-    for gen in ("a", "abar", "N"):
-        out.append(compare(f"star_matrix_{gen}", adjoint(base[gen]), img[gen], tol))
+    for gen in _GENERATORS:
+        out.append(compare(f"star_matrix_{gen}", adjoint(realize[gen]), img[gen], tol))
 
-    cop_img = {
-        "a": coproduct(rep, "abar").scaled(inv.alpha),
-        "abar": coproduct(rep, "a").scaled(inv.beta),
-        "N": TensorSum(coproduct(rep, "N").terms + ((inv.eta * eye, eye),)),
-    }
-    perm = swap_matrix(d)
-    for gen in ("a", "abar", "N"):
-        dag = sum(np.kron(adjoint(le), adjoint(ri)) for le, ri in coproduct(rep, gen).terms)
-        image = cop_img[gen].realized
+    for gen in _GENERATORS:
+        dag = sum(np.kron(adjoint(realize[le]), adjoint(realize[ri])) for le, ri in cop[gen])
+        coef, target, const = star[gen]
+        image = sum(np.kron(coef * realize[le], realize[ri]) for le, ri in cop[target])
+        image[np.diag_indices(rep.dim**2)] += const  # the coproduct of 1 is 1 (x) 1
         if inv.flavor is Flavor.NONSTANDARD:
-            image = perm @ image @ perm
+            image = _swap_factors(image, rep.dim)
         out.append(compare(f"coproduct_{inv.flavor.value}_{gen}", dag, image, tol))
 
-    counit_vals = {"a": 0.0, "abar": 0.0, "N": -p.gamma}
-    counit_img = {"a": inv.alpha * 0.0, "abar": inv.beta * 0.0, "N": -p.gamma + inv.eta}
-    for gen in ("a", "abar", "N"):
-        diff = abs(counit_img[gen] - np.conjugate(counit_vals[gen]))
+    for gen in _GENERATORS:
+        coef, target, const = star[gen]
+        diff = abs(coef * counit[target] + const - np.conjugate(counit[gen]))
         out.append(report(f"counit_{gen}", diff, tol))
 
-    def realize_affine(elem) -> np.ndarray:
-        c, gen, dconst = elem
-        return c * base[gen] + dconst * eye
-
-    for gen in ("a", "abar", "N"):
+    for gen in _GENERATORS:
         start = (1.0, gen, 0.0)
         if inv.flavor is Flavor.STANDARD:
-            lhs_e = _star_affine(_s_affine(_star_affine(_s_affine(start, p), inv), p), inv)
-            rhs_m = realize_affine(start)
+            lhs_e = _star_affine(
+                _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
+            )
+            rhs_m = _affine_matrix(start, realize)
         else:
-            lhs_e = _s_affine(_star_affine(start, inv), p)
-            rhs_m = realize_affine(_star_affine(_s_affine(start, p), inv))
+            lhs_e = _s_affine(_star_affine(start, star), antipode)
+            rhs_m = _affine_matrix(_star_affine(_s_affine(start, antipode), star), realize)
         out.append(compare(f"antipode_{inv.flavor.value}_{gen}",
-                           realize_affine(lhs_e), rhs_m, tol))
+                           _affine_matrix(lhs_e, realize), rhs_m, tol))
     return out
 
 

@@ -178,11 +178,7 @@ class NCPoly:
             return "0"
         bits = []
         for (i, j), c in sorted(self.terms.items()):
-            word = "*".join(
-                (["abar"] * 0)
-                + ([f"abar^{i}"] if i else [])
-                + ([f"a^{j}"] if j else [])
-            )
+            word = "*".join(([f"abar^{i}"] if i else []) + ([f"a^{j}"] if j else []))
             bits.append(f"[{c!r}]" + (f"*{word}" if word else ""))
         return " + ".join(bits)
 

@@ -48,8 +48,14 @@ class QParams:
         return cmath.exp(self.log_q * x)
 
 
-def _dist_to_multiples(x: float, base: float) -> float:
-    return abs(math.remainder(x, base))
+def guard_epsilon(mode: Mode, epsilon: float) -> None:
+    """Reject a non-finite ``epsilon`` or one inside a guard band of its mode."""
+    if not math.isfinite(epsilon):
+        raise DegenerateParameter(f"epsilon={epsilon} is not finite")
+    if abs(epsilon) < GUARD_BAND:
+        raise DegenerateParameter(f"epsilon={epsilon} inside guard band of 0")
+    if mode is Mode.UNIMODULAR and abs(math.remainder(epsilon, math.pi)) < GUARD_BAND:
+        raise DegenerateParameter(f"epsilon={epsilon} inside guard band of a multiple of pi")
 
 
 def make_params(mode: Mode | str, epsilon: float, l: int = 0) -> QParams:
@@ -63,13 +69,8 @@ def make_params(mode: Mode | str, epsilon: float, l: int = 0) -> QParams:
     epsilon = float(epsilon)
     if not isinstance(l, int):
         raise TypeError(f"l must be an integer, got {l!r}")
-    if abs(epsilon) < GUARD_BAND:
-        raise DegenerateParameter(f"epsilon={epsilon} inside guard band of 0")
+    guard_epsilon(mode, epsilon)
     if mode is Mode.UNIMODULAR:
-        if _dist_to_multiples(epsilon, math.pi) < GUARD_BAND:
-            raise DegenerateParameter(
-                f"epsilon={epsilon} inside guard band of a multiple of pi"
-            )
         q = cmath.exp(1j * epsilon)
         sqrt_q = cmath.exp(0.5j * epsilon)
         gamma = complex(0.5 - (2 * l + 1) * math.pi / (2 * epsilon), 0.0)
@@ -89,7 +90,7 @@ def qnumber(x: complex, q: complex) -> complex:
     q = complex(q)
     if abs(q - 1.0) < GUARD_BAND or abs(q + 1.0) < GUARD_BAND:
         raise DegenerateParameter(f"q={q} too close to +-1 for a deformed number")
-    return (q**x - q ** (-x)) / (q - 1.0 / q)
+    return qnum(x, cmath.log(q))
 
 
 def qnum(x: complex, log_q: complex) -> complex:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameter, DimensionTooLarge, ParityViolation
-from .qcore import GUARD_BAND, Mode, QParams, make_params, qnum
+from .errors import DimensionTooLarge, ParityViolation
+from .qcore import Mode, QParams, guard_epsilon, make_params, qnum
 
 #: default cap on the truncation index
 MAX_K = 64
@@ -77,19 +77,10 @@ def require_parity(params: QParams) -> float:
 def choose_branch(mode: Mode | str, epsilon: float) -> int:
     """Smallest nonnegative branch index satisfying the sign rule."""
     mode = Mode(mode)
-    if abs(epsilon) < GUARD_BAND:
-        raise DegenerateParameter(f"epsilon={epsilon} inside guard band of 0")
+    guard_epsilon(mode, epsilon)
     if mode is Mode.UNIMODULAR:
-        if _dist_to_pi_multiples(epsilon) < GUARD_BAND:
-            raise DegenerateParameter(
-                f"epsilon={epsilon} inside guard band of a multiple of pi"
-            )
         return 0 if math.tan(epsilon / 2.0) > 0.0 else 1
     return 1 if epsilon > 0.0 else 0
-
-
-def _dist_to_pi_multiples(x: float) -> float:
-    return abs(math.remainder(x, math.pi))
 
 
 def _half_bracket_real(params: QParams, n: float) -> float:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algcheck import CheckReport, compare, report, residual_of
+from .algcheck import DEFAULT_TOL, CheckReport, compare, report, residual_of
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, qnum
 from .repbuild import Rep, require_parity
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,13 @@ def test_rep_worked_example(capsys):
 
 
 def test_rep_rejects_degenerate_epsilon(capsys):
-    assert main(["rep", "--mode", "unimodular", "--epsilon", "0", "--k", "1"]) == 2
-    assert "error" in capsys.readouterr().err
+    for mode in ("unimodular", "realline"):
+        for eps in ("0", "nan", "inf", "-inf"):
+            for fmt in ("json", "text"):
+                argv = ["rep", "--mode", mode, f"--epsilon={eps}", "--k", "1", "--format", fmt]
+                assert main(argv) == 2
+                out = capsys.readouterr()
+                assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
 
 
 def test_rep_rejects_parity_breaking_branch(capsys):
@@ -172,6 +177,59 @@ def test_verify_csv_degenerates_to_single_sweep_row(capsys):
     assert header.count(",") == 11  # fixed 12-column layout
     assert row.startswith("unimodular,")
     assert ",ok," in row
+    for mode, eps, k in [("unimodular", "0.9", "2"), ("unimodular", "-1.1", "0"),
+                         ("realline", "1.0", "3"), ("realline", "-0.7", "1")]:
+        point = ["--mode", mode, f"--epsilon={eps}", "--k", k, "--format", "csv"]
+        main(["verify"] + point)
+        verify_out = capsys.readouterr().out
+        main(["sweep"] + point)
+        assert capsys.readouterr().out == verify_out
+
+
+def test_verify_runs_each_point_once(capsys, monkeypatch):
+    import qosc.cli as cli
+
+    calls = {"build_rep": 0, "casimir": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2",
+                 "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert calls == {"build_rep": 1, "casimir": 1}
+
+
+def test_verify_rejects_non_finite_inputs(capsys, monkeypatch):
+    base = ["verify", "--mode", "realline", "--k", "2", "--format", "text"]
+    for argv in (base + ["--epsilon", "nan"], base + ["--epsilon", "inf"],
+                 base + ["--epsilon", "1", "--tol", "nan"],
+                 base + ["--epsilon", "1", "--tol", "inf"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
+        assert "finite" in out.err
+    monkeypatch.setenv("QOSC_TOL", "nan")
+    assert main(base + ["--epsilon", "1"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_exit_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "1",
+                 "--checks", "algebra", "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

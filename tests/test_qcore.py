@@ -63,6 +63,9 @@ def test_zero_epsilon_rejected(mode):
         make_params(mode, 0.0)
     with pytest.raises(DegenerateParameter):
         make_params(mode, 1e-9)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateParameter):
+            make_params(mode, eps)
 
 
 def test_unimodular_pi_multiples_rejected():

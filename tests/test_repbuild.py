@@ -92,6 +92,10 @@ def test_choose_branch_guards():
         choose_branch("unimodular", PI)
     with pytest.raises(DegenerateParameter):
         choose_branch("realline", 1e-9)
+    for mode in ("unimodular", "realline"):
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DegenerateParameter):
+                choose_branch(mode, eps)
 
 
 @pytest.mark.parametrize("mode,eps", [("unimodular", 0.4), ("realline", 1.3), ("realline", -0.6)])
