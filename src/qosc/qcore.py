@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,9 @@ from .errors import DegenerateParameter
 
 #: half-width of the interval around each singular locus that is rejected
 GUARD_BAND = 1e-6
+
+#: largest ``x`` with a finite ``exp(x)``
+_EXP_LIMIT = math.log(sys.float_info.max)
 
 
 class Mode(str, Enum):
@@ -49,9 +53,12 @@ class QParams:
 
 
 def guard_epsilon(mode: Mode, epsilon: float) -> None:
-    """Reject a non-finite ``epsilon`` or one inside a guard band of its mode."""
+    """Reject a non-finite ``epsilon``, a real-line one whose ``q`` or ``1/q``
+    overflows, or one inside a guard band of its mode."""
     if not math.isfinite(epsilon):
         raise DegenerateParameter(f"epsilon={epsilon} is not finite")
+    if mode is Mode.REAL_LINE and abs(epsilon) > _EXP_LIMIT:
+        raise DegenerateParameter(f"exp(|epsilon|) is not finite at epsilon={epsilon}")
     if abs(epsilon) < GUARD_BAND:
         raise DegenerateParameter(f"epsilon={epsilon} inside guard band of 0")
     if mode is Mode.UNIMODULAR and abs(math.remainder(epsilon, math.pi)) < GUARD_BAND:

@@ -103,6 +103,19 @@ def test_verify_single_family_selection(capsys):
     assert sum(c["expected"] == "fail" for c in doc["checks"]) == 10
 
 
+def test_star_canonical_at_k0_expects_trivial_ladder_arms(capsys):
+    """On one state a = abar = 0: their "must fail" arms pass, the N arms still fail."""
+    for mode, expected_fail in (("unimodular", set()),
+                                ("realline", {"star_matrix_N", "coproduct_nonstandard_N",
+                                              "counit_N", "antipode_nonstandard_N"})):
+        code, doc = run_json(capsys, ["verify", "--mode", mode, "--epsilon", "0.7", "--k", "0",
+                                      "--checks", "star:canonical"])
+        assert code == 0
+        fails = {c["name"].split(".", 1)[1] for c in doc["checks"] if c["expected"] == "fail"}
+        assert fails == expected_fail
+        assert all(c["pass"] == (c["expected"] == "pass") for c in doc["checks"])
+
+
 def test_verify_exit_one_when_expectation_violated(capsys):
     # a huge tolerance makes the theory-mandated failures "pass"
     code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2",
@@ -220,6 +233,13 @@ def test_verify_rejects_non_finite_inputs(capsys, monkeypatch):
     monkeypatch.setenv("QOSC_TOL", "nan")
     assert main(base + ["--epsilon", "1"]) == 2
     assert "finite" in capsys.readouterr().err
+    monkeypatch.delenv("QOSC_TOL")
+    # exp(800) overflows q; at eps=300 the guard admits q, but the ladder norms overflow
+    for eps, needle in (("800", "finite"), ("-800", "finite"), ("300", "overflow")):
+        assert main(base[:4] + ["3", "--format", "text", "--epsilon", eps]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
+        assert needle in out.err
 
 
 def test_unwritable_out_path_is_exit_two(capsys, tmp_path):
@@ -322,6 +342,21 @@ def test_sweep_rejects_malformed_grid(capsys):
             main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_sweep_rejects_oversized_grid(capsys, monkeypatch):
+    import qosc.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run_point", lambda *a: ran.append(a))
+    for grid, k in (("0:1e-3:1e-9", "1"), ("0:1e308:1e-308", "1"), ("nan:1:0.1", "1"),
+                    ("0:1:0.001", "0..9"), ("0.5:0.5:1", "0..10000")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", k])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert ran == []
+    assert cli.MAX_GRID_POINTS == 10_000
 
 
 # ---------------------------------------------------------------------------

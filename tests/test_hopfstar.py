@@ -1,13 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qosc.algcheck import compare
 from qosc.errors import DimensionTooLarge, ModeMismatch, NoSolution
 from qosc.hopfstar import (
     Flavor,
     InvolutionKind,
-    _swap_factors,
+    _graded,
+    _graded_sum,
+    _hopf_table,
+    _otimes,
+    _realize,
+    _shift_weights,
+    _star_table,
+    _swap,
     check_hopf_axioms,
     check_star_structure,
     coproduct,
@@ -17,7 +26,7 @@ from qosc.hopfstar import (
     with_flavor,
 )
 from qosc.qcore import make_params
-from qosc.repbuild import build_rep
+from qosc.repbuild import build_generic_window, build_rep
 
 PI = math.pi
 
@@ -68,10 +77,32 @@ def test_coproduct_of_number_is_additive_with_shift():
     assert np.allclose(coproduct(rep, "N").realized, expect, atol=1e-12)
 
 
+def _dense(blocks, d):
+    """Dense matrix of a graded tensor square: ``(S^m1 (x) S^m2) diag(weights)`` per block."""
+    return sum(
+        np.kron(np.eye(d, k=-m1), np.eye(d, k=-m2)) @ np.diag(w.ravel())
+        for (m1, m2), w in blocks.items()
+    )
+
+
 def test_swap_matrix_exchanges_tensor_factors():
     rng = np.random.default_rng(3)
-    x, y = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-    assert np.allclose(_swap_factors(np.kron(x, y), 3), np.kron(y, x), rtol=0, atol=1e-15)
+    wx, wy = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    x, y = np.diag(wx, -1), np.diag(wy, 1)  # a raising and a lowering shift
+    gx, gy = ((1,), _shift_weights("x", x, 1)), ((-1,), _shift_weights("y", y, -1))
+    blocks = _graded_sum([_otimes(gx, gy)])
+    assert np.array_equal(_dense(blocks, 3), np.kron(x, y))
+    assert np.allclose(_dense(_swap(blocks), 3), np.kron(y, x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode,eps,l,k", POINTS)
+def test_graded_coproduct_densifies_to_kron_sum(mode, eps, l, k):
+    rep = _rep(mode, eps, l, k)
+    cop, _, _ = _hopf_table(rep.params)
+    graded = _graded(_realize(rep))
+    for gen in ("a", "abar", "N"):
+        blocks = _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop[gen])
+        assert np.array_equal(_dense(blocks, rep.dim), coproduct(rep, gen).realized)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
@@ -206,3 +237,111 @@ def test_derive_involutions_guards():
         derive_involutions(_rep("unimodular", 0.9, 0, 2))
     with pytest.raises(NoSolution):
         derive_involutions(_rep("realline", 1.0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# graded tensor arms against the dense Kronecker formulas
+
+
+def _dense_coassoc(rep):
+    """Coassociativity residuals from dense Kronecker cubes."""
+    cop, _, _ = _hopf_table(rep.params)
+    realize = _realize(rep)
+    out = {}
+    for gen in ("a", "abar", "N"):
+        left = sum(np.kron(np.kron(realize[l1], realize[l2]), realize[ri])
+                   for le, ri in cop[gen] for l1, l2 in cop[le])
+        right = sum(np.kron(realize[le], np.kron(realize[r1], realize[r2]))
+                    for le, ri in cop[gen] for r1, r2 in cop[ri])
+        out[f"coassoc_{gen}"] = compare("", left, right, 1.0).residual
+    return out
+
+
+def _dense_star_coproduct(rep, inv, metric=None):
+    """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
+    cop, _, _ = _hopf_table(rep.params)
+    realize = _realize(rep)
+    star = _star_table(inv)
+    d = rep.dim
+
+    def adjoint(m):
+        h = m.conj().T
+        return h if metric is None else np.linalg.inv(metric) @ h @ metric
+
+    out = {}
+    for gen in ("a", "abar", "N"):
+        dag = sum(np.kron(adjoint(realize[le]), adjoint(realize[ri])) for le, ri in cop[gen])
+        coef, target, const = star[gen]
+        image = sum(np.kron(coef * realize[le], realize[ri]) for le, ri in cop[target])
+        image[np.diag_indices(d * d)] += const
+        if inv.flavor is Flavor.NONSTANDARD:
+            image = image.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        out[f"coproduct_{inv.flavor.value}_{gen}"] = compare("", dag, image, 1.0).residual
+    return out
+
+
+EQUIV_EPS = {"unimodular": (0.3, 0.9, -1.1, 2.5), "realline": (0.5, 1.0, -0.7, 3.0)}
+
+
+def _branch(mode, eps):
+    if mode == "unimodular":
+        return 0 if math.tan(eps / 2.0) > 0 else 1
+    return 1 if eps > 0 else 0
+
+
+@pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
+def test_graded_coassociativity_equals_dense(mode, eps):
+    for k in range(10):
+        rep = _rep(mode, eps, _branch(mode, eps), k)
+        by = _by_name(check_hopf_axioms(rep))
+        for name, residual in _dense_coassoc(rep).items():
+            assert by[name].residual == residual, (k, name)
+
+
+def _star_arms(rep):
+    canonical = involution("canonical", rep.params)
+    if rep.params.mode.value == "unimodular":
+        return [(canonical, None), (with_flavor(canonical, Flavor.STANDARD), None)]
+    return [
+        (canonical, None),
+        (involution("imaginary_minus", rep.params), None),
+        (involution("imaginary_plus", rep.params), parity_metric(rep.dim)),
+    ]
+
+
+def _assert_star_equal(rep):
+    for inv, metric in _star_arms(rep):
+        by = _by_name(check_star_structure(rep, inv, metric=metric))
+        for name, residual in _dense_star_coproduct(rep, inv, metric).items():
+            assert by[name].residual == residual, (rep.k, inv.label, inv.flavor, name)
+
+
+@pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
+def test_graded_star_coproduct_equals_dense(mode, eps):
+    for k in (0, 1, 2, 5, 9, 14, 20):
+        _assert_star_equal(_rep(mode, eps, _branch(mode, eps), k))
+
+
+@pytest.mark.parametrize("mode,eps,l", [("unimodular", 0.9, 0), ("realline", 1.0, 1)])
+def test_graded_arms_equal_dense_on_generic_window(mode, eps, l):
+    params = make_params(mode, eps, l)
+    rep = build_generic_window(complex(0.3, 0.2), complex(0.7, -0.4), params, 6)
+    _assert_star_equal(rep)
+    by = _by_name(check_hopf_axioms(rep))
+    for name, residual in _dense_coassoc(rep).items():
+        assert by[name].residual == residual
+
+
+def test_graded_arms_reject_non_shift_input():
+    rep = _rep("unimodular", 0.9, 0, 3)
+    inv = involution("canonical", rep.params)
+    for field, bad in (("A", rep.A + np.eye(4)), ("Abar", rep.Abar + rep.A),
+                       ("Nmat", rep.Nmat + np.eye(4, k=1))):
+        broken = dataclasses.replace(rep, **{field: bad})
+        with pytest.raises(ValueError, match="weighted shift"):
+            check_hopf_axioms(broken)
+        with pytest.raises(ValueError, match="weighted shift"):
+            check_star_structure(broken, inv)
+    metric = parity_metric(4) + 0.1 * np.eye(4, k=1)
+    with pytest.raises(ValueError, match="diagonal"):
+        check_star_structure(rep, inv, metric=metric)
