@@ -28,7 +28,6 @@ from .hopfstar import (
     Flavor,
     InvolutionKind,
     InvolutionSpec,
-    TensorSum,
     check_hopf_axioms,
     check_star_structure,
     coproduct,
@@ -80,7 +79,6 @@ __all__ = [
     "QoscError",
     "Rep",
     "SuTriple",
-    "TensorSum",
     "TruncationReport",
     "auto_params",
     "bracket_step",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Mode, QParams, qnum
+from .qcore import Mode, QParams, bracket_step, qnum
 from .repbuild import Rep, norm_factors
 
 DEFAULT_TOL = 1e-10
@@ -47,10 +47,9 @@ def compare(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckRep
     return report(name, residual_of(lhs - rhs, lhs, rhs), tol)
 
 
-def qnum_diag(rep: Rep, shift: float = 0.0, log_q: complex | None = None) -> np.ndarray:
+def qnum_diag(rep: Rep, shift: float = 0.0) -> np.ndarray:
     """Diagonal matrix of deformed numbers of the number-operator spectrum."""
-    lg = rep.params.log_q if log_q is None else log_q
-    vals = [qnum(v + shift, lg) for v in np.diag(rep.Nmat)]
+    vals = [qnum(v + shift, rep.params.log_q) for v in np.diag(rep.Nmat)]
     return np.diag(vals)
 
 
@@ -71,7 +70,7 @@ def check_defining_relations(rep: Rep, tol: float = DEFAULT_TOL) -> list[CheckRe
     boundary columns carry the truncation artifact by construction.
     """
     A, Abar, N = rep.A, rep.Abar, rep.Nmat
-    step = qnum_diag(rep, 1.0) - qnum_diag(rep)
+    step = np.diag([bracket_step(v, rep.params) for v in np.diag(N)])
     d1 = _interior((A @ Abar - Abar @ A) - step, rep)
     d2 = (N @ Abar - Abar @ N) - Abar
     d3 = (N @ A - A @ N) + A

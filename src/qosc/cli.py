@@ -189,8 +189,6 @@ def _star_arms(rep: Rep, family: str) -> list[tuple[str, Any, Any, frozenset]]:
                 ),
             ]
         return [("canonical", canonical, None, real_fails)]
-    if params.mode is Mode.UNIMODULAR:
-        raise ModeMismatch("star:imaginary checks exist only for real q")
     return [
         ("imaginary_minus", involution("imaginary_minus", params), None, frozenset()),
         (
@@ -376,11 +374,11 @@ def cmd_build(cfg: RunConfig) -> int:
 
 def _run_point(
     cfg: RunConfig, epsilon: float, k: int
-) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[QoscError]]:
+) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[Exception]]:
     """Build one point and run its families: entries by family, CSV row, params, skip error.
 
-    A point that cannot be built is skipped whole; a spin map rejected at a
-    singular locus skips only that family."""
+    A point that cannot be built, or whose checks overflow, is skipped whole;
+    a spin map rejected at a singular locus skips only that family."""
     row: dict[str, Any] = {col: None for col in _CSV_COLUMNS}
     row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
     try:
@@ -390,29 +388,31 @@ def _run_point(
         reason = "singular" if isinstance(exc, DegenerateParameter) else "parity"
         row["status"] = f"skipped:{reason}"
         return {}, row, None, exc
-    cas = casimir(rep, cfg.tol)
-    row.update(l=params.l, casimir_re=cas.scalar.real, casimir_im=cas.scalar.imag)
+    row["l"] = params.l
     by_family: dict[str, list[Entry]] = {}
     singular: Optional[DegenerateParameter] = None
-    for family in cfg.checks:
-        try:
-            if family == "casimir":
-                entries = [(r, "pass") for r in cas.reports]
-            else:
-                entries = _family_runs(family, rep, cfg)
-        except DegenerateParameter as exc:
-            if family != "suq2":
-                raise
-            singular = exc  # su map rejected at a singular locus; other checks stand
-            continue
-        by_family[family] = entries
+    try:
+        cas = casimir(rep, cfg.tol)
+        for family in cfg.checks:
+            try:
+                if family == "casimir":
+                    by_family[family] = [(r, "pass") for r in cas.reports]
+                else:
+                    by_family[family] = _family_runs(family, rep, cfg)
+            except DegenerateParameter as exc:
+                if family != "suq2":
+                    raise
+                singular = exc  # su map rejected at a singular locus; other checks stand
+    except OverflowError as exc:
+        row["status"] = "skipped:overflow"
+        return {}, row, params, exc
+    row.update(casimir_re=cas.scalar.real, casimir_im=cas.scalar.imag)
+    for family, entries in by_family.items():
         column = _RESIDUAL_COLUMN.get(family)
-        if column is not None:
-            passing = [r.residual for r, e in entries if e == "pass"]
-            if passing:
-                worst = max(passing)
-                prior = row[column]
-                row[column] = worst if prior is None else max(prior, worst)
+        passing = [r.residual for r, e in entries if e == "pass"]
+        if column is not None and passing:
+            worst = max(passing)
+            row[column] = worst if row[column] is None else max(row[column], worst)
     mismatch = not all(_entries_match(entries) for entries in by_family.values())
     row["status"] = "fail" if mismatch else ("skipped:singular" if singular else "ok")
     return by_family, row, params, singular
@@ -446,7 +446,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         _emit(cfg, _table_text(rows))
     if all(row["status"].startswith("skipped") for row in rows):
-        print("error: every grid point was skipped as singular or parity-violating", file=sys.stderr)
+        causes = "singular, parity-violating or overflowing" if any(
+            row["status"] == "skipped:overflow" for row in rows) else "singular or parity-violating"
+        print(f"error: every grid point was skipped as {causes}", file=sys.stderr)
         return 2
     return 1 if any(row["status"] == "fail" for row in rows) else 0
 

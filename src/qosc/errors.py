@@ -18,7 +18,7 @@ class ModeMismatch(QoscError):
 
 
 class DimensionTooLarge(QoscError):
-    """Tensor-product dimension exceeds the configured cap."""
+    """Dimension exceeds a fixed cap (``repbuild.MAX_K``, ``hopfstar.COASSOC_CAP``)."""
 
 
 class NoSolution(QoscError):

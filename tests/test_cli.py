@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qosc
 from qosc.cli import main
 from qosc.jsonio import matrix_from_json
 
@@ -297,6 +299,19 @@ def test_sweep_mixed_statuses_exit_zero(capsys):
     assert statuses == ["skipped:singular", "ok"]
 
 
+def test_sweep_overflowing_point_is_skipped(capsys):
+    code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:301:300", "--k", "2"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert [(row[1], row[4]) for row in rows] == [("1", "ok"), ("301", "skipped:overflow")]
+    assert rows[1][:4] == ["realline", "301", "1", "2"]  # mode, epsilon, l and k are kept
+    assert rows[1][5:] == [""] * 7  # casimir and residual cells stay empty
+    assert main(["sweep", "--mode", "realline", "--epsilon", "301", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflowing" in err
+
+
 def test_sweep_parity_skip_with_explicit_branch(capsys):
     code = main(["sweep", "--mode", "realline", "--epsilon-grid=-1.0:1.0:0.5",
                  "--l", "1", "--k", "2", "--checks", "algebra"])
@@ -394,10 +409,13 @@ def test_symbolic_depth_cap(capsys):
 
 
 def test_module_entry_point():
+    # the child interpreter imports the same qosc package as this test session
+    src = os.path.dirname(os.path.dirname(qosc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qosc.cli", "verify", "--mode", "unimodular",
          "--epsilon", "0.9", "--k", "1", "--checks", "algebra"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["casimir"]

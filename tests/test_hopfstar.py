@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qosc.algcheck import compare
+from qosc.algcheck import DEFAULT_TOL, compare, residual_of
 from qosc.errors import DimensionTooLarge, ModeMismatch, NoSolution
 from qosc.hopfstar import (
     Flavor,
     InvolutionKind,
-    _graded,
+    _compose,
     _graded_sum,
     _hopf_table,
     _otimes,
@@ -25,7 +25,7 @@ from qosc.hopfstar import (
     parity_metric,
     with_flavor,
 )
-from qosc.qcore import make_params
+from qosc.qcore import make_params, qnum
 from qosc.repbuild import build_generic_window, build_rep
 
 PI = math.pi
@@ -54,6 +54,14 @@ def _by_name(reports):
 # coproduct structure
 
 
+def _dense(blocks, d):
+    """Dense matrix of a graded tensor square: ``(S^m1 (x) S^m2) diag(weights)`` per block."""
+    return sum(
+        np.kron(np.eye(d, k=-m1), np.eye(d, k=-m2)) @ np.diag(w.ravel())
+        for (m1, m2), w in blocks.items()
+    )
+
+
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
 def test_coproduct_of_lowering_matches_hand_kron(mode, eps, l, k):
     """Delta(a) = a (x) K + K^-1 (x) a with K = q^((N+gamma)/2) group-like."""
@@ -62,7 +70,7 @@ def test_coproduct_of_lowering_matches_hand_kron(mode, eps, l, k):
     # N + gamma has the real eigenvalues n - k/2 in both modes
     kmat = np.diag([p.qpow((n - k / 2.0) / 2.0) for n in range(k + 1)])
     expect = np.kron(rep.A, kmat) + np.kron(np.linalg.inv(kmat), rep.A)
-    assert np.allclose(coproduct(rep, "a").realized, expect, atol=1e-12)
+    assert np.allclose(_dense(coproduct(rep, "a"), rep.dim), expect, atol=1e-12)
 
 
 def test_coproduct_of_number_is_additive_with_shift():
@@ -74,15 +82,7 @@ def test_coproduct_of_number_is_additive_with_shift():
         + np.kron(eye, rep.Nmat)
         + p.gamma * np.kron(eye, eye)
     )
-    assert np.allclose(coproduct(rep, "N").realized, expect, atol=1e-12)
-
-
-def _dense(blocks, d):
-    """Dense matrix of a graded tensor square: ``(S^m1 (x) S^m2) diag(weights)`` per block."""
-    return sum(
-        np.kron(np.eye(d, k=-m1), np.eye(d, k=-m2)) @ np.diag(w.ravel())
-        for (m1, m2), w in blocks.items()
-    )
+    assert np.allclose(_dense(coproduct(rep, "N"), rep.dim), expect, atol=1e-12)
 
 
 def test_swap_matrix_exchanges_tensor_factors():
@@ -99,10 +99,10 @@ def test_swap_matrix_exchanges_tensor_factors():
 def test_graded_coproduct_densifies_to_kron_sum(mode, eps, l, k):
     rep = _rep(mode, eps, l, k)
     cop, _, _ = _hopf_table(rep.params)
-    graded = _graded(_realize(rep))
+    realize = _realize(rep)
     for gen in ("a", "abar", "N"):
-        blocks = _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop[gen])
-        assert np.array_equal(_dense(blocks, rep.dim), coproduct(rep, gen).realized)
+        expect = sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
+        assert np.array_equal(_dense(coproduct(rep, gen), rep.dim), expect)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
@@ -115,9 +115,9 @@ def test_hopf_axioms(mode, eps, l, k):
 
 
 def test_coassociativity_cap():
-    rep = _rep("unimodular", 0.9, 0, 2)
+    rep = _rep("unimodular", 0.3, 0, 10)  # dimension 11**3 = 1331 > COASSOC_CAP
     with pytest.raises(DimensionTooLarge):
-        check_hopf_axioms(rep, coassoc_cap=8)
+        check_hopf_axioms(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,29 @@ def _dense_coassoc(rep):
     return out
 
 
+def _dense_homomorphism(rep):
+    """Homomorphism residuals and pass flags from dense Kronecker squares multiplied with ``@``."""
+    p = rep.params
+    cop, _, _ = _hopf_table(p)
+    realize = _realize(rep)
+    da, dab, dn = (sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
+                   for gen in ("a", "abar", "N"))
+    step = np.diag([qnum(v + 1.0, p.log_q) - qnum(v, p.log_q) for v in np.diag(dn)])
+    residuals = {
+        "homomorphism_commutator": residual_of((da @ dab - dab @ da) - step, da, dab),
+        "homomorphism_raise": residual_of((dn @ dab - dab @ dn) - dab, dn, dab),
+        "homomorphism_lower": residual_of((dn @ da - da @ dn) + da, dn, da),
+    }
+    return {name: (res, res < DEFAULT_TOL) for name, res in residuals.items()}
+
+
+def _assert_homomorphism_matches_dense(rep):
+    by = _by_name(check_hopf_axioms(rep))
+    for name, (residual, passed) in _dense_homomorphism(rep).items():
+        assert abs(by[name].residual - residual) <= 2.0**-50, (rep.k, name)
+        assert by[name].passed == passed, (rep.k, name)
+
+
 def _dense_star_coproduct(rep, inv, metric=None):
     """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
     cop, _, _ = _hopf_table(rep.params)
@@ -298,6 +321,32 @@ def test_graded_coassociativity_equals_dense(mode, eps):
             assert by[name].residual == residual, (k, name)
 
 
+@pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
+def test_graded_homomorphism_matches_dense(mode, eps):
+    for k in range(10):
+        _assert_homomorphism_matches_dense(_rep(mode, eps, _branch(mode, eps), k))
+
+
+def test_compose_matches_dense_product():
+    rng = np.random.default_rng(7)
+    d = 4
+
+    def random_operator(degrees):
+        blocks = {}
+        for m1, m2 in degrees:
+            w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rows = np.arange(d)
+            w[(rows + m1 < 0) | (rows + m1 >= d), :] = 0  # slots whose row leaves the block
+            w[:, (rows + m2 < 0) | (rows + m2 >= d)] = 0
+            blocks[(m1, m2)] = w
+        return blocks
+
+    x = random_operator([(-1, 0), (0, 1), (1, 1), (0, 0)])
+    y = random_operator([(1, 0), (0, -1), (-1, 1)])
+    assert np.allclose(_dense(_compose(x, y), d), _dense(x, d) @ _dense(y, d), rtol=0, atol=1e-14)
+    assert np.allclose(_dense(_compose(y, x), d), _dense(y, d) @ _dense(x, d), rtol=0, atol=1e-14)
+
+
 def _star_arms(rep):
     canonical = involution("canonical", rep.params)
     if rep.params.mode.value == "unimodular":
@@ -330,6 +379,7 @@ def test_graded_arms_equal_dense_on_generic_window(mode, eps, l):
     by = _by_name(check_hopf_axioms(rep))
     for name, residual in _dense_coassoc(rep).items():
         assert by[name].residual == residual
+    _assert_homomorphism_matches_dense(rep)
 
 
 def test_graded_arms_reject_non_shift_input():
