@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -377,15 +378,17 @@ def _run_point(
 ) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[Exception]]:
     """Build one point and run its families: entries by family, CSV row, params, skip error.
 
-    A point that cannot be built, or whose checks overflow, is skipped whole;
-    a spin map rejected at a singular locus skips only that family."""
+    A point that cannot be built, or whose build or checks overflow, is
+    skipped whole; a spin map rejected at a singular locus skips only that
+    family."""
     row: dict[str, Any] = {col: None for col in _CSV_COLUMNS}
     row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
     try:
         params = _resolve_params(cfg, epsilon)
         rep = build_rep(params, k)
-    except (DegenerateParameter, ParityViolation) as exc:
-        reason = "singular" if isinstance(exc, DegenerateParameter) else "parity"
+    except (DegenerateParameter, ParityViolation, OverflowError) as exc:
+        reason = ("singular" if isinstance(exc, DegenerateParameter)
+                  else "parity" if isinstance(exc, ParityViolation) else "overflow")
         row["status"] = f"skipped:{reason}"
         return {}, row, None, exc
     row["l"] = params.l
@@ -581,6 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one costs about a millisecond."""
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     env_tol = _env_tol()
     explicit = args.tol if args.tol is not None else env_tol
@@ -631,7 +640,7 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "sweep":
         points = len(args.epsilon_grid or (args.epsilon,)) * len(args.k)

@@ -9,6 +9,7 @@ IEEE doubles and byte-stable across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -28,16 +29,26 @@ def cnum(z: complex) -> list[float]:
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     rows, cols = m.shape
-    data = [cnum(m[i, j]) for i in range(rows) for j in range(cols)]
+    data = np.ascontiguousarray(m, complex).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
-    rows, cols = doc["rows"], doc["cols"]
-    flat = [complex(re, im) for re, im in doc["data"]]
-    if len(flat) != rows * cols:
-        raise ValueError("matrix data length does not match rows*cols")
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    """Inverse of ``matrix_to_json``; data must be ``rows*cols`` finite pairs.
+
+    ``np.fromiter`` over the flattened pairs, not ``np.array`` of the nested
+    list: parsed JSON holds ints wherever a value is integral (``0``), and
+    numpy's nested-list conversion of that int/float mix is slower than a
+    per-entry loop."""
+    rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    try:
+        if len(data) == rows * cols and set(map(len, data)) <= {2}:
+            pairs = np.fromiter(itertools.chain.from_iterable(data), np.float64, 2 * len(data))
+            if np.isfinite(pairs).all():  # fromiter reads None as nan
+                return pairs.view(complex).reshape(rows, cols)
+    except TypeError:  # an entry or value that has no length or is not a number
+        pass
+    raise ValueError(f"matrix data must be {rows}*{cols} finite [re, im] pairs")
 
 
 def params_to_json(p: QParams) -> dict[str, Any]:
@@ -124,6 +135,30 @@ def _float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
+def _pair_list(doc: list | tuple, level: int) -> str | None:
+    """Encoding of a list whose items are all ``[float, float]`` pairs, with
+    the bytes ``_fragment`` would write; None if any item is not such a pair.
+
+    Each distinct pair is formatted once; the sign bits keep ``-0.0`` apart
+    from ``0.0``, which compare equal."""
+    outer, inner = "  " * (level + 1), "  " * (level + 2)
+    head, mid, tail = outer + "[\n" + inner, ",\n" + inner, "\n" + outer + "]"
+    memo: dict[tuple[float, float, float, float], str] = {}
+    parts = []
+    for item in doc:
+        if type(item) not in (list, tuple) or len(item) != 2:
+            return None
+        re, im = item
+        if type(re) is not float or type(im) is not float:
+            return None
+        key = (re, im, math.copysign(1.0, re), math.copysign(1.0, im))
+        frag = memo.get(key)
+        if frag is None:
+            frag = memo[key] = head + _float_repr(re) + mid + _float_repr(im) + tail
+        parts.append(frag)
+    return "[\n" + ",\n".join(parts) + "\n" + "  " * level + "]"
+
+
 def _fragment(doc: Any, level: int) -> str:
     pad = "  " * (level + 1)
     if isinstance(doc, dict):
@@ -134,6 +169,9 @@ def _fragment(doc: Any, level: int) -> str:
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
+        pairs = _pair_list(doc, level)
+        if pairs is not None:
+            return pairs
         items = (pad + _fragment(val, level + 1) for val in doc)
         return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
     if isinstance(doc, bool):
@@ -151,5 +189,6 @@ def _fragment(doc: Any, level: int) -> str:
 
 def dumps(doc: Any) -> str:
     """Deterministic encoding: construction key order, 2-space indent,
-    floats at 17 significant digits."""
+    floats at 17 significant digits.  Lists of ``[float, float]`` pairs
+    (matrix data, eigenvalues) take a flat path with the same bytes."""
     return _fragment(doc, 0)

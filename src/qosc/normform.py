@@ -72,8 +72,15 @@ class LaurentPoly:
         return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
 
     def subs_scale(self, mu: complex) -> "LaurentPoly":
-        """Substitute ``s -> mu * s``."""
-        return LaurentPoly({e: v * mu**e for e, v in self.coeffs.items()})
+        """Substitute ``s -> mu * s``.
+
+        Raises ``OverflowError`` when a power of ``mu`` leaves the double
+        range; Python reports ``mu**-e`` as ``ZeroDivisionError`` when
+        ``mu**e`` underflows to zero."""
+        try:
+            return LaurentPoly({e: v * mu**e for e, v in self.coeffs.items()})
+        except ZeroDivisionError:
+            raise OverflowError(f"rescaling factor {mu} has no finite power") from None
 
     def __call__(self, s: complex) -> complex:
         return sum(c * s**e for e, c in self.coeffs.items())

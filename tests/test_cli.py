@@ -312,6 +312,34 @@ def test_sweep_overflowing_point_is_skipped(capsys):
     assert err.count("\n") == 1 and "overflowing" in err
 
 
+def test_sweep_point_whose_build_overflows_is_skipped(capsys):
+    # at eps=201 the k=9 ladder norms overflow inside build_rep itself
+    code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:201:200", "--k", "9",
+                 "--checks", "algebra"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert [row[4] for row in rows] == ["ok", "skipped:overflow"]
+    assert [rows[1][i] for i in (0, 1, 3)] == ["realline", "201", "9"]
+    assert rows[1][5:] == [""] * 7
+
+
+def test_symbolic_overflow_is_one_error_line(capsys):
+    # the Laurent rescaling q**(x/2) at eps=200 has powers outside the double range
+    for argv in (["symbolic", "--mode", "realline", "--epsilon", "200"],
+                 ["verify", "--mode", "realline", "--epsilon", "200", "--k", "1",
+                  "--checks", "symbolic"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: overflow") and out.err.count("\n") == 1
+    code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "1",
+                 "--checks", "symbolic"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(",")[4] for line in out.strip().split("\n")[1:]] == [
+        "ok", "skipped:overflow"]
+
+
 def test_sweep_parity_skip_with_explicit_branch(capsys):
     code = main(["sweep", "--mode", "realline", "--epsilon-grid=-1.0:1.0:0.5",
                  "--l", "1", "--k", "2", "--checks", "algebra"])
@@ -406,6 +434,28 @@ def test_symbolic_depth_cap(capsys):
     code = main(["symbolic", "--n-max", "17", "--epsilon", "0.9", "--mode", "unimodular"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_main_reuses_one_parser(capsys):
+    import qosc.cli as cli
+
+    rep_argv = ["rep", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2"]
+    assert main(rep_argv) == 0
+    first = capsys.readouterr()
+    assert main(["verify", "--mode", "realline", "--epsilon", "1", "--k", "1",
+                 "--checks", "algebra", "--format", "text"]) == 0
+    assert "result: ok" in capsys.readouterr().out
+    assert main(rep_argv) == 0
+    assert capsys.readouterr() == first
+    fresh = cli.build_parser()
+    for argv in (["--help"], ["sweep", "--help"], ["verify", "--mode", "bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        reused = capsys.readouterr()
+        with pytest.raises(SystemExit) as ref:
+            fresh.parse_args(argv)
+        assert capsys.readouterr() == reused and exc.value.code == ref.value.code
+    assert cli._parser() is cli._parser()
 
 
 def test_module_entry_point():

@@ -19,7 +19,36 @@ from qosc.jsonio import (
     report_to_json,
 )
 from qosc.qcore import make_params
-from qosc.repbuild import build_rep
+from qosc.repbuild import auto_params, build_rep
+
+
+def _reference_dumps(doc, level=0):
+    """The one-call-per-value encoder ``dumps`` must reproduce byte for byte."""
+    pad = "  " * (level + 1)
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = (f"{pad}{json.dumps(key)}: {_reference_dumps(val, level + 1)}"
+                 for key, val in doc.items())
+        return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = (pad + _reference_dumps(val, level + 1) for val in doc)
+        return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, float):
+        if not math.isfinite(doc):
+            raise ValueError(f"non-finite value {doc!r} has no JSON encoding")
+        return format(doc, ".17g")
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, str):
+        return json.dumps(doc, ensure_ascii=True)
+    if doc is None:
+        return "null"
+    raise TypeError(f"cannot encode {type(doc).__name__}")
 
 
 def test_matrix_round_trip():
@@ -40,6 +69,31 @@ def test_matrix_data_is_row_major():
 def test_matrix_length_validation():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+
+
+def test_matrix_from_json_rejects_malformed_data():
+    for data in ([[0.0, 0.0], [0.0]],  # ragged
+                 [[0.0, 0.0, 0.0]] * 2,  # three-element entries
+                 [[0.0, 0.0]] * 3,  # length mismatch
+                 [0.0, 0.0, 0.0, 0.0],  # flat floats
+                 [[None, 0.0]] * 2,
+                 [[float("nan"), 0.0]] * 2,
+                 [["re", "im"]] * 2):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 2, "data": data})
+
+
+def test_matrix_round_trip_keeps_signed_zeros_and_empty_shapes():
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                  [complex(5e-324, 0.0), complex(0.0, -1.7976931348623157e308)]])
+    doc = matrix_to_json(m)
+    assert [math.copysign(1.0, x) for pair in doc["data"][:2] for x in pair] == [-1, 1, 1, -1]
+    back = matrix_from_json(doc)
+    assert back.tobytes() == m.tobytes() and back.dtype == complex
+    assert np.array_equal(matrix_from_json(json.loads(dumps(doc))), m)
+    for shape in ((0, 3), (2, 0)):
+        empty = matrix_from_json(matrix_to_json(np.zeros(shape, dtype=complex)))
+        assert empty.shape == shape and empty.dtype == complex
 
 
 def test_params_round_trip():
@@ -92,6 +146,40 @@ def test_dumps_key_order_is_construction_order():
     assert dumps({"b": 1, "a": 2}) == '{\n  "b": 1,\n  "a": 2\n}'
     assert dumps({}) == "{}"
     assert dumps([]) == "[]"
+
+
+@pytest.mark.parametrize("mode,epsilons", [("unimodular", (0.1, 0.37, 1.1)),
+                                           ("realline", (0.1, 0.37, -1.1))])
+def test_dumps_matches_reference_on_reps(mode, epsilons):
+    for eps in epsilons:
+        for k in (0, 1, 2, 17, 64):
+            doc = rep_to_json(build_rep(auto_params(mode, eps), k))
+            assert dumps(doc) == _reference_dumps(doc)
+
+
+def test_dumps_matches_reference_on_edge_values():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    docs = [
+        {"zeros": [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]]},
+        {"extremes": [[tiny, -tiny], [huge, -huge], [tiny, -tiny], [1.0 / 3.0, 0.1]]},
+        {"pairs": [[1.5, 2.5]], "after": [[1.0, 2.0, 3.0]], "mixed": [[1.0, 2.0], [1, 2.0]]},
+        {"tuples": ((0.5, -0.5), (0.5, -0.5)), "mixed_kind": [(1.0, 2.0), [1.0, 2.0]]},
+        {"empty": [], "empty_pair_item": [[]], "triple": [1.0, 2.0, 3.0], "pair": [1.0, 2.0]},
+        {"bools": [[True, False]], "nested": [[[1.0, 2.0]], [[-0.0, 0.0]]], "none": [[None, 1.0]]},
+        {"pair_then_other": [[1.0, 2.0], "s"], "other_then_pair": [{}, [1.0, 2.0]]},
+        [[-0.0, 0.0]],
+        [],
+    ]
+    for doc in docs:
+        assert dumps(doc) == _reference_dumps(doc)
+
+
+def test_dumps_pair_path_rejects_non_finite_and_unknown_types():
+    for bad in ([[0.0, 0.0], [float("nan"), 0.0]], [[0.0, float("-inf")]]):
+        with pytest.raises(ValueError):
+            dumps({"data": bad})
+    with pytest.raises(TypeError):
+        dumps([[0.0, 0.0], [np.eye(2), 0.0]])
 
 
 def test_dumps_rejects_non_finite():

@@ -46,6 +46,14 @@ def test_laurent_substitution_scales_by_degree():
     assert q(x) == pytest.approx(p(2.0 * x))
 
 
+def test_laurent_substitution_out_of_range_is_overflow():
+    # Python reports these negative powers as ZeroDivisionError
+    p = LaurentPoly({2: 1.0, -2: 1.0})
+    for mu in (0j, complex(1e-200, 0.0), complex(1e200, 0.0)):
+        with pytest.raises(OverflowError):
+            p.subs_scale(mu)
+
+
 def test_delta_poly_frozen_coefficients():
     d = delta_poly(P_UNI)
     assert d.coeffs[2] == pytest.approx(DELTA_PLUS_UNI09)
