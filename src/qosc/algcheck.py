@@ -32,7 +32,7 @@ def report(name: str, residual: float, tol: float, detail: str | None = None) ->
 
 
 def _maxabs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0  # method form: no np.max dispatch
 
 
 def residual_of(defect: np.ndarray, *operands: np.ndarray) -> float:

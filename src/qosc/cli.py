@@ -84,6 +84,9 @@ MAX_GRID_POINTS = 10_000
 # Verification entries pair a report with the outcome the theory demands.
 Entry = tuple[CheckReport, str]
 
+# Runs the symbolic family at a point's params (it reads no k).
+Symbolic = Callable[[QParams], Sequence[CheckReport]]
+
 # Canonical involution arms that must fail when the wrong flavor is forced
 # at |q| = 1 (the N components stay compatible, the ladder ones do not).
 _UNI_STANDARD_FAILS = frozenset(
@@ -210,7 +213,11 @@ def _run_star(rep: Rep, family: str, tol: float) -> list[Entry]:
     return entries
 
 
-def _family_runs(family: str, rep: Rep, cfg: RunConfig) -> list[Entry]:
+def _symbolic_family(cfg: RunConfig, params: QParams) -> tuple[CheckReport, ...]:
+    return tuple(check_identities_symbolic(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper))
+
+
+def _family_runs(family: str, rep: Rep, cfg: RunConfig, symbolic: Symbolic) -> list[Entry]:
     """Entries of one family other than casimir, which every point runs anyway."""
     if family in ("star:canonical", "star:imaginary"):
         return _run_star(rep, family, cfg.tol)
@@ -223,7 +230,7 @@ def _family_runs(family: str, rep: Rep, cfg: RunConfig) -> list[Entry]:
     elif family == "suq2":
         reports = check_su2(to_su2(rep), cfg.tol) + [check_equivalence(rep, cfg.tol)]
     elif family == "symbolic":
-        reports = check_identities_symbolic(rep.params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
+        reports = symbolic(rep.params)
     else:
         raise ValueError(f"unknown check family {family!r}")
     return [(r, "pass") for r in reports]
@@ -374,7 +381,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def _run_point(
-    cfg: RunConfig, epsilon: float, k: int
+    cfg: RunConfig, epsilon: float, k: int, symbolic: Symbolic
 ) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[Exception]]:
     """Build one point and run its families: entries by family, CSV row, params, skip error.
 
@@ -401,7 +408,7 @@ def _run_point(
                 if family == "casimir":
                     by_family[family] = [(r, "pass") for r in cas.reports]
                 else:
-                    by_family[family] = _family_runs(family, rep, cfg)
+                    by_family[family] = _family_runs(family, rep, cfg, symbolic)
             except DegenerateParameter as exc:
                 if family != "suq2":
                     raise
@@ -423,7 +430,8 @@ def _run_point(
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    by_family, row, params, skipped = _run_point(cfg, cfg.epsilon, cfg.k)
+    symbolic = functools.partial(_symbolic_family, cfg)
+    by_family, row, params, skipped = _run_point(cfg, cfg.epsilon, cfg.k, symbolic)
     if skipped is not None:
         raise skipped
     entries = [entry for family in cfg.checks for entry in by_family[family]]
@@ -441,7 +449,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    rows = [_run_point(cfg, epsilon, k)[1] for epsilon in cfg.epsilons for k in cfg.ks]
+    # The symbolic family depends on no k, and the rows run epsilon-major: one
+    # cached entry serves every k of an epsilon.  Exceptions are not cached.
+    symbolic = functools.lru_cache(maxsize=1)(functools.partial(_symbolic_family, cfg))
+    rows = [_run_point(cfg, epsilon, k, symbolic)[1] for epsilon in cfg.epsilons for k in cfg.ks]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text(rows))
     elif cfg.fmt == "json":
@@ -458,7 +469,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_symbolic(cfg: RunConfig) -> int:
     params = _resolve_params(cfg, cfg.epsilon)
-    reports = check_identities_symbolic(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
+    reports = _symbolic_family(cfg, params)
     doc = {
         "params": _report_params(params, None),
         "n_max": cfg.n_max,

@@ -3,8 +3,8 @@
 Complex scalars serialize as two-element ``[re, im]`` arrays; matrices as
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data.
 Serialization is deterministic: key order is fixed by construction and
-floats are written with 17 significant digits, which is lossless for
-IEEE doubles and byte-stable across runs.
+floats are written with 17 significant digits, and negative zero as
+``-0.0``, which is lossless for IEEE doubles and byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -132,7 +132,9 @@ def report_to_json(r: CheckReport, expected: str | None = None) -> dict[str, Any
 def _float_repr(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} has no JSON encoding")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    # "-0" would parse back as the int 0 and lose the sign bit
+    return "-0.0" if text == "-0" else text
 
 
 def _pair_list(doc: list | tuple, level: int) -> str | None:

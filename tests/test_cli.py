@@ -340,6 +340,64 @@ def test_symbolic_overflow_is_one_error_line(capsys):
         "ok", "skipped:overflow"]
 
 
+def _count_symbolic_calls(monkeypatch) -> list:
+    import qosc.cli as cli
+
+    calls = []
+    original = cli.check_identities_symbolic
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].epsilon)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_identities_symbolic", counted)
+    return calls
+
+
+def test_sweep_runs_symbolic_once_per_epsilon(capsys, monkeypatch):
+    calls = _count_symbolic_calls(monkeypatch)
+    assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
+                 "--k", "0..3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(calls) == 5 and len(set(calls)) == 5  # one per epsilon, not one per (eps, k)
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert main(["verify", "--mode", "unimodular", f"--epsilon={cells[1]}", "--k", cells[3],
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "\n".join([lines[0], line]) + "\n"
+    assert len(calls) == 5 + 20
+
+
+def test_sweep_symbolic_reports_follow_tolerance_and_tamper(capsys):
+    sweep = ["sweep", "--mode", "realline", "--epsilon", "0.9", "--k", "0..1",
+             "--checks", "symbolic"]
+    symbolic = ["symbolic", "--mode", "realline", "--epsilon", "0.9", "--format", "text"]
+    # the symbolic defects are ~1e-16, so a 1e-20 tolerance fails them
+    for extra, code, status in (([], 0, "ok"), (["--tol", "1e-20"], 1, "fail"), ([], 0, "ok")):
+        assert main(sweep + extra) == code
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[4] for row in rows] == [status, status]
+    for extra, code in ((["--tamper-delta", "1e-3"], 1), ([], 0), (["--tamper-delta", "1e-3"], 1)):
+        assert main(symbolic + extra) == code
+        assert capsys.readouterr().out.endswith("result: ok\n") == (code == 0)
+        assert main(sweep) == 0
+        capsys.readouterr()
+
+
+def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
+    calls = _count_symbolic_calls(monkeypatch)
+    code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "0..2",
+                 "--checks", "symbolic"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert [(row[1], row[3], row[4]) for row in rows] == [
+        ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
+        ("200", "0", "skipped:overflow"), ("200", "1", "skipped:overflow"),
+        ("200", "2", "skipped:overflow")]
+    assert calls == [1.0, 200.0, 200.0, 200.0]  # an overflow is not cached
+
+
 def test_sweep_parity_skip_with_explicit_branch(capsys):
     code = main(["sweep", "--mode", "realline", "--epsilon-grid=-1.0:1.0:0.5",
                  "--l", "1", "--k", "2", "--checks", "algebra"])

@@ -41,7 +41,8 @@ def _reference_dumps(doc, level=0):
     if isinstance(doc, float):
         if not math.isfinite(doc):
             raise ValueError(f"non-finite value {doc!r} has no JSON encoding")
-        return format(doc, ".17g")
+        text = format(doc, ".17g")
+        return "-0.0" if text == "-0" else text
     if isinstance(doc, int):
         return str(doc)
     if isinstance(doc, str):
@@ -96,6 +97,14 @@ def test_matrix_round_trip_keeps_signed_zeros_and_empty_shapes():
         assert empty.shape == shape and empty.dtype == complex
 
 
+def test_signed_zeros_survive_the_text_round_trip():
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+                  [complex(1.5, -0.0), complex(-0.0, -2.5), complex(0.0, 0.0)]])
+    back = matrix_from_json(json.loads(dumps(matrix_to_json(m))))
+    assert np.signbit(back.view(np.float64)).tolist() == np.signbit(m.view(np.float64)).tolist()
+    assert back.tobytes() == m.tobytes()
+
+
 def test_params_round_trip():
     p = make_params("realline", -0.7, 0)
     back = params_from_json(params_to_json(p))
@@ -139,7 +148,8 @@ def test_dumps_writes_seventeen_significant_digits():
     assert dumps(0.1) == "0.10000000000000001"
     assert dumps(math.pi) == "3.1415926535897931"
     assert dumps(1.5) == "1.5"
-    assert dumps(-0.0) == "-0"
+    assert dumps(-0.0) == "-0.0"
+    assert dumps(0.0) == "0"
 
 
 def test_dumps_key_order_is_construction_order():
