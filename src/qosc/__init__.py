@@ -28,6 +28,7 @@ from .hopfstar import (
     Flavor,
     InvolutionKind,
     InvolutionSpec,
+    RepBatch,
     check_hopf_axioms,
     check_star_structure,
     coproduct,
@@ -78,6 +79,7 @@ __all__ = [
     "QParams",
     "QoscError",
     "Rep",
+    "RepBatch",
     "SuTriple",
     "TruncationReport",
     "auto_params",

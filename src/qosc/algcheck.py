@@ -121,13 +121,15 @@ def casimir_scalar_closed_form(params: QParams, k: int) -> complex:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is detected and raised below
 def check_ladder_identities(rep: Rep, n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Reordering identities for powers of the ladder operators.
 
     For each n:  ``a*abar^n - abar^n*a = [n]' * G_n(N) * abar^(n-1)`` and
     ``abar*a^n - a^n*abar = -[n]' * H_n(N) * a^(n-1)``, where ``[.]'`` is
     the deformed number at base ``sqrt(q)`` and G, H are exponential
-    functions of N.
+    functions of N.  A power or defect outside the double range raises
+    ``OverflowError``, as the scalar formulas do.
     """
     if n_max > rep.k + 1:
         raise ValueError(f"n_max={n_max} exceeds k+1={rep.k + 1}")
@@ -148,6 +150,9 @@ def check_ladder_identities(rep: Rep, n_max: int, tol: float = DEFAULT_TOL) -> l
         lower_n = lower_pow @ rep.A                 # A^n
         d_raise = rep.A @ raise_n - raise_n @ rep.A - bran * (g @ raise_pow)
         d_lower = rep.Abar @ lower_n - lower_n @ rep.Abar + bran * (h @ lower_pow)
+        # a power with a non-finite entry makes its defect non-finite too
+        if not (np.isfinite(d_raise).all() and np.isfinite(d_lower).all()):
+            raise OverflowError(f"ladder powers of order {n} leave the double range")
         out.append(report(f"ladder_raise_n{n}", residual_of(d_raise, rep.A, raise_n), tol))
         out.append(report(f"ladder_lower_n{n}", residual_of(d_lower, rep.Abar, lower_n), tol))
         raise_pow, lower_pow = raise_n, lower_n

@@ -35,11 +35,12 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .algcheck import (
     DEFAULT_TOL,
+    CasimirResult,
     CheckReport,
     casimir,
     check_defining_relations,
@@ -55,6 +56,7 @@ from .errors import (
 from .hopfstar import (
     COASSOC_CAP,
     Flavor,
+    RepBatch,
     check_hopf_axioms,
     check_star_structure,
     involution,
@@ -81,11 +83,17 @@ CHECK_FAMILIES = (
 #: most parameter points one sweep may ask for
 MAX_GRID_POINTS = 10_000
 
+#: most tensor-cube entries, (k+1)**3 per point, that one batch of points stacks
+_BATCH_CUBE_ENTRIES = 8192
+
 # Verification entries pair a report with the outcome the theory demands.
 Entry = tuple[CheckReport, str]
 
 # Runs the symbolic family at a point's params (it reads no k).
 Symbolic = Callable[[QParams], Sequence[CheckReport]]
+
+# Families that run once over the stack of a k's points, not point by point.
+_BATCHED = ("hopf", "star:canonical", "star:imaginary")
 
 # Canonical involution arms that must fail when the wrong flavor is forced
 # at |q| = 1 (the N components stay compatible, the ladder ones do not).
@@ -174,43 +182,59 @@ def _prefixed(label: str, report: CheckReport) -> CheckReport:
     return dataclasses.replace(report, name=f"{label}.{report.name}")
 
 
-def _star_arms(rep: Rep, family: str) -> list[tuple[str, Any, Any, frozenset]]:
-    params = rep.params
+def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any, frozenset]]:
+    """Label, one involution per member, metric and expected failures of each arm."""
+    params = batch.params
     if family == "star:canonical":
-        canonical = involution("canonical", params)
+        canonical = [involution("canonical", p) for p in params]
         uni_fails, real_fails = _UNI_STANDARD_FAILS, _REAL_CANONICAL_FAILS
-        if rep.dim == 1:  # a = abar = 0 on one state, so their arms hold trivially
+        if batch.dim == 1:  # a = abar = 0 on one state, so their arms hold trivially
             uni_fails = frozenset(n for n in uni_fails if n.endswith("_N"))
             real_fails = frozenset(n for n in real_fails if n.endswith("_N"))
-        if params.mode is Mode.UNIMODULAR:
+        if batch.mode is Mode.UNIMODULAR:
             return [
                 ("canonical", canonical, None, frozenset()),
                 (
                     "canonical_standard",
-                    with_flavor(canonical, Flavor.STANDARD),
+                    [with_flavor(inv, Flavor.STANDARD) for inv in canonical],
                     None,
                     uni_fails,
                 ),
             ]
         return [("canonical", canonical, None, real_fails)]
     return [
-        ("imaginary_minus", involution("imaginary_minus", params), None, frozenset()),
+        ("imaginary_minus", [involution("imaginary_minus", p) for p in params], None, frozenset()),
         (
             "imaginary_plus",
-            involution("imaginary_plus", params),
-            parity_metric(rep.dim),
+            [involution("imaginary_plus", p) for p in params],
+            parity_metric(batch.dim),
             frozenset(),
         ),
     ]
 
 
-def _run_star(rep: Rep, family: str, tol: float) -> list[Entry]:
-    entries: list[Entry] = []
-    for label, inv, metric, expected_fails in _star_arms(rep, family):
-        for report in check_star_structure(rep, inv, tol, metric=metric):
-            expected = "fail" if report.name in expected_fails else "pass"
-            entries.append((_prefixed(label, report), expected))
-    return entries
+def _run_star(batch: RepBatch, family: str, tol: float) -> list:
+    """Entries of one star family per member, or the first overflow of its arms."""
+    outcomes: list = [[] for _ in batch.reps]
+    for label, invs, metric, expected_fails in _star_arms(batch, family):
+        for i, result in enumerate(check_star_structure(batch, invs, tol, metric=metric)):
+            if isinstance(outcomes[i], OverflowError):
+                continue
+            if isinstance(result, OverflowError):
+                outcomes[i] = result
+                continue
+            for report in result:
+                expected = "fail" if report.name in expected_fails else "pass"
+                outcomes[i].append((_prefixed(label, report), expected))
+    return outcomes
+
+
+def _batch_runs(family: str, batch: RepBatch, cfg: RunConfig) -> list:
+    """Entries of a batched family per member, or the overflow that stopped it."""
+    if family == "hopf":
+        return [out if isinstance(out, OverflowError) else [(r, "pass") for r in out]
+                for out in check_hopf_axioms(batch, cfg.tol)]
+    return _run_star(batch, family, cfg.tol)
 
 
 def _symbolic_family(cfg: RunConfig, params: QParams) -> tuple[CheckReport, ...]:
@@ -218,15 +242,11 @@ def _symbolic_family(cfg: RunConfig, params: QParams) -> tuple[CheckReport, ...]
 
 
 def _family_runs(family: str, rep: Rep, cfg: RunConfig, symbolic: Symbolic) -> list[Entry]:
-    """Entries of one family other than casimir, which every point runs anyway."""
-    if family in ("star:canonical", "star:imaginary"):
-        return _run_star(rep, family, cfg.tol)
+    """Entries of one family that runs point by point, other than casimir, which every point runs."""
     if family == "algebra":
         reports = check_defining_relations(rep, cfg.tol)
     elif family == "ladder":
         reports = check_ladder_identities(rep, min(cfg.n_max, rep.k + 1), cfg.tol)
-    elif family == "hopf":
-        reports = check_hopf_axioms(rep, cfg.tol)
     elif family == "suq2":
         reports = check_su2(to_su2(rep), cfg.tol) + [check_equivalence(rep, cfg.tol)]
     elif family == "symbolic":
@@ -380,66 +400,126 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_point(
-    cfg: RunConfig, epsilon: float, k: int, symbolic: Symbolic
-) -> tuple[dict[str, list[Entry]], dict[str, Any], Optional[QParams], Optional[Exception]]:
-    """Build one point and run its families: entries by family, CSV row, params, skip error.
+@dataclass
+class _Point:
+    """One grid point on its way through :func:`_run_points`."""
 
-    A point that cannot be built, or whose build or checks overflow, is
-    skipped whole; a spin map rejected at a singular locus skips only that
-    family."""
-    row: dict[str, Any] = {col: None for col in _CSV_COLUMNS}
-    row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
+    row: dict[str, Any]
+    params: Optional[QParams] = None
+    rep: Optional[Rep] = None
+    cas: Optional[CasimirResult] = None
+    skip: Optional[Exception] = None  # why the whole point is skipped
+    singular: Optional[DegenerateParameter] = None  # su map rejected at a singular locus
+    by_family: dict[str, list[Entry]] = field(default_factory=dict)
+
+    def overflow(self, exc: OverflowError) -> None:
+        self.skip = exc
+        self.row["status"] = "skipped:overflow"
+
+    def finish(self) -> None:
+        """Fill the row of a point that ran every family."""
+        row = self.row
+        row.update(casimir_re=self.cas.scalar.real, casimir_im=self.cas.scalar.imag)
+        for family, entries in self.by_family.items():
+            column = _RESIDUAL_COLUMN.get(family)
+            passing = [r.residual for r, e in entries if e == "pass"]
+            if column is not None and passing:
+                worst = max(passing)
+                row[column] = worst if row[column] is None else max(row[column], worst)
+        mismatch = not all(_entries_match(entries) for entries in self.by_family.values())
+        row["status"] = "fail" if mismatch else ("skipped:singular" if self.singular else "ok")
+
+
+def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
+    """Build one point's rep and run casimir, which every point runs first."""
+    point = _Point({col: None for col in _CSV_COLUMNS})
+    point.row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
     try:
-        params = _resolve_params(cfg, epsilon)
-        rep = build_rep(params, k)
+        point.params = _resolve_params(cfg, epsilon)
+        point.rep = build_rep(point.params, k)
     except (DegenerateParameter, ParityViolation, OverflowError) as exc:
         reason = ("singular" if isinstance(exc, DegenerateParameter)
                   else "parity" if isinstance(exc, ParityViolation) else "overflow")
-        row["status"] = f"skipped:{reason}"
-        return {}, row, None, exc
-    row["l"] = params.l
-    by_family: dict[str, list[Entry]] = {}
-    singular: Optional[DegenerateParameter] = None
+        point.row["status"] = f"skipped:{reason}"
+        point.skip = exc
+        return point
+    point.row["l"] = point.params.l
     try:
-        cas = casimir(rep, cfg.tol)
-        for family in cfg.checks:
-            try:
-                if family == "casimir":
-                    by_family[family] = [(r, "pass") for r in cas.reports]
-                else:
-                    by_family[family] = _family_runs(family, rep, cfg, symbolic)
-            except DegenerateParameter as exc:
-                if family != "suq2":
-                    raise
-                singular = exc  # su map rejected at a singular locus; other checks stand
+        point.cas = casimir(point.rep, cfg.tol)
     except OverflowError as exc:
-        row["status"] = "skipped:overflow"
-        return {}, row, params, exc
-    row.update(casimir_re=cas.scalar.real, casimir_im=cas.scalar.imag)
-    for family, entries in by_family.items():
-        column = _RESIDUAL_COLUMN.get(family)
-        passing = [r.residual for r, e in entries if e == "pass"]
-        if column is not None and passing:
-            worst = max(passing)
-            row[column] = worst if row[column] is None else max(row[column], worst)
-    mismatch = not all(_entries_match(entries) for entries in by_family.values())
-    row["status"] = "fail" if mismatch else ("skipped:singular" if singular else "ok")
-    return by_family, row, params, singular
+        point.overflow(exc)
+    return point
+
+
+def _point_run(family: str, point: _Point, cfg: RunConfig, symbolic: Symbolic):
+    """Entries of one family at one point, or the overflow or singular locus that stopped it."""
+    try:
+        if family == "casimir":
+            return [(r, "pass") for r in point.cas.reports]
+        return _family_runs(family, point.rep, cfg, symbolic)
+    except OverflowError as exc:
+        return exc
+    except DegenerateParameter as exc:
+        if family != "suq2":
+            raise
+        return exc  # other checks stand
+
+
+def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic) -> list[_Point]:
+    points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
+    for family in cfg.checks:
+        live = [point for point in points if point.skip is None]
+        if not live:
+            break
+        if family in _BATCHED:
+            outcomes = _batch_runs(family, RepBatch(tuple(point.rep for point in live)), cfg)
+        else:
+            outcomes = [_point_run(family, point, cfg, symbolic) for point in live]
+        for point, outcome in zip(live, outcomes):
+            if isinstance(outcome, OverflowError):
+                point.overflow(outcome)
+            elif isinstance(outcome, DegenerateParameter):
+                point.singular = outcome
+            else:
+                point.by_family[family] = outcome
+    for point in points:
+        if point.skip is None:
+            point.finish()
+    return points
+
+
+def _run_points(
+    cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic
+) -> Iterator[_Point]:
+    """Build the points of one k and run their families, yielding each point in epsilon order.
+
+    A point that cannot be built, or whose build or checks overflow, is
+    skipped whole; a spin map rejected at a singular locus skips only that
+    family.  Each point runs casimir and then the families in order, as it
+    would alone.  The hopf and star families run once over the stack of
+    the points still standing, in batches of at most
+    ``_BATCH_CUBE_ENTRIES // (k+1)**3`` points, which bounds the memory of
+    the stacked tensor blocks; the other families run point by point.
+    """
+    size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
+    for start in range(0, len(epsilons), size):
+        yield from _run_batch(cfg, epsilons[start:start + size], k, symbolic)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
     symbolic = functools.partial(_symbolic_family, cfg)
-    by_family, row, params, skipped = _run_point(cfg, cfg.epsilon, cfg.k, symbolic)
+    (point,) = _run_points(cfg, cfg.epsilons, cfg.k, symbolic)
+    skipped = point.skip or point.singular
     if skipped is not None:
         raise skipped
-    entries = [entry for family in cfg.checks for entry in by_family[family]]
+    row = point.row
+    entries = [entry for family in cfg.checks for entry in point.by_family[family]]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text([row]))
     else:
         doc = {
-            "params": _report_params(params, cfg.k),
+            "params": _report_params(point.params, cfg.k),
             "checks": [report_to_json(r, expected=e) for r, e in entries],
             "casimir": [row["casimir_re"], row["casimir_im"]],
         }
@@ -449,10 +529,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    # The symbolic family depends on no k, and the rows run epsilon-major: one
-    # cached entry serves every k of an epsilon.  Exceptions are not cached.
-    symbolic = functools.lru_cache(maxsize=1)(functools.partial(_symbolic_family, cfg))
-    rows = [_run_point(cfg, epsilon, k, symbolic)[1] for epsilon in cfg.epsilons for k in cfg.ks]
+    # The symbolic family depends on no k, and the points run k by k: the
+    # cache keeps one entry per epsilon for the sweep.  Exceptions are not cached.
+    symbolic = functools.lru_cache(maxsize=None)(functools.partial(_symbolic_family, cfg))
+    by_k = [[point.row for point in _run_points(cfg, cfg.epsilons, k, symbolic)] for k in cfg.ks]
+    rows = [rows_k[i] for i in range(len(cfg.epsilons)) for rows_k in by_k]  # epsilon-major
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text(rows))
     elif cfg.fmt == "json":

@@ -116,6 +116,17 @@ def test_ladder_identities_cap():
         check_ladder_identities(rep, n_max=4)
 
 
+def test_ladder_powers_out_of_double_range_overflow():
+    # at eps=40 the real-line ladder entries are ~e**100, so Abar**8 leaves the
+    # double range at k=9, while every power stays finite at k=8
+    params = make_params("realline", 40.0, 1)
+    reports = check_ladder_identities(build_rep(params, 8), n_max=8)
+    assert all(r.passed for r in reports)
+    assert all(math.isfinite(r.residual) for r in reports)
+    with pytest.raises(OverflowError, match="order 8"):
+        check_ladder_identities(build_rep(params, 9), n_max=8)
+
+
 def test_norm_profile_positive_and_monotone_start():
     profile, rpt = norm_profile(auto_params("unimodular", 0.3), 8)
     assert rpt.passed

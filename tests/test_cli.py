@@ -324,6 +324,18 @@ def test_sweep_point_whose_build_overflows_is_skipped(capsys):
     assert rows[1][5:] == [""] * 7
 
 
+def test_ladder_overflow_is_one_error_line_or_a_skipped_row(capsys):
+    assert main(["verify", "--mode", "realline", "--epsilon", "40", "--k", "9"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: overflow") and out.err.count("\n") == 1
+    code = main(["sweep", "--mode", "realline", "--epsilon", "40", "--k", "8..9",
+                 "--checks", "ladder"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert [(row[3], row[4]) for row in rows] == [("8", "ok"), ("9", "skipped:overflow")]
+
+
 def test_symbolic_overflow_is_one_error_line(capsys):
     # the Laurent rescaling q**(x/2) at eps=200 has powers outside the double range
     for argv in (["symbolic", "--mode", "realline", "--epsilon", "200"],
@@ -366,6 +378,51 @@ def test_sweep_runs_symbolic_once_per_epsilon(capsys, monkeypatch):
                      "--format", "csv"]) == 0
         assert capsys.readouterr().out == "\n".join([lines[0], line]) + "\n"
     assert len(calls) == 5 + 20
+
+
+def _assert_rows_equal_verify(capsys, sweep_argv, point_options=()):
+    """Every sweep row is the ``verify --format csv`` row of its point; a skipped point exits 2."""
+    assert main(sweep_argv) in (0, 1)
+    header, *lines = capsys.readouterr().out.strip().split("\n")
+    if "--checks" in sweep_argv:
+        point_options = [*point_options, "--checks", sweep_argv[sweep_argv.index("--checks") + 1]]
+    statuses = []
+    for line in lines:
+        cells = line.split(",")
+        code = main(["verify", "--mode", cells[0], f"--epsilon={cells[1]}", "--k", cells[3],
+                     "--format", "csv", *point_options])
+        out = capsys.readouterr()
+        statuses.append(cells[4])
+        if cells[4].startswith("skipped"):
+            assert code == 2 and out.out == "" and out.err.startswith("error:")
+        else:
+            assert code == (1 if cells[4] == "fail" else 0)
+            assert out.out == "\n".join([header, line]) + "\n"
+    return statuses
+
+
+def test_sweep_rows_equal_verify_on_the_real_line(capsys):
+    statuses = _assert_rows_equal_verify(
+        capsys, ["sweep", "--mode", "realline", "--epsilon-grid", "0.3:2.7:0.6", "--k", "0..4"])
+    assert "ok" in statuses and "fail" in statuses  # the ladder_*_sym arms fail on part of it
+    # at eps=-151, k=9 casimir overflows: the k=9 star stack holds the other two points
+    statuses = _assert_rows_equal_verify(
+        capsys, ["sweep", "--mode", "realline", "--epsilon-grid=-151:1:76", "--k", "8..9",
+                 "--checks", "star:imaginary"])
+    assert statuses == ["ok", "skipped:overflow", "ok", "ok", "ok", "ok"]
+
+
+@pytest.mark.parametrize("mode,checks", [("unimodular", "hopf,star:canonical"),
+                                         ("realline", "hopf,star:canonical,star:imaginary")])
+def test_sweep_rows_equal_verify_around_a_skipped_epsilon(capsys, mode, checks):
+    # eps=0 is singular: the hopf and star stacks of each k skip that point
+    grid = ["sweep", "--mode", mode, "--epsilon-grid=-1.0:1.0:0.5", "--k", "0..3",
+            "--checks", checks]
+    statuses = _assert_rows_equal_verify(capsys, grid)
+    assert statuses[8:12] == ["skipped:singular"] * 4
+    assert statuses.count("skipped:singular") == 4
+    statuses = _assert_rows_equal_verify(capsys, grid[:4] + ["--l", "1"] + grid[4:], ["--l", "1"])
+    assert {"skipped:parity", "skipped:singular"} < set(statuses)
 
 
 def test_sweep_symbolic_reports_follow_tolerance_and_tamper(capsys):
@@ -449,7 +506,7 @@ def test_sweep_rejects_oversized_grid(capsys, monkeypatch):
     import qosc.cli as cli
 
     ran = []
-    monkeypatch.setattr(cli, "_run_point", lambda *a: ran.append(a))
+    monkeypatch.setattr(cli, "_run_points", lambda *a: ran.append(a))
     for grid, k in (("0:1e-3:1e-9", "1"), ("0:1e308:1e-308", "1"), ("nan:1:0.1", "1"),
                     ("0:1:0.001", "0..9"), ("0.5:0.5:1", "0..10000")):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from qosc.errors import DimensionTooLarge, ModeMismatch, NoSolution
 from qosc.hopfstar import (
     Flavor,
     InvolutionKind,
+    RepBatch,
     _compose,
     _graded_sum,
     _hopf_table,
@@ -46,12 +47,22 @@ def _rep(mode, eps, l, k):
     return build_rep(make_params(mode, eps, l), k)
 
 
+def _dense_symbols(rep):
+    """Dense matrix of every symbol of the Hopf table on one rep."""
+    return {sym: m[0] for sym, m in _realize(rep).dense.items()}
+
+
 def _by_name(reports):
     return {r.name: r for r in reports}
 
 
 # ---------------------------------------------------------------------------
 # coproduct structure
+
+
+def _unstack(blocks):
+    """The only member of graded blocks with a batch axis of length one."""
+    return {deg: w[0] for deg, w in blocks.items()}
 
 
 def _dense(blocks, d):
@@ -89,17 +100,18 @@ def test_swap_matrix_exchanges_tensor_factors():
     rng = np.random.default_rng(3)
     wx, wy = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     x, y = np.diag(wx, -1), np.diag(wy, 1)  # a raising and a lowering shift
-    gx, gy = ((1,), _shift_weights("x", x, 1)), ((-1,), _shift_weights("y", y, -1))
+    # the graded helpers take a leading batch axis: a batch of one here
+    gx, gy = ((1,), _shift_weights("x", x[None], 1)), ((-1,), _shift_weights("y", y[None], -1))
     blocks = _graded_sum([_otimes(gx, gy)])
-    assert np.array_equal(_dense(blocks, 3), np.kron(x, y))
-    assert np.allclose(_dense(_swap(blocks), 3), np.kron(y, x), rtol=0, atol=1e-15)
+    assert np.array_equal(_dense(_unstack(blocks), 3), np.kron(x, y))
+    assert np.allclose(_dense(_unstack(_swap(blocks)), 3), np.kron(y, x), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
 def test_graded_coproduct_densifies_to_kron_sum(mode, eps, l, k):
     rep = _rep(mode, eps, l, k)
     cop, _, _ = _hopf_table(rep.params)
-    realize = _realize(rep)
+    realize = _dense_symbols(rep)
     for gen in ("a", "abar", "N"):
         expect = sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
         assert np.array_equal(_dense(coproduct(rep, gen), rep.dim), expect)
@@ -246,7 +258,7 @@ def test_derive_involutions_guards():
 def _dense_coassoc(rep):
     """Coassociativity residuals from dense Kronecker cubes."""
     cop, _, _ = _hopf_table(rep.params)
-    realize = _realize(rep)
+    realize = _dense_symbols(rep)
     out = {}
     for gen in ("a", "abar", "N"):
         left = sum(np.kron(np.kron(realize[l1], realize[l2]), realize[ri])
@@ -261,7 +273,7 @@ def _dense_homomorphism(rep):
     """Homomorphism residuals and pass flags from dense Kronecker squares multiplied with ``@``."""
     p = rep.params
     cop, _, _ = _hopf_table(p)
-    realize = _realize(rep)
+    realize = _dense_symbols(rep)
     da, dab, dn = (sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
                    for gen in ("a", "abar", "N"))
     step = np.diag([qnum(v + 1.0, p.log_q) - qnum(v, p.log_q) for v in np.diag(dn)])
@@ -283,7 +295,7 @@ def _assert_homomorphism_matches_dense(rep):
 def _dense_star_coproduct(rep, inv, metric=None):
     """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
     cop, _, _ = _hopf_table(rep.params)
-    realize = _realize(rep)
+    realize = _dense_symbols(rep)
     star = _star_table(inv)
     d = rep.dim
 
@@ -343,8 +355,11 @@ def test_compose_matches_dense_product():
 
     x = random_operator([(-1, 0), (0, 1), (1, 1), (0, 0)])
     y = random_operator([(1, 0), (0, -1), (-1, 1)])
-    assert np.allclose(_dense(_compose(x, y), d), _dense(x, d) @ _dense(y, d), rtol=0, atol=1e-14)
-    assert np.allclose(_dense(_compose(y, x), d), _dense(y, d) @ _dense(x, d), rtol=0, atol=1e-14)
+    bx, by = ({deg: w[None] for deg, w in op.items()} for op in (x, y))  # batch of one
+    assert np.allclose(_dense(_unstack(_compose(bx, by)), d), _dense(x, d) @ _dense(y, d),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(_dense(_unstack(_compose(by, bx)), d), _dense(y, d) @ _dense(x, d),
+                       rtol=0, atol=1e-14)
 
 
 def _star_arms(rep):
@@ -395,3 +410,75 @@ def test_graded_arms_reject_non_shift_input():
     metric = parity_metric(4) + 0.1 * np.eye(4, k=1)
     with pytest.raises(ValueError, match="diagonal"):
         check_star_structure(rep, inv, metric=metric)
+    with pytest.raises(ValueError, match="invertible"):
+        check_star_structure(rep, inv, metric=parity_metric(4) * np.array([1, 1, 0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# batches: one pass over same-k, same-mode reps
+
+
+# members differ in epsilon and in branch l
+BATCH_MEMBERS = {
+    "unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (PI / 5, 0), (2.5, 0)],
+    "realline": [(1.0, 1), (1.0, 3), (-0.7, 0), (-0.7, 2), (2.0, 1)],
+}
+
+
+def _batch_star_arms(mode, params, dim):
+    """Each star arm as one involution per member and the shared metric."""
+    canonical = [involution("canonical", p) for p in params]
+    if mode == "unimodular":
+        return [(canonical, None), ([with_flavor(c, Flavor.STANDARD) for c in canonical], None)]
+    return [
+        (canonical, None),
+        ([involution("imaginary_minus", p) for p in params], None),
+        ([involution("imaginary_plus", p) for p in params], parity_metric(dim)),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_batched_arms_equal_single_rep_calls(mode):
+    for k in range(10):
+        reps = [_rep(mode, eps, l, k) for eps, l in BATCH_MEMBERS[mode]]
+        batch = RepBatch(tuple(reps))
+        assert batch.dim == k + 1 and batch.params == tuple(r.params for r in reps)
+        hopf = check_hopf_axioms(batch)
+        assert len(hopf) == len(reps)
+        for rep, got in zip(reps, hopf):
+            assert got == check_hopf_axioms(rep), (k, rep.params)  # names, passes, residuals
+        for invs, metric in _batch_star_arms(mode, batch.params, batch.dim):
+            star = check_star_structure(batch, invs, metric=metric)
+            for rep, inv, got in zip(reps, invs, star):
+                assert got == check_star_structure(rep, inv, metric=metric), (k, inv.label)
+
+
+def test_batch_member_overflow_drops_only_that_member():
+    # at eps=301 the bracket steps of the k=2 tensor square leave the double range
+    reps = [_rep("realline", eps, 1, 2) for eps in (1.0, 301.0, 2.0)]
+    with pytest.raises(OverflowError):
+        check_hopf_axioms(reps[1])
+    results = check_hopf_axioms(RepBatch(tuple(reps)))
+    assert isinstance(results[1], OverflowError)
+    assert results[0] == check_hopf_axioms(reps[0])
+    assert results[2] == check_hopf_axioms(reps[2])
+    # at eps=150 the conjugated bracket steps of the k=9 star arms overflow
+    reps = [_rep("realline", eps, 1, 9) for eps in (150.0, 1.0)]
+    invs = [involution("imaginary_minus", r.params) for r in reps]
+    results = check_star_structure(RepBatch(tuple(reps)), invs)
+    assert isinstance(results[0], OverflowError)
+    assert results[1] == check_star_structure(reps[1], invs[1])
+
+
+def test_batch_needs_one_k_one_mode_and_matching_involutions():
+    uni2, uni3 = _rep("unimodular", 0.9, 0, 2), _rep("unimodular", 0.9, 0, 3)
+    real2 = _rep("realline", 1.0, 1, 2)
+    for members in ((uni2, uni3), (uni2, real2), ()):
+        with pytest.raises(ValueError):
+            RepBatch(members)
+    batch = RepBatch((uni2, _rep("unimodular", -1.1, 1, 2)))
+    canonical = [involution("canonical", r.params) for r in batch.reps]
+    with pytest.raises(ValueError, match="involutions for"):
+        check_star_structure(batch, canonical[:1])
+    with pytest.raises(ValueError, match="one flavor"):
+        check_star_structure(batch, [canonical[0], with_flavor(canonical[1], Flavor.STANDARD)])
