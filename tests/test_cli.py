@@ -337,19 +337,32 @@ def test_ladder_overflow_is_one_error_line_or_a_skipped_row(capsys):
 
 
 def test_symbolic_overflow_is_one_error_line(capsys):
-    # the Laurent rescaling q**(x/2) at eps=200 has powers outside the double range
+    # untampered, the exact defects cancel before any power of t = q**(1/2) is taken
     for argv in (["symbolic", "--mode", "realline", "--epsilon", "200"],
                  ["verify", "--mode", "realline", "--epsilon", "200", "--k", "1",
                   "--checks", "symbolic"]):
-        assert main(argv) == 2
-        out = capsys.readouterr()
-        assert out.out == "" and out.err.startswith("error: overflow") and out.err.count("\n") == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
     code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "1",
                  "--checks", "symbolic"])
     out = capsys.readouterr().out
     assert code == 0
-    assert [line.split(",")[4] for line in out.strip().split("\n")[1:]] == [
-        "ok", "skipped:overflow"]
+    assert [line.split(",")[4] for line in out.strip().split("\n")[1:]] == ["ok", "ok"]
+    # tampered, the powers of t = exp(100) leave the double range
+    assert main(["symbolic", "--tamper-delta", "1e-3", "--mode", "realline",
+                 "--epsilon", "200"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: overflow") and out.err.count("\n") == 1
+
+
+def test_symbolic_rejects_non_finite_tamper(capsys):
+    for value in ("nan", "inf", "-inf"):
+        for fmt in ("text", "json"):
+            assert main(["symbolic", "--mode", "unimodular", "--epsilon", "0.5",
+                         f"--tamper-delta={value}", "--format", fmt]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
+            assert "finite" in out.err
 
 
 def _count_symbolic_calls(monkeypatch) -> list:
@@ -403,8 +416,8 @@ def _assert_rows_equal_verify(capsys, sweep_argv, point_options=()):
 
 def test_sweep_rows_equal_verify_on_the_real_line(capsys):
     statuses = _assert_rows_equal_verify(
-        capsys, ["sweep", "--mode", "realline", "--epsilon-grid", "0.3:2.7:0.6", "--k", "0..4"])
-    assert "ok" in statuses and "fail" in statuses  # the ladder_*_sym arms fail on part of it
+        capsys, ["sweep", "--mode", "realline", "--epsilon-grid", "1.5:3.0:0.5", "--k", "4..6"])
+    assert "ok" in statuses and "fail" in statuses  # the matrix ladder_* arms fail at n = k+1
     # at eps=-151, k=9 casimir overflows: the k=9 star stack holds the other two points
     statuses = _assert_rows_equal_verify(
         capsys, ["sweep", "--mode", "realline", "--epsilon-grid=-151:1:76", "--k", "8..9",
@@ -429,11 +442,16 @@ def test_sweep_symbolic_reports_follow_tolerance_and_tamper(capsys):
     sweep = ["sweep", "--mode", "realline", "--epsilon", "0.9", "--k", "0..1",
              "--checks", "symbolic"]
     symbolic = ["symbolic", "--mode", "realline", "--epsilon", "0.9", "--format", "text"]
-    # the symbolic defects are ~1e-16, so a 1e-20 tolerance fails them
-    for extra, code, status in (([], 0, "ok"), (["--tol", "1e-20"], 1, "fail"), ([], 0, "ok")):
-        assert main(sweep + extra) == code
+    verify = ["verify", "--mode", "realline", "--epsilon", "0.9", "--k", "1",
+              "--checks", "symbolic"]
+    # the symbolic defects are exact zeros: no tolerance fails them, and each report carries it
+    for extra, tol in (([], 1e-12), (["--tol", "1e-20"], 1e-20), ([], 1e-12)):
+        code, doc = run_json(capsys, verify + extra)
+        assert code == 0
+        assert {(c["residual"], c["tolerance"]) for c in doc["checks"]} == {(0.0, tol)}
+        assert main(sweep + extra) == 0
         rows = capsys.readouterr().out.strip().split("\n")[1:]
-        assert [row.split(",")[4] for row in rows] == [status, status]
+        assert [row.split(",")[4] for row in rows] == ["ok", "ok"]
     for extra, code in ((["--tamper-delta", "1e-3"], 1), ([], 0), (["--tamper-delta", "1e-3"], 1)):
         assert main(symbolic + extra) == code
         assert capsys.readouterr().out.endswith("result: ok\n") == (code == 0)
@@ -442,9 +460,28 @@ def test_sweep_symbolic_reports_follow_tolerance_and_tamper(capsys):
 
 
 def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
+    import qosc.cli as cli
+
     calls = _count_symbolic_calls(monkeypatch)
-    code = main(["sweep", "--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "0..2",
-                 "--checks", "symbolic"])
+    sweep = ["sweep", "--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "0..2",
+             "--checks", "symbolic"]
+    assert main(sweep) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [(row[1], row[3], row[4]) for row in rows] == [
+        ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
+        ("200", "0", "ok"), ("200", "1", "ok"), ("200", "2", "ok")]
+    assert calls == [1.0, 200.0]
+    counted = cli.check_identities_symbolic
+
+    def overflowing(params, *args, **kwargs):
+        reports = counted(params, *args, **kwargs)
+        if params.epsilon == 200.0:
+            raise OverflowError("symbolic coefficient leaves the double range")
+        return reports
+
+    monkeypatch.setattr(cli, "check_identities_symbolic", overflowing)
+    calls.clear()
+    code = main(sweep)
     out = capsys.readouterr()
     assert code == 0 and out.err == ""
     rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from qosc import normform
 from qosc.errors import ParamMismatch
 from qosc.normform import (
+    N_MAX_CAP,
+    ExactPoly,
     LaurentPoly,
     NCPoly,
     casimir_element,
@@ -10,6 +15,7 @@ from qosc.normform import (
     check_identities_symbolic,
     delta_poly,
     evaluate,
+    exact_defects,
     ladder_coefficient_lower,
     ladder_coefficient_raise,
     nf_commutator,
@@ -156,6 +162,148 @@ def test_ladder_coefficients_match_bracket_difference():
             assert lower_c(s) == pytest.approx(
                 qnum(nu, params.log_q) - qnum(nu + n, params.log_q)
             )
+
+
+# ---------------------------------------------------------------------------
+# exact normal form
+
+
+def _float_rewriter_residuals(params, n_max, tamper):
+    """Residuals of check_identities_symbolic as the float rewriter it replaced
+    computed them: every coefficient a float at this q, rewritten per call."""
+    q, t = params.q, params.qpow(0.5)
+    den = q - 1.0 / q
+    delta = LaurentPoly({2: (q - 1.0) / den + tamper, -2: (1.0 - 1.0 / q) / den})
+
+    def word_terms(word):
+        out, stack = {}, [(LaurentPoly.one(), word)]
+        while stack:
+            coeff, w = stack.pop()
+            swap_at = next((i for i in range(len(w) - 1) if w[i:i + 2] == ("A", "B")), None)
+            if swap_at is None:
+                key = (w.count("B"), w.count("A"))
+                out[key] = out.get(key, LaurentPoly.zero()) + coeff
+                continue
+            stack.append((coeff, w[:swap_at] + ("B", "A") + w[swap_at + 2:]))
+            prefix = w[:swap_at]
+            shift = (prefix.count("A") - prefix.count("B")) / 2.0
+            stack.append((coeff * delta.subs_scale(params.qpow(shift)), prefix + w[swap_at + 2:]))
+        return out
+
+    def product(p, r):
+        out = {}
+        for (i1, j1), c1 in p.items():
+            for (i2, j2), c2 in r.items():
+                coeff = c1 * c2.subs_scale(params.qpow((j1 - i1) / 2.0))
+                word = ("B",) * i1 + ("A",) * j1 + ("B",) * i2 + ("A",) * j2
+                for key, wc in word_terms(word).items():
+                    out[key] = out.get(key, LaurentPoly.zero()) + coeff * wc
+        return out
+
+    def defect(lhs, *rhs):
+        out = dict(lhs)
+        for part in rhs:
+            for key, c in part.items():
+                out[key] = out.get(key, LaurentPoly.zero()) - c
+        return max((c.max_abs() for c in out.values()), default=0.0)
+
+    one = LaurentPoly.one()
+    a, abar = {(0, 1): one}, {(1, 0): one}
+    residuals = {}
+    for n in range(1, n_max + 1):
+        bran = qnum(n, params.log_q / 2.0) / (t + 1.0 / t)
+        raise_c = LaurentPoly({2: bran * params.qpow((2.0 - n) / 2.0),
+                               -2: bran * params.qpow((n - 2.0) / 2.0)})
+        lower_c = LaurentPoly({2: -bran * params.qpow(n / 2.0), -2: -bran * params.qpow(-n / 2.0)})
+        abar_n, a_n = {(n, 0): one}, {(0, n): one}
+        residuals[f"ladder_raise_sym_n{n}"] = defect(
+            product(a, abar_n), product(abar_n, a), {(n - 1, 0): raise_c})
+        residuals[f"ladder_lower_sym_n{n}"] = defect(
+            product(abar, a_n), product(a_n, abar), {(0, n - 1): lower_c})
+    central = {(1, 1): one, (0, 0): LaurentPoly({2: -1.0 / den, -2: 1.0 / den})}
+    for name, gen in (("a", a), ("abar", abar), ("s", {(0, 0): LaurentPoly.variable()})):
+        residuals[f"casimir_central_{name}"] = defect(product(central, gen), product(gen, central))
+    return residuals
+
+
+def test_untampered_defects_cancel_exactly():
+    for defect in exact_defects(N_MAX_CAP):
+        # every term carries the tamper variable: the tau^0 part is identically zero
+        assert all(u > 0 for group in defect.groups for _, u, _ in group), defect.name
+        if defect.name.startswith("ladder"):
+            assert defect.groups, defect.name  # so the tamper reaches every ladder identity
+    for mode, eps in (("unimodular", 0.1), ("unimodular", 6.0), ("realline", -0.6),
+                      ("realline", 30.0), ("realline", 200.0)):
+        reports = check_identities_symbolic(make_params(mode, eps, 1), n_max=N_MAX_CAP)
+        assert {r.residual for r in reports} == {0.0}
+
+
+@pytest.mark.parametrize("tamper", [1e-3, -0.37])
+def test_tampered_residuals_match_the_float_rewriter(tamper):
+    grid = [("unimodular", eps, N_MAX_CAP) for eps in (0.1, 0.3, 0.9, 2.5, 6.0)]
+    grid += [("realline", eps, 8) for eps in (0.1, 0.3, 0.9)]
+    for mode, eps, n_max in grid:
+        params = make_params(mode, eps, 1)
+        expect = _float_rewriter_residuals(params, n_max, tamper)
+        reports = check_identities_symbolic(params, n_max, tamper=tamper)
+        assert [r.name for r in reports] == list(expect)
+        for r in reports:
+            assert r.residual == pytest.approx(expect[r.name], rel=1e-9, abs=0.0), (mode, eps, r)
+
+
+def test_shifted_ladder_coefficient_fails_every_n(monkeypatch):
+    original = normform._ladder_raise
+
+    def shifted(n):
+        # one t-exponent off by one: t^(2-n) s^2 becomes t^(3-n) s^2
+        num = original(n).num
+        key = next(e for e in num if e[0] == 2)
+        num = {e: c for e, c in num.items() if e != key}
+        num[(key[0], key[1] + 1, key[2])] = original(n).num[key]
+        return ExactPoly(num, original(n).den)
+
+    normform.exact_defects.cache_clear()
+    try:
+        monkeypatch.setattr(normform, "_ladder_raise", shifted)
+        defects = exact_defects(N_MAX_CAP)
+        reports = check_identities_symbolic(P_UNI, n_max=N_MAX_CAP)
+    finally:
+        monkeypatch.undo()
+        normform.exact_defects.cache_clear()
+    for defect, r in zip(defects, reports):
+        untampered = [term for group in defect.groups for term in group if term[1] == 0]
+        assert bool(untampered) == defect.name.startswith("ladder"), defect.name
+        assert r.passed == defect.name.startswith("casimir"), r
+
+
+def test_exact_defects_memo_is_bounded_and_immutable():
+    for n in range(1, N_MAX_CAP + 1):
+        exact_defects(n)
+    info = exact_defects.cache_info()
+    assert info.maxsize == N_MAX_CAP and info.currsize <= N_MAX_CAP
+    # tolerance, tamper and params do not enter the memo
+    for params in (P_UNI, P_REAL):
+        for n in (1, 8, N_MAX_CAP):
+            check_identities_symbolic(params, n, tol=1e-3, tamper=0.5)
+    assert exact_defects.cache_info().currsize == info.currsize
+    assert exact_defects.cache_info().misses == info.misses
+    defects = exact_defects(3)
+    assert exact_defects(3) is defects
+    with pytest.raises(TypeError):
+        defects[0] = defects[1]
+    with pytest.raises(AttributeError):
+        defects[0].den = 2
+    with pytest.raises(TypeError):
+        defects[0].groups[0][0] = (0, 0, 0)
+
+
+def test_non_finite_tamper_rejected():
+    a, abar = NCPoly.gen_a(P_UNI), NCPoly.gen_abar(P_UNI)
+    for tamper in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            check_identities_symbolic(P_UNI, n_max=2, tamper=tamper)
+        with pytest.raises(ValueError, match="finite"):
+            nf_product(a, abar, tamper)
 
 
 # ---------------------------------------------------------------------------
