@@ -28,7 +28,6 @@ from .hopfstar import (
     Flavor,
     InvolutionKind,
     InvolutionSpec,
-    RepBatch,
     check_hopf_axioms,
     check_star_structure,
     coproduct,
@@ -48,6 +47,7 @@ from .normform import (
 from .qcore import Mode, QParams, bracket_step, make_params, qnumber
 from .repbuild import (
     Rep,
+    RepBatch,
     TruncationReport,
     auto_params,
     build_generic_window,

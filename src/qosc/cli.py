@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import math
@@ -67,7 +66,7 @@ from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
 from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, check_identities_symbolic
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
-from .sumap import check_equivalence, check_su2, to_su2
+from .sumap import check_equivalence, check_su2
 
 CHECK_FAMILIES = (
     "algebra",
@@ -91,9 +90,6 @@ Entry = tuple[CheckReport, str]
 
 # Runs the symbolic family at a point's params (it reads no k).
 Symbolic = Callable[[QParams], Sequence[CheckReport]]
-
-# Families that run once over the stack of a k's points, not point by point.
-_BATCHED = ("hopf", "star:canonical", "star:imaginary")
 
 # Canonical involution arms that must fail when the wrong flavor is forced
 # at |q| = 1 (the N components stay compatible, the ladder ones do not).
@@ -178,10 +174,6 @@ class RunConfig:
 # check family runners
 
 
-def _prefixed(label: str, report: CheckReport) -> CheckReport:
-    return dataclasses.replace(report, name=f"{label}.{report.name}")
-
-
 def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any, frozenset]]:
     """Label, one involution per member, metric and expected failures of each arm."""
     params = batch.params
@@ -217,43 +209,62 @@ def _run_star(batch: RepBatch, family: str, tol: float) -> list:
     """Entries of one star family per member, or the first overflow of its arms."""
     outcomes: list = [[] for _ in batch.reps]
     for label, invs, metric, expected_fails in _star_arms(batch, family):
-        for i, result in enumerate(check_star_structure(batch, invs, tol, metric=metric)):
+        fails = {f"{label}.{name}" for name in expected_fails}
+        results = check_star_structure(batch, invs, tol, metric=metric, label=label)
+        for i, result in enumerate(results):
             if isinstance(outcomes[i], OverflowError):
                 continue
             if isinstance(result, OverflowError):
                 outcomes[i] = result
                 continue
-            for report in result:
-                expected = "fail" if report.name in expected_fails else "pass"
-                outcomes[i].append((_prefixed(label, report), expected))
+            outcomes[i].extend((r, "fail" if r.name in fails else "pass") for r in result)
     return outcomes
-
-
-def _batch_runs(family: str, batch: RepBatch, cfg: RunConfig) -> list:
-    """Entries of a batched family per member, or the overflow that stopped it."""
-    if family == "hopf":
-        return [out if isinstance(out, OverflowError) else [(r, "pass") for r in out]
-                for out in check_hopf_axioms(batch, cfg.tol)]
-    return _run_star(batch, family, cfg.tol)
 
 
 def _symbolic_family(cfg: RunConfig, params: QParams) -> tuple[CheckReport, ...]:
     return tuple(check_identities_symbolic(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper))
 
 
-def _family_runs(family: str, rep: Rep, cfg: RunConfig, symbolic: Symbolic) -> list[Entry]:
-    """Entries of one family that runs point by point, other than casimir, which every point runs."""
+def _symbolic_runs(batch: RepBatch, symbolic: Symbolic) -> list:
+    """The symbolic reports at each member's params, or the overflow that stopped them."""
+    out: list = []
+    for params in batch.params:
+        try:
+            out.append(symbolic(params))
+        except OverflowError as exc:
+            out.append(exc)
+    return out
+
+
+def _suq2_runs(batch: RepBatch, tol: float) -> list:
+    """The spin relations and the equivalence report per member, or the error that stopped them."""
+    return [
+        relations if isinstance(relations, Exception)
+        else equivalence if isinstance(equivalence, Exception) else relations + [equivalence]
+        for relations, equivalence in zip(check_su2(batch, tol), check_equivalence(batch, tol))
+    ]
+
+
+def _batch_runs(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbolic) -> list:
+    """Entries of one family per member of the batch, or the error that stopped it there.
+
+    Casimir, which every point runs first, is not run here.
+    """
+    if family.startswith("star:"):
+        return _run_star(batch, family, cfg.tol)
     if family == "algebra":
-        reports = check_defining_relations(rep, cfg.tol)
+        results = check_defining_relations(batch, cfg.tol)
     elif family == "ladder":
-        reports = check_ladder_identities(rep, min(cfg.n_max, rep.k + 1), cfg.tol)
+        results = check_ladder_identities(batch, min(cfg.n_max, batch.k + 1), cfg.tol)
+    elif family == "hopf":
+        results = check_hopf_axioms(batch, cfg.tol)
     elif family == "suq2":
-        reports = check_su2(to_su2(rep), cfg.tol) + [check_equivalence(rep, cfg.tol)]
+        results = _suq2_runs(batch, cfg.tol)
     elif family == "symbolic":
-        reports = symbolic(rep.params)
+        results = _symbolic_runs(batch, symbolic)
     else:
         raise ValueError(f"unknown check family {family!r}")
-    return [(r, "pass") for r in reports]
+    return [r if isinstance(r, Exception) else [(report, "pass") for report in r] for r in results]
 
 
 def _entries_match(entries: Sequence[Entry]) -> bool:
@@ -272,6 +283,8 @@ def _resolve_params(cfg: RunConfig, epsilon: float) -> QParams:
 def _validate_selection(cfg: RunConfig) -> None:
     if "star:imaginary" in cfg.checks and cfg.mode is Mode.UNIMODULAR:
         raise ModeMismatch("star:imaginary checks exist only for real q")
+    if min(cfg.ks) < 0:
+        raise ValueError(f"k={min(cfg.ks)} is negative")
     k_max = max(cfg.ks)
     if k_max > MAX_K:
         raise DimensionTooLarge(f"k={k_max} exceeds the cap {MAX_K}")
@@ -431,7 +444,7 @@ class _Point:
 
 
 def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
-    """Build one point's rep and run casimir, which every point runs first."""
+    """Build one point's rep; a point that cannot be built is skipped."""
     point = _Point({col: None for col in _CSV_COLUMNS})
     point.row.update(mode=cfg.mode.value, epsilon=epsilon, k=k, status="ok")
     try:
@@ -444,42 +457,31 @@ def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
         point.skip = exc
         return point
     point.row["l"] = point.params.l
-    try:
-        point.cas = casimir(point.rep, cfg.tol)
-    except OverflowError as exc:
-        point.overflow(exc)
     return point
-
-
-def _point_run(family: str, point: _Point, cfg: RunConfig, symbolic: Symbolic):
-    """Entries of one family at one point, or the overflow or singular locus that stopped it."""
-    try:
-        if family == "casimir":
-            return [(r, "pass") for r in point.cas.reports]
-        return _family_runs(family, point.rep, cfg, symbolic)
-    except OverflowError as exc:
-        return exc
-    except DegenerateParameter as exc:
-        if family != "suq2":
-            raise
-        return exc  # other checks stand
 
 
 def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic) -> list[_Point]:
     points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
-    for family in cfg.checks:
+    batch: Optional[RepBatch] = None
+    for family in (None, *cfg.checks):  # None: the casimir every point runs first, for its row
         live = [point for point in points if point.skip is None]
         if not live:
             break
-        if family in _BATCHED:
-            outcomes = _batch_runs(family, RepBatch(tuple(point.rep for point in live)), cfg)
+        if batch is None or len(batch.reps) != len(live):  # points are only ever dropped
+            batch = RepBatch(tuple(point.rep for point in live))
+        if family is None:
+            outcomes = casimir(batch, cfg.tol)
+        elif family == "casimir":
+            outcomes = [[(r, "pass") for r in point.cas.reports] for point in live]
         else:
-            outcomes = [_point_run(family, point, cfg, symbolic) for point in live]
+            outcomes = _batch_runs(family, batch, cfg, symbolic)
         for point, outcome in zip(live, outcomes):
             if isinstance(outcome, OverflowError):
                 point.overflow(outcome)
             elif isinstance(outcome, DegenerateParameter):
                 point.singular = outcome
+            elif family is None:
+                point.cas = outcome
             else:
                 point.by_family[family] = outcome
     for point in points:
@@ -496,10 +498,10 @@ def _run_points(
     A point that cannot be built, or whose build or checks overflow, is
     skipped whole; a spin map rejected at a singular locus skips only that
     family.  Each point runs casimir and then the families in order, as it
-    would alone.  The hopf and star families run once over the stack of
-    the points still standing, in batches of at most
+    would alone.  Every family but symbolic runs once over the stack of the
+    points still standing, in batches of at most
     ``_BATCH_CUBE_ENTRIES // (k+1)**3`` points, which bounds the memory of
-    the stacked tensor blocks; the other families run point by point.
+    the stacked tensor blocks; symbolic reads no k and runs point by point.
     """
     size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
     for start in range(0, len(epsilons), size):
@@ -654,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", type=_parse_checks, default=None,
                           help="comma-separated subset of: " + ", ".join(CHECK_FAMILIES))
     p_verify.add_argument("--n-max", type=int, default=8,
-                          help="ladder/symbolic identity depth (capped at k+1 and 16)")
+                          help=f"identity depth, at most {N_MAX_CAP}; ladder stops at k+1, "
+                               "symbolic reads no k")
 
     p_sweep = sub.add_parser("sweep", help="verify over an epsilon and/or k grid")
     add_common(p_sweep, ("csv", "json", "text"), "csv")

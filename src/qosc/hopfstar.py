@@ -21,16 +21,17 @@ The rep's dense ``A``/``Abar``/``Nmat`` remain the public and JSON view and
 serve the d*d arms (counit, antipode, star matrices).
 
 :func:`check_hopf_axioms` and :func:`check_star_structure` take either one
-:class:`~qosc.repbuild.Rep` or a :class:`RepBatch` of representations that
-share ``k`` and the mode.  A batch is evaluated in one pass: every weight,
-graded block and dense matrix carries a leading batch axis, and residuals
-are maxima over every axis but that one.  The graded structure depends on
-neither epsilon nor the branch, so a sweep evaluates each arm once per
-``k``.  Each member's scalar data (q-powers, bracket steps, counit,
-antipode and star coefficients) still comes from the scalar ``cmath``
-formulas, one member at a time, so a member's residuals are bit for bit
-those of the single-rep call; an ``OverflowError`` there drops only that
-member.  A single rep is the batch of one.
+:class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` (defined
+in :mod:`qosc.repbuild`, re-exported here) of representations that share
+``k`` and the mode, under the batch contract of :mod:`qosc.algcheck`: every
+weight, graded block and dense matrix carries a leading batch axis, and
+:class:`~qosc.algcheck.Arms` turns them into residuals in one pass.  The
+graded structure depends on neither epsilon nor the branch, so a sweep
+evaluates each arm once per ``k``.  Each member's scalar data (q-powers,
+bracket steps, counit, antipode and star coefficients) still comes from the
+scalar ``cmath`` formulas, one member at a time, so a member's residuals
+are bit for bit those of the single-rep call; an ``OverflowError`` there
+drops only that member.  A single rep is the batch of one.
 """
 
 from __future__ import annotations
@@ -38,14 +39,24 @@ from __future__ import annotations
 import dataclasses
 import functools
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algcheck import DEFAULT_TOL, CheckReport, report, residual_of
+from .algcheck import (
+    DEFAULT_TOL,
+    Arms,
+    CheckReport,
+    MemberResult,
+    as_batch,
+    diag_stack,
+    member_scalars,
+    residual_of,
+    unbatch,
+)
 from .errors import DimensionTooLarge, ModeMismatch, NoSolution
 from .qcore import Mode, QParams, bracket_step, qnum
-from .repbuild import Rep
+from .repbuild import Rep, RepBatch
 
 #: largest allowed dimension (k+1)**3 for the coassociativity check
 COASSOC_CAP = 1000
@@ -62,54 +73,6 @@ class InvolutionKind(str, Enum):
     CANONICAL = "canonical"
     IMAGINARY_PLUS = "imaginary_plus"
     IMAGINARY_MINUS = "imaginary_minus"
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class RepBatch:
-    """Representations of one ``k`` and one mode, checked together.
-
-    Member ``i`` sits at index ``i`` of the leading axis of every stacked
-    array; the members may differ in epsilon and branch.
-    """
-
-    reps: tuple[Rep, ...]
-
-    def __post_init__(self) -> None:
-        if not self.reps:
-            raise ValueError("a batch needs at least one representation")
-        head = self.reps[0]
-        for rep in self.reps[1:]:
-            if rep.k != head.k or rep.params.mode is not head.params.mode:
-                raise ValueError(
-                    f"a batch needs one k and one mode: k={rep.k}, "
-                    f"mode={rep.params.mode.value} joins k={head.k}, "
-                    f"mode={head.params.mode.value}"
-                )
-
-    @property
-    def k(self) -> int:
-        return self.reps[0].k
-
-    @property
-    def dim(self) -> int:
-        return self.k + 1
-
-    @property
-    def mode(self) -> Mode:
-        return self.reps[0].params.mode
-
-    @property
-    def params(self) -> tuple[QParams, ...]:
-        return tuple(rep.params for rep in self.reps)
-
-    @functools.cached_property
-    def _realization(self) -> "_Realization":
-        """Stacked symbols of the members, built once and shared by every check of the batch."""
-        return _Realization(self)
-
-
-#: per-member outcome of a batched check: its reports, or the overflow that dropped it
-MemberResult = Union[list[CheckReport], OverflowError]
 
 
 # Graded operators.  Every symbol is homogeneous in the N-grading, so its d*d
@@ -140,14 +103,6 @@ def _shift_weights(name: str, m: np.ndarray, degree: int) -> np.ndarray:
     if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m, -degree, axis1=1, axis2=2)):
         raise ValueError(f"{name} is not a weighted shift of degree {degree}")
     return _band(m, degree)
-
-
-def _diag(w: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices with the rows of ``w`` on their diagonals."""
-    b, d = w.shape
-    out = np.zeros((b, d, d), dtype=complex)
-    out.reshape(b, d * d)[:, :: d + 1] = w
-    return out
 
 
 def _otimes(left: tuple, right: tuple) -> tuple:
@@ -193,53 +148,6 @@ def _minus(lhs: dict, rhs: dict) -> dict:
 
 def _commutator(x: dict, y: dict) -> dict:
     return _minus(_compose(x, y), _compose(y, x))
-
-
-class _Arms:
-    """The named arms of one batched check.
-
-    Most arms compare two operands, each a dense stack or a graded operator
-    (whose blocks never overlap, so their maxima suffice).  The max-norms
-    of all operands are taken in one pass, over every axis but the batch
-    axis, and an arm's residual is :func:`~qosc.algcheck.residual_of`'s
-    ``defect / max(1, lhs * rhs)`` in float arithmetic: every member sees
-    exactly the scalar operations of the single-rep call.
-    """
-
-    def __init__(self) -> None:
-        # name and, per arm, the number of its defect operand or its residuals
-        self._arms: list[tuple[str, Union[int, Sequence[float]]]] = []
-        self._blocks: list[np.ndarray] = []  # every operand block, flattened to (B, -1)
-        self._starts: list[int] = []  # first column of each operand
-        self._width = 0
-
-    def add(self, name: str, defect, lhs, rhs) -> None:
-        """An arm with the given defect; its operands are numbered consecutively."""
-        self._arms.append((name, len(self._starts)))
-        for op in (defect, lhs, rhs):
-            self._starts.append(self._width)
-            for block in op.values() if isinstance(op, dict) else (op,):
-                self._blocks.append(block.reshape(len(block), -1))
-                self._width += self._blocks[-1].shape[1]
-
-    def compare(self, name: str, lhs, rhs) -> None:
-        graded = isinstance(lhs, dict)
-        self.add(name, _minus(lhs, rhs) if graded else lhs - rhs, lhs, rhs)
-
-    def absolute(self, name: str, residuals: Sequence[float]) -> None:
-        """An arm whose residuals, one per member, are given."""
-        self._arms.append((name, residuals))
-
-    def report(self, results: list, alive: list[int], tol: float) -> None:
-        """Put each survivor's reports into its slot of ``results``."""
-        flat = np.abs(np.concatenate(self._blocks, axis=1))
-        norms = np.maximum.reduceat(flat, self._starts, axis=1).tolist()
-        for j, (i, row) in enumerate(zip(alive, norms)):
-            results[i] = [
-                report(name, row[at] / max(1.0, row[at + 1] * row[at + 2])
-                       if isinstance(at, int) else at[j], tol)
-                for name, at in self._arms
-            ]
 
 
 def _table(elems: Sequence[Sequence[tuple]]) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -294,10 +202,6 @@ def _hopf_table(p: QParams):
     return _COPRODUCT, counit, antipode
 
 
-def _stack(matrices: list[np.ndarray]) -> np.ndarray:
-    return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)  # a view for one
-
-
 class _Realization:
     """Dense stacks and graded weights of every symbol of :func:`_hopf_table`.
 
@@ -313,10 +217,10 @@ class _Realization:
         eye = np.eye(d, dtype=complex)
         gamma = np.array([rep.params.gamma for rep in reps], dtype=complex)[:, None, None]
         self.dense = {
-            "a": _stack([rep.A for rep in reps]),
-            "abar": _stack([rep.Abar for rep in reps]),
-            "N": _stack([rep.Nmat for rep in reps]),
-            "one": _stack([eye] * len(reps)),
+            "a": batch.A,
+            "abar": batch.Abar,
+            "N": batch.Nmat,
+            "one": np.repeat(eye[None], len(reps), axis=0),
             "gone": gamma * eye,
         }
         self.graded = {
@@ -340,7 +244,7 @@ class _Realization:
             powers["qm"].append(member[1])
         for sym, values in powers.items():
             weights = np.array(values, dtype=complex)
-            self.dense[sym] = _diag(weights)
+            self.dense[sym] = diag_stack(weights)
             self.graded[sym] = ((0,), weights)
 
     def select(self, alive: list[int]) -> tuple[dict, dict]:
@@ -351,51 +255,13 @@ class _Realization:
                 {sym: (deg, w[alive]) for sym, (deg, w) in self.graded.items()})
 
 
-def _members(
-    real: _Realization, scalars: Callable[[int], tuple]
-) -> tuple[list, list[int], list[tuple]]:
-    """Each member's ``scalars(i)``; an ``OverflowError`` there or in its ``K`` powers drops it.
-
-    Returns the per-member result slots (the error, or ``None`` for a
-    survivor), the surviving indices and their scalar data.
-    """
-    results: list = [None] * len(real.dense["a"])
-    alive: list[int] = []
-    data: list[tuple] = []
-    for i in range(len(results)):
-        if i in real.overflow:
-            results[i] = real.overflow[i]
-            continue
-        try:
-            data.append(scalars(i))
-        except OverflowError as exc:
-            results[i] = exc
-            continue
-        alive.append(i)
-    return results, alive, data
-
-
-def _as_batch(reps: Union[Rep, RepBatch]) -> RepBatch:
-    return reps if isinstance(reps, RepBatch) else RepBatch((reps,))
-
-
-def _unbatch(reps: Union[Rep, RepBatch], results: list[MemberResult]):
-    """A batch's results as they are; a single rep's reports, or its overflow raised."""
-    if isinstance(reps, RepBatch):
-        return results
-    (result,) = results
-    if isinstance(result, OverflowError):
-        raise result
-    return result
-
-
 def _coproduct(cop_terms, graded: dict[str, tuple]) -> dict:
     return _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop_terms)
 
 
 def _realize(rep: Rep) -> _Realization:
     """The realization of a single rep, raising the overflow of its ``K`` powers."""
-    real = RepBatch((rep,))._realization
+    real = RepBatch((rep,)).derived(_Realization)
     if real.overflow:
         raise real.overflow[0]
     return real
@@ -418,13 +284,13 @@ def check_hopf_axioms(
     or the ``OverflowError`` its scalar data raised.  A single rep gives its
     reports and raises its overflow.
     """
-    batch = _as_batch(reps)
+    batch = as_batch(reps)
     d = batch.dim
     if d**3 > COASSOC_CAP:
         raise DimensionTooLarge(f"coassociativity needs dimension {d ** 3} > cap {COASSOC_CAP}")
     params = batch.params
     cop = _COPRODUCT
-    real = batch._realization
+    real = batch.derived(_Realization)
     dn00 = _coproduct(cop["N"], real.graded)[(0, 0)]  # where the bracket steps are taken
 
     def scalars(i: int) -> tuple:
@@ -435,14 +301,14 @@ def check_hopf_axioms(
         steps = [step(v) for v in dn00[i].ravel()]
         return [counit[sym] for sym in cop], [antipode[sym] for sym in cop], steps
 
-    results, alive, data = _members(real, scalars)
+    results, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
     if not alive:
-        return _unbatch(reps, results)
+        return unbatch(reps, results)
     counits, antipodes, steps = zip(*data)
     counits = np.array(counits, dtype=complex)
     counit = {sym: counits[:, j, None, None] for j, sym in enumerate(cop)}
     dense, graded = real.select(alive)
-    arms = _Arms()
+    arms = Arms(alive)
 
     # every tensor square of the table, shared by the coproducts and both coassociativity sides
     pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
@@ -455,7 +321,7 @@ def check_hopf_axioms(
         ("homomorphism_lower", _minus(_commutator(da, dn), da), (dn, da)),  # -([DN, Da] + Da)
     )
     for name, defect, ops in relations:
-        arms.add(name, defect, *ops)
+        arms.add(name, (defect, *ops))
 
     for gen in _GENERATORS:
         left = _graded_sum(
@@ -464,7 +330,7 @@ def check_hopf_axioms(
         right = _graded_sum(
             _otimes(graded[le], pairs[term]) for le, ri in cop[gen] for term in cop[ri]
         )
-        arms.compare(f"coassoc_{gen}", left, right)
+        arms.add(f"coassoc_{gen}", (_minus(left, right), left, right))
 
     for gen in _GENERATORS:
         lhs_l = sum(counit[le] * dense[ri] for le, ri in cop[gen])
@@ -479,8 +345,8 @@ def check_hopf_axioms(
         lhs_r = sum(dense[le] @ s_image[ri] for le, ri in cop[gen])
         arms.compare(f"antipode_left_{gen}", lhs_l, target)
         arms.compare(f"antipode_right_{gen}", lhs_r, target)
-    arms.report(results, alive, tol)
-    return _unbatch(reps, results)
+    arms.report(results, tol)
+    return unbatch(reps, results)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -551,6 +417,7 @@ def check_star_structure(
     inv: Union[InvolutionSpec, Sequence[InvolutionSpec]],
     tol: float = DEFAULT_TOL,
     metric: np.ndarray | None = None,
+    label: Optional[str] = None,
 ) -> Union[list[CheckReport], list[MemberResult]]:
     """All compatibility arms of one involution on one representation.
 
@@ -558,12 +425,13 @@ def check_star_structure(
     the plain conjugate transpose.  Arms: conjugated defining relations,
     matrix realization of the star, coproduct compatibility in the
     involution's flavor, counit reality, and the flavor's antipode axiom.
+    A ``label`` names every report ``label.arm``.
 
     For a :class:`RepBatch`, ``inv`` holds one involution per member, all of
     one flavor, ``metric`` serves every member, and the result has one entry
     per member as in :func:`check_hopf_axioms`.
     """
-    batch = _as_batch(reps)
+    batch = as_batch(reps)
     invs = tuple(inv) if isinstance(reps, RepBatch) else (inv,)
     if len(invs) != len(batch.reps):
         raise ValueError(f"{len(invs)} involutions for {len(batch.reps)} representations")
@@ -572,7 +440,7 @@ def check_star_structure(
         raise ValueError("the involutions of a batch must share one flavor")
     params = batch.params
     cop = _COPRODUCT
-    real = batch._realization
+    real = batch.derived(_Realization)
     if metric is not None:
         g = np.diagonal(metric)
         if not np.count_nonzero(metric) == np.count_nonzero(g) == len(g):
@@ -603,17 +471,17 @@ def check_star_structure(
                                        _star_affine(_s_affine(start, antipode), star)))
         return [star[gen] for gen in _GENERATORS], step_bar, counit_defects, antipode_sides
 
-    results, alive, data = _members(real, scalars)
+    results, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
     if not alive:
-        return _unbatch(reps, results)
+        return unbatch(reps, results)
     stars, step_bars, counit_defects, antipode_sides = zip(*data)
     dense, graded = real.select(alive)
-    arms = _Arms()
+    arms = Arms(alive)
 
     star = _table(stars)
     img = dict(zip(_GENERATORS, _affine(star, dense)))
     lhs = img["abar"] @ img["a"] - img["a"] @ img["abar"]
-    arms.compare("algebra_compat_commutator", lhs, _diag(np.array(step_bars, dtype=complex)))
+    arms.compare("algebra_compat_commutator", lhs, diag_stack(np.array(step_bars, dtype=complex)))
     arms.compare("algebra_compat_raise",
                  img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
     arms.compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
@@ -640,7 +508,7 @@ def check_star_structure(
         image[(0, 0)] = image.get((0, 0), empty) + consts[:, j, None, None]
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
-        arms.compare(f"coproduct_{flavor.value}_{gen}", dag, image)
+        arms.add(f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image))
 
     for j, gen in enumerate(_GENERATORS):
         arms.absolute(f"counit_{gen}", [c[j] for c in counit_defects])
@@ -648,8 +516,8 @@ def check_star_structure(
     sides = _affine(_table([[e for pair in row for e in pair] for row in antipode_sides]), dense)
     for j, gen in enumerate(_GENERATORS):
         arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
-    arms.report(results, alive, tol)
-    return _unbatch(reps, results)
+    arms.report(results, tol, label)
+    return unbatch(reps, results)
 
 
 def parity_metric(dim: int) -> np.ndarray:

@@ -5,13 +5,17 @@ The algebra has generators ``a`` (lowering), ``abar`` (raising) and ``N``
 (k+1)-dimensional block exactly when the number eigenvalue base ``nu0``
 sits on a distinguished branch; :func:`build_rep` produces the normalized
 block, :func:`build_generic_window` a window of the untruncated ladder.
+A :class:`RepBatch` holds representations of one ``k`` and one mode, which
+every check family evaluates in one pass over their stacked matrices.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +24,8 @@ from .qcore import Mode, QParams, guard_epsilon, make_params, qnum
 
 #: default cap on the truncation index
 MAX_K = 64
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,77 @@ class Rep:
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
+
+
+def _stack(matrices: list[np.ndarray]) -> np.ndarray:
+    return _freeze(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))  # a view for one
+
+
+@dataclass(frozen=True, eq=False)
+class RepBatch:
+    """Representations of one ``k`` and one mode, checked together.
+
+    Member ``i`` sits at index ``i`` of the leading axis of every stacked
+    array; the members may differ in epsilon and branch.
+    """
+
+    reps: tuple[Rep, ...]
+
+    def __post_init__(self) -> None:
+        if not self.reps:
+            raise ValueError("a batch needs at least one representation")
+        head = self.reps[0]
+        for rep in self.reps[1:]:
+            if rep.k != head.k or rep.params.mode is not head.params.mode:
+                raise ValueError(
+                    f"a batch needs one k and one mode: k={rep.k}, "
+                    f"mode={rep.params.mode.value} joins k={head.k}, "
+                    f"mode={head.params.mode.value}"
+                )
+
+    @property
+    def k(self) -> int:
+        return self.reps[0].k
+
+    @property
+    def dim(self) -> int:
+        return self.k + 1
+
+    @property
+    def mode(self) -> Mode:
+        return self.reps[0].params.mode
+
+    @property
+    def params(self) -> tuple[QParams, ...]:
+        return tuple(rep.params for rep in self.reps)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        """The members' lowering matrices, stacked ``(B, d, d)``."""
+        return _stack([rep.A for rep in self.reps])
+
+    @functools.cached_property
+    def Abar(self) -> np.ndarray:
+        """The members' raising matrices, stacked ``(B, d, d)``."""
+        return _stack([rep.Abar for rep in self.reps])
+
+    @functools.cached_property
+    def Nmat(self) -> np.ndarray:
+        """The members' number matrices, stacked ``(B, d, d)``."""
+        return _stack([rep.Nmat for rep in self.reps])
+
+    def subset(self, members: Sequence[int]) -> "RepBatch":
+        """The batch of the given members in order; the batch itself when that is all of them."""
+        if len(members) == len(self.reps):
+            return self
+        return RepBatch(tuple(self.reps[i] for i in members))
+
+    def derived(self, build: Callable[["RepBatch"], _T]) -> _T:
+        """``build(self)``, computed once per batch and shared by every check that asks."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
 
 
 def nu0(params: QParams, k: int) -> complex:

@@ -6,6 +6,17 @@ dependent square root and the number operator is shifted by ``gamma``.
 The identification degenerates on the unit circle when ``eps`` approaches
 a multiple of pi or an odd multiple of pi/2, so those loci are rejected
 by default.
+
+:func:`check_su2` and :func:`check_equivalence` take one
+:class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` under the
+batch contract of :mod:`qosc.algcheck`: the rescaled triples of all members
+are stacked on a leading batch axis and checked in one pass, while each
+member's scale factors, deformed numbers and reference block come from the
+scalar formulas, so its residuals are bit for bit those of the single-rep
+call.  A member at a singular locus is dropped with its
+``DegenerateParameter``, one whose scalars overflow with its
+``OverflowError``; a single rep raises them.  :func:`check_su2` also takes
+a :class:`SuTriple`, the batch of one triple.
 """
 
 from __future__ import annotations
@@ -13,13 +24,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .algcheck import DEFAULT_TOL, CheckReport, compare, report, residual_of
+from .algcheck import (
+    DEFAULT_TOL,
+    Arms,
+    CheckReport,
+    MemberResult,
+    as_batch,
+    diag_stack,
+    member_scalars,
+    unbatch,
+)
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, qnum
-from .repbuild import Rep, require_parity
+from .repbuild import Rep, RepBatch, require_parity
 
 
 @dataclass(frozen=True)
@@ -89,19 +110,10 @@ def _locus_distance(eps: float) -> float:
     )
 
 
-def to_su2(
-    rep: Rep,
-    *,
-    realline_reading: str = "coth",
-    enforce_loci: bool = True,
-) -> SuTriple:
-    """Rescale a normalized truncated rep onto the spin-(k/2) block.
-
-    ``realline_reading`` selects the hyperbolic prefactor ("coth", the
-    consistent reading) or the circular one ("cot", kept only so the
-    equivalence check can discriminate).  ``enforce_loci`` rejects the
-    degenerate unimodular loci; disable only for off-grid experiments.
-    """
+def _rescaling(
+    rep: Rep, realline_reading: str = "coth", enforce_loci: bool = True
+) -> tuple[complex, complex]:
+    """Factors of the raising and lowering generators under :func:`to_su2`."""
     p = rep.params
     if not rep.normalized:
         raise ValueError("the spin map is defined for normalized truncated reps")
@@ -123,43 +135,130 @@ def to_su2(
             raise ValueError(f"unknown realline_reading {realline_reading!r}")
         lower_phase = -1j
     root = cmath.sqrt(complex(factor))
+    return root, lower_phase * root
+
+
+def to_su2(
+    rep: Rep,
+    *,
+    realline_reading: str = "coth",
+    enforce_loci: bool = True,
+) -> SuTriple:
+    """Rescale a normalized truncated rep onto the spin-(k/2) block.
+
+    ``realline_reading`` selects the hyperbolic prefactor ("coth", the
+    consistent reading) or the circular one ("cot", kept only so the
+    equivalence check can discriminate).  ``enforce_loci`` rejects the
+    degenerate unimodular loci; disable only for off-grid experiments.
+    """
+    raising, lowering = _rescaling(rep, realline_reading, enforce_loci)
     eye = np.eye(rep.dim, dtype=complex)
     return SuTriple(
-        Jp=root * rep.Abar,
-        Jm=lower_phase * root * rep.A,
-        J0=rep.Nmat + p.gamma * eye,
-        Q=p.sqrt_q,
+        Jp=raising * rep.Abar,
+        Jm=lowering * rep.A,
+        J0=rep.Nmat + rep.params.gamma * eye,
+        Q=rep.params.sqrt_q,
         j=rep.k / 2.0,
     )
 
 
-def check_su2(t: SuTriple, tol: float = DEFAULT_TOL) -> list[CheckReport]:
-    """Deformed su(2) relations and the Casimir on a triple."""
-    lg = cmath.log(complex(t.Q))
-    mvals = np.diag(t.J0)
-    step2 = np.diag([qnum(2.0 * m, lg) for m in mvals])
-    out = [
-        compare("su_raise", t.J0 @ t.Jp - t.Jp @ t.J0, t.Jp, tol),
-        compare("su_lower", t.J0 @ t.Jm - t.Jm @ t.J0, -t.Jm, tol),
-        report(
-            "su_commutator",
-            residual_of((t.Jp @ t.Jm - t.Jm @ t.Jp) - step2, t.Jp, t.Jm),
-            tol,
-        ),
-    ]
-    cas = t.Jm @ t.Jp + np.diag([qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals])
-    target = qnum(t.j, lg) * qnum(t.j + 1.0, lg) * np.eye(t.dim)
-    out.append(compare("su_casimir", cas, target, tol))
-    return out
+@dataclass
+class _Triples:
+    """Stacked triples of the surviving members of one check, at spin ``j``."""
+
+    alive: list[int]
+    Jp: np.ndarray
+    Jm: np.ndarray
+    J0: np.ndarray
+    Q: list[complex]
+    j: float
+
+    def narrow(self, results: list, scalars: Callable[[int], tuple]) -> list[tuple]:
+        """Each survivor's ``scalars(row)``; one that overflows leaves the stacks with its error."""
+        more, kept, data = member_scalars(len(self.alive), scalars)
+        for row, exc in enumerate(more):
+            if exc is not None:
+                results[self.alive[row]] = exc
+        if len(kept) < len(self.alive):
+            self.alive = [self.alive[row] for row in kept]
+            self.Jp, self.Jm, self.J0 = self.Jp[kept], self.Jm[kept], self.J0[kept]
+            self.Q = [self.Q[row] for row in kept]
+        return data
 
 
-def check_equivalence(rep: Rep, tol: float = DEFAULT_TOL, **to_su2_kwargs) -> CheckReport:
-    """Entrywise agreement of the rescaled rep with the reference block."""
-    t = to_su2(rep, **to_su2_kwargs)
-    ref = su2_direct(t.j, t.Q)
-    res = max(
-        residual_of(t.Jp - ref.Jp, t.Jp, ref.Jp),
-        residual_of(t.Jm - ref.Jm, t.Jm, ref.Jm),
-        residual_of(t.J0 - ref.J0, t.J0, ref.J0),
+def _triples(
+    source: Union[SuTriple, Rep, RepBatch], **to_su2_kwargs
+) -> tuple[list, Optional[_Triples]]:
+    """Result slots and the stacked triples of the members the spin map admits, if any."""
+    if isinstance(source, SuTriple):
+        t = source
+        return [None], _Triples([0], t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
+    batch = as_batch(source)
+    results, alive, factors = member_scalars(
+        len(batch.reps), lambda i: _rescaling(batch.reps[i], **to_su2_kwargs))
+    if not alive:
+        return results, None
+    live = batch.subset(alive)
+    raising, lowering = (np.array(f, dtype=complex)[:, None, None] for f in zip(*factors))
+    gamma = np.array([p.gamma for p in live.params], dtype=complex)[:, None, None]
+    return results, _Triples(
+        alive, raising * live.Abar, lowering * live.A,
+        live.Nmat + gamma * np.eye(live.dim, dtype=complex),
+        [p.sqrt_q for p in live.params], live.k / 2.0,
     )
-    return report("su_equivalence", res, tol)
+
+
+def check_su2(
+    t: Union[SuTriple, Rep, RepBatch], tol: float = DEFAULT_TOL
+) -> Union[list[CheckReport], list[MemberResult]]:
+    """Deformed su(2) relations and the Casimir on a triple, or on the spin map of reps.
+
+    A :class:`~qosc.repbuild.RepBatch` gives one result per member, in order:
+    its reports, or the error that dropped it.  A triple or a single rep
+    gives its reports and raises its error.
+    """
+    results, spins = _triples(t)
+
+    def scalars(row: int) -> tuple:
+        lg = cmath.log(complex(spins.Q[row]))
+        mvals = np.diag(spins.J0[row])
+        return ([qnum(2.0 * m, lg) for m in mvals],
+                [qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals],
+                qnum(spins.j, lg) * qnum(spins.j + 1.0, lg))
+
+    data = spins.narrow(results, scalars) if spins else []
+    if data:
+        steps, casimirs, targets = (np.array(x, dtype=complex) for x in zip(*data))
+        Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
+        arms = Arms(spins.alive)
+        arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
+        arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
+        arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
+        cas = Jm @ Jp + diag_stack(casimirs)
+        arms.compare("su_casimir", cas, targets[:, None, None] * np.eye(J0.shape[1]))
+        arms.report(results, tol)
+    return unbatch(t, results)
+
+
+def check_equivalence(
+    reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL, **to_su2_kwargs
+) -> Union[CheckReport, list[Union[CheckReport, OverflowError, DegenerateParameter]]]:
+    """Entrywise agreement of the rescaled rep with the reference block.
+
+    A :class:`~qosc.repbuild.RepBatch` gives one report or error per member,
+    as :func:`check_su2` does.
+    """
+    results, spins = _triples(as_batch(reps), **to_su2_kwargs)
+    refs = spins.narrow(results, lambda row: su2_direct(spins.j, spins.Q[row])) if spins else []
+    if refs:
+        arms = Arms(spins.alive)
+        arms.add("su_equivalence", *(
+            (mine - ref, mine, ref) for mine, ref in (
+                (spins.Jp, np.stack([r.Jp for r in refs])),
+                (spins.Jm, np.stack([r.Jm for r in refs])),
+                (spins.J0, np.stack([r.J0 for r in refs])),
+            )))
+        arms.report(results, tol)
+        for i in spins.alive:
+            (results[i],) = results[i]
+    return unbatch(reps, results)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qosc.algcheck import (
+    DEFAULT_TOL,
     CheckReport,
+    report,
     casimir,
     casimir_scalar_closed_form,
     check_defining_relations,
@@ -13,8 +15,8 @@ from qosc.algcheck import (
     norm_profile,
     residual_of,
 )
-from qosc.qcore import make_params, qnum
-from qosc.repbuild import auto_params, build_generic_window, build_rep, nu0
+from qosc.qcore import bracket_step, make_params, qnum
+from qosc.repbuild import RepBatch, auto_params, build_generic_window, build_rep, nu0
 
 PI = math.pi
 
@@ -141,3 +143,142 @@ def test_norm_profile_flags_positivity_loss():
     profile, rpt = norm_profile(auto_params("unimodular", 2.0), 6)
     assert min(profile) < 0
     assert not rpt.passed
+
+
+# ---------------------------------------------------------------------------
+# batches: one pass over same-k, same-mode reps
+
+
+# members differ in epsilon and in branch l
+BATCH_MEMBERS = {
+    "unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (PI / 5, 0), (2.5, 0)],
+    "realline": [(1.0, 1), (1.0, 3), (-0.7, 0), (-0.7, 2), (2.0, 1)],
+}
+
+
+# Single-rep references: the per-point 2D code the batched checks replaced,
+# with residual_of's formula in Python floats.
+
+
+def ref_residual(defect, *operands):
+    scale = 1.0
+    for op in operands:
+        scale *= float(np.abs(op).max())
+    return float(np.abs(defect).max()) / max(1.0, scale)
+
+
+def _ref_interior(defect, rep):
+    if rep.normalized:
+        return defect
+    trimmed = defect.copy()
+    trimmed[:, 0] = 0.0
+    trimmed[:, -1] = 0.0
+    return trimmed
+
+
+def _ref_relations(rep):
+    A, Abar, N = rep.A, rep.Abar, rep.Nmat
+    step = np.diag([bracket_step(v, rep.params) for v in np.diag(N)])
+    return [
+        report("rel_commutator",
+               ref_residual(_ref_interior((A @ Abar - Abar @ A) - step, rep), A, Abar), DEFAULT_TOL),
+        report("rel_number_raise", ref_residual((N @ Abar - Abar @ N) - Abar, N, Abar), DEFAULT_TOL),
+        report("rel_number_lower", ref_residual((N @ A - A @ N) + A, N, A), DEFAULT_TOL),
+    ]
+
+
+def _ref_casimir(rep):
+    lg = rep.params.log_q
+    c_low = rep.Abar @ rep.A - np.diag([qnum(v + 0.0, lg) for v in np.diag(rep.Nmat)])
+    c_high = rep.A @ rep.Abar - np.diag([qnum(v + 1.0, lg) for v in np.diag(rep.Nmat)])
+    scalar = complex(c_low[1, 1] if not rep.normalized and rep.dim > 1 else c_low[0, 0])
+    defect = _ref_interior(c_low - scalar * np.eye(rep.dim), rep)
+    return c_low, scalar, (
+        report("casimir_two_forms",
+               ref_residual(_ref_interior(c_low - c_high, rep), rep.A, rep.Abar), DEFAULT_TOL),
+        report("casimir_scalar", ref_residual(defect, c_low), DEFAULT_TOL, detail=f"scalar={scalar!r}"),
+    )
+
+
+def _ref_ladder(rep, n_max):
+    p = rep.params
+    half = p.log_q / 2.0
+    den = p.qpow(0.5) + p.qpow(-0.5)
+    out = []
+    raise_pow = lower_pow = np.eye(rep.dim, dtype=complex)
+    for n in range(1, n_max + 1):
+        bran = qnum(n, half)
+        g = np.diag([(p.qpow(v - n / 2.0 + 1.0) + p.qpow(-(v - n / 2.0 + 1.0))) / den
+                     for v in np.diag(rep.Nmat)])
+        h = np.diag([(p.qpow(v + n / 2.0) + p.qpow(-(v + n / 2.0))) / den
+                     for v in np.diag(rep.Nmat)])
+        raise_n, lower_n = raise_pow @ rep.Abar, lower_pow @ rep.A
+        d_raise = rep.A @ raise_n - raise_n @ rep.A - bran * (g @ raise_pow)
+        d_lower = rep.Abar @ lower_n - lower_n @ rep.Abar + bran * (h @ lower_pow)
+        out.append(report(f"ladder_raise_n{n}", ref_residual(d_raise, rep.A, raise_n), DEFAULT_TOL))
+        out.append(report(f"ladder_lower_n{n}", ref_residual(d_lower, rep.Abar, lower_n), DEFAULT_TOL))
+        raise_pow, lower_pow = raise_n, lower_n
+    return out
+
+
+def _assert_casimir_equal(got, want):
+    assert got.scalar == want.scalar
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.reports == want.reports
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_batched_checks_equal_single_rep_calls(mode):
+    for k in range(10):
+        reps = [build_rep(make_params(mode, eps, l), k) for eps, l in BATCH_MEMBERS[mode]]
+        batch = RepBatch(tuple(reps))
+        relations = check_defining_relations(batch)
+        ladder = check_ladder_identities(batch, k + 1)
+        cas = casimir(batch)
+        assert len(relations) == len(ladder) == len(cas) == len(reps)
+        for i, rep in enumerate(reps):
+            assert relations[i] == check_defining_relations(rep) == _ref_relations(rep)
+            assert ladder[i] == check_ladder_identities(rep, k + 1) == _ref_ladder(rep, k + 1)
+            _assert_casimir_equal(cas[i], casimir(rep))
+            c_low, scalar, reports = _ref_casimir(rep)
+            assert np.array_equal(cas[i].matrix, c_low)
+            assert (cas[i].scalar, cas[i].reports) == (scalar, reports)
+
+
+def test_batch_of_windows_trims_only_the_window_members():
+    p = make_params("unimodular", 0.9, 0)
+    reps = [build_generic_window(0.23 + 0j, 1.1 + 0j, p, 7), build_rep(p, 6),
+            build_generic_window(-0.4 + 0j, 0.3 + 0j, p, 7)]
+    batch = RepBatch(tuple(reps))
+    for rep, got in zip(reps, check_defining_relations(batch)):
+        assert got == check_defining_relations(rep) == _ref_relations(rep)
+    for rep, got in zip(reps, casimir(batch)):
+        _assert_casimir_equal(got, casimir(rep))
+        assert got.reports == _ref_casimir(rep)[2]
+
+
+def test_batch_member_whose_ladder_powers_overflow_is_dropped_alone():
+    # at eps=40 the k=9 ladder powers leave the double range at order 8
+    reps = [build_rep(make_params("realline", eps, 1), 9) for eps in (1.0, 40.0, 2.0)]
+    results = check_ladder_identities(RepBatch(tuple(reps)), 8)
+    assert isinstance(results[1], OverflowError)
+    assert str(results[1]) == "ladder powers of order 8 leave the double range"
+    assert results[0] == check_ladder_identities(reps[0], 8)
+    assert results[2] == check_ladder_identities(reps[2], 8)
+    for rep, got in zip(reps, check_defining_relations(RepBatch(tuple(reps)))):
+        assert got == check_defining_relations(rep)  # finite there: every member stays
+    # a member stops at the first order whose scalar coefficients (cmath's error)
+    # or, failing those, whose matrix powers overflow, as its single-rep call does
+    for k, epsilons in ((4, (1.0, 200.0, 250.0, 350.0)), (9, (40.0, 1.0, 100.0, 150.0))):
+        reps = [build_rep(make_params("realline", eps, 1), k) for eps in epsilons]
+        n_max = min(8, k + 1)
+        messages = set()
+        for rep, got in zip(reps, check_ladder_identities(RepBatch(tuple(reps)), n_max)):
+            try:
+                want = check_ladder_identities(rep, n_max)
+            except OverflowError as exc:
+                want = str(exc)
+                got = str(got)
+                messages.add(want.split(" of order")[0])
+            assert got == want, (k, rep.params.epsilon)
+        assert messages == {"math range error", "ladder powers"}

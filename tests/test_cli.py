@@ -244,6 +244,27 @@ def test_verify_rejects_non_finite_inputs(capsys, monkeypatch):
         assert needle in out.err
 
 
+def test_negative_k_is_exit_two(capsys):
+    for argv in (["verify", "--mode", "unimodular", "--epsilon", "0.5", "--k", "-1"],
+                 ["verify", "--mode", "unimodular", "--epsilon", "0.5", "--k", "-2"],
+                 ["sweep", "--mode", "unimodular", "--epsilon", "0.5", "--k=-1..1"],
+                 ["sweep", "--mode", "realline", "--epsilon-grid", "0.5:1.5:0.5", "--k=-3..-1"],
+                 ["rep", "--mode", "unimodular", "--epsilon", "0.5", "--k", "-1"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        k = argv[-1].split("=")[-1].split("..")[0]
+        assert out.out == "" and out.err == f"error: k={k} is negative\n"
+
+
+def test_verify_help_states_each_depth_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "identity depth, at most 16; ladder stops at k+1, symbolic reads no k" in text
+    assert "capped at k+1 and 16" not in text
+
+
 def test_unwritable_out_path_is_exit_two(capsys, tmp_path):
     target = tmp_path / "missing" / "report.json"
     code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "1",
@@ -391,6 +412,33 @@ def test_sweep_runs_symbolic_once_per_epsilon(capsys, monkeypatch):
                      "--format", "csv"]) == 0
         assert capsys.readouterr().out == "\n".join([lines[0], line]) + "\n"
     assert len(calls) == 5 + 20
+
+
+def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
+    import qosc.cli as cli
+
+    names = ("casimir", "check_defining_relations", "check_ladder_identities",
+             "check_hopf_axioms", "check_star_structure", "check_su2", "check_equivalence")
+    calls = {name: [] for name in names}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(batch, *args, **kwargs):
+            calls[name].append(len(batch.reps))
+            return original(batch, *args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
+                 "--k", "0..3"]) == 0
+    capsys.readouterr()
+    # one call per k over its five points; the canonical star family has two arms
+    expected = {name: [5] * 4 for name in names}
+    expected["check_star_structure"] = [5] * 8
+    assert calls == expected
 
 
 def _assert_rows_equal_verify(capsys, sweep_argv, point_options=()):

@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from qosc.algcheck import DEFAULT_TOL, report
 from qosc.errors import DegenerateParameter
 from qosc.qcore import make_params, qnum
-from qosc.repbuild import build_rep
+from qosc.repbuild import RepBatch, build_rep
 from qosc.sumap import check_equivalence, check_su2, su2_direct, to_su2
 
 PI = math.pi
@@ -100,3 +102,69 @@ def test_alternate_reading_fails_equivalence():
     assert good.passed
     assert not bad.passed
     assert bad.residual > 1e-2
+
+
+# members differ in epsilon and in branch l
+BATCH_MEMBERS = {
+    "unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (PI / 5, 0), (2.5, 0)],
+    "realline": [(1.0, 1), (1.0, 3), (-0.7, 0), (-0.7, 2), (2.0, 1)],
+}
+
+
+def _ref_residual(defect, *operands):
+    scale = 1.0
+    for op in operands:
+        scale *= float(np.abs(op).max())
+    return float(np.abs(defect).max()) / max(1.0, scale)
+
+
+def _ref_su2(t):
+    """The per-point 2D spin checks the batched ones replaced."""
+    lg = cmath.log(complex(t.Q))
+    mvals = np.diag(t.J0)
+    step2 = np.diag([qnum(2.0 * m, lg) for m in mvals])
+    cas = t.Jm @ t.Jp + np.diag([qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals])
+    target = qnum(t.j, lg) * qnum(t.j + 1.0, lg) * np.eye(t.dim)
+    pairs = (("su_raise", t.J0 @ t.Jp - t.Jp @ t.J0, t.Jp),
+             ("su_lower", t.J0 @ t.Jm - t.Jm @ t.J0, -t.Jm))
+    out = [report(name, _ref_residual(lhs - rhs, lhs, rhs), DEFAULT_TOL) for name, lhs, rhs in pairs]
+    out.append(report("su_commutator",
+                      _ref_residual((t.Jp @ t.Jm - t.Jm @ t.Jp) - step2, t.Jp, t.Jm), DEFAULT_TOL))
+    out.append(report("su_casimir", _ref_residual(cas - target, cas, target), DEFAULT_TOL))
+    return out
+
+
+def _ref_equivalence(rep):
+    t = to_su2(rep)
+    ref = su2_direct(t.j, t.Q)
+    res = max(_ref_residual(t.Jp - ref.Jp, t.Jp, ref.Jp),
+              _ref_residual(t.Jm - ref.Jm, t.Jm, ref.Jm),
+              _ref_residual(t.J0 - ref.J0, t.J0, ref.J0))
+    return report("su_equivalence", res, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_batched_spin_checks_equal_single_rep_calls(mode):
+    for k in range(10):
+        reps = [_rep(mode, eps, l, k) for eps, l in BATCH_MEMBERS[mode]]
+        batch = RepBatch(tuple(reps))
+        relations, equivalence = check_su2(batch), check_equivalence(batch)
+        assert len(relations) == len(equivalence) == len(reps)
+        for rep, got_rel, got_eq in zip(reps, relations, equivalence):
+            assert got_rel == check_su2(rep) == check_su2(to_su2(rep)) == _ref_su2(to_su2(rep))
+            assert got_eq == check_equivalence(rep) == _ref_equivalence(rep)
+
+
+def test_batch_member_at_half_pi_locus_is_dropped_alone():
+    reps = [_rep("unimodular", eps, l, 3) for eps, l in ((0.9, 0), (PI / 2 + 1e-8, 0), (2.5, 0))]
+    batch = RepBatch(tuple(reps))
+    for check in (check_su2, check_equivalence):
+        results = check(batch)
+        assert isinstance(results[1], DegenerateParameter)
+        with pytest.raises(DegenerateParameter):
+            check(reps[1])
+        assert results[0] == check(reps[0]) and results[2] == check(reps[2])
+    real = [_rep("realline", 1.0, 1, 4), _rep("realline", 2.0, 1, 4)]
+    bad = check_equivalence(RepBatch(tuple(real)), realline_reading="cot")
+    assert bad == [check_equivalence(rep, realline_reading="cot") for rep in real]
+    assert not any(r.passed for r in bad)
