@@ -7,8 +7,10 @@ line for the same checks as a tool.
 """
 
 from .algcheck import (
+    CasimirBlock,
     CasimirResult,
     CheckReport,
+    ReportBlock,
     casimir,
     casimir_scalar_closed_form,
     check_defining_relations,
@@ -62,6 +64,7 @@ from .repbuild import (
 from .sumap import SuTriple, check_equivalence, check_su2, su2_direct, to_su2
 
 __all__ = [
+    "CasimirBlock",
     "CasimirResult",
     "CheckReport",
     "DegenerateParameter",
@@ -80,6 +83,7 @@ __all__ = [
     "QoscError",
     "Rep",
     "RepBatch",
+    "ReportBlock",
     "SuTriple",
     "TruncationReport",
     "auto_params",

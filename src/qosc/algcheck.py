@@ -9,12 +9,17 @@ over every axis but that one.  Each member's scalar data (bracket steps,
 deformed numbers, ladder coefficients) still comes from the scalar
 ``cmath`` formulas, one member at a time, so a member's residuals are bit
 for bit those of the single-rep call; an ``OverflowError`` there drops only
-that member.  A single rep is the batch of one.
+that member.
 
 The batch contract is shared by every check family (the Hopf and star
-checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`):
+checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`).
 :class:`Arms` takes the max-norms of all of a check's operands in one pass
-and computes each residual with :func:`residual_of`'s formula.
+and computes each residual with :func:`residual_of`'s formula.  A batch
+gives one :class:`ReportBlock` per check: the report names, shared by every
+member, a ``(members, names)`` array of residuals, and the error that
+dropped each other member.  :class:`CheckReport` objects are built from a
+block only on request (:meth:`ReportBlock.reports`); a single rep is the
+batch of one, and its call returns its reports or raises its error.
 """
 
 from __future__ import annotations
@@ -54,27 +59,27 @@ def _maxabs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0  # method form: no np.max dispatch
 
 
-def _relative(norms: np.ndarray, first: Sequence[int], size: Sequence[int]) -> np.ndarray:
+def _relative(norms: np.ndarray, first: Sequence[int],
+              gathers: Sequence[Sequence[int]]) -> np.ndarray:
     """Per row of ``norms`` and per term, ``defect / max(1, product of operand norms)``.
 
-    Term ``t`` has its defect's max-norm in column ``first[t]`` and its
-    operands' in the ``size[t] - 1`` columns after it.  The arithmetic is
-    float arithmetic, in operand order.
+    Term ``t`` has its defect's max-norm in column ``first[t]``; ``gathers[o][t]``
+    is the column of its operand ``o``, or ``-1`` past its last operand.  The
+    arithmetic is float arithmetic, in operand order.
     """
-    first, size = np.asarray(first), np.asarray(size)
     # a column of ones pads every term to the most operands: x * 1.0 == x
     padded = np.concatenate((norms, np.ones((len(norms), 1))), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic, which never warns
         scale = np.ones((len(norms), len(first)))
-        for offset in range(1, size.max()):
-            scale = scale * padded[:, np.where(offset < size, first + offset, -1)]
+        for gather in gathers:
+            scale = scale * padded[:, gather]
         return padded[:, first] / np.fmax(1.0, scale)  # fmax(1, nan) == max(1.0, nan)
 
 
 def residual_of(defect: np.ndarray, *operands: np.ndarray) -> float:
     """Max-abs of the defect relative to ``max(1, prod of operand max-norms)``."""
     norms = np.array([[_maxabs(m) for m in (defect, *operands)]])
-    return float(_relative(norms, [0], [1 + len(operands)])[0, 0])
+    return float(_relative(norms, [0], [[j] for j in range(1, 1 + len(operands))])[0, 0])
 
 
 def compare(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckReport:
@@ -84,47 +89,88 @@ def compare(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckRep
 # ---------------------------------------------------------------------------
 # the batch contract
 
-#: per-member outcome of a batched check: its reports, or the error that dropped it
-MemberResult = Union[list[CheckReport], OverflowError, DegenerateParameter]
+#: why a batched check dropped a member
+MemberError = Union[OverflowError, DegenerateParameter]
+
+
+@dataclass(frozen=True, eq=False)
+class ReportBlock:
+    """The reports of one batched check, as columns.
+
+    ``names`` is shared by every member.  Row ``j`` of ``residuals`` holds
+    member ``alive[j]``'s residual under each name; ``errors`` holds the
+    error that dropped each other member, and ``details`` one detail per row
+    for the columns that carry one.  Report ``c`` of a member passes iff its
+    residual is below ``tol``.
+    """
+
+    names: tuple[str, ...]
+    alive: tuple[int, ...]
+    residuals: np.ndarray
+    tol: float
+    errors: dict[int, MemberError]
+    details: dict[int, tuple[str, ...]]
+
+    def reports(self, member: int) -> list[CheckReport]:
+        """The reports of batch member ``member``; raises the error that dropped it."""
+        if member in self.errors:
+            raise self.errors[member]
+        j = self.alive.index(member)
+        return [
+            report(name, residual, self.tol, self.details[c][j] if c in self.details else None)
+            for c, (name, residual) in enumerate(zip(self.names, self.residuals[j].tolist()))
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class CasimirBlock(ReportBlock):
+    """A :func:`casimir` block with each row's Casimir matrix and scalar."""
+
+    matrices: np.ndarray
+    scalars: tuple[complex, ...]
+
+    def result(self, member: int) -> CasimirResult:
+        """The result of batch member ``member``; raises the error that dropped it."""
+        reports = tuple(self.reports(member))
+        j = self.alive.index(member)
+        return CasimirResult(matrix=self.matrices[j], scalar=self.scalars[j], reports=reports)
+
+
+def dropped(errors: dict[int, MemberError], tol: float, kind: type = ReportBlock, **extra: Any):
+    """The block of a batch whose every member was dropped."""
+    return kind((), (), np.empty((0, 0)), float(tol), errors, {}, **extra)
 
 
 def as_batch(reps: Union[Rep, RepBatch]) -> RepBatch:
     return reps if isinstance(reps, RepBatch) else RepBatch((reps,))
 
 
-def unbatch(reps: Union[Rep, RepBatch], results: list):
-    """A batch's results as they are; a single rep's result, or its error raised."""
-    if isinstance(reps, RepBatch):
-        return results
-    (result,) = results
-    if isinstance(result, (OverflowError, DegenerateParameter)):
-        raise result
-    return result
+def unbatch(reps: Union[Rep, RepBatch], block: ReportBlock):
+    """A batch's block as it is; a single rep's reports, or its error raised."""
+    return block if isinstance(reps, RepBatch) else block.reports(0)
 
 
 def member_scalars(
-    count: int, scalars: Callable[[int], Any], dropped: Optional[dict[int, Exception]] = None
-) -> tuple[list, list[int], list]:
+    count: int, scalars: Callable[[int], Any], dropped: Optional[dict[int, MemberError]] = None
+) -> tuple[dict[int, MemberError], list[int], list]:
     """Each member's ``scalars(i)``; an ``OverflowError`` or ``DegenerateParameter`` drops it.
 
-    Members in ``dropped`` keep the error given there.  Returns the result
-    slots (the error, or ``None`` for a survivor), the surviving indices and
-    their scalar data.
+    Members in ``dropped`` keep the error given there.  Returns the error of
+    every dropped member, the surviving indices and their scalar data.
     """
-    results: list = [None] * count
+    errors = dict(dropped) if dropped else {}
     alive: list[int] = []
     data: list = []
     for i in range(count):
-        if dropped and i in dropped:
-            results[i] = dropped[i]
+        if i in errors:
             continue
         try:
             data.append(scalars(i))
         except (OverflowError, DegenerateParameter) as exc:
-            results[i] = exc
+            errors[i] = exc
             continue
         alive.append(i)
-    return results, alive, data
+    return errors, alive, data
 
 
 def diag_stack(w: np.ndarray) -> np.ndarray:
@@ -135,8 +181,54 @@ def diag_stack(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def max_rule(values: np.ndarray) -> np.ndarray:
+    """Per row, Python's ``max`` of the columns in order: a leading NaN wins, a later one loses.
+
+    ``fmax`` skips NaNs and equal values are equal bits (no residual is
+    ``-0.0``), so only a leading NaN needs putting back.
+    """
+    return np.where(np.isnan(values[:, 0]), values[:, 0], np.fmax.reduce(values, axis=1))
+
+
+class _Layout:
+    """Where every term of a check's arms sits among its operand columns.
+
+    Operand ``o`` spans the columns from ``starts[o]`` to the next start;
+    term ``t`` has its defect in operand ``first[t]`` and its other operands
+    where :func:`_relative`'s ``gathers`` point; arm ``a`` has the terms
+    ``arm_terms[a]``.
+    """
+
+    def __init__(self, arms: list[tuple[str, tuple]]) -> None:
+        starts: list[int] = []
+        first: list[int] = []
+        size: list[int] = []
+        self.width = 0
+        self.arm_terms: list[range] = []
+        for _, terms in arms:
+            for term in terms:
+                first.append(len(starts))
+                size.append(len(term))
+                for op in term:
+                    starts.append(self.width)
+                    self.width += sum(math.prod(block.shape[1:]) for block in
+                                      (op.values() if isinstance(op, dict) else (op,)))
+            self.arm_terms.append(range(len(first) - len(terms), len(first)))
+        self.names = tuple(name for name, _ in arms)
+        self.starts = np.array(starts)
+        self.first = np.array(first)
+        sizes = np.array(size)
+        self.gathers = [np.where(offset < sizes, self.first + offset, -1)
+                        for offset in range(1, max(size))]
+        self.one_term_each = len(first) == len(arms)
+
+
+#: every check's layout, by the key its :class:`Arms` carry
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
 class Arms:
-    """The named arms of one batched check, reported in one pass.
+    """The named arms of one batched check, reduced to one block in one pass.
 
     Row ``j`` of every operand belongs to batch member ``rows[j]``.  An
     operand is a dense stack or a graded operator, a dict of blocks that
@@ -145,72 +237,65 @@ class Arms:
     residual is :func:`residual_of`'s ``defect / max(1, product of operand
     norms)`` in float arithmetic, for every row at once: each member sees
     exactly the scalar operations of a single-rep :func:`residual_of`.  An
-    arm of several terms reports the largest of their residuals.
+    arm of several terms reports the largest of their residuals, in term
+    order by :func:`max_rule`.
+
+    ``key`` names the check and every size its operands depend on (mode, k,
+    flavor, depth): the term layout is worked out once per key.
     """
 
-    def __init__(self, rows: Sequence[int]) -> None:
+    def __init__(self, rows: Sequence[int], key: tuple) -> None:
         self.rows = rows
-        # name, one detail per row or None, and the indices of its terms, or
-        # the residuals given per row
-        self._arms: list[tuple[str, Optional[Sequence[str]], Union[range, Sequence[float]]]] = []
-        self._first: list[int] = []  # per term, the number of its defect operand
-        self._size: list[int] = []  # per term, its defect and operand count
-        self._blocks: list[np.ndarray] = []  # every operand block, flattened to (B, -1)
-        self._starts: list[int] = []  # first column of each operand
-        self._width = 0
+        self.key = key
+        self._arms: list[tuple[str, tuple]] = []  # name and terms of each arm
+        self._details: dict[int, Sequence[str]] = {}
 
     def add(self, name: str, *terms: tuple, details: Optional[Sequence[str]] = None) -> None:
         """An arm of terms ``(defect, *operands)``; ``details`` holds one detail per row."""
-        first = len(self._first)
-        for term in terms:
-            self._first.append(len(self._starts))
-            self._size.append(len(term))
-            for op in term:
-                self._starts.append(self._width)
-                for block in op.values() if isinstance(op, dict) else (op,):
-                    self._blocks.append(block.reshape(len(block), -1))
-                    self._width += self._blocks[-1].shape[1]
-        self._arms.append((name, details, range(first, len(self._first))))
+        if details is not None:
+            self._details[len(self._arms)] = details
+        self._arms.append((name, terms))
 
     def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
         self.add(name, (lhs - rhs, lhs, rhs))
 
     def absolute(self, name: str, residuals: Sequence[float]) -> None:
-        """An arm whose residuals, one per row, are given."""
-        self._arms.append((name, None, residuals))
+        """An arm whose residuals, one per row, are given: a defect with no operands."""
+        self.add(name, (np.array(residuals)[:, None],))
 
-    def _residuals(self) -> list[list[float]]:
-        """Per row, the residual of every term."""
-        if not self._first:
-            return [[] for _ in self.rows]
-        flat = np.abs(np.concatenate(self._blocks, axis=1))
-        norms = np.maximum.reduceat(flat, self._starts, axis=1)
-        return _relative(norms, self._first, self._size).tolist()
+    def _residuals(self, layout: _Layout) -> np.ndarray:
+        """Per row, the residual of every arm."""
+        count = len(self.rows)
+        flat = np.abs(np.concatenate(
+            [block.reshape(count, -1) for _, terms in self._arms for term in terms
+             for op in term for block in (op.values() if isinstance(op, dict) else (op,))],
+            axis=1))
+        if flat.shape[1] != layout.width:
+            raise RuntimeError(f"the operands of {self.key} changed their layout")
+        norms = np.maximum.reduceat(flat, layout.starts, axis=1)
+        terms = _relative(norms, layout.first, layout.gathers)
+        if layout.one_term_each:
+            return terms
+        return np.stack([max_rule(terms[:, given]) for given in layout.arm_terms], axis=1)
 
-    def report(self, results: list, tol: float, label: Optional[str] = None) -> None:
-        """Fill each row's empty slot of ``results`` with its reports, named ``label.name``."""
-        names = [name if label is None else f"{label}.{name}" for name, _, _ in self._arms]
-        for j, (i, row) in enumerate(zip(self.rows, self._residuals())):
-            if results[i] is None:
-                results[i] = [
-                    report(
-                        named,
-                        given[j] if not isinstance(given, range)
-                        else row[given[0]] if len(given) == 1 else max(row[t] for t in given),
-                        tol,
-                        None if details is None else details[j],
-                    )
-                    for named, (_, details, given) in zip(names, self._arms)
-                ]
+    def block(self, tol: float, errors: dict[int, MemberError], label: Optional[str] = None,
+              kind: type = ReportBlock, **extra: Any) -> ReportBlock:
+        """The arms' block, less the rows of members in ``errors``; ``label.`` prefixes names."""
+        layout = _LAYOUTS.get(self.key)
+        if layout is None:
+            layout = _LAYOUTS[self.key] = _Layout(self._arms)
+        residuals = self._residuals(layout)
+        keep = [j for j, i in enumerate(self.rows) if i not in errors]
+        if len(keep) < len(self.rows):
+            residuals = residuals[keep]
+        details = {c: tuple(rows[j] for j in keep) for c, rows in self._details.items()}
+        names = layout.names if label is None else tuple(f"{label}.{n}" for n in layout.names)
+        return kind(names, tuple(self.rows[j] for j in keep), residuals, float(tol), errors,
+                    details, **extra)
 
 
 # ---------------------------------------------------------------------------
 # the checks
-
-
-def qnum_diag(rep: Rep, shift: float = 0.0) -> np.ndarray:
-    """Diagonal matrix of deformed numbers of the number-operator spectrum."""
-    return np.diag(_qnums(rep, shift))
 
 
 def _qnums(rep: Rep, shift: float) -> list[complex]:
@@ -230,14 +315,14 @@ def _interior(defect: np.ndarray, reps: Sequence[Rep]) -> np.ndarray:
 
 def check_defining_relations(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
-) -> Union[list[CheckReport], list[MemberResult]]:
+) -> Union[list[CheckReport], ReportBlock]:
     """Commutators of the ladder pair and the number operator.
 
     For generic windows only the interior columns are checked; the two
     boundary columns carry the truncation artifact by construction.  A
-    :class:`~qosc.repbuild.RepBatch` gives one result per member, in order:
-    its reports, or the ``OverflowError`` its scalar data raised.  A single
-    rep gives its reports and raises its overflow.
+    :class:`~qosc.repbuild.RepBatch` gives one :class:`ReportBlock`, which
+    drops a member with the ``OverflowError`` its scalar data raised.  A
+    single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
 
@@ -245,18 +330,17 @@ def check_defining_relations(
         rep = batch.reps[i]
         return [bracket_step(v, rep.params) for v in np.diag(rep.Nmat)]
 
-    results, alive, steps = member_scalars(len(batch.reps), scalars)
+    errors, alive, steps = member_scalars(len(batch.reps), scalars)
     if not alive:
-        return unbatch(reps, results)
+        return unbatch(reps, dropped(errors, tol))
     live = batch.subset(alive)
     A, Abar, N = live.A, live.Abar, live.Nmat
     step = diag_stack(np.array(steps, dtype=complex))
-    arms = Arms(alive)
+    arms = Arms(alive, ("algebra", batch.mode, batch.k))
     arms.add("rel_commutator", (_interior((A @ Abar - Abar @ A) - step, live.reps), A, Abar))
     arms.add("rel_number_raise", ((N @ Abar - Abar @ N) - Abar, N, Abar))
     arms.add("rel_number_lower", ((N @ A - A @ N) + A, N, A))
-    arms.report(results, tol)
-    return unbatch(reps, results)
+    return unbatch(reps, arms.block(tol, errors))
 
 
 @dataclass(frozen=True)
@@ -268,19 +352,23 @@ class CasimirResult:
 
 def casimir(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
-) -> Union[CasimirResult, list[Union[CasimirResult, OverflowError]]]:
+) -> Union[CasimirResult, CasimirBlock]:
     """Central element ``abar*a - [N]``; scalar on an irreducible block.
 
     Reports: agreement of the two equivalent forms, and deviation from the
     scalar.  For truncated reps the scalar is ``-[nu0]``.  A
-    :class:`~qosc.repbuild.RepBatch` gives one :class:`CasimirResult` or
-    ``OverflowError`` per member, as :func:`check_defining_relations` does.
+    :class:`~qosc.repbuild.RepBatch` gives one :class:`CasimirBlock`, which
+    also holds each surviving member's matrix and scalar; a single rep gives
+    its :class:`CasimirResult`.  Overflows drop members as in
+    :func:`check_defining_relations`.
     """
     batch = as_batch(reps)
-    results, alive, data = member_scalars(
+    errors, alive, data = member_scalars(
         len(batch.reps), lambda i: (_qnums(batch.reps[i], 0.0), _qnums(batch.reps[i], 1.0)))
     if not alive:
-        return unbatch(reps, results)
+        block = dropped(errors, tol, CasimirBlock,
+                        matrices=np.empty((0, batch.dim, batch.dim), dtype=complex), scalars=())
+        return block if isinstance(reps, RepBatch) else block.result(0)
     live = batch.subset(alive)
     low, high = (diag_stack(np.array(side, dtype=complex)) for side in zip(*data))
     c_low = live.Abar @ live.A - low
@@ -291,14 +379,12 @@ def casimir(
     ]
     eye = np.eye(live.dim)
     scalar_defect = c_low - np.array(scalars)[:, None, None] * eye
-    arms = Arms(alive)
+    arms = Arms(alive, ("casimir", batch.mode, batch.k))
     arms.add("casimir_two_forms", (_interior(c_low - c_high, live.reps), live.A, live.Abar))
     arms.add("casimir_scalar", (_interior(scalar_defect, live.reps), c_low),
              details=[f"scalar={scalar!r}" for scalar in scalars])
-    arms.report(results, tol)
-    for j, i in enumerate(alive):
-        results[i] = CasimirResult(matrix=c_low[j], scalar=scalars[j], reports=tuple(results[i]))
-    return unbatch(reps, results)
+    block = arms.block(tol, errors, kind=CasimirBlock, matrices=c_low, scalars=tuple(scalars))
+    return block if isinstance(reps, RepBatch) else block.result(0)
 
 
 def casimir_scalar_closed_form(params: QParams, k: int) -> complex:
@@ -314,7 +400,7 @@ def casimir_scalar_closed_form(params: QParams, k: int) -> complex:
 @np.errstate(over="ignore", invalid="ignore")  # overflow is detected and raised below
 def check_ladder_identities(
     reps: Union[Rep, RepBatch], n_max: int, tol: float = DEFAULT_TOL
-) -> Union[list[CheckReport], list[MemberResult]]:
+) -> Union[list[CheckReport], ReportBlock]:
     """Reordering identities for powers of the ladder operators.
 
     For each n:  ``a*abar^n - abar^n*a = [n]' * G_n(N) * abar^(n-1)`` and
@@ -322,7 +408,7 @@ def check_ladder_identities(
     the deformed number at base ``sqrt(q)`` and G, H are exponential
     functions of N.  A power or defect outside the double range raises
     ``OverflowError``, as the scalar formulas do.  A
-    :class:`~qosc.repbuild.RepBatch` gives one result per member, as
+    :class:`~qosc.repbuild.RepBatch` gives one block, as
     :func:`check_defining_relations` does; a member's error is the first one
     its single-rep call would raise.
     """
@@ -351,15 +437,15 @@ def check_ladder_identities(
                                for v in nvals]
         except OverflowError as exc:
             stops[i] = (n, exc)
-    results: list = [None] * count
+    errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
-    arms = Arms(range(count))
+    arms = Arms(range(count), ("ladder", batch.mode, batch.k, n_max))
     raise_pow = np.repeat(np.eye(d, dtype=complex)[None], count, axis=0)  # Abar^(n-1)
     lower_pow = raise_pow                                                 # A^(n-1)
     for n in range(1, n_max + 1):
         for i, (order, exc) in stops.items():
-            if order == n and results[i] is None:
-                results[i] = exc
+            if order == n:
+                errors.setdefault(i, exc)
         b = bran[:, n - 1, None, None]
         raise_n = raise_pow @ Abar                  # Abar^n
         lower_n = lower_pow @ A                     # A^n
@@ -368,13 +454,12 @@ def check_ladder_identities(
         # a power with a non-finite entry makes its defect non-finite too
         finite = np.isfinite(d_raise).all(axis=(1, 2)) & np.isfinite(d_lower).all(axis=(1, 2))
         for i in np.flatnonzero(~finite).tolist():
-            if results[i] is None:
-                results[i] = OverflowError(f"ladder powers of order {n} leave the double range")
+            errors.setdefault(
+                i, OverflowError(f"ladder powers of order {n} leave the double range"))
         arms.add(f"ladder_raise_n{n}", (d_raise, A, raise_n))
         arms.add(f"ladder_lower_n{n}", (d_lower, Abar, lower_n))
         raise_pow, lower_pow = raise_n, lower_n
-    arms.report(results, tol)
-    return unbatch(reps, results)
+    return unbatch(reps, arms.block(tol, errors))
 
 
 def norm_profile(params: QParams, k: int) -> tuple[list[float], CheckReport]:

@@ -37,13 +37,17 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .algcheck import (
     DEFAULT_TOL,
-    CasimirResult,
-    CheckReport,
+    ReportBlock,
     casimir,
     check_defining_relations,
     check_ladder_identities,
+    dropped,
+    max_rule,
+    member_scalars,
 )
 from .errors import (
     DegenerateParameter,
@@ -63,7 +67,7 @@ from .hopfstar import (
     with_flavor,
 )
 from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
-from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, check_identities_symbolic
+from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, symbolic_block
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
 from .sumap import check_equivalence, check_su2
@@ -85,40 +89,22 @@ MAX_GRID_POINTS = 10_000
 #: most tensor-cube entries, (k+1)**3 per point, that one batch of points stacks
 _BATCH_CUBE_ENTRIES = 8192
 
-# Verification entries pair a report with the outcome the theory demands.
-Entry = tuple[CheckReport, str]
-
 # Runs the symbolic family at a point's params (it reads no k).
-Symbolic = Callable[[QParams], Sequence[CheckReport]]
+Symbolic = Callable[[QParams], ReportBlock]
 
-# Canonical involution arms that must fail when the wrong flavor is forced
-# at |q| = 1 (the N components stay compatible, the ladder ones do not).
-_UNI_STANDARD_FAILS = frozenset(
-    {
-        "coproduct_standard_a",
-        "coproduct_standard_abar",
-        "antipode_standard_a",
-        "antipode_standard_abar",
-    }
-)
-
-# At real q the canonical involution is not even an algebra *-structure on
-# the built representation, and its nonstandard compatibility breaks in
-# every component that feels the complex gamma.
-_REAL_CANONICAL_FAILS = frozenset(
-    {
-        "star_matrix_a",
-        "star_matrix_abar",
-        "star_matrix_N",
-        "coproduct_nonstandard_a",
-        "coproduct_nonstandard_abar",
-        "coproduct_nonstandard_N",
-        "counit_N",
-        "antipode_nonstandard_a",
-        "antipode_nonstandard_abar",
-        "antipode_nonstandard_N",
-    }
-)
+# The star arms that must fail, by mode and arm label: {arm: generators}.
+# At |q| = 1, forcing the standard flavor on the canonical involution breaks
+# its ladder components; the N components stay compatible.  At real q the
+# canonical involution is not even an algebra *-structure on the built
+# representation, and its nonstandard compatibility breaks in every
+# component that feels the complex gamma.
+_EXPECTED_FAILS = {
+    (Mode.UNIMODULAR, "canonical_standard"): {
+        "coproduct_standard": "a abar", "antipode_standard": "a abar"},
+    (Mode.REAL_LINE, "canonical"): {
+        "star_matrix": "a abar N", "coproduct_nonstandard": "a abar N", "counit": "N",
+        "antipode_nonstandard": "a abar N"},
+}
 
 _CSV_COLUMNS = (
     "mode",
@@ -134,15 +120,6 @@ _CSV_COLUMNS = (
     "res_star",
     "res_suq2",
 )
-
-_RESIDUAL_COLUMN = {
-    "algebra": "res_algebra",
-    "ladder": "res_ladder",
-    "hopf": "res_hopf",
-    "star:canonical": "res_star",
-    "star:imaginary": "res_star",
-    "suq2": "res_suq2",
-}
 
 
 @dataclass(frozen=True)
@@ -174,101 +151,69 @@ class RunConfig:
 # check family runners
 
 
-def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any, frozenset]]:
-    """Label, one involution per member, metric and expected failures of each arm."""
+def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any]]:
+    """Label, one involution per member and metric of each arm of a star family."""
     params = batch.params
     if family == "star:canonical":
         canonical = [involution("canonical", p) for p in params]
-        uni_fails, real_fails = _UNI_STANDARD_FAILS, _REAL_CANONICAL_FAILS
-        if batch.dim == 1:  # a = abar = 0 on one state, so their arms hold trivially
-            uni_fails = frozenset(n for n in uni_fails if n.endswith("_N"))
-            real_fails = frozenset(n for n in real_fails if n.endswith("_N"))
         if batch.mode is Mode.UNIMODULAR:
-            return [
-                ("canonical", canonical, None, frozenset()),
-                (
-                    "canonical_standard",
-                    [with_flavor(inv, Flavor.STANDARD) for inv in canonical],
-                    None,
-                    uni_fails,
-                ),
-            ]
-        return [("canonical", canonical, None, real_fails)]
+            standard = [with_flavor(inv, Flavor.STANDARD) for inv in canonical]
+            return [("canonical", canonical, None), ("canonical_standard", standard, None)]
+        return [("canonical", canonical, None)]
     return [
-        ("imaginary_minus", [involution("imaginary_minus", p) for p in params], None, frozenset()),
-        (
-            "imaginary_plus",
-            [involution("imaginary_plus", p) for p in params],
-            parity_metric(batch.dim),
-            frozenset(),
-        ),
+        ("imaginary_minus", [involution("imaginary_minus", p) for p in params], None),
+        ("imaginary_plus", [involution("imaginary_plus", p) for p in params],
+         parity_metric(batch.dim)),
     ]
 
 
-def _run_star(batch: RepBatch, family: str, tol: float) -> list:
-    """Entries of one star family per member, or the first overflow of its arms."""
-    outcomes: list = [[] for _ in batch.reps]
-    for label, invs, metric, expected_fails in _star_arms(batch, family):
-        fails = {f"{label}.{name}" for name in expected_fails}
-        results = check_star_structure(batch, invs, tol, metric=metric, label=label)
-        for i, result in enumerate(results):
-            if isinstance(outcomes[i], OverflowError):
-                continue
-            if isinstance(result, OverflowError):
-                outcomes[i] = result
-                continue
-            outcomes[i].extend((r, "fail" if r.name in fails else "pass") for r in result)
-    return outcomes
+@functools.lru_cache(maxsize=None)
+def _expected_fails(names: tuple[str, ...], mode: Mode, one_state: bool) -> np.ndarray:
+    """Mask of the reports among ``names`` that must fail, by mode and ``label.`` prefix.
 
-
-def _symbolic_family(cfg: RunConfig, params: QParams) -> tuple[CheckReport, ...]:
-    return tuple(check_identities_symbolic(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper))
-
-
-def _symbolic_runs(batch: RepBatch, symbolic: Symbolic) -> list:
-    """The symbolic reports at each member's params, or the overflow that stopped them."""
-    out: list = []
-    for params in batch.params:
-        try:
-            out.append(symbolic(params))
-        except OverflowError as exc:
-            out.append(exc)
+    On one state ``a = abar = 0``, so only the ``N`` arms can fail.
+    """
+    mask = []
+    for name in names:
+        label, _, arm = name.partition(".")
+        stem, _, gen = arm.rpartition("_")
+        fails = _EXPECTED_FAILS.get((mode, label), {}).get(stem, "").split()
+        mask.append(gen in fails and (gen == "N" or not one_state))
+    out = np.array(mask, dtype=bool)
+    out.setflags(write=False)  # one cached mask serves every caller
     return out
 
 
-def _suq2_runs(batch: RepBatch, tol: float) -> list:
-    """The spin relations and the equivalence report per member, or the error that stopped them."""
-    return [
-        relations if isinstance(relations, Exception)
-        else equivalence if isinstance(equivalence, Exception) else relations + [equivalence]
-        for relations, equivalence in zip(check_su2(batch, tol), check_equivalence(batch, tol))
-    ]
+def _symbolic_family(cfg: RunConfig, params: QParams) -> ReportBlock:
+    return symbolic_block(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
 
 
-def _batch_runs(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbolic) -> list:
-    """Entries of one family per member of the batch, or the error that stopped it there.
+def _symbolic_runs(batch: RepBatch, symbolic: Symbolic, tol: float) -> ReportBlock:
+    """The symbolic rows of every member's params as one block; an overflow drops its member."""
+    errors, alive, blocks = member_scalars(len(batch.reps), lambda i: symbolic(batch.params[i]))
+    if not blocks:
+        return dropped(errors, tol)
+    return ReportBlock(blocks[0].names, tuple(alive),
+                       np.concatenate([b.residuals for b in blocks]), blocks[0].tol, errors, {})
 
-    Casimir, which every point runs first, is not run here.
-    """
+
+def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbolic
+                   ) -> list[ReportBlock]:
+    """The blocks of one family over the batch.  Not casimir: every point runs that first."""
     if family.startswith("star:"):
-        return _run_star(batch, family, cfg.tol)
+        return [check_star_structure(batch, invs, cfg.tol, metric=metric, label=label)
+                for label, invs, metric in _star_arms(batch, family)]
     if family == "algebra":
-        results = check_defining_relations(batch, cfg.tol)
-    elif family == "ladder":
-        results = check_ladder_identities(batch, min(cfg.n_max, batch.k + 1), cfg.tol)
-    elif family == "hopf":
-        results = check_hopf_axioms(batch, cfg.tol)
-    elif family == "suq2":
-        results = _suq2_runs(batch, cfg.tol)
-    elif family == "symbolic":
-        results = _symbolic_runs(batch, symbolic)
-    else:
-        raise ValueError(f"unknown check family {family!r}")
-    return [r if isinstance(r, Exception) else [(report, "pass") for report in r] for r in results]
-
-
-def _entries_match(entries: Sequence[Entry]) -> bool:
-    return all((expected == "pass") == report.passed for report, expected in entries)
+        return [check_defining_relations(batch, cfg.tol)]
+    if family == "ladder":
+        return [check_ladder_identities(batch, min(cfg.n_max, batch.k + 1), cfg.tol)]
+    if family == "hopf":
+        return [check_hopf_axioms(batch, cfg.tol)]
+    if family == "suq2":  # one spin map serves both
+        return [check_su2(batch, cfg.tol), check_equivalence(batch, cfg.tol)]
+    if family == "symbolic":
+        return [_symbolic_runs(batch, symbolic, cfg.sym_tol)]
+    raise ValueError(f"unknown check family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +365,52 @@ class _Point:
     row: dict[str, Any]
     params: Optional[QParams] = None
     rep: Optional[Rep] = None
-    cas: Optional[CasimirResult] = None
+    cas: Optional[complex] = None  # the Casimir scalar
     skip: Optional[Exception] = None  # why the whole point is skipped
     singular: Optional[DegenerateParameter] = None  # su map rejected at a singular locus
-    by_family: dict[str, list[Entry]] = field(default_factory=dict)
+    mismatch: bool = False  # some report missed its expected outcome
+    worst: dict[str, float] = field(default_factory=dict)  # residual column -> its cell
 
-    def overflow(self, exc: OverflowError) -> None:
-        self.skip = exc
-        self.row["status"] = "skipped:overflow"
+    def drop(self, exc: Exception) -> None:
+        """A singular spin map skips its family; the first overflow skips the point."""
+        if isinstance(exc, DegenerateParameter):
+            self.singular = exc
+        elif self.skip is None:
+            self.skip = exc
+            self.row["status"] = "skipped:overflow"
 
     def finish(self) -> None:
         """Fill the row of a point that ran every family."""
         row = self.row
-        row.update(casimir_re=self.cas.scalar.real, casimir_im=self.cas.scalar.imag)
-        for family, entries in self.by_family.items():
-            column = _RESIDUAL_COLUMN.get(family)
-            passing = [r.residual for r, e in entries if e == "pass"]
-            if column is not None and passing:
-                worst = max(passing)
-                row[column] = worst if row[column] is None else max(row[column], worst)
-        mismatch = not all(_entries_match(entries) for entries in self.by_family.values())
-        row["status"] = "fail" if mismatch else ("skipped:singular" if self.singular else "ok")
+        row.update(casimir_re=self.cas.real, casimir_im=self.cas.imag, **self.worst)
+        row["status"] = "fail" if self.mismatch else ("skipped:singular" if self.singular else "ok")
+
+
+def _fold(live: Sequence[_Point], batch: RepBatch, blocks: list[ReportBlock],
+          column: Optional[str]) -> None:
+    """Fold one family's blocks over ``batch`` into the points of their rows.
+
+    A member a block drops is dropped from its point.  A row gives its point
+    a mismatch if one of its reports missed its expected outcome, and in
+    ``column`` the largest residual of the reports that must pass, folded
+    across blocks and families by Python ``max``'s rule.
+    """
+    for block in blocks:
+        for i, exc in block.errors.items():
+            live[i].drop(exc)
+        if not block.alive:
+            continue
+        points = [live[i] for i in block.alive]
+        fails = _expected_fails(block.names, batch.mode, batch.dim == 1)
+        mismatch = ((block.residuals < block.tol) == fails).any(axis=1)
+        for point, bad in zip(points, mismatch.tolist()):
+            point.mismatch = point.mismatch or bad
+        passing = block.residuals[:, ~fails]
+        if column is None or not passing.shape[1]:
+            continue
+        for point, worst in zip(points, max_rule(passing).tolist()):
+            prev = point.worst.get(column)
+            point.worst[column] = worst if prev is None or worst > prev else prev
 
 
 def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
@@ -460,8 +430,11 @@ def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
     return point
 
 
-def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic) -> list[_Point]:
+def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic
+               ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
+    """The points of one batch, run, and each family's blocks over the points still standing."""
     points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
+    families: dict[str, list[ReportBlock]] = {}
     batch: Optional[RepBatch] = None
     for family in (None, *cfg.checks):  # None: the casimir every point runs first, for its row
         live = [point for point in points if point.skip is None]
@@ -470,24 +443,22 @@ def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symb
         if batch is None or len(batch.reps) != len(live):  # points are only ever dropped
             batch = RepBatch(tuple(point.rep for point in live))
         if family is None:
-            outcomes = casimir(batch, cfg.tol)
-        elif family == "casimir":
-            outcomes = [[(r, "pass") for r in point.cas.reports] for point in live]
-        else:
-            outcomes = _batch_runs(family, batch, cfg, symbolic)
-        for point, outcome in zip(live, outcomes):
-            if isinstance(outcome, OverflowError):
-                point.overflow(outcome)
-            elif isinstance(outcome, DegenerateParameter):
-                point.singular = outcome
-            elif family is None:
-                point.cas = outcome
-            else:
-                point.by_family[family] = outcome
+            cas = casimir(batch, cfg.tol)
+            for i, exc in cas.errors.items():
+                live[i].drop(exc)
+            for i, scalar in zip(cas.alive, cas.scalars):
+                live[i].cas = scalar
+            families["casimir"] = [cas]
+            if "casimir" in cfg.checks:  # the family's reports are these, folded in at once
+                _fold(live, batch, [cas], None)
+        elif family != "casimir":  # both star families share res_star
+            families[family] = _family_blocks(family, batch, cfg, symbolic)
+            column = "res_" + family.partition(":")[0]
+            _fold(live, batch, families[family], column if column in _CSV_COLUMNS else None)
     for point in points:
         if point.skip is None:
             point.finish()
-    return points
+    return points, families
 
 
 def _run_points(
@@ -505,28 +476,32 @@ def _run_points(
     """
     size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
     for start in range(0, len(epsilons), size):
-        yield from _run_batch(cfg, epsilons[start:start + size], k, symbolic)
+        yield from _run_batch(cfg, epsilons[start:start + size], k, symbolic)[0]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
     symbolic = functools.partial(_symbolic_family, cfg)
-    (point,) = _run_points(cfg, cfg.epsilons, cfg.k, symbolic)
+    (point,), families = _run_batch(cfg, cfg.epsilons, cfg.k, symbolic)
     skipped = point.skip or point.singular
     if skipped is not None:
         raise skipped
     row = point.row
-    entries = [entry for family in cfg.checks for entry in point.by_family[family]]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text([row]))
     else:
         doc = {
             "params": _report_params(point.params, cfg.k),
-            "checks": [report_to_json(r, expected=e) for r, e in entries],
+            "checks": [
+                report_to_json(r, expected="fail" if fail else "pass")
+                for family in cfg.checks for block in families[family]
+                for r, fail in zip(block.reports(0),
+                                   _expected_fails(block.names, cfg.mode, cfg.k == 0).tolist())
+            ],
             "casimir": [row["casimir_re"], row["casimir_im"]],
         }
         _emit(cfg, dumps(doc) + "\n" if cfg.fmt == "json" else _verify_text(doc))
-    return 0 if _entries_match(entries) else 1
+    return 1 if row["status"] == "fail" else 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -552,7 +527,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_symbolic(cfg: RunConfig) -> int:
     params = _resolve_params(cfg, cfg.epsilon)
-    reports = _symbolic_family(cfg, params)
+    reports = _symbolic_family(cfg, params).reports(0)
     doc = {
         "params": _report_params(params, None),
         "n_max": cfg.n_max,

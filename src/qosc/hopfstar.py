@@ -25,13 +25,14 @@ serve the d*d arms (counit, antipode, star matrices).
 in :mod:`qosc.repbuild`, re-exported here) of representations that share
 ``k`` and the mode, under the batch contract of :mod:`qosc.algcheck`: every
 weight, graded block and dense matrix carries a leading batch axis, and
-:class:`~qosc.algcheck.Arms` turns them into residuals in one pass.  The
-graded structure depends on neither epsilon nor the branch, so a sweep
-evaluates each arm once per ``k``.  Each member's scalar data (q-powers,
-bracket steps, counit, antipode and star coefficients) still comes from the
-scalar ``cmath`` formulas, one member at a time, so a member's residuals
-are bit for bit those of the single-rep call; an ``OverflowError`` there
-drops only that member.  A single rep is the batch of one.
+:class:`~qosc.algcheck.Arms` turns them into one
+:class:`~qosc.algcheck.ReportBlock` of residuals in one pass.  The graded
+structure depends on neither epsilon nor the branch, so a sweep evaluates
+each arm once per ``k``.  Each member's scalar data (q-powers, bracket
+steps, counit, antipode and star coefficients) still comes from the scalar
+``cmath`` formulas, one member at a time, so a member's residuals are bit
+for bit those of the single-rep call; an ``OverflowError`` there drops only
+that member.  A single rep is the batch of one and gets its reports.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from .algcheck import (
     DEFAULT_TOL,
     Arms,
     CheckReport,
-    MemberResult,
+    ReportBlock,
     as_batch,
     diag_stack,
+    dropped,
     member_scalars,
     residual_of,
     unbatch,
@@ -277,12 +279,12 @@ def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
 
 def check_hopf_axioms(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
-) -> Union[list[CheckReport], list[MemberResult]]:
+) -> Union[list[CheckReport], ReportBlock]:
     """Algebra-map property of the coproduct plus the three Hopf axioms.
 
-    A :class:`RepBatch` gives one result per member, in order: its reports,
-    or the ``OverflowError`` its scalar data raised.  A single rep gives its
-    reports and raises its overflow.
+    A :class:`RepBatch` gives one :class:`~qosc.algcheck.ReportBlock`, which
+    drops a member with the ``OverflowError`` its scalar data raised.  A
+    single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
     d = batch.dim
@@ -301,14 +303,14 @@ def check_hopf_axioms(
         steps = [step(v) for v in dn00[i].ravel()]
         return [counit[sym] for sym in cop], [antipode[sym] for sym in cop], steps
 
-    results, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
+    errors, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
     if not alive:
-        return unbatch(reps, results)
+        return unbatch(reps, dropped(errors, tol))
     counits, antipodes, steps = zip(*data)
     counits = np.array(counits, dtype=complex)
     counit = {sym: counits[:, j, None, None] for j, sym in enumerate(cop)}
     dense, graded = real.select(alive)
-    arms = Arms(alive)
+    arms = Arms(alive, ("hopf", batch.mode, batch.k))
 
     # every tensor square of the table, shared by the coproducts and both coassociativity sides
     pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
@@ -345,8 +347,7 @@ def check_hopf_axioms(
         lhs_r = sum(dense[le] @ s_image[ri] for le, ri in cop[gen])
         arms.compare(f"antipode_left_{gen}", lhs_l, target)
         arms.compare(f"antipode_right_{gen}", lhs_r, target)
-    arms.report(results, tol)
-    return unbatch(reps, results)
+    return unbatch(reps, arms.block(tol, errors))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -418,7 +419,7 @@ def check_star_structure(
     tol: float = DEFAULT_TOL,
     metric: np.ndarray | None = None,
     label: Optional[str] = None,
-) -> Union[list[CheckReport], list[MemberResult]]:
+) -> Union[list[CheckReport], ReportBlock]:
     """All compatibility arms of one involution on one representation.
 
     ``metric`` twists the matrix adjoint to ``G^-1 M^H G``; the default is
@@ -428,8 +429,8 @@ def check_star_structure(
     A ``label`` names every report ``label.arm``.
 
     For a :class:`RepBatch`, ``inv`` holds one involution per member, all of
-    one flavor, ``metric`` serves every member, and the result has one entry
-    per member as in :func:`check_hopf_axioms`.
+    one flavor, ``metric`` serves every member, and the result is one block
+    as in :func:`check_hopf_axioms`.
     """
     batch = as_batch(reps)
     invs = tuple(inv) if isinstance(reps, RepBatch) else (inv,)
@@ -471,12 +472,12 @@ def check_star_structure(
                                        _star_affine(_s_affine(start, antipode), star)))
         return [star[gen] for gen in _GENERATORS], step_bar, counit_defects, antipode_sides
 
-    results, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
+    errors, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
     if not alive:
-        return unbatch(reps, results)
+        return unbatch(reps, dropped(errors, tol))
     stars, step_bars, counit_defects, antipode_sides = zip(*data)
     dense, graded = real.select(alive)
-    arms = Arms(alive)
+    arms = Arms(alive, ("star", batch.mode, batch.k, flavor))
 
     star = _table(stars)
     img = dict(zip(_GENERATORS, _affine(star, dense)))
@@ -516,8 +517,7 @@ def check_star_structure(
     sides = _affine(_table([[e for pair in row for e in pair] for row in antipode_sides]), dense)
     for j, gen in enumerate(_GENERATORS):
         arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
-    arms.report(results, tol, label)
-    return unbatch(reps, results)
+    return unbatch(reps, arms.block(tol, errors, label))
 
 
 def parity_metric(dim: int) -> np.ndarray:

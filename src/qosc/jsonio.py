@@ -80,14 +80,28 @@ def rep_to_json(rep: Rep) -> dict[str, Any]:
 
 
 def rep_from_json(doc: dict[str, Any]) -> Rep:
+    """Inverse of ``rep_to_json``; a document that disagrees with itself raises ``ValueError``.
+
+    ``k`` must be an int >= 0, ``A``, ``Abar`` and ``N`` each (k+1)x(k+1),
+    ``lambdas`` k long and ``normalized`` a bool."""
+    k = doc["k"]
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
     a = matrix_from_json(doc["A"])
     abar = matrix_from_json(doc["Abar"])
     nmat = matrix_from_json(doc["N"])
-    for m in (a, abar, nmat):
+    for name, m in (("A", a), ("Abar", abar), ("N", nmat)):
+        if m.shape != (k + 1, k + 1):
+            raise ValueError(
+                f"{name} is {m.shape[0]}x{m.shape[1]}, but k={k} needs {k + 1}x{k + 1}")
         m.setflags(write=False)
+    if len(doc["lambdas"]) != k:
+        raise ValueError(f"{len(doc['lambdas'])} lambdas, but k={k} needs {k}")
+    if type(doc["normalized"]) is not bool:
+        raise ValueError(f"normalized must be a bool, got {doc['normalized']!r}")
     return Rep(
         params=params_from_json(doc["params"]),
-        k=doc["k"],
+        k=k,
         A=a,
         Abar=abar,
         Nmat=nmat,

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .algcheck import CheckReport, report, residual_of
+from .algcheck import CheckReport, ReportBlock, report, residual_of
 from .errors import ParamMismatch
 from .qcore import QParams
 from .repbuild import Rep
@@ -476,6 +476,18 @@ def exact_defects(n_max: int) -> tuple[Defect, ...]:
     return tuple(out)
 
 
+def symbolic_block(params: QParams, n_max: int = 8, tol: float = DEFAULT_SYMBOLIC_TOL,
+                   tamper: float = 0.0) -> ReportBlock:
+    """:func:`check_identities_symbolic` as a one-member :class:`~qosc.algcheck.ReportBlock`."""
+    if not 1 <= n_max <= N_MAX_CAP:
+        raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
+    defects = exact_defects(n_max)
+    residuals = [max(map(abs, _values(d.groups, d.den, params, tamper)), default=0.0)
+                 for d in defects]
+    return ReportBlock(tuple(d.name for d in defects), (0,), np.array([residuals]),
+                       float(tol), {}, {})
+
+
 def check_identities_symbolic(
     params: QParams,
     n_max: int = 8,
@@ -490,12 +502,7 @@ def check_identities_symbolic(
     ``t = q**(1/2)`` and ``tamper``: untampered, every residual is exactly 0.
     A non-finite ``tamper`` raises ``ValueError``.
     """
-    if not 1 <= n_max <= N_MAX_CAP:
-        raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
-    return [
-        report(d.name, max(map(abs, _values(d.groups, d.den, params, tamper)), default=0.0), tol)
-        for d in exact_defects(n_max)
-    ]
+    return symbolic_block(params, n_max, tol, tamper).reports(0)
 
 
 def evaluate(p: NCPoly, rep: Rep) -> np.ndarray:

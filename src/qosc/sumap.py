@@ -10,13 +10,14 @@ by default.
 :func:`check_su2` and :func:`check_equivalence` take one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` under the
 batch contract of :mod:`qosc.algcheck`: the rescaled triples of all members
-are stacked on a leading batch axis and checked in one pass, while each
-member's scale factors, deformed numbers and reference block come from the
-scalar formulas, so its residuals are bit for bit those of the single-rep
-call.  A member at a singular locus is dropped with its
-``DegenerateParameter``, one whose scalars overflow with its
-``OverflowError``; a single rep raises them.  :func:`check_su2` also takes
-a :class:`SuTriple`, the batch of one triple.
+are stacked on a leading batch axis and checked in one pass, into one
+:class:`~qosc.algcheck.ReportBlock` per check, while each member's scale
+factors, deformed numbers and reference block come from the scalar
+formulas, so its residuals are bit for bit those of the single-rep call.
+The two checks share one spin map per batch.  A member at a singular locus
+is dropped with its ``DegenerateParameter``, one whose scalars overflow
+with its ``OverflowError``; a single rep gets its reports and raises them.
+:func:`check_su2` also takes a :class:`SuTriple`, the batch of one triple.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .algcheck import (
     DEFAULT_TOL,
     Arms,
     CheckReport,
-    MemberResult,
+    MemberError,
+    ReportBlock,
     as_batch,
     diag_stack,
+    dropped,
     member_scalars,
     unbatch,
 )
@@ -162,10 +165,11 @@ def to_su2(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Triples:
-    """Stacked triples of the surviving members of one check, at spin ``j``."""
+    """Stacked triples of the members a spin map admits, at spin ``j``; the errors of the rest."""
 
+    errors: dict[int, MemberError]
     alive: list[int]
     Jp: np.ndarray
     Jm: np.ndarray
@@ -173,51 +177,50 @@ class _Triples:
     Q: list[complex]
     j: float
 
-    def narrow(self, results: list, scalars: Callable[[int], tuple]) -> list[tuple]:
-        """Each survivor's ``scalars(row)``; one that overflows leaves the stacks with its error."""
+    def narrow(self, scalars: Callable[[int], Any]) -> tuple["_Triples", list]:
+        """The triples without the rows whose ``scalars(row)`` overflow, and the others' data."""
         more, kept, data = member_scalars(len(self.alive), scalars)
-        for row, exc in enumerate(more):
-            if exc is not None:
-                results[self.alive[row]] = exc
-        if len(kept) < len(self.alive):
-            self.alive = [self.alive[row] for row in kept]
-            self.Jp, self.Jm, self.J0 = self.Jp[kept], self.Jm[kept], self.J0[kept]
-            self.Q = [self.Q[row] for row in kept]
-        return data
+        if not more:
+            return self, data
+        errors = {**self.errors, **{self.alive[row]: exc for row, exc in more.items()}}
+        return _Triples(errors, [self.alive[row] for row in kept], self.Jp[kept], self.Jm[kept],
+                        self.J0[kept], [self.Q[row] for row in kept], self.j), data
 
 
-def _triples(
-    source: Union[SuTriple, Rep, RepBatch], **to_su2_kwargs
-) -> tuple[list, Optional[_Triples]]:
-    """Result slots and the stacked triples of the members the spin map admits, if any."""
+def _triples(batch: RepBatch, **to_su2_kwargs) -> _Triples:
+    errors, alive, factors = member_scalars(
+        len(batch.reps), lambda i: _rescaling(batch.reps[i], **to_su2_kwargs))
+    raising, lowering = (np.array([f[side] for f in factors], dtype=complex)[:, None, None]
+                         for side in (0, 1))
+    params = [batch.params[i] for i in alive]
+    gamma = np.array([p.gamma for p in params], dtype=complex)[:, None, None]
+    return _Triples(
+        errors, alive, raising * batch.Abar[alive], lowering * batch.A[alive],
+        batch.Nmat[alive] + gamma * np.eye(batch.dim, dtype=complex),
+        [p.sqrt_q for p in params], batch.k / 2.0,
+    )
+
+
+def _spin_map(source: Union[SuTriple, Rep, RepBatch], **to_su2_kwargs) -> _Triples:
+    """The stacked spin map of a source; a batch's default map is built once, for both checks."""
     if isinstance(source, SuTriple):
         t = source
-        return [None], _Triples([0], t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
+        return _Triples({}, [0], t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
     batch = as_batch(source)
-    results, alive, factors = member_scalars(
-        len(batch.reps), lambda i: _rescaling(batch.reps[i], **to_su2_kwargs))
-    if not alive:
-        return results, None
-    live = batch.subset(alive)
-    raising, lowering = (np.array(f, dtype=complex)[:, None, None] for f in zip(*factors))
-    gamma = np.array([p.gamma for p in live.params], dtype=complex)[:, None, None]
-    return results, _Triples(
-        alive, raising * live.Abar, lowering * live.A,
-        live.Nmat + gamma * np.eye(live.dim, dtype=complex),
-        [p.sqrt_q for p in live.params], live.k / 2.0,
-    )
+    return _triples(batch, **to_su2_kwargs) if to_su2_kwargs else batch.derived(_triples)
 
 
 def check_su2(
     t: Union[SuTriple, Rep, RepBatch], tol: float = DEFAULT_TOL
-) -> Union[list[CheckReport], list[MemberResult]]:
+) -> Union[list[CheckReport], ReportBlock]:
     """Deformed su(2) relations and the Casimir on a triple, or on the spin map of reps.
 
-    A :class:`~qosc.repbuild.RepBatch` gives one result per member, in order:
-    its reports, or the error that dropped it.  A triple or a single rep
-    gives its reports and raises its error.
+    A :class:`~qosc.repbuild.RepBatch` gives one
+    :class:`~qosc.algcheck.ReportBlock`, which drops a member with the error
+    that stopped it.  A triple or a single rep gives its reports and raises
+    its error.
     """
-    results, spins = _triples(t)
+    spins = _spin_map(t)
 
     def scalars(row: int) -> tuple:
         lg = cmath.log(complex(spins.Q[row]))
@@ -226,39 +229,43 @@ def check_su2(
                 [qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals],
                 qnum(spins.j, lg) * qnum(spins.j + 1.0, lg))
 
-    data = spins.narrow(results, scalars) if spins else []
-    if data:
-        steps, casimirs, targets = (np.array(x, dtype=complex) for x in zip(*data))
-        Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
-        arms = Arms(spins.alive)
-        arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
-        arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
-        arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
-        cas = Jm @ Jp + diag_stack(casimirs)
-        arms.compare("su_casimir", cas, targets[:, None, None] * np.eye(J0.shape[1]))
-        arms.report(results, tol)
-    return unbatch(t, results)
+    live, data = spins.narrow(scalars)
+    if not data:
+        return unbatch(t, dropped(live.errors, tol))
+    steps, casimirs, targets = (np.array(x, dtype=complex) for x in zip(*data))
+    Jp, Jm, J0 = live.Jp, live.Jm, live.J0
+    arms = Arms(live.alive, ("su2", J0.shape[1]))
+    arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
+    arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
+    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
+    cas = Jm @ Jp + diag_stack(casimirs)
+    arms.compare("su_casimir", cas, targets[:, None, None] * np.eye(J0.shape[1]))
+    return unbatch(t, arms.block(tol, live.errors))
 
 
 def check_equivalence(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL, **to_su2_kwargs
-) -> Union[CheckReport, list[Union[CheckReport, OverflowError, DegenerateParameter]]]:
+) -> Union[CheckReport, ReportBlock]:
     """Entrywise agreement of the rescaled rep with the reference block.
 
-    A :class:`~qosc.repbuild.RepBatch` gives one report or error per member,
-    as :func:`check_su2` does.
+    A :class:`~qosc.repbuild.RepBatch` gives one block of the one report
+    ``su_equivalence``, as :func:`check_su2` does; a single rep gives its
+    report.
     """
-    results, spins = _triples(as_batch(reps), **to_su2_kwargs)
-    refs = spins.narrow(results, lambda row: su2_direct(spins.j, spins.Q[row])) if spins else []
-    if refs:
-        arms = Arms(spins.alive)
+    spins = _spin_map(reps, **to_su2_kwargs)
+    live, refs = spins.narrow(lambda row: su2_direct(spins.j, spins.Q[row]))
+    if not refs:
+        block = dropped(live.errors, tol)
+    else:
+        arms = Arms(live.alive, ("equivalence", live.J0.shape[1]))
         arms.add("su_equivalence", *(
             (mine - ref, mine, ref) for mine, ref in (
-                (spins.Jp, np.stack([r.Jp for r in refs])),
-                (spins.Jm, np.stack([r.Jm for r in refs])),
-                (spins.J0, np.stack([r.J0 for r in refs])),
+                (live.Jp, np.stack([r.Jp for r in refs])),
+                (live.Jm, np.stack([r.Jm for r in refs])),
+                (live.J0, np.stack([r.J0 for r in refs])),
             )))
-        arms.report(results, tol)
-        for i in spins.alive:
-            (results[i],) = results[i]
-    return unbatch(reps, results)
+        block = arms.block(tol, live.errors)
+    if isinstance(reps, RepBatch):
+        return block
+    (result,) = block.reports(0)
+    return result

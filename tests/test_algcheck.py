@@ -221,10 +221,22 @@ def _ref_ladder(rep, n_max):
     return out
 
 
+def _bits(reports):
+    """Every field of each report, residual and tolerance to the bit."""
+    return [(r.name, r.residual.hex(), r.tolerance.hex(), r.passed, r.detail) for r in reports]
+
+
 def _assert_casimir_equal(got, want):
     assert got.scalar == want.scalar
     assert np.array_equal(got.matrix, want.matrix)
-    assert got.reports == want.reports
+    assert _bits(got.reports) == _bits(want.reports)
+
+
+def _members(block):
+    """Each member's materialized reports, or the error that dropped it."""
+    count = len(block.alive) + len(block.errors)
+    assert sorted([*block.alive, *block.errors]) == list(range(count))
+    return [block.errors[i] if i in block.errors else block.reports(i) for i in range(count)]
 
 
 @pytest.mark.parametrize("mode", ["unimodular", "realline"])
@@ -235,14 +247,17 @@ def test_batched_checks_equal_single_rep_calls(mode):
         relations = check_defining_relations(batch)
         ladder = check_ladder_identities(batch, k + 1)
         cas = casimir(batch)
-        assert len(relations) == len(ladder) == len(cas) == len(reps)
+        assert relations.alive == ladder.alive == cas.alive == tuple(range(len(reps)))
+        assert relations.residuals.shape == (len(reps), 3)
         for i, rep in enumerate(reps):
-            assert relations[i] == check_defining_relations(rep) == _ref_relations(rep)
-            assert ladder[i] == check_ladder_identities(rep, k + 1) == _ref_ladder(rep, k + 1)
-            _assert_casimir_equal(cas[i], casimir(rep))
+            assert _bits(relations.reports(i)) == _bits(check_defining_relations(rep))
+            assert relations.reports(i) == _ref_relations(rep)
+            assert _bits(ladder.reports(i)) == _bits(check_ladder_identities(rep, k + 1))
+            assert ladder.reports(i) == _ref_ladder(rep, k + 1)
+            _assert_casimir_equal(cas.result(i), casimir(rep))
             c_low, scalar, reports = _ref_casimir(rep)
-            assert np.array_equal(cas[i].matrix, c_low)
-            assert (cas[i].scalar, cas[i].reports) == (scalar, reports)
+            assert np.array_equal(cas.result(i).matrix, c_low)
+            assert (cas.result(i).scalar, cas.result(i).reports) == (scalar, reports)
 
 
 def test_batch_of_windows_trims_only_the_window_members():
@@ -250,22 +265,27 @@ def test_batch_of_windows_trims_only_the_window_members():
     reps = [build_generic_window(0.23 + 0j, 1.1 + 0j, p, 7), build_rep(p, 6),
             build_generic_window(-0.4 + 0j, 0.3 + 0j, p, 7)]
     batch = RepBatch(tuple(reps))
-    for rep, got in zip(reps, check_defining_relations(batch)):
+    for rep, got in zip(reps, _members(check_defining_relations(batch))):
         assert got == check_defining_relations(rep) == _ref_relations(rep)
-    for rep, got in zip(reps, casimir(batch)):
-        _assert_casimir_equal(got, casimir(rep))
-        assert got.reports == _ref_casimir(rep)[2]
+    cas = casimir(batch)
+    for i, rep in enumerate(reps):
+        _assert_casimir_equal(cas.result(i), casimir(rep))
+        assert cas.result(i).reports == _ref_casimir(rep)[2]
 
 
 def test_batch_member_whose_ladder_powers_overflow_is_dropped_alone():
     # at eps=40 the k=9 ladder powers leave the double range at order 8
     reps = [build_rep(make_params("realline", eps, 1), 9) for eps in (1.0, 40.0, 2.0)]
-    results = check_ladder_identities(RepBatch(tuple(reps)), 8)
+    block = check_ladder_identities(RepBatch(tuple(reps)), 8)
+    results = _members(block)
+    assert block.alive == (0, 2) and block.residuals.shape == (2, 16)
     assert isinstance(results[1], OverflowError)
     assert str(results[1]) == "ladder powers of order 8 leave the double range"
-    assert results[0] == check_ladder_identities(reps[0], 8)
-    assert results[2] == check_ladder_identities(reps[2], 8)
-    for rep, got in zip(reps, check_defining_relations(RepBatch(tuple(reps)))):
+    with pytest.raises(OverflowError, match="order 8"):
+        block.reports(1)
+    assert _bits(results[0]) == _bits(check_ladder_identities(reps[0], 8))
+    assert _bits(results[2]) == _bits(check_ladder_identities(reps[2], 8))
+    for rep, got in zip(reps, _members(check_defining_relations(RepBatch(tuple(reps))))):
         assert got == check_defining_relations(rep)  # finite there: every member stays
     # a member stops at the first order whose scalar coefficients (cmath's error)
     # or, failing those, whose matrix powers overflow, as its single-rep call does
@@ -273,7 +293,7 @@ def test_batch_member_whose_ladder_powers_overflow_is_dropped_alone():
         reps = [build_rep(make_params("realline", eps, 1), k) for eps in epsilons]
         n_max = min(8, k + 1)
         messages = set()
-        for rep, got in zip(reps, check_ladder_identities(RepBatch(tuple(reps)), n_max)):
+        for rep, got in zip(reps, _members(check_ladder_identities(RepBatch(tuple(reps)), n_max))):
             try:
                 want = check_ladder_identities(rep, n_max)
             except OverflowError as exc:

@@ -1,0 +1,129 @@
+"""Report blocks: every batched check family against its single-rep calls."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qosc.algcheck import (
+    ReportBlock,
+    casimir,
+    check_defining_relations,
+    check_ladder_identities,
+    max_rule,
+)
+from qosc.errors import DegenerateParameter
+from qosc.hopfstar import (
+    Flavor,
+    check_hopf_axioms,
+    check_star_structure,
+    involution,
+    parity_metric,
+    with_flavor,
+)
+from qosc.qcore import make_params
+from qosc.repbuild import RepBatch, build_rep
+from qosc.sumap import check_equivalence, check_su2
+
+PI = math.pi
+
+
+def _bits(reports):
+    """Every field of each report, residual and tolerance to the bit."""
+    return [(r.name, r.residual.hex(), r.tolerance.hex(), r.passed, r.detail) for r in reports]
+
+
+def _families(batch):
+    """Per family: the batched call, and the single-rep call that materializes member i."""
+    mode, dim = batch.mode.value, batch.dim
+    n_max = min(8, batch.k + 1)
+    out = {
+        "algebra": (check_defining_relations, check_defining_relations),
+        "ladder": (lambda b: check_ladder_identities(b, n_max),
+                   lambda r: check_ladder_identities(r, n_max)),
+        "casimir": (casimir, lambda r: list(casimir(r).reports)),
+        "hopf": (check_hopf_axioms, check_hopf_axioms),
+        "su2": (check_su2, check_su2),
+        "equivalence": (check_equivalence, lambda r: [check_equivalence(r)]),
+    }
+    arms = [("canonical", lambda p: involution("canonical", p), None)]
+    if mode == "unimodular":
+        arms.append(("canonical_standard",
+                     lambda p: with_flavor(involution("canonical", p), Flavor.STANDARD), None))
+    else:
+        arms += [("imaginary_minus", lambda p: involution("imaginary_minus", p), None),
+                 ("imaginary_plus", lambda p: involution("imaginary_plus", p), parity_metric(dim))]
+    for label, inv, metric in arms:
+        out[f"star:{label}"] = (
+            lambda b, inv=inv, metric=metric, label=label: check_star_structure(
+                b, [inv(p) for p in b.params], metric=metric, label=label),
+            lambda r, inv=inv, metric=metric, label=label: check_star_structure(
+                r, inv(r.params), metric=metric, label=label),
+        )
+    return out
+
+
+def _assert_members_match(batch, dropped_by):
+    """Each family's block holds every member once; each matches its single-rep call.
+
+    ``dropped_by`` maps a family to the members it must drop, with their error type.
+    """
+    for family, (batched, single) in _families(batch).items():
+        block = batched(batch)
+        assert isinstance(block, ReportBlock)
+        assert sorted([*block.alive, *block.errors]) == list(range(len(batch.reps)))
+        assert block.residuals.shape == (len(block.alive), len(block.names))
+        want_dropped = dropped_by.get(family, {})
+        assert {i: type(e) for i, e in block.errors.items()} == want_dropped, family
+        for i, rep in enumerate(batch.reps):
+            if i in block.errors:
+                with pytest.raises(type(block.errors[i])):
+                    single(rep)
+                with pytest.raises(type(block.errors[i])):
+                    block.reports(i)
+                continue
+            reports = block.reports(i)
+            assert tuple(r.name for r in reports) == block.names
+            assert _bits(reports) == _bits(single(rep)), (family, i)
+
+
+def test_an_overflowing_ladder_member_drops_only_itself_in_every_family():
+    # at eps=40 the k=9 ladder powers leave the double range at order 8
+    batch = RepBatch(tuple(build_rep(make_params("realline", eps, l), 9)
+                           for eps, l in ((1.0, 1), (40.0, 1), (-0.7, 2))))
+    _assert_members_match(batch, {"ladder": {1: OverflowError}})
+
+
+def test_a_guard_band_member_drops_only_itself_from_the_spin_map():
+    batch = RepBatch(tuple(build_rep(make_params("unimodular", eps, l), 3)
+                           for eps, l in ((0.9, 0), (PI / 2 + 1e-8, 0), (-1.1, 1))))
+    degenerate = {1: DegenerateParameter}
+    _assert_members_match(batch, {"su2": degenerate, "equivalence": degenerate})
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_every_family_matches_its_single_rep_calls(mode):
+    members = {"unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (2.5, 0)],
+               "realline": [(1.0, 1), (1.0, 3), (-0.7, 0), (2.0, 1)]}[mode]
+    for k in range(10):
+        batch = RepBatch(tuple(build_rep(make_params(mode, eps, l), k) for eps, l in members))
+        _assert_members_match(batch, {})
+
+
+def test_casimir_block_carries_each_members_scalar_and_matrix():
+    reps = [build_rep(make_params("unimodular", eps, 0), 3) for eps in (0.9, 2.5)]
+    block = casimir(RepBatch(tuple(reps)))
+    for i, rep in enumerate(reps):
+        single = casimir(rep)
+        assert block.scalars[i] == single.scalar
+        assert np.array_equal(block.matrices[i], single.matrix)
+        assert block.reports(i)[1].detail == f"scalar={single.scalar!r}"
+
+
+def test_max_rule_is_pythons_max_in_column_order():
+    rng = np.random.default_rng(3)
+    values = rng.random((400, 5))
+    values[rng.random((400, 5)) < 0.3] = np.nan  # leading, trailing and all-NaN rows
+    values[::7, 3] = values[::7, 1]  # ties
+    want = [max(row) for row in values.tolist()]
+    assert [x.hex() for x in max_rule(values).tolist()] == [x.hex() for x in want]

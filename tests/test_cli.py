@@ -390,13 +390,13 @@ def _count_symbolic_calls(monkeypatch) -> list:
     import qosc.cli as cli
 
     calls = []
-    original = cli.check_identities_symbolic
+    original = cli.symbolic_block
 
     def counted(*args, **kwargs):
         calls.append(args[0].epsilon)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "check_identities_symbolic", counted)
+    monkeypatch.setattr(cli, "symbolic_block", counted)
     return calls
 
 
@@ -439,6 +439,71 @@ def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
     expected = {name: [5] * 4 for name in names}
     expected["check_star_structure"] = [5] * 8
     assert calls == expected
+
+
+def test_sweep_builds_no_check_report_and_verify_builds_one_per_check(capsys, monkeypatch):
+    from qosc.algcheck import CheckReport
+
+    built = []
+    original = CheckReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckReport, "__init__", counted)
+    assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
+                 "--k", "0..3"]) == 0
+    capsys.readouterr()
+    assert built == []  # every row is reduced from the residual arrays
+    code, doc = run_json(capsys, ["verify", "--mode", "unimodular", "--epsilon", "0.6", "--k", "3"])
+    assert code == 0 and built == [chk["name"] for chk in doc["checks"]]
+
+
+def test_a_failing_casimir_report_fails_its_sweep_row_and_verify(capsys):
+    # every casimir residual at k=3 is ~1e-16, above a 1e-20 tolerance
+    argv = ["--mode", "unimodular", "--epsilon", "0.9", "--checks", "casimir", "--tol", "1e-20"]
+    assert main(["sweep", *argv, "--k", "3"]) == 1
+    assert capsys.readouterr().out.strip().split("\n")[1].split(",")[4] == "fail"
+    code, doc = run_json(capsys, ["verify", *argv, "--k", "3"])
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [
+        ("casimir_two_forms", False), ("casimir_scalar", False)]
+
+
+# the expected failures of the canonical star arms, as name sets
+_UNI_STANDARD_FAILS = {"coproduct_standard_a", "coproduct_standard_abar",
+                       "antipode_standard_a", "antipode_standard_abar"}
+_REAL_CANONICAL_FAILS = {"star_matrix_a", "star_matrix_abar", "star_matrix_N",
+                         "coproduct_nonstandard_a", "coproduct_nonstandard_abar",
+                         "coproduct_nonstandard_N", "counit_N", "antipode_nonstandard_a",
+                         "antipode_nonstandard_abar", "antipode_nonstandard_N"}
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_expected_failure_masks_match_the_name_sets(mode, k):
+    import qosc.cli as cli
+    from qosc.hopfstar import RepBatch, check_star_structure
+    from qosc.repbuild import auto_params, build_rep
+
+    batch = RepBatch((build_rep(auto_params(mode, 0.9), k),))
+    families = ["star:canonical"] + (["star:imaginary"] if mode == "realline" else [])
+    seen = 0
+    for family in families:
+        for label, invs, metric in cli._star_arms(batch, family):
+            block = check_star_structure(batch, invs, metric=metric, label=label)
+            fails = {("unimodular", "canonical_standard"): _UNI_STANDARD_FAILS,
+                     ("realline", "canonical"): _REAL_CANONICAL_FAILS}.get((mode, label), set())
+            if k == 0:  # a = abar = 0 on one state, so their arms hold trivially
+                fails = {name for name in fails if name.endswith("_N")}
+            want = [name.split(".", 1)[1] in fails for name in block.names]
+            mask = cli._expected_fails(block.names, batch.mode, batch.dim == 1)
+            assert mask.tolist() == want, (family, label)
+            assert [r.passed for r in block.reports(0)] == [not f for f in want]
+            seen += sum(want)
+    assert seen == {("unimodular", 0): 0, ("realline", 0): 4}.get((mode, k), len(
+        _UNI_STANDARD_FAILS if mode == "unimodular" else _REAL_CANONICAL_FAILS))
 
 
 def _assert_rows_equal_verify(capsys, sweep_argv, point_options=()):
@@ -519,7 +584,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
         ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
         ("200", "0", "ok"), ("200", "1", "ok"), ("200", "2", "ok")]
     assert calls == [1.0, 200.0]
-    counted = cli.check_identities_symbolic
+    counted = cli.symbolic_block
 
     def overflowing(params, *args, **kwargs):
         reports = counted(params, *args, **kwargs)
@@ -527,7 +592,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
             raise OverflowError("symbolic coefficient leaves the double range")
         return reports
 
-    monkeypatch.setattr(cli, "check_identities_symbolic", overflowing)
+    monkeypatch.setattr(cli, "symbolic_block", overflowing)
     calls.clear()
     code = main(sweep)
     out = capsys.readouterr()

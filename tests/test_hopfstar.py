@@ -437,6 +437,11 @@ def _batch_star_arms(mode, params, dim):
     ]
 
 
+def _bits(reports):
+    """Every field of each report, residual and tolerance to the bit."""
+    return [(r.name, r.residual.hex(), r.tolerance.hex(), r.passed, r.detail) for r in reports]
+
+
 @pytest.mark.parametrize("mode", ["unimodular", "realline"])
 def test_batched_arms_equal_single_rep_calls(mode):
     for k in range(10):
@@ -444,13 +449,15 @@ def test_batched_arms_equal_single_rep_calls(mode):
         batch = RepBatch(tuple(reps))
         assert batch.dim == k + 1 and batch.params == tuple(r.params for r in reps)
         hopf = check_hopf_axioms(batch)
-        assert len(hopf) == len(reps)
-        for rep, got in zip(reps, hopf):
-            assert got == check_hopf_axioms(rep), (k, rep.params)  # names, passes, residuals
+        assert hopf.alive == tuple(range(len(reps))) and not hopf.errors
+        for i, rep in enumerate(reps):
+            assert _bits(hopf.reports(i)) == _bits(check_hopf_axioms(rep)), (k, rep.params)
         for invs, metric in _batch_star_arms(mode, batch.params, batch.dim):
-            star = check_star_structure(batch, invs, metric=metric)
-            for rep, inv, got in zip(reps, invs, star):
-                assert got == check_star_structure(rep, inv, metric=metric), (k, inv.label)
+            star = check_star_structure(batch, invs, metric=metric, label="arm")
+            assert star.names[0] == "arm.algebra_compat_commutator"
+            for i, (rep, inv) in enumerate(zip(reps, invs)):
+                want = check_star_structure(rep, inv, metric=metric, label="arm")
+                assert _bits(star.reports(i)) == _bits(want), (k, inv.label)
 
 
 def test_batch_member_overflow_drops_only_that_member():
@@ -458,16 +465,16 @@ def test_batch_member_overflow_drops_only_that_member():
     reps = [_rep("realline", eps, 1, 2) for eps in (1.0, 301.0, 2.0)]
     with pytest.raises(OverflowError):
         check_hopf_axioms(reps[1])
-    results = check_hopf_axioms(RepBatch(tuple(reps)))
-    assert isinstance(results[1], OverflowError)
-    assert results[0] == check_hopf_axioms(reps[0])
-    assert results[2] == check_hopf_axioms(reps[2])
+    block = check_hopf_axioms(RepBatch(tuple(reps)))
+    assert block.alive == (0, 2) and isinstance(block.errors[1], OverflowError)
+    assert block.reports(0) == check_hopf_axioms(reps[0])
+    assert block.reports(2) == check_hopf_axioms(reps[2])
     # at eps=150 the conjugated bracket steps of the k=9 star arms overflow
     reps = [_rep("realline", eps, 1, 9) for eps in (150.0, 1.0)]
     invs = [involution("imaginary_minus", r.params) for r in reps]
-    results = check_star_structure(RepBatch(tuple(reps)), invs)
-    assert isinstance(results[0], OverflowError)
-    assert results[1] == check_star_structure(reps[1], invs[1])
+    block = check_star_structure(RepBatch(tuple(reps)), invs)
+    assert block.alive == (1,) and isinstance(block.errors[0], OverflowError)
+    assert block.reports(1) == check_star_structure(reps[1], invs[1])
 
 
 def test_batch_needs_one_k_one_mode_and_matching_involutions():

@@ -123,6 +123,45 @@ def test_rep_round_trip_preserves_everything():
             getattr(back, name)[0, 0] = 1.0  # round trip stays frozen
 
 
+def _disagreeing(case):
+    """A rep-json document (k=3) edited so that it disagrees with itself."""
+    doc = rep_to_json(build_rep(make_params("realline", 1.0, 1), 3))
+    small = rep_to_json(build_rep(make_params("realline", 1.0, 1), 2))
+    if case == "k_above_matrices":
+        doc["k"] = 4
+    elif case == "k_below_matrices":
+        doc.update(A=small["A"], Abar=small["Abar"], N=small["N"], lambdas=small["lambdas"])
+    elif case == "nonsquare_A":
+        doc["A"] = {"rows": 2, "cols": 8, "data": doc["A"]["data"]}
+    elif case == "negative_k":
+        doc["k"] = -1
+    elif case == "float_k":
+        doc["k"] = 3.0
+    elif case == "bool_k":
+        doc.update(k=True, A=small["A"], Abar=small["Abar"], N=small["N"])
+    elif case == "lambdas_length":
+        doc["lambdas"] = doc["lambdas"][:2]
+    elif case == "normalized_not_bool":
+        doc["normalized"] = 1
+    return doc
+
+
+@pytest.mark.parametrize("case", [
+    "k_above_matrices", "k_below_matrices", "nonsquare_A", "negative_k", "float_k", "bool_k",
+    "lambdas_length", "normalized_not_bool",
+])
+def test_rep_from_json_rejects_a_document_that_disagrees_with_itself(case):
+    with pytest.raises(ValueError):
+        rep_from_json(_disagreeing(case))
+
+
+def test_rep_from_json_rejects_k_5_with_4x4_matrices():
+    doc = rep_to_json(build_rep(make_params("unimodular", 0.9, 0), 3))
+    doc["k"] = 5
+    with pytest.raises(ValueError, match="k=5 needs 6x6"):
+        rep_from_json(doc)
+
+
 def test_involution_round_trip():
     inv = involution("imaginary_plus", make_params("realline", 1.0, 1))
     assert involution_from_json(involution_to_json(inv)) == inv

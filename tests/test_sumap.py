@@ -143,28 +143,79 @@ def _ref_equivalence(rep):
     return report("su_equivalence", res, DEFAULT_TOL)
 
 
+def _bits(reports):
+    """Every field of each report, residual and tolerance to the bit."""
+    return [(r.name, r.residual.hex(), r.tolerance.hex(), r.passed, r.detail) for r in reports]
+
+
 @pytest.mark.parametrize("mode", ["unimodular", "realline"])
 def test_batched_spin_checks_equal_single_rep_calls(mode):
     for k in range(10):
         reps = [_rep(mode, eps, l, k) for eps, l in BATCH_MEMBERS[mode]]
         batch = RepBatch(tuple(reps))
         relations, equivalence = check_su2(batch), check_equivalence(batch)
-        assert len(relations) == len(equivalence) == len(reps)
-        for rep, got_rel, got_eq in zip(reps, relations, equivalence):
-            assert got_rel == check_su2(rep) == check_su2(to_su2(rep)) == _ref_su2(to_su2(rep))
-            assert got_eq == check_equivalence(rep) == _ref_equivalence(rep)
+        assert relations.alive == equivalence.alive == tuple(range(len(reps)))
+        for i, rep in enumerate(reps):
+            got_rel, (got_eq,) = relations.reports(i), equivalence.reports(i)
+            assert _bits(got_rel) == _bits(check_su2(rep)) == _bits(check_su2(to_su2(rep)))
+            assert got_rel == _ref_su2(to_su2(rep))
+            assert _bits([got_eq]) == _bits([check_equivalence(rep)])
+            assert got_eq == _ref_equivalence(rep)
 
 
 def test_batch_member_at_half_pi_locus_is_dropped_alone():
     reps = [_rep("unimodular", eps, l, 3) for eps, l in ((0.9, 0), (PI / 2 + 1e-8, 0), (2.5, 0))]
     batch = RepBatch(tuple(reps))
     for check in (check_su2, check_equivalence):
-        results = check(batch)
-        assert isinstance(results[1], DegenerateParameter)
+        block = check(batch)
+        assert block.alive == (0, 2) and isinstance(block.errors[1], DegenerateParameter)
         with pytest.raises(DegenerateParameter):
             check(reps[1])
-        assert results[0] == check(reps[0]) and results[2] == check(reps[2])
+        for i in (0, 2):
+            single = check(reps[i])
+            assert block.reports(i) == (single if check is check_su2 else [single])
     real = [_rep("realline", 1.0, 1, 4), _rep("realline", 2.0, 1, 4)]
     bad = check_equivalence(RepBatch(tuple(real)), realline_reading="cot")
-    assert bad == [check_equivalence(rep, realline_reading="cot") for rep in real]
-    assert not any(r.passed for r in bad)
+    assert [r for i in bad.alive for r in bad.reports(i)] == [
+        check_equivalence(rep, realline_reading="cot") for rep in real]
+    assert not (bad.residuals < bad.tol).any()
+
+
+def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatch):
+    import qosc.sumap as sumap
+
+    reps = [_rep("unimodular", eps, 0, 3) for eps in (0.9, 1.2, 2.5)]
+    batch = RepBatch(tuple(reps))
+    rescaled = []
+    rescaling, direct, qnum_ = sumap._rescaling, sumap.su2_direct, sumap.qnum
+    failing_q = reps[1].params.sqrt_q  # the reference block of member 1 "overflows"
+    failing_log = cmath.log(reps[0].params.sqrt_q)  # the su(2) scalars of member 0 do
+
+    def counted(rep, *args, **kwargs):
+        rescaled.append(rep.params.epsilon)
+        return rescaling(rep, *args, **kwargs)
+
+    def reference(j, Q):
+        if Q == failing_q:
+            raise OverflowError("reference block leaves the double range")
+        return direct(j, Q)
+
+    def spin_qnum(x, lg):
+        if lg == failing_log:
+            raise OverflowError("spin scalar leaves the double range")
+        return qnum_(x, lg)
+
+    monkeypatch.setattr(sumap, "_rescaling", counted)
+    monkeypatch.setattr(sumap, "su2_direct", reference)
+    monkeypatch.setattr(sumap, "qnum", spin_qnum)
+    equivalence = check_equivalence(batch)
+    relations = check_su2(batch)
+    assert check_equivalence(batch).alive == equivalence.alive  # su2's drop stays in su2
+    assert rescaled == [0.9, 1.2, 2.5]  # one spin map per batch, not one per check
+    assert equivalence.alive == (0, 2) and set(equivalence.errors) == {1}
+    assert relations.alive == (1, 2) and set(relations.errors) == {0}
+    assert "reference block" in str(equivalence.errors[1])
+    assert "spin scalar" in str(relations.errors[0])
+    monkeypatch.undo()
+    assert relations.reports(1) == check_su2(reps[1])
+    assert equivalence.reports(0) == [check_equivalence(reps[0])]
