@@ -38,7 +38,6 @@ from .hopfstar import (
     with_flavor,
 )
 from .normform import (
-    LaurentPoly,
     NCPoly,
     casimir_element,
     check_identities_symbolic,
@@ -72,7 +71,6 @@ __all__ = [
     "Flavor",
     "InvolutionKind",
     "InvolutionSpec",
-    "LaurentPoly",
     "Mode",
     "ModeMismatch",
     "NCPoly",

@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -604,8 +604,15 @@ def _env_tol() -> Optional[float]:
         raise ValueError(f"QOSC_TOL is not a number: {raw!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, ``error: <message>``, and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qosc",
         description="build and verify truncated q-oscillator representations",
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .algcheck import CheckReport
 from .hopfstar import Flavor, InvolutionSpec
 from .qcore import Mode, QParams, make_params
-from .repbuild import Rep
+from .repbuild import Rep, nu0
 
 
 def cnum(z: complex) -> list[float]:
@@ -83,7 +83,8 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
     """Inverse of ``rep_to_json``; a document that disagrees with itself raises ``ValueError``.
 
     ``k`` must be an int >= 0, ``A``, ``Abar`` and ``N`` each (k+1)x(k+1),
-    ``lambdas`` k long and ``normalized`` a bool."""
+    ``lambdas`` k long, ``normalized`` a bool, ``diag(N)`` equal to
+    ``nu0 + n`` and, for a normalized rep, ``nu0`` the one ``params`` give."""
     k = doc["k"]
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an int >= 0, got {k!r}")
@@ -99,13 +100,18 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
         raise ValueError(f"{len(doc['lambdas'])} lambdas, but k={k} needs {k}")
     if type(doc["normalized"]) is not bool:
         raise ValueError(f"normalized must be a bool, got {doc['normalized']!r}")
+    params, base = params_from_json(doc["params"]), complex(*doc["nu0"])
+    if not np.array_equal(np.diag(nmat), base + np.arange(k + 1)):
+        raise ValueError(f"diag(N) is not nu0 + n for nu0={base}")
+    if doc["normalized"] and base != nu0(params, k):
+        raise ValueError(f"nu0={base}, but these params give {nu0(params, k)}")
     return Rep(
-        params=params_from_json(doc["params"]),
+        params=params,
         k=k,
         A=a,
         Abar=abar,
         Nmat=nmat,
-        nu0=complex(*doc["nu0"]),
+        nu0=base,
         lambdas=tuple(complex(re, im) for re, im in doc["lambdas"]),
         normalized=doc["normalized"],
     )

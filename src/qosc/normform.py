@@ -13,13 +13,14 @@ Every identity checked here holds over ``Z[t^±1, s^±1]`` with powers of
 
 which at ``s = q**(nu/2)`` and ``tau = 0`` is ``[nu+1] - [nu]``; the tamper
 variable ``tau`` exists only to prove that the checks can fail.
-:class:`ExactPoly` is that ring.  :func:`check_identities_symbolic`
-normal-orders its defects in it once per depth and per process, then
-evaluates them at ``t`` and ``tau``: untampered, every defect cancels
-exactly.  :class:`LaurentPoly` and :class:`NCPoly` are the numeric view at
-one ``q``; the same rewriting loop serves both rings.  The number
-generator itself only enters through ``s``; its commutators with the
-ladder pair are matrix-level statements, not expressible here.
+:class:`ExactPoly` is that ring, and the only coefficient ring here: one
+rewriter serves :func:`check_identities_symbolic`, which normal-orders its
+defects once per depth and per process and evaluates them at ``t`` and
+``tau`` (untampered, every defect cancels exactly), and :func:`nf_product`,
+which sets ``tau`` to its tamper afterwards.  :class:`NCPoly` keeps exact
+coefficients; ``q`` enters only where one is evaluated.  The number
+generator itself only enters through ``s``; its commutators with the ladder
+pair are matrix-level statements, not expressible here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -41,97 +42,12 @@ DEFAULT_SYMBOLIC_TOL = 1e-12
 #: hard cap on the reordering depth of the per-n identity checks
 N_MAX_CAP = 16
 
-#: a coefficient ring of the rewriter: LaurentPoly or ExactPoly
-C = TypeVar("C")
-
-
-class LaurentPoly:
-    """Laurent polynomial in one variable with complex coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, complex] | None = None):
-        self.coeffs: dict[int, complex] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[int(e)] = complex(c)
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1.0})
-
-    @classmethod
-    def variable(cls, power: int = 1) -> "LaurentPoly":
-        return cls({power: 1.0})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, complex] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return LaurentPoly(out)
-
-    def scale(self, c: complex) -> "LaurentPoly":
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def subs_scale(self, mu: complex) -> "LaurentPoly":
-        """Substitute ``s -> mu * s``.
-
-        Raises ``OverflowError`` when a power of ``mu`` leaves the double
-        range; Python reports ``mu**-e`` as ``ZeroDivisionError`` when
-        ``mu**e`` underflows to zero."""
-        try:
-            return LaurentPoly({e: v * mu**e for e, v in self.coeffs.items()})
-        except ZeroDivisionError:
-            raise OverflowError(f"rescaling factor {mu} has no finite power") from None
-
-    def __call__(self, s: complex) -> complex:
-        return sum(c * s**e for e, c in self.coeffs.items())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self, tol: float = DEFAULT_SYMBOLIC_TOL) -> bool:
-        return self.max_abs() < tol
-
-    def close_to(self, other: "LaurentPoly", tol: float = DEFAULT_SYMBOLIC_TOL) -> bool:
-        return (self - other).is_zero(tol)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"({c})*s^{e}" if e else f"({c})" for e, c in sorted(self.coeffs.items())
-        )
-
-
 # exponents of an ExactPoly term: powers of s, t and the tamper variable tau
 Exps = tuple[int, int, int]
 
 
-def _times(x: dict[Exps, int], y: dict[Exps, int]) -> dict[Exps, int]:
-    out: dict[Exps, int] = {}
+def _times(x: dict[Exps, complex], y: dict[Exps, complex]) -> dict[Exps, complex]:
+    out: dict[Exps, complex] = {}
     for (s1, t1, u1), c1 in x.items():
         for (s2, t2, u2), c2 in y.items():
             key = (s1 + s2, t1 + t2, u1 + u2)
@@ -144,15 +60,16 @@ _D = {(0, 2, 0): 1, (0, -2, 0): -1}
 
 
 class ExactPoly:
-    """Integer Laurent polynomial in ``s``, ``t`` and ``tau``, divided by ``D**den``.
+    """Laurent polynomial in ``s``, ``t`` and ``tau``, divided by ``D**den``.
 
-    The ring is an integral domain, so a value is zero exactly when its
-    numerator has no terms.
+    Over integer numerators the ring is an integral domain, so a value is
+    zero exactly when its numerator has no terms; complex numerators carry
+    the coefficients a caller gives an :class:`NCPoly`.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: dict[Exps, int], den: int = 0):
+    def __init__(self, num: dict[Exps, complex], den: int = 0):
         self.num = {e: c for e, c in num.items() if c}
         self.den = den
 
@@ -160,7 +77,7 @@ class ExactPoly:
     def one(cls) -> "ExactPoly":
         return cls({(0, 0, 0): 1})
 
-    def over(self, den: int) -> dict[Exps, int]:
+    def over(self, den: int) -> dict[Exps, complex]:
         """A fresh numerator of this value over ``D**den``, ``den >= self.den``."""
         num = dict(self.num)
         for _ in range(den - self.den):
@@ -177,12 +94,27 @@ class ExactPoly:
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         return ExactPoly(_times(self.num, other.num), self.den + other.den)
 
-    def scale(self, c: int) -> "ExactPoly":
+    def scale(self, c: complex) -> "ExactPoly":
         return ExactPoly({e: c * v for e, v in self.num.items()}, self.den)
 
     def shift(self, m: int) -> "ExactPoly":
         """Substitute ``s -> t**m s``."""
         return ExactPoly({(a, b + m * a, u): c for (a, b, u), c in self.num.items()}, self.den)
+
+    def at_tau(self, x: float) -> "ExactPoly":
+        """Substitute ``tau -> x``; a non-finite ``x`` raises ``ValueError``."""
+        if not math.isfinite(x):
+            raise ValueError(f"tamper must be finite, got {x}")
+        out: dict[Exps, complex] = {}
+        for (a, b, u), c in self.num.items():
+            if x or not u:
+                out[a, b, 0] = out.get((a, b, 0), 0) + (c * x**u if u else c)
+        return ExactPoly(out, self.den)
+
+
+def LaurentPoly(coeffs: dict[int, complex]) -> ExactPoly:
+    """The polynomial ``sum(c * s**e)`` as an :class:`ExactPoly`."""
+    return ExactPoly({(e, 0, 0): c for e, c in coeffs.items()})
 
 
 # The three formulas of this module, each stated once and exactly.
@@ -210,12 +142,12 @@ def _ladder_lower(n: int) -> ExactPoly:
     return _ladder_raise(n).shift(n - 1).scale(-1)
 
 
-# Terms of one s-power: (t-power, tau-power, integer coefficient) triples.
-Group = tuple[tuple[int, int, int], ...]
+# Terms of one s-power: (t-power, tau-power, coefficient) triples.
+Group = tuple[tuple[int, int, complex], ...]
 
 
-def _by_s_power(num: dict[Exps, int]) -> dict[int, Group]:
-    groups: dict[int, list[tuple[int, int, int]]] = {}
+def _by_s_power(num: dict[Exps, complex]) -> dict[int, Group]:
+    groups: dict[int, list[tuple[int, int, complex]]] = {}
     for (a, b, u), c in sorted(num.items()):
         groups.setdefault(a, []).append((b, u, c))
     return {a: tuple(g) for a, g in groups.items()}
@@ -246,66 +178,54 @@ def _values(groups: Iterable[Group], den: int, params: QParams, tamper: float) -
     return values
 
 
-def _numeric(x: ExactPoly, params: QParams, tamper: float = 0.0) -> LaurentPoly:
-    """The Laurent polynomial in ``s`` that ``x`` is at these parameters."""
-    groups = _by_s_power(x.num)
-    return LaurentPoly(dict(zip(groups, _values(groups.values(), x.den, params, tamper))))
-
-
-def delta_poly(params: QParams, tamper: float = 0.0) -> LaurentPoly:
-    """Reordering defect ``a abar - abar a`` as a polynomial in ``s``.
-
-    ``tamper`` adds a spurious multiple of ``s^2``; nonzero values exist
-    only to prove the identity checks can fail.
-    """
-    return _numeric(_DELTA, params, tamper)
+def _s_coeffs(c: ExactPoly, params: QParams) -> dict[int, complex]:
+    """The coefficient of each power of ``s`` in ``c`` at these parameters and ``tau = 0``."""
+    groups = _by_s_power(c.num)
+    return dict(zip(groups, _values(groups.values(), c.den, params, 0.0)))
 
 
 @dataclass(frozen=True)
 class NCPoly:
-    """Normal-ordered element: sum of ``c(s) * abar^i * a^j`` terms."""
+    """Normal-ordered element: sum of ``c(s) * abar^i * a^j`` terms with exact
+    coefficients; ``params`` enters only where one is evaluated."""
 
     params: QParams
-    terms: dict[tuple[int, int], LaurentPoly] = field(default_factory=dict)
+    terms: dict[tuple[int, int], ExactPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        pruned = {
-            (int(i), int(j)): c
-            for (i, j), c in self.terms.items()
-            if c.coeffs
-        }
+        pruned = {(int(i), int(j)): c for (i, j), c in self.terms.items() if c.num}
         object.__setattr__(self, "terms", pruned)
 
     @classmethod
     def scalar(cls, params: QParams, c: complex) -> "NCPoly":
-        return cls(params, {(0, 0): LaurentPoly({0: c})})
+        return cls(params, {(0, 0): ExactPoly({(0, 0, 0): c})})
 
     @classmethod
     def gen_a(cls, params: QParams) -> "NCPoly":
-        return cls(params, {(0, 1): LaurentPoly.one()})
+        return cls(params, {(0, 1): ExactPoly.one()})
 
     @classmethod
     def gen_abar(cls, params: QParams) -> "NCPoly":
-        return cls(params, {(1, 0): LaurentPoly.one()})
+        return cls(params, {(1, 0): ExactPoly.one()})
 
     @classmethod
     def gen_s(cls, params: QParams, power: int = 1) -> "NCPoly":
-        return cls(params, {(0, 0): LaurentPoly.variable(power)})
+        return cls(params, {(0, 0): ExactPoly({(power, 0, 0): 1})})
 
     @classmethod
     def monomial(cls, params: QParams, i: int, j: int,
-                 coeff: LaurentPoly | None = None) -> "NCPoly":
-        return cls(params, {(i, j): coeff if coeff is not None else LaurentPoly.one()})
+                 coeff: ExactPoly | None = None) -> "NCPoly":
+        return cls(params, {(i, j): coeff if coeff is not None else ExactPoly.one()})
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         _require_same_params(self, other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, LaurentPoly.zero()) + c
+            _accumulate(out, key, c)
         return NCPoly(self.params, out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scale(-1.0)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         return nf_product(self, other)
@@ -314,7 +234,8 @@ class NCPoly:
         return NCPoly(self.params, {k: p.scale(c) for k, p in self.terms.items()})
 
     def max_abs(self) -> float:
-        return max((p.max_abs() for p in self.terms.values()), default=0.0)
+        return max((abs(v) for c in self.terms.values()
+                    for v in _s_coeffs(c, self.params).values()), default=0.0)
 
     def is_zero(self, tol: float = DEFAULT_SYMBOLIC_TOL) -> bool:
         return self.max_abs() < tol
@@ -323,13 +244,13 @@ class NCPoly:
         return (self - other).is_zero(tol)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         bits = []
         for (i, j), c in sorted(self.terms.items()):
             word = "*".join(([f"abar^{i}"] if i else []) + ([f"a^{j}"] if j else []))
-            bits.append(f"[{c!r}]" + (f"*{word}" if word else ""))
-        return " + ".join(bits)
+            coeff = " + ".join(f"({v})*s^{e}" if e else f"({v})"
+                               for e, v in _s_coeffs(c, self.params).items() if v)
+            bits.append(f"[{coeff or 0}]" + (f"*{word}" if word else ""))
+        return " + ".join(bits) or "0"
 
 
 def _require_same_params(p: NCPoly, r: NCPoly) -> None:
@@ -337,22 +258,17 @@ def _require_same_params(p: NCPoly, r: NCPoly) -> None:
         raise ParamMismatch("operands built with different deformation parameters")
 
 
-Terms = dict[tuple[int, int], C]
+Terms = dict[tuple[int, int], ExactPoly]
 
 
-def _accumulate(out: Terms, key: tuple[int, int], c: C) -> None:
+def _accumulate(out: Terms, key: tuple[int, int], c: ExactPoly) -> None:
     out[key] = out[key] + c if key in out else c
 
 
-def _normal_order_word(word: tuple[str, ...], one: C,
-                       shifted_delta: Callable[[int], C]) -> Terms:
-    """Reduce a word in {'A', 'B'} (lowering, raising) to canonical terms.
-
-    ``one`` is the unit of the coefficient ring and ``shifted_delta(m)`` the
-    reordering step at ``s -> t**m s``.
-    """
+def _normal_order_word(word: tuple[str, ...]) -> Terms:
+    """Reduce a word in {'A', 'B'} (lowering, raising) to canonical terms."""
     out: Terms = {}
-    stack: list[tuple[C, tuple[str, ...]]] = [(one, word)]
+    stack: list[tuple[ExactPoly, tuple[str, ...]]] = [(ExactPoly.one(), word)]
     while stack:
         coeff, w = stack.pop()
         swap_at = next(
@@ -364,38 +280,32 @@ def _normal_order_word(word: tuple[str, ...], one: C,
         swapped = w[:swap_at] + ("B", "A") + w[swap_at + 2:]
         stack.append((coeff, swapped))
         prefix = w[:swap_at]
-        delta = shifted_delta(prefix.count("A") - prefix.count("B"))
+        delta = _DELTA.shift(prefix.count("A") - prefix.count("B"))
         stack.append((coeff * delta, prefix + w[swap_at + 2:]))
     return out
 
 
-def _product_terms(p: Terms, r: Terms, one: C, shift: Callable[[C, int], C], delta: C) -> Terms:
-    """Normal-ordered product of two term dicts over one coefficient ring;
-    ``shift(c, m)`` substitutes ``s -> t**m s`` in ``c``."""
-    def shifted_delta(m: int) -> C:
-        return shift(delta, m)
-
+def _product_terms(p: Terms, r: Terms) -> Terms:
+    """Normal-ordered product of two term dicts, exactly and with ``tau`` kept."""
     out: Terms = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in r.items():
             # drag c2 left through abar^i1 a^j1
-            coeff = c1 * shift(c2, j1 - i1)
+            coeff = c1 * c2.shift(j1 - i1)
             word = ("B",) * i1 + ("A",) * j1 + ("B",) * i2 + ("A",) * j2
-            for key, wc in _normal_order_word(word, one, shifted_delta).items():
+            for key, wc in _normal_order_word(word).items():
                 _accumulate(out, key, coeff * wc)
     return out
 
 
 def nf_product(p: NCPoly, r: NCPoly, tamper: float = 0.0) -> NCPoly:
-    """Product in the algebra, returned in canonical normal-ordered form."""
+    """Product in the algebra, in canonical normal-ordered form: rewritten
+    exactly, then with ``tau = tamper`` (a debug offset of every ``delta``)."""
     _require_same_params(p, r)
-    params = p.params
-
-    def shift(c: LaurentPoly, m: int) -> LaurentPoly:
-        return c.subs_scale(params.qpow(m / 2.0))
-
-    delta = delta_poly(params, tamper)
-    return NCPoly(params, _product_terms(p.terms, r.terms, LaurentPoly.one(), shift, delta))
+    if not math.isfinite(tamper):  # also when an operand is zero and no at_tau runs
+        raise ValueError(f"tamper must be finite, got {tamper}")
+    terms = _product_terms(p.terms, r.terms)
+    return NCPoly(p.params, {key: c.at_tau(tamper) for key, c in terms.items()})
 
 
 def nf_commutator(p: NCPoly, r: NCPoly, tamper: float = 0.0) -> NCPoly:
@@ -404,17 +314,7 @@ def nf_commutator(p: NCPoly, r: NCPoly, tamper: float = 0.0) -> NCPoly:
 
 def casimir_element(params: QParams) -> NCPoly:
     """Central element ``abar a - [N]`` with ``[N] = (s^2 - s^-2)/(q - 1/q)``."""
-    return NCPoly(params, {(1, 1): LaurentPoly.one(), (0, 0): _numeric(_NUMBER_PART, params)})
-
-
-def ladder_coefficient_raise(params: QParams, n: int) -> LaurentPoly:
-    """Coefficient of ``abar^(n-1)`` in the reordering of ``a abar^n``."""
-    return _numeric(_ladder_raise(n), params)
-
-
-def ladder_coefficient_lower(params: QParams, n: int) -> LaurentPoly:
-    """Coefficient of ``a^(n-1)`` in the reordering of ``abar a^n`` (sign included)."""
-    return _numeric(_ladder_lower(n), params)
+    return NCPoly(params, {(1, 1): ExactPoly.one(), (0, 0): _NUMBER_PART})
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +327,6 @@ class Defect(NamedTuple):
     name: str
     den: int  # the groups are over D**den
     groups: tuple[Group, ...]  # one per (abar power, a power, s power)
-
-
-def _exact_product(p: Terms, r: Terms) -> Terms:
-    return _product_terms(p, r, ExactPoly.one(), ExactPoly.shift, _DELTA)
 
 
 def _defect(name: str, lhs: Terms, *rhs: Terms) -> Defect:
@@ -458,20 +354,20 @@ def exact_defects(n_max: int) -> tuple[Defect, ...]:
         abar_n, a_n = {(n, 0): one}, {(0, n): one}
         out.append(_defect(
             f"ladder_raise_sym_n{n}",
-            _exact_product(a, abar_n),
-            _exact_product(abar_n, a),
+            _product_terms(a, abar_n),
+            _product_terms(abar_n, a),
             {(n - 1, 0): _ladder_raise(n)},
         ))
         out.append(_defect(
             f"ladder_lower_sym_n{n}",
-            _exact_product(abar, a_n),
-            _exact_product(a_n, abar),
+            _product_terms(abar, a_n),
+            _product_terms(a_n, abar),
             {(0, n - 1): _ladder_lower(n)},
         ))
     central = {(1, 1): one, (0, 0): _NUMBER_PART}
     for name, gen in (("a", a), ("abar", abar), ("s", {(0, 0): ExactPoly({(1, 0, 0): 1})})):
         out.append(_defect(
-            f"casimir_central_{name}", _exact_product(central, gen), _exact_product(gen, central)
+            f"casimir_central_{name}", _product_terms(central, gen), _product_terms(gen, central)
         ))
     return tuple(out)
 
@@ -520,7 +416,8 @@ def evaluate(p: NCPoly, rep: Rep) -> np.ndarray:
         a_pows.append(a_pows[-1] @ rep.A)
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
     for (i, j), c in p.terms.items():
-        acc += np.diag([c(s) for s in svals]) @ abar_pows[i] @ a_pows[j]
+        coeffs = _s_coeffs(c, rep.params).items()
+        acc += np.diag([sum(v * s**e for e, v in coeffs) for s in svals]) @ abar_pows[i] @ a_pows[j]
     return acc
 
 

@@ -649,7 +649,8 @@ def test_sweep_rejects_malformed_grid(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", "1"])
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_sweep_rejects_oversized_grid(capsys, monkeypatch):
@@ -662,7 +663,8 @@ def test_sweep_rejects_oversized_grid(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", k])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
     assert ran == []
     assert cli.MAX_GRID_POINTS == 10_000
 

@@ -143,12 +143,17 @@ def _disagreeing(case):
         doc["lambdas"] = doc["lambdas"][:2]
     elif case == "normalized_not_bool":
         doc["normalized"] = 1
+    elif case == "params_epsilon":
+        doc["params"]["epsilon"] = 1.3
+    elif case == "N_diagonal":
+        re, im = doc["N"]["data"][0]
+        doc["N"]["data"][0] = [re + 1.0, im]
     return doc
 
 
 @pytest.mark.parametrize("case", [
     "k_above_matrices", "k_below_matrices", "nonsquare_A", "negative_k", "float_k", "bool_k",
-    "lambdas_length", "normalized_not_bool",
+    "lambdas_length", "normalized_not_bool", "params_epsilon", "N_diagonal",
 ])
 def test_rep_from_json_rejects_a_document_that_disagrees_with_itself(case):
     with pytest.raises(ValueError):

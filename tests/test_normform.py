@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+import qosc
 from qosc import normform
 from qosc.errors import ParamMismatch
 from qosc.normform import (
@@ -13,11 +15,8 @@ from qosc.normform import (
     casimir_element,
     check_evaluation_homomorphism,
     check_identities_symbolic,
-    delta_poly,
     evaluate,
     exact_defects,
-    ladder_coefficient_lower,
-    ladder_coefficient_raise,
     nf_commutator,
     nf_product,
 )
@@ -31,49 +30,28 @@ DELTA_PLUS_UNI09 = complex(0.49999999999999994, 0.24152753280828915)
 DELTA_MINUS_UNI09 = complex(0.5, -0.24152753280828915)
 
 
+def _at(c, params, s):
+    """Value of an exact coefficient at ``q`` and ``s`` (tau = 0)."""
+    return sum(v * s**e for e, v in normform._s_coeffs(c, params).items())
+
+
 # ---------------------------------------------------------------------------
-# Laurent layer
-
-
-def test_laurent_arithmetic():
-    s = LaurentPoly.variable()
-    p = (s + LaurentPoly.one()) * (s - LaurentPoly.one())
-    assert p == s * s - LaurentPoly.one()
-    assert p(2.0) == pytest.approx(3.0)
-    assert (p - p).is_zero()
-
-
-def test_laurent_substitution_scales_by_degree():
-    # s -> mu*s maps the degree-d coefficient c to c*mu^d
-    p = LaurentPoly({2: 3.0, -1: 5.0})
-    q = p.subs_scale(2.0)
-    assert q == LaurentPoly({2: 12.0, -1: 2.5})
-    x = 1.7
-    assert q(x) == pytest.approx(p(2.0 * x))
-
-
-def test_laurent_substitution_out_of_range_is_overflow():
-    # Python reports these negative powers as ZeroDivisionError
-    p = LaurentPoly({2: 1.0, -2: 1.0})
-    for mu in (0j, complex(1e-200, 0.0), complex(1e200, 0.0)):
-        with pytest.raises(OverflowError):
-            p.subs_scale(mu)
+# exact coefficients
 
 
 def test_delta_poly_frozen_coefficients():
-    d = delta_poly(P_UNI)
-    assert d.coeffs[2] == pytest.approx(DELTA_PLUS_UNI09)
-    assert d.coeffs[-2] == pytest.approx(DELTA_MINUS_UNI09)
+    d = normform._s_coeffs(normform._DELTA, P_UNI)
+    assert d[2] == pytest.approx(DELTA_PLUS_UNI09)
+    assert d[-2] == pytest.approx(DELTA_MINUS_UNI09)
 
 
 @pytest.mark.parametrize("params", [P_UNI, P_REAL])
 def test_delta_poly_evaluates_to_bracket_step(params):
     """delta(q^(nu/2)) = [nu+1] - [nu] for any eigenvalue nu."""
-    d = delta_poly(params)
     for nu in (0.0, 1.0, 2.5, -3.0):
         s = params.qpow(nu / 2.0)
         expect = qnum(nu + 1, params.log_q) - qnum(nu, params.log_q)
-        assert d(s) == pytest.approx(expect)
+        assert _at(normform._DELTA, params, s) == pytest.approx(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +61,7 @@ def test_delta_poly_evaluates_to_bracket_step(params):
 def test_product_reorders_lowering_past_raising():
     a, abar = NCPoly.gen_a(P_UNI), NCPoly.gen_abar(P_UNI)
     prod = nf_product(a, abar)
-    expect = NCPoly(P_UNI, {(1, 1): LaurentPoly.one(), (0, 0): delta_poly(P_UNI)})
+    expect = NCPoly(P_UNI, {(1, 1): ExactPoly.one(), (0, 0): normform._DELTA.at_tau(0.0)})
     assert prod.close_to(expect)
     # abar * a is already normal ordered
     assert nf_product(abar, a).close_to(NCPoly.monomial(P_UNI, 1, 1))
@@ -92,7 +70,7 @@ def test_product_reorders_lowering_past_raising():
 def test_commutator_equals_delta():
     a, abar = NCPoly.gen_a(P_UNI), NCPoly.gen_abar(P_UNI)
     comm = nf_commutator(a, abar)
-    assert comm.close_to(NCPoly(P_UNI, {(0, 0): delta_poly(P_UNI)}))
+    assert comm.close_to(NCPoly(P_UNI, {(0, 0): normform._DELTA.at_tau(0.0)}))
 
 
 def test_generators_drag_coefficients_past_them():
@@ -146,20 +124,45 @@ def test_casimir_element_is_central():
         assert nf_commutator(c, gen).is_zero(1e-12)
 
 
+@pytest.mark.parametrize("params", [P_UNI, P_REAL, make_params("realline", 200.0, 1)])
+def test_casimir_element_commutes_exactly(params):
+    c = casimir_element(params)
+    for gen in (NCPoly.gen_a(params), NCPoly.gen_abar(params), NCPoly.gen_s(params)):
+        assert nf_commutator(c, gen).terms == {}
+
+
+@pytest.mark.parametrize("params", [P_UNI, P_REAL])
+@pytest.mark.parametrize("x", [1e-3, -0.37])
+def test_tampered_commutator_adds_the_tamper_on_s_squared(params, x):
+    a, abar = NCPoly.gen_a(params), NCPoly.gen_abar(params)
+    tampered, clean = nf_commutator(a, abar, x), nf_commutator(a, abar)
+    shift = NCPoly.gen_s(params, 2).scale(x)
+    assert tampered.close_to(clean + shift, tol=1e-14)
+    assert not tampered.close_to(clean, tol=abs(x) / 2)
+    rep = build_rep(params, 4)
+    assert np.allclose(evaluate(tampered, rep), evaluate(clean, rep) + evaluate(shift, rep),
+                       rtol=0.0, atol=1e-13)
+
+
+def test_public_names_resolve_once():
+    assert len(set(qosc.__all__)) == len(qosc.__all__)
+    for name in qosc.__all__:
+        assert getattr(qosc, name) is not None, name
+    assert "LaurentPoly" not in qosc.__all__
+
+
 def test_ladder_coefficients_match_bracket_difference():
     """Telescoping the elementary rewrite n times gives the coefficients
     [nu+1]-[nu-n+1] (pulling a left past abar^n) and -([nu+n]-[nu])
     (pulling abar left past a^n), read at the target s-eigenvalue."""
     params = P_UNI
     for n in (1, 2, 3):
-        raise_c = ladder_coefficient_raise(params, n)
-        lower_c = ladder_coefficient_lower(params, n)
         for nu in (0.0, 1.5, -2.0):
             s = params.qpow(nu / 2.0)
-            assert raise_c(s) == pytest.approx(
+            assert _at(normform._ladder_raise(n), params, s) == pytest.approx(
                 qnum(nu + 1, params.log_q) - qnum(nu - n + 1, params.log_q)
             )
-            assert lower_c(s) == pytest.approx(
+            assert _at(normform._ladder_lower(n), params, s) == pytest.approx(
                 qnum(nu, params.log_q) - qnum(nu + n, params.log_q)
             )
 
@@ -168,60 +171,86 @@ def test_ladder_coefficients_match_bracket_difference():
 # exact normal form
 
 
-def _float_rewriter_residuals(params, n_max, tamper):
-    """Residuals of check_identities_symbolic as the float rewriter it replaced
-    computed them: every coefficient a float at this q, rewritten per call."""
-    q, t = params.q, params.qpow(0.5)
+def _float_rewriter_residuals(mode, eps, n_max, tamper):
+    """Residuals of check_identities_symbolic as a float rewriter computes them:
+    every coefficient a ``{s power: complex}`` dict at this q, rewritten per
+    call, with no code shared with the package."""
+    log_q = 1j * eps if mode == "unimodular" else complex(eps)
+
+    def qpow(x):
+        return cmath.exp(x * log_q)
+
+    def qnum(n, h):
+        return (cmath.exp(n * h) - cmath.exp(-n * h)) / (cmath.exp(h) - cmath.exp(-h))
+
+    q, t = qpow(1.0), qpow(0.5)
     den = q - 1.0 / q
-    delta = LaurentPoly({2: (q - 1.0) / den + tamper, -2: (1.0 - 1.0 / q) / den})
+    delta = {2: (q - 1.0) / den + tamper, -2: (1.0 - 1.0 / q) / den}
+
+    def add(x, y, sign=1.0):
+        out = dict(x)
+        for e, c in y.items():
+            out[e] = out.get(e, 0.0) + sign * c
+        return out
+
+    def mul(x, y):
+        out = {}
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                out[e1 + e2] = out.get(e1 + e2, 0.0) + c1 * c2
+        return out
+
+    def shifted(x, m):
+        """s -> q^(m/2) s"""
+        mu = qpow(m / 2.0)
+        return {e: c * mu**e for e, c in x.items()}
 
     def word_terms(word):
-        out, stack = {}, [(LaurentPoly.one(), word)]
+        out, stack = {}, [({0: 1.0}, word)]
         while stack:
             coeff, w = stack.pop()
             swap_at = next((i for i in range(len(w) - 1) if w[i:i + 2] == ("A", "B")), None)
             if swap_at is None:
                 key = (w.count("B"), w.count("A"))
-                out[key] = out.get(key, LaurentPoly.zero()) + coeff
+                out[key] = add(out.get(key, {}), coeff)
                 continue
             stack.append((coeff, w[:swap_at] + ("B", "A") + w[swap_at + 2:]))
             prefix = w[:swap_at]
-            shift = (prefix.count("A") - prefix.count("B")) / 2.0
-            stack.append((coeff * delta.subs_scale(params.qpow(shift)), prefix + w[swap_at + 2:]))
+            m = prefix.count("A") - prefix.count("B")
+            stack.append((mul(coeff, shifted(delta, m)), prefix + w[swap_at + 2:]))
         return out
 
     def product(p, r):
         out = {}
         for (i1, j1), c1 in p.items():
             for (i2, j2), c2 in r.items():
-                coeff = c1 * c2.subs_scale(params.qpow((j1 - i1) / 2.0))
+                coeff = mul(c1, shifted(c2, j1 - i1))
                 word = ("B",) * i1 + ("A",) * j1 + ("B",) * i2 + ("A",) * j2
                 for key, wc in word_terms(word).items():
-                    out[key] = out.get(key, LaurentPoly.zero()) + coeff * wc
+                    out[key] = add(out.get(key, {}), mul(coeff, wc))
         return out
 
     def defect(lhs, *rhs):
         out = dict(lhs)
         for part in rhs:
             for key, c in part.items():
-                out[key] = out.get(key, LaurentPoly.zero()) - c
-        return max((c.max_abs() for c in out.values()), default=0.0)
+                out[key] = add(out.get(key, {}), c, -1.0)
+        return max((abs(v) for c in out.values() for v in c.values()), default=0.0)
 
-    one = LaurentPoly.one()
+    one = {0: 1.0}
     a, abar = {(0, 1): one}, {(1, 0): one}
     residuals = {}
     for n in range(1, n_max + 1):
-        bran = qnum(n, params.log_q / 2.0) / (t + 1.0 / t)
-        raise_c = LaurentPoly({2: bran * params.qpow((2.0 - n) / 2.0),
-                               -2: bran * params.qpow((n - 2.0) / 2.0)})
-        lower_c = LaurentPoly({2: -bran * params.qpow(n / 2.0), -2: -bran * params.qpow(-n / 2.0)})
+        bran = qnum(n, log_q / 2.0) / (t + 1.0 / t)
+        raise_c = {2: bran * qpow((2.0 - n) / 2.0), -2: bran * qpow((n - 2.0) / 2.0)}
+        lower_c = {2: -bran * qpow(n / 2.0), -2: -bran * qpow(-n / 2.0)}
         abar_n, a_n = {(n, 0): one}, {(0, n): one}
         residuals[f"ladder_raise_sym_n{n}"] = defect(
             product(a, abar_n), product(abar_n, a), {(n - 1, 0): raise_c})
         residuals[f"ladder_lower_sym_n{n}"] = defect(
             product(abar, a_n), product(a_n, abar), {(0, n - 1): lower_c})
-    central = {(1, 1): one, (0, 0): LaurentPoly({2: -1.0 / den, -2: 1.0 / den})}
-    for name, gen in (("a", a), ("abar", abar), ("s", {(0, 0): LaurentPoly.variable()})):
+    central = {(1, 1): one, (0, 0): {2: -1.0 / den, -2: 1.0 / den}}
+    for name, gen in (("a", a), ("abar", abar), ("s", {(0, 0): {1: 1.0}})):
         residuals[f"casimir_central_{name}"] = defect(product(central, gen), product(gen, central))
     return residuals
 
@@ -244,7 +273,7 @@ def test_tampered_residuals_match_the_float_rewriter(tamper):
     grid += [("realline", eps, 8) for eps in (0.1, 0.3, 0.9)]
     for mode, eps, n_max in grid:
         params = make_params(mode, eps, 1)
-        expect = _float_rewriter_residuals(params, n_max, tamper)
+        expect = _float_rewriter_residuals(mode, eps, n_max, tamper)
         reports = check_identities_symbolic(params, n_max, tamper=tamper)
         assert [r.name for r in reports] == list(expect)
         for r in reports:
@@ -302,8 +331,9 @@ def test_non_finite_tamper_rejected():
     for tamper in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             check_identities_symbolic(P_UNI, n_max=2, tamper=tamper)
-        with pytest.raises(ValueError, match="finite"):
-            nf_product(a, abar, tamper)
+        for p, r in ((a, abar), (NCPoly(P_UNI), abar)):
+            with pytest.raises(ValueError, match="finite"):
+                nf_product(p, r, tamper)
 
 
 # ---------------------------------------------------------------------------
