@@ -5,11 +5,12 @@
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` of
 representations that share ``k`` and the mode.  A batch is evaluated in one
 pass: every matrix carries a leading batch axis, and residuals are maxima
-over every axis but that one.  Each member's scalar data (bracket steps,
-deformed numbers, ladder coefficients) still comes from the scalar
-``cmath`` formulas, one member at a time, so a member's residuals are bit
-for bit those of the single-rep call; an ``OverflowError`` there drops only
-that member.
+over every axis but that one.  The scalar data (bracket steps, deformed
+numbers, ladder coefficients) are indexed arithmetic on the batch's
+:class:`~qosc.qcore.PowerTable`, with no transcendental function, so a
+member's residuals are bit for bit those of the single-rep call; a member
+whose scalars leave the double range is dropped alone
+(:func:`finite_members`).
 
 The batch contract is shared by every check family (the Hopf and star
 checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`).
@@ -24,6 +25,7 @@ batch of one, and its call returns its reports or raises its error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
@@ -31,7 +33,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateParameter
-from .qcore import Mode, QParams, bracket_step, qnum
+from .qcore import Mode, PowerTable, QParams, _by_s_power, _ladder_factors, _lowered, _values
 from .repbuild import Rep, RepBatch, norm_factors
 
 DEFAULT_TOL = 1e-10
@@ -173,6 +175,25 @@ def member_scalars(
     return errors, alive, data
 
 
+def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]] = None
+                   ) -> tuple[dict[int, MemberError], list[int]]:
+    """Drop each member whose ``scalars`` (one row per member) are not all finite.
+
+    A dropped member gets an ``OverflowError``, as ``cmath`` raises one;
+    members in ``errors`` keep the error given there.  Returns the error of
+    every dropped member and the surviving indices.
+    """
+    errors = dict(errors) if errors else {}
+    count = len(scalars[0])
+    if not all(np.isfinite(values).all() for values in scalars):
+        finite = np.ones(count, dtype=bool)
+        for values in scalars:
+            finite &= np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        for i in np.flatnonzero(~finite).tolist():
+            errors.setdefault(i, OverflowError("math range error"))
+    return errors, [i for i in range(count) if i not in errors]
+
+
 def diag_stack(w: np.ndarray) -> np.ndarray:
     """Stack of diagonal matrices with the rows of ``w`` on their diagonals."""
     b, d = w.shape
@@ -298,10 +319,6 @@ class Arms:
 # the checks
 
 
-def _qnums(rep: Rep, shift: float) -> list[complex]:
-    return [qnum(v + shift, rep.params.log_q) for v in np.diag(rep.Nmat)]
-
-
 def _interior(defect: np.ndarray, reps: Sequence[Rep]) -> np.ndarray:
     """Zero the boundary columns of the window reps, where truncation bites."""
     windows = [j for j, rep in enumerate(reps) if not rep.normalized]
@@ -325,17 +342,14 @@ def check_defining_relations(
     single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
-
-    def scalars(i: int) -> list[complex]:
-        rep = batch.reps[i]
-        return [bracket_step(v, rep.params) for v in np.diag(rep.Nmat)]
-
-    errors, alive, steps = member_scalars(len(batch.reps), scalars)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = batch.powers.step(4 * np.arange(batch.dim))
+    errors, alive = finite_members(steps)
     if not alive:
         return unbatch(reps, dropped(errors, tol))
     live = batch.subset(alive)
     A, Abar, N = live.A, live.Abar, live.Nmat
-    step = diag_stack(np.array(steps, dtype=complex))
+    step = diag_stack(steps[alive])
     arms = Arms(alive, ("algebra", batch.mode, batch.k))
     arms.add("rel_commutator", (_interior((A @ Abar - Abar @ A) - step, live.reps), A, Abar))
     arms.add("rel_number_raise", ((N @ Abar - Abar @ N) - Abar, N, Abar))
@@ -363,14 +377,15 @@ def casimir(
     :func:`check_defining_relations`.
     """
     batch = as_batch(reps)
-    errors, alive, data = member_scalars(
-        len(batch.reps), lambda i: (_qnums(batch.reps[i], 0.0), _qnums(batch.reps[i], 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        numbers = batch.powers.number(4 * np.arange(batch.dim + 1))  # [N] and [N+1]
+    errors, alive = finite_members(numbers)
     if not alive:
         block = dropped(errors, tol, CasimirBlock,
                         matrices=np.empty((0, batch.dim, batch.dim), dtype=complex), scalars=())
         return block if isinstance(reps, RepBatch) else block.result(0)
     live = batch.subset(alive)
-    low, high = (diag_stack(np.array(side, dtype=complex)) for side in zip(*data))
+    low, high = diag_stack(numbers[alive, :-1]), diag_stack(numbers[alive, 1:])
     c_low = live.Abar @ live.A - low
     c_high = live.A @ live.Abar - high
     scalars = [
@@ -397,60 +412,80 @@ def casimir_scalar_closed_form(params: QParams, k: int) -> complex:
     )
 
 
+def ladder_factors(pw: PowerTable, d: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of the ladder coefficients of orders 1..n_max, one row per member of ``pw``.
+
+    The t-only brackets ``(rows, n_max)``, and the raising and lowering
+    factors in ``s`` on the spectrum ``s = q**(N/2)`` of the ``d`` states
+    ``(rows, n_max, d)``, where ``t**b s**(2*sign) = q**(sign * N + b/2)``.
+    """
+    (bracket, den), raising, lowering = _ladder_groups(n_max)
+    (value,) = _values(bracket.values(), den, lambda b: pw(2 * np.atleast_1d(b)), 0.0)
+    n4 = 4 * np.arange(d)
+
+    def on_spectrum(groups: dict) -> np.ndarray:
+        return sum(
+            _values([group], 0, lambda b, sign=a // 2: pw.nu(n4 + 2 * sign * b[:, None], sign),
+                    0.0)[0]
+            for a, group in groups.items())
+
+    return value, on_spectrum(raising), on_spectrum(lowering)
+
+
+@functools.cache
+def _ladder_groups(n_max: int) -> tuple[tuple[dict, int], dict, dict]:
+    """The polynomials of :func:`ladder_factors` by power of ``s``, with the bracket's ``den``.
+
+    The orders differ only in their exponents of ``t``, so each term holds
+    its exponents for orders 1..n_max as one array.
+    """
+    def stacked(polys) -> dict:
+        orders = [_by_s_power(p.num) for p in polys]
+        return {a: tuple((np.array([o[a][i][0] for o in orders]), u, c)
+                         for i, (_, u, c) in enumerate(terms)) for a, terms in orders[0].items()}
+
+    factors = [_ladder_factors(n) for n in range(1, n_max + 1)]
+    brackets, shapes = zip(*factors)
+    lowered = [_lowered(shape, n) for n, shape in enumerate(shapes, 1)]
+    return (stacked(brackets), brackets[0].den), stacked(shapes), stacked(lowered)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is detected and raised below
 def check_ladder_identities(
     reps: Union[Rep, RepBatch], n_max: int, tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
     """Reordering identities for powers of the ladder operators.
 
-    For each n:  ``a*abar^n - abar^n*a = [n]' * G_n(N) * abar^(n-1)`` and
-    ``abar*a^n - a^n*abar = -[n]' * H_n(N) * a^(n-1)``, where ``[.]'`` is
-    the deformed number at base ``sqrt(q)`` and G, H are exponential
-    functions of N.  A power or defect outside the double range raises
-    ``OverflowError``, as the scalar formulas do.  A
-    :class:`~qosc.repbuild.RepBatch` gives one block, as
-    :func:`check_defining_relations` does; a member's error is the first one
-    its single-rep call would raise.
+    For each n, ``a*abar^n - abar^n*a = c_n(s) * abar^(n-1)`` and
+    ``abar*a^n - a^n*abar = c'_n(s) * a^(n-1)`` on the spectrum of
+    ``s = q**(N/2)``, with the coefficients
+    :func:`~qosc.qcore._ladder_raise` and :func:`~qosc.qcore._ladder_lower`
+    that the symbolic identities normal-order.  Each is evaluated as the
+    product of its two factors (:func:`~qosc.qcore._ladder_factors`), so no
+    ``1/(q - 1/q)`` cancellation enters and the coefficient vanishes exactly
+    where the block truncates.  A coefficient or power outside the double
+    range raises ``OverflowError``.  A :class:`~qosc.repbuild.RepBatch`
+    gives one block, as :func:`check_defining_relations` does; a member's
+    error is the first one its single-rep call would raise, order by order.
     """
     batch = as_batch(reps)
     if n_max > batch.k + 1:
         raise ValueError(f"n_max={n_max} exceeds k+1={batch.k + 1}")
     count, d = len(batch.reps), batch.dim
-    # per member and order: [n]', the diagonals of G_n and H_n; an overflow
-    # in them stops the member at that order, before its matrices
-    bran = np.zeros((count, n_max), dtype=complex)
-    g = np.zeros((count, n_max, d), dtype=complex)
-    h = np.zeros((count, n_max, d), dtype=complex)
-    stops: dict[int, tuple[int, OverflowError]] = {}
-    for i, rep in enumerate(batch.reps):
-        p = rep.params
-        half = p.log_q / 2.0
-        nvals = np.diag(rep.Nmat)
-        n = 1
-        try:
-            den = p.qpow(0.5) + p.qpow(-0.5)
-            for n in range(1, n_max + 1):
-                bran[i, n - 1] = qnum(n, half)
-                g[i, n - 1] = [(p.qpow(v - n / 2.0 + 1.0) + p.qpow(-(v - n / 2.0 + 1.0))) / den
-                               for v in nvals]
-                h[i, n - 1] = [(p.qpow(v + n / 2.0) + p.qpow(-(v + n / 2.0))) / den
-                               for v in nvals]
-        except OverflowError as exc:
-            stops[i] = (n, exc)
     errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
     arms = Arms(range(count), ("ladder", batch.mode, batch.k, n_max))
     raise_pow = np.repeat(np.eye(d, dtype=complex)[None], count, axis=0)  # Abar^(n-1)
     lower_pow = raise_pow                                                 # A^(n-1)
+    brackets, raising, lowering = ladder_factors(batch.powers, d, n_max)
     for n in range(1, n_max + 1):
-        for i, (order, exc) in stops.items():
-            if order == n:
-                errors.setdefault(i, exc)
-        b = bran[:, n - 1, None, None]
+        bracket, up, down = brackets[:, n - 1, None], raising[:, n - 1], lowering[:, n - 1]
+        errors = finite_members(bracket, up, down, errors=errors)[0]
+        c_raise, c_lower = bracket * up, bracket * down
         raise_n = raise_pow @ Abar                  # Abar^n
         lower_n = lower_pow @ A                     # A^n
-        d_raise = A @ raise_n - raise_n @ A - b * (diag_stack(g[:, n - 1]) @ raise_pow)
-        d_lower = Abar @ lower_n - lower_n @ Abar + b * (diag_stack(h[:, n - 1]) @ lower_pow)
+        d_raise = A @ raise_n - raise_n @ A - c_raise[:, :, None] * raise_pow
+        d_lower = Abar @ lower_n - lower_n @ Abar - c_lower[:, :, None] * lower_pow
         # a power with a non-finite entry makes its defect non-finite too
         finite = np.isfinite(d_raise).all(axis=(1, 2)) & np.isfinite(d_lower).all(axis=(1, 2))
         for i in np.flatnonzero(~finite).tolist():

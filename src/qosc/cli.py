@@ -33,6 +33,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
@@ -604,8 +605,18 @@ def _env_tol() -> Optional[float]:
         raise ValueError(f"QOSC_TOL is not a number: {raw!r}")
 
 
+#: a negative number, with an optional exponent, or a ``LO:HI:STEP`` grid that starts with one
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE = re.compile(rf"^-{_NUMBER}(:-?{_NUMBER}){{0,2}}$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one line, ``error: <message>``, and exits 2."""
+    """Reads an argument like ``-0.9e0`` or ``-1:-0.5:0.5`` as a value; reports a
+    usage error on one line, ``error: <message>``, and exits 2."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")

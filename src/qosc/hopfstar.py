@@ -28,17 +28,18 @@ weight, graded block and dense matrix carries a leading batch axis, and
 :class:`~qosc.algcheck.Arms` turns them into one
 :class:`~qosc.algcheck.ReportBlock` of residuals in one pass.  The graded
 structure depends on neither epsilon nor the branch, so a sweep evaluates
-each arm once per ``k``.  Each member's scalar data (q-powers, bracket
-steps, counit, antipode and star coefficients) still comes from the scalar
-``cmath`` formulas, one member at a time, so a member's residuals are bit
-for bit those of the single-rep call; an ``OverflowError`` there drops only
-that member.  A single rep is the batch of one and gets its reports.
+each arm once per ``k``.  The scalar data are ``(members, ...)`` arrays:
+``K``, the antipode constants and the bracket steps are read from the
+batch's :class:`~qosc.qcore.PowerTable`, and the star steps take one
+``q**eta`` per member on top.  So a member's residuals are bit for bit those
+of the single-rep call, and a member whose scalars leave the double range
+is dropped alone.  A single rep is the batch of one and gets its reports.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
-import functools
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -52,12 +53,12 @@ from .algcheck import (
     as_batch,
     diag_stack,
     dropped,
-    member_scalars,
+    finite_members,
     residual_of,
     unbatch,
 )
 from .errors import DimensionTooLarge, ModeMismatch, NoSolution
-from .qcore import Mode, QParams, bracket_step, qnum
+from .qcore import Mode, QParams
 from .repbuild import Rep, RepBatch
 
 #: largest allowed dimension (k+1)**3 for the coassociativity check
@@ -152,22 +153,22 @@ def _commutator(x: dict, y: dict) -> dict:
     return _minus(_compose(x, y), _compose(y, x))
 
 
-def _table(elems: Sequence[Sequence[tuple]]) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Affine elements ``(coef, symbol, const)`` as coefficient columns and symbols.
-
-    ``elems[i][j]`` is member ``i``'s element ``j``; the members share each
-    element's symbol.
-    """
-    coefs = np.array([[c for c, _, _ in row] for row in elems], dtype=complex)
-    consts = np.array([[c for _, _, c in row] for row in elems], dtype=complex)
-    return coefs, [sym for _, sym, _ in elems[0]], consts
+def _rows(alive: list[int], count: int) -> Union[list[int], slice]:
+    """An index of the members ``alive`` among ``count``: a view when that is all of them."""
+    return alive if len(alive) < count else slice(None)
 
 
-def _affine(table: tuple, dense: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Dense stack of ``coef * symbol + const * 1`` for each element of a :func:`_table`."""
-    coefs, syms, consts = table
-    return [coefs[:, j, None, None] * dense[sym] + consts[:, j, None, None] * dense["one"]
-            for j, sym in enumerate(syms)]
+def _at(x, rows: Union[list[int], slice], ndim: int = 2):
+    """A scalar as it is; one value per member at the member ``rows``, against ``ndim`` axes."""
+    return x[rows].reshape((-1,) + (1,) * ndim) if isinstance(x, np.ndarray) else x
+
+
+def _affine(elem: tuple, dense: dict[str, np.ndarray], rows: Union[list[int], slice]
+            ) -> np.ndarray:
+    """Dense stack of ``coef * symbol + const * 1``, at the member ``rows``."""
+    coef, sym, const = elem
+    image = _at(coef, rows) * dense[sym]
+    return image if isinstance(const, float) and not const else image + _at(const, rows) * dense["one"]
 
 
 #: coproduct of every symbol of the Hopf table, as sums of symbol pairs
@@ -182,35 +183,38 @@ _COPRODUCT = {
 }
 
 
-def _hopf_table(p: QParams):
-    """Coproduct, counit and antipode of every symbol.
+def _hopf_table(batch: RepBatch):
+    """Counit and antipode of every symbol, one coefficient per member.
 
-    Coproducts are sums of symbol pairs.  Every antipode image is affine,
-    ``(coef, symbol, const)`` standing for ``coef * symbol + const * 1``.
+    Every antipode image is affine, ``(coef, symbol, const)`` standing for
+    ``coef * symbol + const * 1``; the antipode of ``a`` and ``abar`` takes
+    ``-q**(-+1/2)`` from the batch's power table.
     """
+    gamma = np.array([p.gamma for p in batch.params], dtype=complex)
+    pw = batch.powers
     counit = {
-        "a": 0.0, "abar": 0.0, "N": -p.gamma,
-        "qp": 1.0, "qm": 1.0, "one": 1.0, "gone": p.gamma,
+        "a": 0.0, "abar": 0.0, "N": -gamma,
+        "qp": 1.0, "qm": 1.0, "one": 1.0, "gone": gamma,
     }
     antipode = {
-        "a": (-p.qpow(-0.5), "a", 0.0),
-        "abar": (-p.qpow(0.5), "abar", 0.0),
-        "N": (-1.0, "N", -2.0 * p.gamma),
+        "a": (-pw(-2), "a", 0.0),
+        "abar": (-pw(2), "abar", 0.0),
+        "N": (-1.0, "N", -2.0 * gamma),
         "qp": (1.0, "qm", 0.0),
         "qm": (1.0, "qp", 0.0),
         "one": (1.0, "one", 0.0),
         "gone": (1.0, "gone", 0.0),
     }
-    return _COPRODUCT, counit, antipode
+    return counit, antipode
 
 
 class _Realization:
     """Dense stacks and graded weights of every symbol of :func:`_hopf_table`.
 
-    ``qp``, ``qm`` are ``K``, ``K^-1``, from each member's scalar powers; a
-    member whose powers overflow keeps the error in ``overflow`` and zeros
-    in their place.  The rep's own ``A``, ``Abar`` and ``Nmat`` are
-    validated as weighted shifts here, once per member.
+    ``qp``, ``qm`` are ``K``, ``K^-1``, read from the batch's power table;
+    a member whose powers leave the double range keeps its
+    ``OverflowError`` in ``overflow``.  The rep's own ``A``, ``Abar`` and
+    ``Nmat`` are validated as weighted shifts here, once per member.
     """
 
     def __init__(self, batch: RepBatch) -> None:
@@ -231,21 +235,11 @@ class _Realization:
         }
         self.graded.update(
             (sym, ((0,), _band(self.dense[sym], 0))) for sym in ("one", "gone"))
-        shifted = self.graded["N"][1] + gamma[:, :, 0]  # N + gamma, the exponent of K
-        self.overflow: dict[int, OverflowError] = {}
-        powers: dict[str, list] = {"qp": [], "qm": []}
-        for i, rep in enumerate(reps):
-            p = rep.params
-            try:
-                member = ([p.qpow(0.5 * v) for v in shifted[i]],
-                          [p.qpow(-0.5 * v) for v in shifted[i]])
-            except OverflowError as exc:
-                self.overflow[i] = exc
-                member = ([0j] * d, [0j] * d)
-            powers["qp"].append(member[0])
-            powers["qm"].append(member[1])
-        for sym, values in powers.items():
-            weights = np.array(values, dtype=complex)
+        pw, twice = batch.powers, 2 * np.arange(d) - batch.k  # K = q**((N + gamma)/2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = {"qp": pw.root[:, None] * pw(twice), "qm": pw(-twice) / pw.root[:, None]}
+        self.overflow = finite_members(*powers.values())[0]
+        for sym, weights in powers.items():
             self.dense[sym] = diag_stack(weights)
             self.graded[sym] = ((0,), weights)
 
@@ -290,25 +284,20 @@ def check_hopf_axioms(
     d = batch.dim
     if d**3 > COASSOC_CAP:
         raise DimensionTooLarge(f"coassociativity needs dimension {d ** 3} > cap {COASSOC_CAP}")
-    params = batch.params
     cop = _COPRODUCT
     real = batch.derived(_Realization)
-    dn00 = _coproduct(cop["N"], real.graded)[(0, 0)]  # where the bracket steps are taken
-
-    def scalars(i: int) -> tuple:
-        p = params[i]
-        _, counit, antipode = _hopf_table(p)
-        # a step depends on its argument alone, and arguments repeat along anti-diagonals
-        step = functools.cache(lambda v: bracket_step(v, p))
-        steps = [step(v) for v in dn00[i].ravel()]
-        return [counit[sym] for sym in cop], [antipode[sym] for sym in cop], steps
-
-    errors, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
+    pw = batch.powers
+    # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
+    # with q**eta = root**2
+    ij = np.add.outer(np.arange(d), np.arange(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = pw.step(4 * ij - 2 * batch.k, shift=pw.root * pw.root)
+    errors, alive = finite_members(steps, errors=real.overflow)
     if not alive:
         return unbatch(reps, dropped(errors, tol))
-    counits, antipodes, steps = zip(*data)
-    counits = np.array(counits, dtype=complex)
-    counit = {sym: counits[:, j, None, None] for j, sym in enumerate(cop)}
+    counit, antipode = _hopf_table(batch)
+    rows = _rows(alive, len(batch.reps))
+    counit = {sym: _at(c, rows) for sym, c in counit.items()}
     dense, graded = real.select(alive)
     arms = Arms(alive, ("hopf", batch.mode, batch.k))
 
@@ -316,9 +305,9 @@ def check_hopf_axioms(
     pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
              for term in terms}
     da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
-    step = np.array(steps, dtype=complex).reshape(len(alive), d, d)
     relations = (
-        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): step}), (da, dab)),
+        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps[rows]}),
+         (da, dab)),
         ("homomorphism_raise", _minus(_commutator(dn, dab), dab), (dn, dab)),
         ("homomorphism_lower", _minus(_commutator(da, dn), da), (dn, da)),  # -([DN, Da] + Da)
     )
@@ -340,7 +329,7 @@ def check_hopf_axioms(
         arms.compare(f"counit_left_{gen}", lhs_l, dense[gen])
         arms.compare(f"counit_right_{gen}", lhs_r, dense[gen])
 
-    s_image = dict(zip(cop, _affine(_table(antipodes), dense)))
+    s_image = {sym: _affine(antipode[sym], dense, rows) for sym in cop}
     for gen in _GENERATORS:
         target = counit[gen] * dense["one"]
         lhs_l = sum(s_image[le] @ dense[ri] for le, ri in cop[gen])
@@ -394,10 +383,11 @@ def with_flavor(inv: InvolutionSpec, flavor: Flavor | str) -> InvolutionSpec:
     return dataclasses.replace(inv, flavor=Flavor(flavor))
 
 
-def _star_table(inv: InvolutionSpec):
-    """Star image of each generator, affine as in the antipode table."""
-    return {"a": (inv.alpha, "abar", 0.0), "abar": (inv.beta, "a", 0.0),
-            "N": (1.0, "N", inv.eta)}
+def _star_table(*invs: InvolutionSpec):
+    """Star image of each generator, affine as in the antipode table, one value per involution."""
+    alpha, beta, eta = (np.array([getattr(inv, name) for inv in invs], dtype=complex)
+                        for name in ("alpha", "beta", "eta"))
+    return {"a": (alpha, "abar", 0.0), "abar": (beta, "a", 0.0), "N": (1.0, "N", eta)}
 
 
 def _star_affine(elem, star):
@@ -439,7 +429,6 @@ def check_star_structure(
     flavor = invs[0].flavor
     if any(spec.flavor is not flavor for spec in invs):
         raise ValueError("the involutions of a batch must share one flavor")
-    params = batch.params
     cop = _COPRODUCT
     real = batch.derived(_Realization)
     if metric is not None:
@@ -447,42 +436,40 @@ def check_star_structure(
         if not np.count_nonzero(metric) == np.count_nonzero(g) == len(g):
             raise ValueError("the metric must be diagonal and invertible")
         twist = (1.0 / g)[:, None] * g  # G^-1 M^H G scales entry (i, j) of M^H by g_j / g_i
-    nvals = real.graded["N"][1]
-
-    def scalars(i: int) -> tuple:
-        p, spec = params[i], invs[i]
-        _, counit, antipode = _hopf_table(p)
-        star = _star_table(spec)
-        # conjugated defining relations, with q replaced by conj(q)
-        lgc = p.log_q.conjugate()
-        step_bar = [qnum(v + spec.eta + 1.0, lgc) - qnum(v + spec.eta, lgc) for v in nvals[i]]
-        counit_defects = []
-        antipode_sides = []
-        for gen in _GENERATORS:
-            coef, target, const = star[gen]
-            counit_defects.append(abs(coef * counit[target] + const - counit[gen].conjugate()))
-            start = (1.0, gen, 0.0)
-            if flavor is Flavor.STANDARD:
-                lhs = _star_affine(
-                    _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
-                )
-                antipode_sides.append((lhs, start))
-            else:
-                antipode_sides.append((_s_affine(_star_affine(start, star), antipode),
-                                       _star_affine(_s_affine(start, antipode), star)))
-        return [star[gen] for gen in _GENERATORS], step_bar, counit_defects, antipode_sides
-
-    errors, alive, data = member_scalars(len(batch.reps), scalars, real.overflow)
+    # conjugated defining relations: steps at base conj(q), which is 1/q on the
+    # unit circle and q on the real line, taken at N + eta
+    pw = batch.powers
+    shift = None if all(spec.eta == 0 for spec in invs) else np.array(
+        [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_bar = pw.step(4 * np.arange(batch.dim), -1 if batch.mode is Mode.UNIMODULAR else 1,
+                           shift)
+    errors, alive = finite_members(step_bar, errors=real.overflow)
     if not alive:
         return unbatch(reps, dropped(errors, tol))
-    stars, step_bars, counit_defects, antipode_sides = zip(*data)
+    counit, antipode = _hopf_table(batch)
+    star = _star_table(*invs)
+    counit_defects = []
+    antipode_sides = []
+    for gen in _GENERATORS:
+        coef, target, const = star[gen]
+        counit_defects.append(abs(coef * counit[target] + const - np.conjugate(counit[gen])))
+        start = (1.0, gen, 0.0)
+        if flavor is Flavor.STANDARD:
+            lhs = _star_affine(
+                _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
+            )
+            antipode_sides += [lhs, start]
+        else:
+            antipode_sides += [_s_affine(_star_affine(start, star), antipode),
+                               _star_affine(_s_affine(start, antipode), star)]
     dense, graded = real.select(alive)
+    rows = _rows(alive, len(batch.reps))
     arms = Arms(alive, ("star", batch.mode, batch.k, flavor))
 
-    star = _table(stars)
-    img = dict(zip(_GENERATORS, _affine(star, dense)))
+    img = {gen: _affine(star[gen], dense, rows) for gen in _GENERATORS}
     lhs = img["abar"] @ img["a"] - img["a"] @ img["abar"]
-    arms.compare("algebra_compat_commutator", lhs, diag_stack(np.array(step_bars, dtype=complex)))
+    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar[rows]))
     arms.compare("algebra_compat_raise",
                  img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
     arms.compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
@@ -497,24 +484,24 @@ def check_star_structure(
 
     # the adjoint of a weighted shift is one of the opposite degree
     graded_adj = {sym: ((-deg,), _band(adj[sym], -deg)) for sym, ((deg,), _) in graded.items()}
-    coefs, targets, consts = star
     empty = np.zeros((len(alive), batch.dim, batch.dim), dtype=complex)
-    for j, (gen, target) in enumerate(zip(_GENERATORS, targets)):
+    for gen in _GENERATORS:
+        coef, target, const = star[gen]
         dag = _coproduct(cop[gen], graded_adj)
         image = _graded_sum(
-            _otimes((graded[le][0], coefs[:, j, None] * graded[le][1]), graded[ri])
+            _otimes((graded[le][0], _at(coef, rows, 1) * graded[le][1]), graded[ri])
             for le, ri in cop[target]
         )
         # the coproduct of 1 is 1 (x) 1
-        image[(0, 0)] = image.get((0, 0), empty) + consts[:, j, None, None]
+        image[(0, 0)] = image.get((0, 0), empty) + _at(const, rows)
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
         arms.add(f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image))
 
-    for j, gen in enumerate(_GENERATORS):
-        arms.absolute(f"counit_{gen}", [c[j] for c in counit_defects])
+    for gen, defect in zip(_GENERATORS, counit_defects):
+        arms.absolute(f"counit_{gen}", defect[rows])
 
-    sides = _affine(_table([[e for pair in row for e in pair] for row in antipode_sides]), dense)
+    sides = [_affine(side, dense, rows) for side in antipode_sides]
     for j, gen in enumerate(_GENERATORS):
         arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
     return unbatch(reps, arms.block(tol, errors, label))

@@ -13,10 +13,12 @@ Every identity checked here holds over ``Z[t^±1, s^±1]`` with powers of
 
 which at ``s = q**(nu/2)`` and ``tau = 0`` is ``[nu+1] - [nu]``; the tamper
 variable ``tau`` exists only to prove that the checks can fail.
-:class:`ExactPoly` is that ring, and the only coefficient ring here: one
-rewriter serves :func:`check_identities_symbolic`, which normal-orders its
-defects once per depth and per process and evaluates them at ``t`` and
-``tau`` (untampered, every defect cancels exactly), and :func:`nf_product`,
+:class:`~qosc.qcore.ExactPoly` is that ring, and the only coefficient ring
+here.  It lives in :mod:`qosc.qcore` with the ladder coefficients, which the
+matrix ladder check evaluates too.  One rewriter serves
+:func:`check_identities_symbolic`, which normal-orders its defects once per
+depth and per process and evaluates them at ``t`` and ``tau``
+(untampered, every defect cancels exactly), and :func:`nf_product`,
 which sets ``tau`` to its tamper afterwards.  :class:`NCPoly` keeps exact
 coefficients; ``q`` enters only where one is evaluated.  The number
 generator itself only enters through ``s``; its commutators with the ladder
@@ -34,83 +36,21 @@ import numpy as np
 
 from .algcheck import CheckReport, ReportBlock, report, residual_of
 from .errors import ParamMismatch
-from .qcore import QParams
+from .qcore import (
+    ExactPoly,
+    Group,
+    QParams,
+    _by_s_power,
+    _ladder_lower,
+    _ladder_raise,
+    _values,
+)
 from .repbuild import Rep
 
 DEFAULT_SYMBOLIC_TOL = 1e-12
 
 #: hard cap on the reordering depth of the per-n identity checks
 N_MAX_CAP = 16
-
-# exponents of an ExactPoly term: powers of s, t and the tamper variable tau
-Exps = tuple[int, int, int]
-
-
-def _times(x: dict[Exps, complex], y: dict[Exps, complex]) -> dict[Exps, complex]:
-    out: dict[Exps, complex] = {}
-    for (s1, t1, u1), c1 in x.items():
-        for (s2, t2, u2), c2 in y.items():
-            key = (s1 + s2, t1 + t2, u1 + u2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-#: numerator of D = t^2 - t^-2
-_D = {(0, 2, 0): 1, (0, -2, 0): -1}
-
-
-class ExactPoly:
-    """Laurent polynomial in ``s``, ``t`` and ``tau``, divided by ``D**den``.
-
-    Over integer numerators the ring is an integral domain, so a value is
-    zero exactly when its numerator has no terms; complex numerators carry
-    the coefficients a caller gives an :class:`NCPoly`.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict[Exps, complex], den: int = 0):
-        self.num = {e: c for e, c in num.items() if c}
-        self.den = den
-
-    @classmethod
-    def one(cls) -> "ExactPoly":
-        return cls({(0, 0, 0): 1})
-
-    def over(self, den: int) -> dict[Exps, complex]:
-        """A fresh numerator of this value over ``D**den``, ``den >= self.den``."""
-        num = dict(self.num)
-        for _ in range(den - self.den):
-            num = _times(num, _D)
-        return num
-
-    def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        den = max(self.den, other.den)
-        out = self.over(den)
-        for e, c in other.over(den).items():
-            out[e] = out.get(e, 0) + c
-        return ExactPoly(out, den)
-
-    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        return ExactPoly(_times(self.num, other.num), self.den + other.den)
-
-    def scale(self, c: complex) -> "ExactPoly":
-        return ExactPoly({e: c * v for e, v in self.num.items()}, self.den)
-
-    def shift(self, m: int) -> "ExactPoly":
-        """Substitute ``s -> t**m s``."""
-        return ExactPoly({(a, b + m * a, u): c for (a, b, u), c in self.num.items()}, self.den)
-
-    def at_tau(self, x: float) -> "ExactPoly":
-        """Substitute ``tau -> x``; a non-finite ``x`` raises ``ValueError``."""
-        if not math.isfinite(x):
-            raise ValueError(f"tamper must be finite, got {x}")
-        out: dict[Exps, complex] = {}
-        for (a, b, u), c in self.num.items():
-            if x or not u:
-                out[a, b, 0] = out.get((a, b, 0), 0) + (c * x**u if u else c)
-        return ExactPoly(out, self.den)
-
 
 def LaurentPoly(coeffs: dict[int, complex]) -> ExactPoly:
     """The polynomial ``sum(c * s**e)`` as an :class:`ExactPoly`."""
@@ -129,50 +69,9 @@ _DELTA = (
 _NUMBER_PART = ExactPoly({(-2, 0, 0): 1, (2, 0, 0): -1}, den=1)
 
 
-def _ladder_raise(n: int) -> ExactPoly:
-    """Coefficient of ``abar^(n-1)`` in ``a abar^n - abar^n a``:
-    ``(t^n - t^-n)/D * (t^(2-n) s^2 + t^(n-2) s^-2)``."""
-    bracket = ExactPoly({(0, n, 0): 1, (0, -n, 0): -1}, den=1)
-    return bracket * ExactPoly({(2, 2 - n, 0): 1, (-2, n - 2, 0): 1})
-
-
-def _ladder_lower(n: int) -> ExactPoly:
-    """Coefficient of ``a^(n-1)`` in ``abar a^n - a^n abar``: the raising one
-    at ``s -> t^(n-1) s``, negated."""
-    return _ladder_raise(n).shift(n - 1).scale(-1)
-
-
-# Terms of one s-power: (t-power, tau-power, coefficient) triples.
-Group = tuple[tuple[int, int, complex], ...]
-
-
-def _by_s_power(num: dict[Exps, complex]) -> dict[int, Group]:
-    groups: dict[int, list[tuple[int, int, complex]]] = {}
-    for (a, b, u), c in sorted(num.items()):
-        groups.setdefault(a, []).append((b, u, c))
-    return {a: tuple(g) for a, g in groups.items()}
-
-
-def _values(groups: Iterable[Group], den: int, params: QParams, tamper: float) -> list[complex]:
-    """Each group's sum of ``c t**b tau**u``, over ``D**den``, at ``t = q**(1/2)``.
-
-    A term whose ``tamper**u`` is zero is skipped, so no ``0 * inf`` enters.
-    Raises ``ValueError`` for a non-finite ``tamper`` and ``OverflowError``
-    when a value is not finite.
-    """
-    if not math.isfinite(tamper):
-        raise ValueError(f"tamper must be finite, got {tamper}")
-    values = []
-    for group in groups:
-        acc = 0j
-        for b, u, c in group:
-            weight = tamper**u
-            if weight:
-                acc += c * weight * params.qpow(b / 2.0)
-        values.append(acc)
-    if den and any(values):
-        scale = (params.qpow(1.0) - params.qpow(-1.0)) ** den
-        values = [v / scale for v in values]
+def _q_values(groups: Iterable[Group], den: int, params: QParams, tamper: float) -> list[complex]:
+    """:func:`~qosc.qcore._values` at ``t = q**(1/2)``; ``OverflowError`` if a value is not finite."""
+    values = _values(groups, den, lambda b: params.qpow(b / 2.0), tamper)
     if not all(math.isfinite(abs(v)) for v in values):
         raise OverflowError(f"symbolic coefficient leaves the double range at q={params.q}")
     return values
@@ -181,7 +80,7 @@ def _values(groups: Iterable[Group], den: int, params: QParams, tamper: float) -
 def _s_coeffs(c: ExactPoly, params: QParams) -> dict[int, complex]:
     """The coefficient of each power of ``s`` in ``c`` at these parameters and ``tau = 0``."""
     groups = _by_s_power(c.num)
-    return dict(zip(groups, _values(groups.values(), c.den, params, 0.0)))
+    return dict(zip(groups, _q_values(groups.values(), c.den, params, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -378,7 +277,7 @@ def symbolic_block(params: QParams, n_max: int = 8, tol: float = DEFAULT_SYMBOLI
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
     defects = exact_defects(n_max)
-    residuals = [max(map(abs, _values(d.groups, d.den, params, tamper)), default=0.0)
+    residuals = [max(map(abs, _q_values(d.groups, d.den, params, tamper)), default=0.0)
                  for d in defects]
     return ReportBlock(tuple(d.name for d in defects), (0,), np.array([residuals]),
                        float(tol), {}, {})

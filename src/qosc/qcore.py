@@ -5,6 +5,14 @@ and ``q = exp(eps)`` on the real line.  Both carry a shift ``gamma`` whose
 branch is indexed by an integer ``l``; the shift is exactly what makes the
 coproduct of the number operator multiplicative, so it is stored alongside
 ``q`` rather than recomputed by callers.
+
+Every q-power the matrix checks take is an integer power of ``u = q**(1/4)``
+times a per-point factor: :class:`PowerTable` holds those powers for a stack
+of points.  :class:`ExactPoly` is the exact ring ``Z[s, t, tau]/D**n`` of
+the normal-ordered coefficients, with ``t = q**(1/2)`` and
+``D = t**2 - t**-2``; the ladder coefficients are stated there once
+(:func:`_ladder_raise`, :func:`_ladder_lower`) and evaluated by
+:func:`_values` from whatever powers of ``t`` a caller passes in.
 """
 
 from __future__ import annotations
@@ -14,6 +22,9 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DegenerateParameter
 
@@ -50,6 +61,13 @@ class QParams:
     def qpow(self, x: complex) -> complex:
         """``q**x`` on the branch fixed by ``log_q``."""
         return cmath.exp(self.log_q * x)
+
+    @property
+    def gap(self) -> complex:
+        """``q - 1/q``, from ``sin``/``sinh``: it keeps its digits as ``q -> 1``."""
+        if self.mode is Mode.UNIMODULAR:
+            return complex(0.0, 2.0 * math.sin(self.epsilon))
+        return complex(2.0 * math.sinh(self.epsilon), 0.0)
 
 
 def guard_epsilon(mode: Mode, epsilon: float) -> None:
@@ -115,3 +133,211 @@ def bracket_step(nu: complex, params: QParams) -> complex:
     """
     lg = params.log_q
     return qnum(nu + 1.0, lg) - qnum(nu, lg)
+
+
+# ---------------------------------------------------------------------------
+# integer powers of u = q**(1/4)
+
+
+def _rows(x: Any, ndim: int) -> np.ndarray:
+    """One value per row, broadcast against ``ndim`` axes after the rows."""
+    return x.reshape(x.shape + (1,) * ndim)
+
+
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """Powers ``u**j``, ``|j| <= span``, of one ``u`` per row.
+
+    ``table(j)`` reads ``u**j`` for an integer or an integer array ``j``,
+    every row at once, in shape ``(rows, *j.shape)``.  Each entry is a
+    product of its row's ``u`` or ``1/u``, so a row does not depend on the
+    others; an entry past the double range is ``inf`` or ``0`` and makes
+    non-finite only the scalars that use it.
+
+    On the spectrum ``nu0 + n`` of a (k+1)-dimensional block, ``unit`` is
+    ``q**(nu0 + (k+1)/2)``, exactly ``i**(2l+1)`` on a truncated block, and
+    ``root`` is ``q**((nu0 + gamma + k/2)/2)``, exactly 1 there.  ``gap`` is
+    :attr:`QParams.gap`.
+    """
+
+    powers: np.ndarray  # (rows, 2*span + 1): u**j in column span + j
+    span: int
+    unit: Optional[np.ndarray] = None  # (rows,)
+    root: Optional[np.ndarray] = None  # (rows,)
+    gap: Optional[np.ndarray] = None  # (rows,)
+    center: int = 0  # 2k + 2: q**(nu0 + m/4) = unit * u**(m - center)
+
+    @classmethod
+    def build(cls, u: Sequence[complex], span: int, **factors: Any) -> "PowerTable":
+        base = np.array(u, dtype=complex)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            up = np.cumprod(np.repeat(base, span, axis=1), axis=1)
+            down = np.cumprod(np.repeat(1.0 / base, span, axis=1), axis=1)
+        powers = np.concatenate((down[:, ::-1], np.ones_like(base), up), axis=1)
+        return cls(powers, span, **factors)
+
+    def __call__(self, j: Any) -> np.ndarray:
+        return self.powers[:, self.span + (j if isinstance(j, int) else np.asarray(j))]
+
+    def nu(self, m: Any, sign: int = 1) -> np.ndarray:
+        """``q**(sign * (nu0 + m/4))`` for the integers ``m``."""
+        j = np.asarray(m) - self.center
+        unit = _rows(self.unit, j.ndim)
+        return unit * self(j) if sign > 0 else self(-j) / unit
+
+    def number(self, m: Any) -> np.ndarray:
+        """``[x] = (q**x - q**-x) / (q - 1/q)`` at each ``x = nu0 + m/4``."""
+        return (self.nu(m) - self.nu(m, -1)) / _rows(self.gap, np.ndim(m))
+
+    def step(self, m: Any, sign: int = 1, shift: Optional[np.ndarray] = None) -> np.ndarray:
+        """``[x+1] - [x] = (q**(x+1) + q**-x) / (q + 1)`` at each ``x = nu0 + eta + m/4``.
+
+        ``shift`` is ``q**eta``, one value per row (``None``: ``eta = 0``);
+        ``sign=-1`` takes the step at base ``1/q``.  The form has no
+        cancellation as ``q -> 1``, and overflows exactly where ``[x+1]`` or
+        ``[x]`` would.
+        """
+        up, down = self.nu(np.asarray(m) + 4, sign), self.nu(m, -sign)
+        if shift is not None:
+            shift = _rows(shift, np.ndim(m))
+            up, down = shift * up, down / shift
+        return (up + down) / _rows(self(4 * sign) + 1.0, np.ndim(m))
+
+
+def unit_of_branch(l: int) -> complex:
+    """``i**(2l+1)``, the exact value of ``q**(nu0 + (k+1)/2)`` on a truncated block."""
+    return 1j if l % 2 == 0 else -1j
+
+
+# ---------------------------------------------------------------------------
+# the exact coefficient ring
+
+# exponents of an ExactPoly term: powers of s, t and the tamper variable tau
+Exps = tuple[int, int, int]
+
+
+def _times(x: dict[Exps, complex], y: dict[Exps, complex]) -> dict[Exps, complex]:
+    out: dict[Exps, complex] = {}
+    for (s1, t1, u1), c1 in x.items():
+        for (s2, t2, u2), c2 in y.items():
+            key = (s1 + s2, t1 + t2, u1 + u2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+#: numerator of D = t^2 - t^-2
+_D = {(0, 2, 0): 1, (0, -2, 0): -1}
+
+
+class ExactPoly:
+    """Laurent polynomial in ``s``, ``t`` and ``tau``, divided by ``D**den``.
+
+    Over integer numerators the ring is an integral domain, so a value is
+    zero exactly when its numerator has no terms; complex numerators carry
+    the coefficients a caller gives an :class:`~qosc.normform.NCPoly`.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[Exps, complex], den: int = 0):
+        self.num = {e: c for e, c in num.items() if c}
+        self.den = den
+
+    @classmethod
+    def one(cls) -> "ExactPoly":
+        return cls({(0, 0, 0): 1})
+
+    def over(self, den: int) -> dict[Exps, complex]:
+        """A fresh numerator of this value over ``D**den``, ``den >= self.den``."""
+        num = dict(self.num)
+        for _ in range(den - self.den):
+            num = _times(num, _D)
+        return num
+
+    def __add__(self, other: "ExactPoly") -> "ExactPoly":
+        den = max(self.den, other.den)
+        out = self.over(den)
+        for e, c in other.over(den).items():
+            out[e] = out.get(e, 0) + c
+        return ExactPoly(out, den)
+
+    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
+        return ExactPoly(_times(self.num, other.num), self.den + other.den)
+
+    def scale(self, c: complex) -> "ExactPoly":
+        return ExactPoly({e: c * v for e, v in self.num.items()}, self.den)
+
+    def shift(self, m: int) -> "ExactPoly":
+        """Substitute ``s -> t**m s``."""
+        return ExactPoly({(a, b + m * a, u): c for (a, b, u), c in self.num.items()}, self.den)
+
+    def at_tau(self, x: float) -> "ExactPoly":
+        """Substitute ``tau -> x``; a non-finite ``x`` raises ``ValueError``."""
+        if not math.isfinite(x):
+            raise ValueError(f"tamper must be finite, got {x}")
+        out: dict[Exps, complex] = {}
+        for (a, b, u), c in self.num.items():
+            if x or not u:
+                out[a, b, 0] = out.get((a, b, 0), 0) + (c * x**u if u else c)
+        return ExactPoly(out, self.den)
+
+
+def _ladder_factors(n: int) -> tuple[ExactPoly, ExactPoly]:
+    """The raising ladder coefficient of order ``n`` as ``bracket * shape``:
+    ``(t^n - t^-n)/D`` and ``t^(2-n) s^2 + t^(n-2) s^-2``."""
+    return (ExactPoly({(0, n, 0): 1, (0, -n, 0): -1}, den=1),
+            ExactPoly({(2, 2 - n, 0): 1, (-2, n - 2, 0): 1}))
+
+
+def _ladder_raise(n: int) -> ExactPoly:
+    """Coefficient of ``abar^(n-1)`` in ``a abar^n - abar^n a``: the product of its factors."""
+    bracket, shape = _ladder_factors(n)
+    return bracket * shape
+
+
+def _lowered(c: ExactPoly, n: int) -> ExactPoly:
+    """``c`` at ``s -> t^(n-1) s``, negated: the raising coefficient of order ``n``
+    (or its factor in ``s``) becomes the lowering one."""
+    return c.shift(n - 1).scale(-1)
+
+
+def _ladder_lower(n: int) -> ExactPoly:
+    """Coefficient of ``a^(n-1)`` in ``abar a^n - a^n abar``: the raising one, lowered."""
+    return _lowered(_ladder_raise(n), n)
+
+
+# Terms of one s-power: (t-power, tau-power, coefficient) triples.
+Group = tuple[tuple[int, int, complex], ...]
+
+
+def _by_s_power(num: dict[Exps, complex]) -> dict[int, Group]:
+    groups: dict[int, list[tuple[int, int, complex]]] = {}
+    for (a, b, u), c in sorted(num.items()):
+        groups.setdefault(a, []).append((b, u, c))
+    return {a: tuple(g) for a, g in groups.items()}
+
+
+def _values(groups: Iterable[Group], den: int, t_power: Callable[[int], Any],
+            tamper: float) -> list:
+    """Each group's sum of ``c t**b tau**u``, over ``D**den``, with ``t**b = t_power(b)``.
+
+    ``t_power`` gives one value, or one array of values, per ``b`` (an
+    integer, or an array of them when several polynomials share their
+    terms).  A term whose ``tamper**u`` is zero is skipped, so no
+    ``0 * inf`` enters, and ``D = t_power(2) - t_power(-2)`` is not taken
+    when every sum is zero.  Raises ``ValueError`` for a non-finite ``tamper``.
+    """
+    if not math.isfinite(tamper):
+        raise ValueError(f"tamper must be finite, got {tamper}")
+    values = []
+    for group in groups:
+        acc = 0j
+        for b, u, c in group:
+            weight = tamper**u
+            if weight:
+                acc = acc + c * weight * t_power(b)
+        values.append(acc)
+    if den and any(v.any() if isinstance(v, np.ndarray) else v for v in values):
+        scale = (t_power(2) - t_power(-2)) ** den
+        values = [v / scale for v in values]
+    return values

@@ -6,7 +6,8 @@ The algebra has generators ``a`` (lowering), ``abar`` (raising) and ``N``
 sits on a distinguished branch; :func:`build_rep` produces the normalized
 block, :func:`build_generic_window` a window of the untruncated ladder.
 A :class:`RepBatch` holds representations of one ``k`` and one mode, which
-every check family evaluates in one pass over their stacked matrices.
+every check family evaluates in one pass over their stacked matrices and
+the one :class:`~qosc.qcore.PowerTable` of their q-powers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import DimensionTooLarge, ParityViolation
-from .qcore import Mode, QParams, guard_epsilon, make_params, qnum
+from .qcore import Mode, PowerTable, QParams, guard_epsilon, make_params, qnum, unit_of_branch
 
 #: default cap on the truncation index
 MAX_K = 64
@@ -108,6 +109,22 @@ class RepBatch:
         """The members' number matrices, stacked ``(B, d, d)``."""
         return _stack([rep.Nmat for rep in self.reps])
 
+    @functools.cached_property
+    def powers(self) -> PowerTable:
+        """Each member's ``u**j`` for ``|j| <= 4(k+1)``, the most any check reads.
+
+        A truncated member's spectral factors are exact; a window's root
+        costs one ``exp``.
+        """
+        k = self.k
+        roots = [1.0 if rep.normalized else
+                 rep.params.qpow((rep.nu0 + rep.params.gamma + k / 2.0) / 2.0) for rep in self.reps]
+        units = [r * r * unit_of_branch(rep.params.l) for r, rep in zip(roots, self.reps)]
+        return PowerTable.build(
+            [cmath.exp(p.log_q / 4.0) for p in self.params], 4 * (k + 1), center=2 * k + 2,
+            unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex),
+            gap=np.array([p.gap for p in self.params]))
+
     def subset(self, members: Sequence[int]) -> "RepBatch":
         """The batch of the given members in order; the batch itself when that is all of them."""
         if len(members) == len(self.reps):
@@ -164,6 +181,8 @@ def _half_bracket_real(params: QParams, n: float) -> float:
     """Real value of the deformed number of ``n`` at base ``sqrt(q)``."""
     h = params.epsilon / 2.0
     if params.mode is Mode.UNIMODULAR:
+        if abs(h) > math.pi:  # n * h would round: take the half-angle reduced exactly
+            h = cmath.phase(params.sqrt_q)
         return math.sin(n * h) / math.sin(h)
     return math.sinh(n * h) / math.sinh(h)
 
@@ -197,7 +216,7 @@ def lambda_generic(nu0_value: complex, lambda0: complex, n: int, params: QParams
     return lambda0 + qnum(n, half) * num / den
 
 
-def build_rep(params: QParams, k: int, max_k: int = MAX_K) -> Rep:
+def build_rep(params: QParams, k: int) -> Rep:
     """Normalized truncated representation on ``e_0 .. e_k``.
 
     Raising entries sit on the subdiagonal and are real nonnegative in the
@@ -206,8 +225,8 @@ def build_rep(params: QParams, k: int, max_k: int = MAX_K) -> Rep:
     """
     if k < 0:
         raise ValueError(f"k={k} is negative")
-    if k > max_k:
-        raise DimensionTooLarge(f"k={k} exceeds the cap {max_k}")
+    if k > MAX_K:
+        raise DimensionTooLarge(f"k={k} exceeds the cap {MAX_K}")
     lambdas = lambda_seq(params, k)
     base = nu0(params, k)
     d = k + 1

@@ -11,18 +11,21 @@ by default.
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` under the
 batch contract of :mod:`qosc.algcheck`: the rescaled triples of all members
 are stacked on a leading batch axis and checked in one pass, into one
-:class:`~qosc.algcheck.ReportBlock` per check, while each member's scale
-factors, deformed numbers and reference block come from the scalar
-formulas, so its residuals are bit for bit those of the single-rep call.
-The two checks share one spin map per batch.  A member at a singular locus
-is dropped with its ``DegenerateParameter``, one whose scalars overflow
-with its ``OverflowError``; a single rep gets its reports and raises them.
+:class:`~qosc.algcheck.ReportBlock` per check.  :func:`check_su2` reads its
+deformed numbers from a :class:`~qosc.qcore.PowerTable` of ``Q**(1/2)``;
+only the reference blocks of :func:`check_equivalence` are built member by
+member.  So a member's residuals are bit for bit those of the single-rep
+call.  The two checks share one spin map per batch, and :func:`to_su2` is
+its row 0.  A member at a singular locus is dropped with its
+``DegenerateParameter``, one whose scalars overflow with its
+``OverflowError``; a single rep gets its reports and raises them.
 :func:`check_su2` also takes a :class:`SuTriple`, the batch of one triple.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Union
@@ -38,11 +41,12 @@ from .algcheck import (
     as_batch,
     diag_stack,
     dropped,
+    finite_members,
     member_scalars,
     unbatch,
 )
 from .errors import DegenerateParameter
-from .qcore import GUARD_BAND, Mode, qnum
+from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
 from .repbuild import Rep, RepBatch, require_parity
 
 
@@ -113,56 +117,14 @@ def _locus_distance(eps: float) -> float:
     )
 
 
-def _rescaling(
-    rep: Rep, realline_reading: str = "coth", enforce_loci: bool = True
-) -> tuple[complex, complex]:
-    """Factors of the raising and lowering generators under :func:`to_su2`."""
-    p = rep.params
-    if not rep.normalized:
-        raise ValueError("the spin map is defined for normalized truncated reps")
-    require_parity(p)
+def _rescaling(p: QParams) -> tuple[complex, complex]:
+    """Factors of the raising and lowering generators under the spin map."""
     half = p.epsilon / 2.0
     if p.mode is Mode.UNIMODULAR:
-        if enforce_loci and _locus_distance(p.epsilon) < GUARD_BAND:
-            raise DegenerateParameter(
-                f"epsilon={p.epsilon} inside guard band of a spin-map singular locus"
-            )
-        factor = (-1.0) ** p.l / math.tan(half)
-        lower_phase = 1.0
-    else:
-        if realline_reading == "coth":
-            factor = (-1.0) ** (p.l + 1) / math.tanh(half)
-        elif realline_reading == "cot":
-            factor = (-1.0) ** (p.l + 1) / math.tan(half)
-        else:
-            raise ValueError(f"unknown realline_reading {realline_reading!r}")
-        lower_phase = -1j
-    root = cmath.sqrt(complex(factor))
-    return root, lower_phase * root
-
-
-def to_su2(
-    rep: Rep,
-    *,
-    realline_reading: str = "coth",
-    enforce_loci: bool = True,
-) -> SuTriple:
-    """Rescale a normalized truncated rep onto the spin-(k/2) block.
-
-    ``realline_reading`` selects the hyperbolic prefactor ("coth", the
-    consistent reading) or the circular one ("cot", kept only so the
-    equivalence check can discriminate).  ``enforce_loci`` rejects the
-    degenerate unimodular loci; disable only for off-grid experiments.
-    """
-    raising, lowering = _rescaling(rep, realline_reading, enforce_loci)
-    eye = np.eye(rep.dim, dtype=complex)
-    return SuTriple(
-        Jp=raising * rep.Abar,
-        Jm=lowering * rep.A,
-        J0=rep.Nmat + rep.params.gamma * eye,
-        Q=rep.params.sqrt_q,
-        j=rep.k / 2.0,
-    )
+        root = cmath.sqrt(complex((-1.0) ** p.l / math.tan(half)))
+        return root, root
+    root = cmath.sqrt(complex((-1.0) ** (p.l + 1) / math.tanh(half)))
+    return root, -1j * root
 
 
 @dataclass(frozen=True)
@@ -177,6 +139,11 @@ class _Triples:
     Q: list[complex]
     j: float
 
+    @functools.cached_property
+    def powers(self) -> PowerTable:
+        """Powers of each ``u = Q**(1/2)``, the principal root: every scalar read is even in ``u``."""
+        return _spin_powers(self.Q, self.J0.shape[1])
+
     def narrow(self, scalars: Callable[[int], Any]) -> tuple["_Triples", list]:
         """The triples without the rows whose ``scalars(row)`` overflow, and the others' data."""
         more, kept, data = member_scalars(len(self.alive), scalars)
@@ -187,12 +154,22 @@ class _Triples:
                         self.J0[kept], [self.Q[row] for row in kept], self.j), data
 
 
-def _triples(batch: RepBatch, **to_su2_kwargs) -> _Triples:
-    errors, alive, factors = member_scalars(
-        len(batch.reps), lambda i: _rescaling(batch.reps[i], **to_su2_kwargs))
+def _triples(batch: RepBatch) -> _Triples:
+    """The spin map of a batch; a member at a singular locus gets a ``DegenerateParameter``."""
+    for rep in batch.reps:
+        if not rep.normalized:
+            raise ValueError("the spin map is defined for normalized truncated reps")
+        require_parity(rep.params)
+    errors: dict[int, MemberError] = {
+        i: DegenerateParameter(
+            f"epsilon={p.epsilon} inside guard band of a spin-map singular locus")
+        for i, p in enumerate(batch.params)
+        if p.mode is Mode.UNIMODULAR and _locus_distance(p.epsilon) < GUARD_BAND}
+    alive = [i for i in range(len(batch.reps)) if i not in errors]
+    params = [batch.params[i] for i in alive]
+    factors = [_rescaling(p) for p in params]
     raising, lowering = (np.array([f[side] for f in factors], dtype=complex)[:, None, None]
                          for side in (0, 1))
-    params = [batch.params[i] for i in alive]
     gamma = np.array([p.gamma for p in params], dtype=complex)[:, None, None]
     return _Triples(
         errors, alive, raising * batch.Abar[alive], lowering * batch.A[alive],
@@ -201,13 +178,27 @@ def _triples(batch: RepBatch, **to_su2_kwargs) -> _Triples:
     )
 
 
-def _spin_map(source: Union[SuTriple, Rep, RepBatch], **to_su2_kwargs) -> _Triples:
-    """The stacked spin map of a source; a batch's default map is built once, for both checks."""
+def to_su2(rep: Rep) -> SuTriple:
+    """Rescale a normalized truncated rep onto the spin-(k/2) block: row 0 of its spin map.
+
+    Raises ``DegenerateParameter`` at the singular unimodular loci.
+    """
+    spins = _triples(RepBatch((rep,)))
+    if spins.errors:
+        raise spins.errors[0]
+    return SuTriple(Jp=spins.Jp[0], Jm=spins.Jm[0], J0=spins.J0[0], Q=spins.Q[0], j=spins.j)
+
+
+def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
+    """The stacked spin map of a source; a batch's map is built once, for both checks."""
     if isinstance(source, SuTriple):
         t = source
         return _Triples({}, [0], t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
-    batch = as_batch(source)
-    return _triples(batch, **to_su2_kwargs) if to_su2_kwargs else batch.derived(_triples)
+    return as_batch(source).derived(_triples)
+
+
+def _spin_powers(Q: list[complex], d: int) -> PowerTable:
+    return PowerTable.build([cmath.sqrt(base) for base in Q], 2 * d)
 
 
 def check_su2(
@@ -215,36 +206,41 @@ def check_su2(
 ) -> Union[list[CheckReport], ReportBlock]:
     """Deformed su(2) relations and the Casimir on a triple, or on the spin map of reps.
 
-    A :class:`~qosc.repbuild.RepBatch` gives one
+    The deformed numbers at base ``Q`` are read from the powers of
+    ``Q**(1/2)`` at the states ``m = -j .. j``.  A
+    :class:`~qosc.repbuild.RepBatch` gives one
     :class:`~qosc.algcheck.ReportBlock`, which drops a member with the error
     that stopped it.  A triple or a single rep gives its reports and raises
     its error.
     """
     spins = _spin_map(t)
+    d = spins.J0.shape[1]
+    pw, twice_m = spins.powers, 2 * np.arange(d) - (d - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = (pw(2) - pw(-2))[:, None]
 
-    def scalars(row: int) -> tuple:
-        lg = cmath.log(complex(spins.Q[row]))
-        mvals = np.diag(spins.J0[row])
-        return ([qnum(2.0 * m, lg) for m in mvals],
-                [qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals],
-                qnum(spins.j, lg) * qnum(spins.j + 1.0, lg))
+        def bracket(x: np.ndarray) -> np.ndarray:  # [x/2] at base Q = u**2
+            return (pw(x) - pw(-x)) / den
 
-    live, data = spins.narrow(scalars)
-    if not data:
-        return unbatch(t, dropped(live.errors, tol))
-    steps, casimirs, targets = (np.array(x, dtype=complex) for x in zip(*data))
-    Jp, Jm, J0 = live.Jp, live.Jm, live.J0
-    arms = Arms(live.alive, ("su2", J0.shape[1]))
+        steps = bracket(2 * twice_m)                                        # [2m]
+        casimirs = bracket(twice_m) * bracket(twice_m + 2)                  # [m][m+1]
+        targets = bracket(np.array([d - 1])) * bracket(np.array([d + 1]))  # [j][j+1]
+    more, rows = finite_members(steps, casimirs, targets)
+    errors = {**spins.errors, **{spins.alive[row]: exc for row, exc in more.items()}}
+    if not rows:
+        return unbatch(t, dropped(errors, tol))
+    Jp, Jm, J0 = spins.Jp[rows], spins.Jm[rows], spins.J0[rows]
+    arms = Arms([spins.alive[row] for row in rows], ("su2", d))
     arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
     arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
-    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
-    cas = Jm @ Jp + diag_stack(casimirs)
-    arms.compare("su_casimir", cas, targets[:, None, None] * np.eye(J0.shape[1]))
-    return unbatch(t, arms.block(tol, live.errors))
+    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps[rows]), Jp, Jm))
+    cas = Jm @ Jp + diag_stack(casimirs[rows])
+    arms.compare("su_casimir", cas, targets[rows][:, :, None] * np.eye(d))
+    return unbatch(t, arms.block(tol, errors))
 
 
 def check_equivalence(
-    reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL, **to_su2_kwargs
+    reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
 ) -> Union[CheckReport, ReportBlock]:
     """Entrywise agreement of the rescaled rep with the reference block.
 
@@ -252,7 +248,7 @@ def check_equivalence(
     ``su_equivalence``, as :func:`check_su2` does; a single rep gives its
     report.
     """
-    spins = _spin_map(reps, **to_su2_kwargs)
+    spins = _spin_map(reps)
     live, refs = spins.narrow(lambda row: su2_direct(spins.j, spins.Q[row]))
     if not refs:
         block = dropped(live.errors, tol)

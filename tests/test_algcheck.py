@@ -12,10 +12,11 @@ from qosc.algcheck import (
     check_defining_relations,
     check_ladder_identities,
     compare,
+    ladder_factors,
     norm_profile,
     residual_of,
 )
-from qosc.qcore import bracket_step, make_params, qnum
+from qosc.qcore import make_params, qnum
 from qosc.repbuild import RepBatch, auto_params, build_generic_window, build_rep, nu0
 
 PI = math.pi
@@ -156,8 +157,14 @@ BATCH_MEMBERS = {
 }
 
 
-# Single-rep references: the per-point 2D code the batched checks replaced,
-# with residual_of's formula in Python floats.
+# Single-rep references: the per-point 2D matrix code the batched checks
+# replaced, with residual_of's formula in Python floats, on the scalar data of
+# the rep's own batch-of-one power table (test_table_scalars_match_the_cmath_formulas
+# checks those scalars against the cmath formulas).
+
+
+def _table(rep):
+    return RepBatch((rep,)).powers
 
 
 def ref_residual(defect, *operands):
@@ -178,7 +185,7 @@ def _ref_interior(defect, rep):
 
 def _ref_relations(rep):
     A, Abar, N = rep.A, rep.Abar, rep.Nmat
-    step = np.diag([bracket_step(v, rep.params) for v in np.diag(N)])
+    step = np.diag(_table(rep).step(4 * np.arange(rep.dim))[0])
     return [
         report("rel_commutator",
                ref_residual(_ref_interior((A @ Abar - Abar @ A) - step, rep), A, Abar), DEFAULT_TOL),
@@ -188,9 +195,9 @@ def _ref_relations(rep):
 
 
 def _ref_casimir(rep):
-    lg = rep.params.log_q
-    c_low = rep.Abar @ rep.A - np.diag([qnum(v + 0.0, lg) for v in np.diag(rep.Nmat)])
-    c_high = rep.A @ rep.Abar - np.diag([qnum(v + 1.0, lg) for v in np.diag(rep.Nmat)])
+    numbers = _table(rep).number(4 * np.arange(rep.dim + 1))[0]  # [N] and [N+1]
+    c_low = rep.Abar @ rep.A - np.diag(numbers[:-1])
+    c_high = rep.A @ rep.Abar - np.diag(numbers[1:])
     scalar = complex(c_low[1, 1] if not rep.normalized and rep.dim > 1 else c_low[0, 0])
     defect = _ref_interior(c_low - scalar * np.eye(rep.dim), rep)
     return c_low, scalar, (
@@ -201,20 +208,14 @@ def _ref_casimir(rep):
 
 
 def _ref_ladder(rep, n_max):
-    p = rep.params
-    half = p.log_q / 2.0
-    den = p.qpow(0.5) + p.qpow(-0.5)
     out = []
     raise_pow = lower_pow = np.eye(rep.dim, dtype=complex)
+    brackets, raising, lowering = (x[0] for x in ladder_factors(_table(rep), rep.dim, n_max))
     for n in range(1, n_max + 1):
-        bran = qnum(n, half)
-        g = np.diag([(p.qpow(v - n / 2.0 + 1.0) + p.qpow(-(v - n / 2.0 + 1.0))) / den
-                     for v in np.diag(rep.Nmat)])
-        h = np.diag([(p.qpow(v + n / 2.0) + p.qpow(-(v + n / 2.0))) / den
-                     for v in np.diag(rep.Nmat)])
+        c_raise, c_lower = brackets[n - 1] * raising[n - 1], brackets[n - 1] * lowering[n - 1]
         raise_n, lower_n = raise_pow @ rep.Abar, lower_pow @ rep.A
-        d_raise = rep.A @ raise_n - raise_n @ rep.A - bran * (g @ raise_pow)
-        d_lower = rep.Abar @ lower_n - lower_n @ rep.Abar + bran * (h @ lower_pow)
+        d_raise = rep.A @ raise_n - raise_n @ rep.A - c_raise[:, None] * raise_pow
+        d_lower = rep.Abar @ lower_n - lower_n @ rep.Abar - c_lower[:, None] * lower_pow
         out.append(report(f"ladder_raise_n{n}", ref_residual(d_raise, rep.A, raise_n), DEFAULT_TOL))
         out.append(report(f"ladder_lower_n{n}", ref_residual(d_lower, rep.Abar, lower_n), DEFAULT_TOL))
         raise_pow, lower_pow = raise_n, lower_n

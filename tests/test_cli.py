@@ -528,9 +528,12 @@ def _assert_rows_equal_verify(capsys, sweep_argv, point_options=()):
 
 
 def test_sweep_rows_equal_verify_on_the_real_line(capsys):
-    statuses = _assert_rows_equal_verify(
-        capsys, ["sweep", "--mode", "realline", "--epsilon-grid", "1.5:3.0:0.5", "--k", "4..6"])
-    assert "ok" in statuses and "fail" in statuses  # the matrix ladder_* arms fail at n = k+1
+    grid = ["sweep", "--mode", "realline", "--epsilon-grid", "1.5:3.0:0.5", "--k", "4..6"]
+    # the matrix ladder_* arms at n = k+1 vanish exactly at the truncation
+    assert set(_assert_rows_equal_verify(capsys, grid)) == {"ok"}
+    # a tolerance of 1e-15 fails the points whose worst residual is above it
+    statuses = _assert_rows_equal_verify(capsys, grid + ["--tol", "1e-15"], ["--tol", "1e-15"])
+    assert "ok" in statuses and "fail" in statuses
     # at eps=-151, k=9 casimir overflows: the k=9 star stack holds the other two points
     statuses = _assert_rows_equal_verify(
         capsys, ["sweep", "--mode", "realline", "--epsilon-grid=-151:1:76", "--k", "8..9",
@@ -736,3 +739,56 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["casimir"]
+
+
+# ---------------------------------------------------------------------------
+# q-powers far from q = 1 and close to it
+
+
+@pytest.mark.parametrize("eps", ["1e6", "1000000.3", "1e9", "1000000000.3", "1e12"])
+def test_large_unimodular_epsilon_meets_every_expectation(capsys, eps):
+    """Every q-power is u**j times an exact unit, so no phase is lost as eps grows."""
+    for k in range(10):
+        code = main(["verify", "--mode", "unimodular", "--epsilon", eps, "--k", str(k),
+                     "--checks", "algebra,ladder,casimir,hopf,suq2", "--format", "text"])
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("BAD")] == [], (eps, k)
+        assert code == 0 and out.endswith("result: ok\n")
+
+
+def test_tiny_real_line_epsilon_keeps_its_bracket_steps(capsys):
+    code, doc = run_json(capsys, ["verify", "--mode", "realline", "--epsilon", "2e-6", "--k", "9"])
+    assert code == 0
+    steps = {c["name"]: c["residual"] for c in doc["checks"]
+             if c["name"] == "rel_commutator" or c["name"].endswith(".algebra_compat_commutator")}
+    assert len(steps) == 4 and max(steps.values()) <= 1e-13
+
+
+def test_far_real_line_statuses(capsys):
+    """The overflow boundary of the table's scalars is the one of q**x itself."""
+    assert main(["sweep", "--mode", "realline", "--epsilon-grid", "100:700:200", "--k", "0..2",
+                 "--format", "csv"]) == 1
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [(row[1], row[3], row[4]) for row in rows] == [
+        ("100", "0", "ok"), ("100", "1", "fail"), ("100", "2", "fail"),
+        ("300", "0", "ok"), ("300", "1", "fail"), ("300", "2", "skipped:overflow"),
+        ("500", "0", "ok"), ("500", "1", "skipped:overflow"), ("500", "2", "skipped:overflow"),
+        ("700", "0", "ok"), ("700", "1", "skipped:overflow"), ("700", "2", "skipped:overflow"),
+    ]
+
+
+def test_negative_values_with_an_exponent_or_a_grid_parse(capsys):
+    assert main(["verify", "--mode", "unimodular", "--epsilon", "-0.9e0", "--k", "1",
+                 "--format", "csv"]) == 0
+    want = capsys.readouterr().out
+    assert main(["verify", "--mode", "unimodular", "--epsilon=-0.9", "--k", "1",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "-1:-0.5:0.5", "--k", "1"]) == 0
+    want = capsys.readouterr().out
+    assert main(["sweep", "--mode", "unimodular", "--epsilon-grid=-1:-0.5:0.5", "--k", "1"]) == 0
+    assert capsys.readouterr().out == want and len(want.splitlines()) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--mode", "unimodular", "--epsilon", "--k", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: argument --epsilon: expected one argument\n"

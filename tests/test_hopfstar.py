@@ -12,7 +12,7 @@ from qosc.hopfstar import (
     RepBatch,
     _compose,
     _graded_sum,
-    _hopf_table,
+    _COPRODUCT,
     _otimes,
     _realize,
     _shift_weights,
@@ -26,7 +26,7 @@ from qosc.hopfstar import (
     parity_metric,
     with_flavor,
 )
-from qosc.qcore import make_params, qnum
+from qosc.qcore import make_params
 from qosc.repbuild import build_generic_window, build_rep
 
 PI = math.pi
@@ -110,7 +110,7 @@ def test_swap_matrix_exchanges_tensor_factors():
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
 def test_graded_coproduct_densifies_to_kron_sum(mode, eps, l, k):
     rep = _rep(mode, eps, l, k)
-    cop, _, _ = _hopf_table(rep.params)
+    cop = _COPRODUCT
     realize = _dense_symbols(rep)
     for gen in ("a", "abar", "N"):
         expect = sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
@@ -257,7 +257,7 @@ def test_derive_involutions_guards():
 
 def _dense_coassoc(rep):
     """Coassociativity residuals from dense Kronecker cubes."""
-    cop, _, _ = _hopf_table(rep.params)
+    cop = _COPRODUCT
     realize = _dense_symbols(rep)
     out = {}
     for gen in ("a", "abar", "N"):
@@ -271,12 +271,13 @@ def _dense_coassoc(rep):
 
 def _dense_homomorphism(rep):
     """Homomorphism residuals and pass flags from dense Kronecker squares multiplied with ``@``."""
-    p = rep.params
-    cop, _, _ = _hopf_table(p)
+    cop = _COPRODUCT
     realize = _dense_symbols(rep)
     da, dab, dn = (sum(np.kron(realize[le], realize[ri]) for le, ri in cop[gen])
                    for gen in ("a", "abar", "N"))
-    step = np.diag([qnum(v + 1.0, p.log_q) - qnum(v, p.log_q) for v in np.diag(dn)])
+    # the bracket steps of the diagonal block, from the rep's own power table
+    pw, ij = RepBatch((rep,)).powers, np.add.outer(np.arange(rep.dim), np.arange(rep.dim))
+    step = np.diag(pw.step(4 * ij - 2 * rep.k, shift=pw.root * pw.root)[0].ravel())
     residuals = {
         "homomorphism_commutator": residual_of((da @ dab - dab @ da) - step, da, dab),
         "homomorphism_raise": residual_of((dn @ dab - dab @ dn) - dab, dn, dab),
@@ -294,7 +295,7 @@ def _assert_homomorphism_matches_dense(rep):
 
 def _dense_star_coproduct(rep, inv, metric=None):
     """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
-    cop, _, _ = _hopf_table(rep.params)
+    cop = _COPRODUCT
     realize = _dense_symbols(rep)
     star = _star_table(inv)
     d = rep.dim

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qosc
-from qosc import normform
+from qosc import normform, qcore
 from qosc.errors import ParamMismatch
 from qosc.normform import (
     N_MAX_CAP,
@@ -293,6 +293,8 @@ def test_shifted_ladder_coefficient_fails_every_n(monkeypatch):
 
     normform.exact_defects.cache_clear()
     try:
+        # the raising coefficient is defined in qcore, where _ladder_lower reads it too
+        monkeypatch.setattr(qcore, "_ladder_raise", shifted)
         monkeypatch.setattr(normform, "_ladder_raise", shifted)
         defects = exact_defects(N_MAX_CAP)
         reports = check_identities_symbolic(P_UNI, n_max=N_MAX_CAP)

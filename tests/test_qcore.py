@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qosc.errors import DegenerateParameter
@@ -131,3 +132,57 @@ def test_params_are_frozen():
     p = make_params("unimodular", 0.9)
     with pytest.raises(AttributeError):
         p.epsilon = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the power table of a batch
+
+
+@pytest.mark.parametrize("k", [0, 3, 9])
+def test_table_rows_equal_their_batch_of_one_rows(k):
+    from qosc.repbuild import RepBatch, build_generic_window, build_rep
+
+    reps = [build_rep(make_params("unimodular", eps, l), k) for eps, l in
+            ((0.9, 0), (-1.1, 1), (1e9 + 0.3, 0), (2.5, 2))]
+    if k >= 2:  # a window of the same k, whose root is one exp
+        p = make_params("unimodular", 0.9, 0)
+        reps.append(build_generic_window(complex(0.3, 0.2), complex(0.7, -0.4), p, k + 1))
+    batch = RepBatch(tuple(reps))
+    table = batch.powers
+    for i, rep in enumerate(batch.reps):
+        alone = RepBatch((rep,)).powers
+        assert (alone.span, alone.center) == (table.span, table.center) == (4 * k + 4, 2 * k + 2)
+        for field in ("powers", "unit", "root", "gap"):
+            mine, single = getattr(table, field)[i], getattr(alone, field)[0]
+            assert mine.tobytes() == single.tobytes(), (k, i, field)
+        if rep.normalized:
+            assert table.unit[i] == (1j if rep.params.l % 2 == 0 else -1j) and table.root[i] == 1
+
+
+@pytest.mark.parametrize("mode,eps,l", [("unimodular", 0.9, 0), ("unimodular", -2.5, 1),
+                                        ("realline", 1.0, 1), ("realline", -0.7, 0)])
+def test_table_scalars_match_the_cmath_formulas(mode, eps, l):
+    """Steps, deformed numbers and ``K`` from the table agree with the scalar formulas."""
+    from qosc.repbuild import RepBatch, build_generic_window, build_rep
+
+    p = make_params(mode, eps, l)
+    k = 5
+    for rep in (build_rep(p, k), build_generic_window(complex(0.3, 0.2), 0.7 + 0j, p, k + 1)):
+        pw, n = RepBatch((rep,)).powers, np.arange(k + 1)
+        nvals = [rep.nu0 + j for j in range(k + 1)]
+        close = lambda got, want: np.allclose(got[0], want, rtol=1e-13, atol=1e-13)  # noqa: E731
+        assert close(pw.step(4 * n), [bracket_step(v, p) for v in nvals])
+        assert close(pw.number(4 * n + 4), [qnum(v + 1.0, p.log_q) for v in nvals])
+        assert close(pw.root[:, None] * pw(2 * n - k), [p.qpow((v + p.gamma) / 2.0) for v in nvals])
+        conj = p.log_q.conjugate()
+        for eta in (0.0, complex(0.0, -3 * PI / eps)):
+            sign = -1 if mode == "unimodular" else 1
+            got = pw.step(4 * n, sign, np.array([cmath.exp(conj * eta)]))
+            assert close(got, [qnum(v + eta + 1.0, conj) - qnum(v + eta, conj) for v in nvals])
+
+
+def test_gap_keeps_its_digits_near_q_equal_one():
+    for mode in ("unimodular", "realline"):
+        p = make_params(mode, 2e-6, 1)
+        assert p.gap == pytest.approx(p.q - 1 / p.q, rel=1e-9)
+        assert abs(p.gap) == pytest.approx(2.0 * math.sinh(2e-6), rel=1e-15)

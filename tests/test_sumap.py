@@ -8,7 +8,7 @@ from qosc.algcheck import DEFAULT_TOL, report
 from qosc.errors import DegenerateParameter
 from qosc.qcore import make_params, qnum
 from qosc.repbuild import RepBatch, build_rep
-from qosc.sumap import check_equivalence, check_su2, su2_direct, to_su2
+from qosc.sumap import SuTriple, _spin_powers, check_equivalence, check_su2, su2_direct, to_su2
 
 PI = math.pi
 
@@ -78,14 +78,30 @@ def test_su_casimir_scalar_value():
     assert np.allclose(lhs, expect * np.eye(6), atol=1e-12)
 
 
+def _rescaled(rep, factor, lower_phase):
+    """The rep's triple under a given prefactor, built here rather than by the spin map."""
+    root = cmath.sqrt(complex(factor))
+    return SuTriple(Jp=root * rep.Abar, Jm=lower_phase * root * rep.A,
+                    J0=rep.Nmat + rep.params.gamma * np.eye(rep.dim), Q=rep.params.sqrt_q,
+                    j=rep.k / 2.0)
+
+
+def _direct_residual(t):
+    """Largest relative entrywise distance of a triple from the reference block."""
+    ref = su2_direct(t.j, t.Q)
+    return max(_ref_residual(mine - want, mine, want)
+               for mine, want in ((t.Jp, ref.Jp), (t.Jm, ref.Jm), (t.J0, ref.J0)))
+
+
 @pytest.mark.parametrize("eps,l", [(PI / 2, 0), (3 * PI / 2, 1), (PI / 2 + 1e-8, 0)])
 def test_half_pi_loci_rejected_by_default(eps, l):
     rep = _rep("unimodular", eps, l, 2)
     with pytest.raises(DegenerateParameter):
         to_su2(rep)
-    # opting out reproduces the map at the worked point
-    t = to_su2(rep, enforce_loci=False)
+    # the map's own prefactor, applied past the guard, still lands on the spin block
+    t = _rescaled(rep, (-1.0) ** l / math.tan(eps / 2.0), 1.0)
     assert all(r.passed for r in check_su2(t))
+    assert _direct_residual(t) < 1e-12
 
 
 def test_real_line_has_no_singular_loci():
@@ -94,14 +110,13 @@ def test_real_line_has_no_singular_loci():
 
 
 def test_alternate_reading_fails_equivalence():
-    """Reading the real-line prefactor as a circular cotangent is numerically
-    self-consistent but does not land on the spin matrices."""
+    """Reading the real-line prefactor as a circular cotangent does not land
+    on the spin matrices."""
     rep = _rep("realline", 1.0, 1, 4)
-    good = check_equivalence(rep, realline_reading="coth")
-    bad = check_equivalence(rep, realline_reading="cot")
-    assert good.passed
-    assert not bad.passed
-    assert bad.residual > 1e-2
+    assert check_equivalence(rep).passed
+    assert _direct_residual(to_su2(rep)) < 1e-13
+    cot = _rescaled(rep, -1.0 / math.tan(0.5), -1j)  # (-1)**(l+1) / tan(eps/2) at l = 1
+    assert _direct_residual(cot) > 1e-2
 
 
 # members differ in epsilon and in branch l
@@ -119,12 +134,15 @@ def _ref_residual(defect, *operands):
 
 
 def _ref_su2(t):
-    """The per-point 2D spin checks the batched ones replaced."""
-    lg = cmath.log(complex(t.Q))
-    mvals = np.diag(t.J0)
-    step2 = np.diag([qnum(2.0 * m, lg) for m in mvals])
-    cas = t.Jm @ t.Jp + np.diag([qnum(m, lg) * qnum(m + 1.0, lg) for m in mvals])
-    target = qnum(t.j, lg) * qnum(t.j + 1.0, lg) * np.eye(t.dim)
+    """The per-point 2D spin checks the batched ones replaced, on the triple's own power table."""
+    pw, twice_m = _spin_powers([t.Q], t.dim), 2 * np.arange(t.dim) - (t.dim - 1)
+
+    def bracket(x):  # [x/2] at base Q, from the powers of Q**(1/2)
+        return ((pw(x) - pw(-x)) / (pw(2) - pw(-2))[:, None])[0]
+
+    step2 = np.diag(bracket(2 * twice_m))
+    cas = t.Jm @ t.Jp + np.diag(bracket(twice_m) * bracket(twice_m + 2))
+    target = (bracket(np.array([t.dim - 1])) * bracket(np.array([t.dim + 1])))[0] * np.eye(t.dim)
     pairs = (("su_raise", t.J0 @ t.Jp - t.Jp @ t.J0, t.Jp),
              ("su_lower", t.J0 @ t.Jm - t.Jm @ t.J0, -t.Jm))
     out = [report(name, _ref_residual(lhs - rhs, lhs, rhs), DEFAULT_TOL) for name, lhs, rhs in pairs]
@@ -174,11 +192,6 @@ def test_batch_member_at_half_pi_locus_is_dropped_alone():
         for i in (0, 2):
             single = check(reps[i])
             assert block.reports(i) == (single if check is check_su2 else [single])
-    real = [_rep("realline", 1.0, 1, 4), _rep("realline", 2.0, 1, 4)]
-    bad = check_equivalence(RepBatch(tuple(real)), realline_reading="cot")
-    assert [r for i in bad.alive for r in bad.reports(i)] == [
-        check_equivalence(rep, realline_reading="cot") for rep in real]
-    assert not (bad.residuals < bad.tol).any()
 
 
 def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatch):
@@ -187,27 +200,26 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
     reps = [_rep("unimodular", eps, 0, 3) for eps in (0.9, 1.2, 2.5)]
     batch = RepBatch(tuple(reps))
     rescaled = []
-    rescaling, direct, qnum_ = sumap._rescaling, sumap.su2_direct, sumap.qnum
+    rescaling, direct, spin_powers = sumap._rescaling, sumap.su2_direct, sumap._spin_powers
     failing_q = reps[1].params.sqrt_q  # the reference block of member 1 "overflows"
-    failing_log = cmath.log(reps[0].params.sqrt_q)  # the su(2) scalars of member 0 do
 
-    def counted(rep, *args, **kwargs):
-        rescaled.append(rep.params.epsilon)
-        return rescaling(rep, *args, **kwargs)
+    def counted(p):
+        rescaled.append(p.epsilon)
+        return rescaling(p)
 
     def reference(j, Q):
         if Q == failing_q:
             raise OverflowError("reference block leaves the double range")
         return direct(j, Q)
 
-    def spin_qnum(x, lg):
-        if lg == failing_log:
-            raise OverflowError("spin scalar leaves the double range")
-        return qnum_(x, lg)
+    def powers(Q, d):
+        table = spin_powers(Q, d)
+        table.powers[0] = np.inf  # the su(2) scalars of member 0 leave the double range
+        return table
 
     monkeypatch.setattr(sumap, "_rescaling", counted)
     monkeypatch.setattr(sumap, "su2_direct", reference)
-    monkeypatch.setattr(sumap, "qnum", spin_qnum)
+    monkeypatch.setattr(sumap, "_spin_powers", powers)
     equivalence = check_equivalence(batch)
     relations = check_su2(batch)
     assert check_equivalence(batch).alive == equivalence.alive  # su2's drop stays in su2
@@ -215,7 +227,8 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
     assert equivalence.alive == (0, 2) and set(equivalence.errors) == {1}
     assert relations.alive == (1, 2) and set(relations.errors) == {0}
     assert "reference block" in str(equivalence.errors[1])
-    assert "spin scalar" in str(relations.errors[0])
+    assert isinstance(relations.errors[0], OverflowError)
+    assert str(relations.errors[0]) == "math range error"
     monkeypatch.undo()
     assert relations.reports(1) == check_su2(reps[1])
     assert equivalence.reports(0) == [check_equivalence(reps[0])]
