@@ -58,7 +58,7 @@ from .algcheck import (
     unbatch,
 )
 from .errors import DimensionTooLarge, ModeMismatch, NoSolution
-from .qcore import Mode, QParams
+from .qcore import Mode, QParams, _rows
 from .repbuild import Rep, RepBatch
 
 #: largest allowed dimension (k+1)**3 for the coassociativity check
@@ -153,22 +153,13 @@ def _commutator(x: dict, y: dict) -> dict:
     return _minus(_compose(x, y), _compose(y, x))
 
 
-def _rows(alive: list[int], count: int) -> Union[list[int], slice]:
-    """An index of the members ``alive`` among ``count``: a view when that is all of them."""
-    return alive if len(alive) < count else slice(None)
-
-
-def _at(x, rows: Union[list[int], slice], ndim: int = 2):
-    """A scalar as it is; one value per member at the member ``rows``, against ``ndim`` axes."""
-    return x[rows].reshape((-1,) + (1,) * ndim) if isinstance(x, np.ndarray) else x
-
-
-def _affine(elem: tuple, dense: dict[str, np.ndarray], rows: Union[list[int], slice]
-            ) -> np.ndarray:
+def _affine(elem: tuple, dense: dict[str, np.ndarray], rows: list[int]) -> np.ndarray:
     """Dense stack of ``coef * symbol + const * 1``, at the member ``rows``."""
     coef, sym, const = elem
-    image = _at(coef, rows) * dense[sym]
-    return image if isinstance(const, float) and not const else image + _at(const, rows) * dense["one"]
+    image = _rows(coef, 2, rows) * dense[sym]
+    if isinstance(const, float) and not const:
+        return image
+    return image + _rows(const, 2, rows) * dense["one"]
 
 
 #: coproduct of every symbol of the Hopf table, as sums of symbol pairs
@@ -296,8 +287,7 @@ def check_hopf_axioms(
     if not alive:
         return unbatch(reps, dropped(errors, tol))
     counit, antipode = _hopf_table(batch)
-    rows = _rows(alive, len(batch.reps))
-    counit = {sym: _at(c, rows) for sym, c in counit.items()}
+    counit = {sym: _rows(c, 2, alive) for sym, c in counit.items()}
     dense, graded = real.select(alive)
     arms = Arms(alive, ("hopf", batch.mode, batch.k))
 
@@ -306,7 +296,7 @@ def check_hopf_axioms(
              for term in terms}
     da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
     relations = (
-        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps[rows]}),
+        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps[alive]}),
          (da, dab)),
         ("homomorphism_raise", _minus(_commutator(dn, dab), dab), (dn, dab)),
         ("homomorphism_lower", _minus(_commutator(da, dn), da), (dn, da)),  # -([DN, Da] + Da)
@@ -329,7 +319,7 @@ def check_hopf_axioms(
         arms.compare(f"counit_left_{gen}", lhs_l, dense[gen])
         arms.compare(f"counit_right_{gen}", lhs_r, dense[gen])
 
-    s_image = {sym: _affine(antipode[sym], dense, rows) for sym in cop}
+    s_image = {sym: _affine(antipode[sym], dense, alive) for sym in cop}
     for gen in _GENERATORS:
         target = counit[gen] * dense["one"]
         lhs_l = sum(s_image[le] @ dense[ri] for le, ri in cop[gen])
@@ -464,12 +454,11 @@ def check_star_structure(
             antipode_sides += [_s_affine(_star_affine(start, star), antipode),
                                _star_affine(_s_affine(start, antipode), star)]
     dense, graded = real.select(alive)
-    rows = _rows(alive, len(batch.reps))
     arms = Arms(alive, ("star", batch.mode, batch.k, flavor))
 
-    img = {gen: _affine(star[gen], dense, rows) for gen in _GENERATORS}
+    img = {gen: _affine(star[gen], dense, alive) for gen in _GENERATORS}
     lhs = img["abar"] @ img["a"] - img["a"] @ img["abar"]
-    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar[rows]))
+    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar[alive]))
     arms.compare("algebra_compat_raise",
                  img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
     arms.compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
@@ -489,19 +478,19 @@ def check_star_structure(
         coef, target, const = star[gen]
         dag = _coproduct(cop[gen], graded_adj)
         image = _graded_sum(
-            _otimes((graded[le][0], _at(coef, rows, 1) * graded[le][1]), graded[ri])
+            _otimes((graded[le][0], _rows(coef, 1, alive) * graded[le][1]), graded[ri])
             for le, ri in cop[target]
         )
         # the coproduct of 1 is 1 (x) 1
-        image[(0, 0)] = image.get((0, 0), empty) + _at(const, rows)
+        image[(0, 0)] = image.get((0, 0), empty) + _rows(const, 2, alive)
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
         arms.add(f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image))
 
     for gen, defect in zip(_GENERATORS, counit_defects):
-        arms.absolute(f"counit_{gen}", defect[rows])
+        arms.absolute(f"counit_{gen}", defect[alive])
 
-    sides = [_affine(side, dense, rows) for side in antipode_sides]
+    sides = [_affine(side, dense, alive) for side in antipode_sides]
     for j, gen in enumerate(_GENERATORS):
         arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
     return unbatch(reps, arms.block(tol, errors, label))

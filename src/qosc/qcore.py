@@ -7,9 +7,10 @@ coproduct of the number operator multiplicative, so it is stored alongside
 ``q`` rather than recomputed by callers.
 
 Every q-power the matrix checks take is an integer power of ``u = q**(1/4)``
-times a per-point factor: :class:`PowerTable` holds those powers for a stack
-of points.  :class:`ExactPoly` is the exact ring ``Z[s, t, tau]/D**n`` of
-the normal-ordered coefficients, with ``t = q**(1/2)`` and
+times a per-point factor: :class:`PowerTable` holds those powers, and their
+offsets from 1 for the deformed numbers, for a stack of points.
+:class:`ExactPoly` is the exact ring ``Z[s, t, tau]/D**n`` of the
+normal-ordered coefficients, with ``t = q**(1/2)`` and
 ``D = t**2 - t**-2``; the ladder coefficients are stated there once
 (:func:`_ladder_raise`, :func:`_ladder_lower`) and evaluated by
 :func:`_values` from whatever powers of ``t`` a caller passes in.
@@ -62,12 +63,6 @@ class QParams:
         """``q**x`` on the branch fixed by ``log_q``."""
         return cmath.exp(self.log_q * x)
 
-    @property
-    def gap(self) -> complex:
-        """``q - 1/q``, from ``sin``/``sinh``: it keeps its digits as ``q -> 1``."""
-        if self.mode is Mode.UNIMODULAR:
-            return complex(0.0, 2.0 * math.sin(self.epsilon))
-        return complex(2.0 * math.sinh(self.epsilon), 0.0)
 
 
 def guard_epsilon(mode: Mode, epsilon: float) -> None:
@@ -139,45 +134,77 @@ def bracket_step(nu: complex, params: QParams) -> complex:
 # integer powers of u = q**(1/4)
 
 
-def _rows(x: Any, ndim: int) -> np.ndarray:
-    """One value per row, broadcast against ``ndim`` axes after the rows."""
-    return x.reshape(x.shape + (1,) * ndim)
+def _rows(x: Any, ndim: int, at: Any = slice(None)) -> Any:
+    """The rows ``at`` of ``x``, one value per row, broadcast against ``ndim``
+    axes after the rows; a scalar as it is."""
+    if not isinstance(x, np.ndarray):
+        return x
+    return x[at].reshape((-1,) + (1,) * ndim)
+
+
+def _expm1(z: complex) -> complex:
+    """``exp(z) - 1``, which keeps its digits as ``z -> 0``."""
+    a, b = z.real, z.imag
+    return complex(math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
+                   math.exp(a) * math.sin(b))
 
 
 @dataclass(frozen=True, eq=False)
 class PowerTable:
-    """Powers ``u**j``, ``|j| <= span``, of one ``u`` per row.
+    """Powers ``u**j``, ``|j| <= span``, of one ``u`` per row, and their offsets ``u**j - 1``.
 
-    ``table(j)`` reads ``u**j`` for an integer or an integer array ``j``,
-    every row at once, in shape ``(rows, *j.shape)``.  Each entry is a
-    product of its row's ``u`` or ``1/u``, so a row does not depend on the
-    others; an entry past the double range is ``inf`` or ``0`` and makes
-    non-finite only the scalars that use it.
+    ``table(j)`` reads ``u**j`` and ``table.offset(j)`` reads ``u**j - 1``,
+    for an integer or an integer array ``j``, every row at once, in shape
+    ``(rows, *j.shape)``.  Both come from one ``exp`` of ``log u`` and one
+    ``expm1`` of ``+-log u`` per row, by products and sums (:meth:`build`),
+    so a row does not depend on the others, and the offsets keep their
+    digits as ``u -> 1``.  An entry past the double range is not finite (or
+    0) and makes non-finite only the scalars that use it.
 
     On the spectrum ``nu0 + n`` of a (k+1)-dimensional block, ``unit`` is
     ``q**(nu0 + (k+1)/2)``, exactly ``i**(2l+1)`` on a truncated block, and
-    ``root`` is ``q**((nu0 + gamma + k/2)/2)``, exactly 1 there.  ``gap`` is
-    :attr:`QParams.gap`.
+    ``root`` is ``q**((nu0 + gamma + k/2)/2)``, exactly 1 there, with
+    ``q = u**4``.
     """
 
     powers: np.ndarray  # (rows, 2*span + 1): u**j in column span + j
+    offsets: np.ndarray  # (rows, 2*span + 1): u**j - 1 in column span + j
     span: int
     unit: Optional[np.ndarray] = None  # (rows,)
     root: Optional[np.ndarray] = None  # (rows,)
-    gap: Optional[np.ndarray] = None  # (rows,)
     center: int = 0  # 2k + 2: q**(nu0 + m/4) = unit * u**(m - center)
 
     @classmethod
-    def build(cls, u: Sequence[complex], span: int, **factors: Any) -> "PowerTable":
-        base = np.array(u, dtype=complex)[:, None]
+    def build(cls, logs: Sequence[complex], span: int, **factors: Any) -> "PowerTable":
+        """The table of ``u = exp(log)`` for each of ``logs``.
+
+        Row by row, ``u**j`` is a running product of ``u`` (or ``1/u``), and
+        ``u**j - 1 = (u - 1)(1 + u + ... + u**(j-1))``, with ``u - 1`` from
+        ``expm1``, so no digit cancels as ``u -> 1``.
+        """
+        up = [cmath.exp(z) for z in logs]
+        # the rows of u, then of 1/u
+        base = np.array(up + [1.0 / x for x in up], dtype=complex)[:, None]
+        first = np.array([_expm1(s * z) for s in (1, -1) for z in logs], dtype=complex)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            up = np.cumprod(np.repeat(base, span, axis=1), axis=1)
-            down = np.cumprod(np.repeat(1.0 / base, span, axis=1), axis=1)
-        powers = np.concatenate((down[:, ::-1], np.ones_like(base), up), axis=1)
-        return cls(powers, span, **factors)
+            products = np.cumprod(np.repeat(base, span, axis=1), axis=1)
+            sums = np.cumsum(np.concatenate((np.ones_like(base), products[:, :-1]), axis=1), axis=1)
+            offsets = first * sums
+            # near u**j = 1 the offset holds the digits; far from it, the product does
+            powers = np.where(np.abs(offsets) <= 0.5, 1.0 + offsets, products)
+        rows = len(logs)
+
+        def columns(values: np.ndarray, one: float) -> np.ndarray:  # j = -span .. span
+            return np.concatenate((values[rows:, ::-1], np.full((rows, 1), one, dtype=complex),
+                                   values[:rows]), axis=1)
+
+        return cls(columns(powers, 1.0), columns(offsets, 0.0), span, **factors)
 
     def __call__(self, j: Any) -> np.ndarray:
         return self.powers[:, self.span + (j if isinstance(j, int) else np.asarray(j))]
+
+    def offset(self, j: Any) -> np.ndarray:
+        return self.offsets[:, self.span + (j if isinstance(j, int) else np.asarray(j))]
 
     def nu(self, m: Any, sign: int = 1) -> np.ndarray:
         """``q**(sign * (nu0 + m/4))`` for the integers ``m``."""
@@ -185,9 +212,22 @@ class PowerTable:
         unit = _rows(self.unit, j.ndim)
         return unit * self(j) if sign > 0 else self(-j) / unit
 
-    def number(self, m: Any) -> np.ndarray:
-        """``[x] = (q**x - q**-x) / (q - 1/q)`` at each ``x = nu0 + m/4``."""
-        return (self.nu(m) - self.nu(m, -1)) / _rows(self.gap, np.ndim(m))
+    def number(self, m: Any, spectral: bool = False) -> np.ndarray:
+        """``[x] = (q**x - q**-x) / (q - 1/q)`` at each ``x = m/4``, or at
+        ``x = nu0 + m/4`` if ``spectral``.
+
+        With ``q**x = unit * u**j`` (``unit = 1`` off the spectrum) the
+        numerator is ``(unit - 1/unit) + unit (u**j - 1) - (u**-j - 1)/unit``
+        and the denominator ``(u**4 - 1) - (u**-4 - 1)``: as ``q -> 1`` no
+        digits cancel but exact ones.
+        """
+        m = np.asarray(m)
+        if not spectral:
+            top = self.offset(m) - self.offset(-m)
+        else:
+            j, unit = m - self.center, _rows(self.unit, m.ndim)
+            top = (unit - 1.0 / unit) + (unit * self.offset(j) - self.offset(-j) / unit)
+        return top / _rows(self.offset(4) - self.offset(-4), m.ndim)
 
     def step(self, m: Any, sign: int = 1, shift: Optional[np.ndarray] = None) -> np.ndarray:
         """``[x+1] - [x] = (q**(x+1) + q**-x) / (q + 1)`` at each ``x = nu0 + eta + m/4``.
@@ -318,20 +358,22 @@ def _by_s_power(num: dict[Exps, complex]) -> dict[int, Group]:
 
 
 def _values(groups: Iterable[Group], den: int, t_power: Callable[[int], Any],
-            tamper: float) -> list:
+            tamper: float, offset: bool = False) -> list:
     """Each group's sum of ``c t**b tau**u``, over ``D**den``, with ``t**b = t_power(b)``.
 
-    ``t_power`` gives one value, or one array of values, per ``b`` (an
-    integer, or an array of them when several polynomials share their
-    terms).  A term whose ``tamper**u`` is zero is skipped, so no
-    ``0 * inf`` enters, and ``D = t_power(2) - t_power(-2)`` is not taken
-    when every sum is zero.  Raises ``ValueError`` for a non-finite ``tamper``.
+    ``t_power`` gives one value, or one array of values, per ``b``.  With
+    ``offset`` it gives ``t**b - 1`` instead and each sum starts from its
+    coefficients, so a sum whose coefficients cancel keeps its digits as
+    ``t -> 1``; ``D = t_power(2) - t_power(-2)`` holds either way.  A term
+    whose ``tamper**u`` is zero is skipped, so no ``0 * inf`` enters, and
+    ``D`` is not taken when every sum is zero.  Raises ``ValueError`` for a
+    non-finite ``tamper``.
     """
     if not math.isfinite(tamper):
         raise ValueError(f"tamper must be finite, got {tamper}")
     values = []
     for group in groups:
-        acc = 0j
+        acc = sum(c * tamper**u for _, u, c in group) if offset else 0j
         for b, u, c in group:
             weight = tamper**u
             if weight:

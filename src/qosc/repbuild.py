@@ -121,9 +121,8 @@ class RepBatch:
                  rep.params.qpow((rep.nu0 + rep.params.gamma + k / 2.0) / 2.0) for rep in self.reps]
         units = [r * r * unit_of_branch(rep.params.l) for r, rep in zip(roots, self.reps)]
         return PowerTable.build(
-            [cmath.exp(p.log_q / 4.0) for p in self.params], 4 * (k + 1), center=2 * k + 2,
-            unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex),
-            gap=np.array([p.gap for p in self.params]))
+            [p.log_q / 4.0 for p in self.params], 4 * (k + 1), center=2 * k + 2,
+            unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex))
 
     def subset(self, members: Sequence[int]) -> "RepBatch":
         """The batch of the given members in order; the batch itself when that is all of them."""

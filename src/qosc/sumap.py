@@ -4,15 +4,14 @@ The (k+1)-dimensional block maps onto the spin-j block of su_Q(2) with
 ``j = k/2`` and ``Q = sqrt(q)``: the ladder pair is rescaled by a mode-
 dependent square root and the number operator is shifted by ``gamma``.
 The identification degenerates on the unit circle when ``eps`` approaches
-a multiple of pi or an odd multiple of pi/2, so those loci are rejected
-by default.
+a multiple of pi or an odd multiple of pi/2, so those loci are rejected.
 
 :func:`check_su2` and :func:`check_equivalence` take one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` under the
 batch contract of :mod:`qosc.algcheck`: the rescaled triples of all members
 are stacked on a leading batch axis and checked in one pass, into one
 :class:`~qosc.algcheck.ReportBlock` per check.  :func:`check_su2` reads its
-deformed numbers from a :class:`~qosc.qcore.PowerTable` of ``Q**(1/2)``;
+deformed numbers from a :class:`~qosc.qcore.PowerTable` of a fourth root of ``Q``;
 only the reference blocks of :func:`check_equivalence` are built member by
 member.  So a member's residuals are bit for bit those of the single-rep
 call.  The two checks share one spin map per batch, and :func:`to_su2` is
@@ -28,7 +27,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -141,17 +140,17 @@ class _Triples:
 
     @functools.cached_property
     def powers(self) -> PowerTable:
-        """Powers of each ``u = Q**(1/2)``, the principal root: every scalar read is even in ``u``."""
-        return _spin_powers(self.Q, self.J0.shape[1])
+        """Powers of a fourth root ``u`` of each ``Q``: every scalar read (``[2m]``,
+        ``[m][m+1]``, ``[j][j+1]`` at base ``Q = u**4``) is the same for every fourth root."""
+        return PowerTable.build([cmath.log(Q) / 4.0 for Q in self.Q], 4 * self.J0.shape[1])
 
-    def narrow(self, scalars: Callable[[int], Any]) -> tuple["_Triples", list]:
-        """The triples without the rows whose ``scalars(row)`` overflow, and the others' data."""
-        more, kept, data = member_scalars(len(self.alive), scalars)
+    def narrow(self, more: dict[int, MemberError], kept: list[int]) -> "_Triples":
+        """The triples of the rows ``kept``; the rows in ``more`` are dropped with their errors."""
         if not more:
-            return self, data
+            return self
         errors = {**self.errors, **{self.alive[row]: exc for row, exc in more.items()}}
         return _Triples(errors, [self.alive[row] for row in kept], self.Jp[kept], self.Jm[kept],
-                        self.J0[kept], [self.Q[row] for row in kept], self.j), data
+                        self.J0[kept], [self.Q[row] for row in kept], self.j)
 
 
 def _triples(batch: RepBatch) -> _Triples:
@@ -197,8 +196,13 @@ def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
     return as_batch(source).derived(_triples)
 
 
-def _spin_powers(Q: list[complex], d: int) -> PowerTable:
-    return PowerTable.build([cmath.sqrt(base) for base in Q], 2 * d)
+def _su2_numbers(pw: PowerTable, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``[2m]`` and ``[m][m+1]`` at the states ``m = -j .. j`` and ``[j][j+1]``,
+    at base ``Q = u**4`` for the ``u`` of each row of ``pw``."""
+    m4 = 4 * np.arange(d) - 2 * (d - 1)  # 4m
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (pw.number(2 * m4), pw.number(m4) * pw.number(m4 + 4),
+                pw.number(np.array([2 * d - 2])) * pw.number(np.array([2 * d + 2])))
 
 
 def check_su2(
@@ -206,8 +210,9 @@ def check_su2(
 ) -> Union[list[CheckReport], ReportBlock]:
     """Deformed su(2) relations and the Casimir on a triple, or on the spin map of reps.
 
-    The deformed numbers at base ``Q`` are read from the powers of
-    ``Q**(1/2)`` at the states ``m = -j .. j``.  A
+    The deformed numbers at base ``Q`` are read from the power table of a
+    fourth root of ``Q`` (:meth:`~qosc.qcore.PowerTable.number`) at the
+    states ``m = -j .. j``.  A
     :class:`~qosc.repbuild.RepBatch` gives one
     :class:`~qosc.algcheck.ReportBlock`, which drops a member with the error
     that stopped it.  A triple or a single rep gives its reports and raises
@@ -215,28 +220,19 @@ def check_su2(
     """
     spins = _spin_map(t)
     d = spins.J0.shape[1]
-    pw, twice_m = spins.powers, 2 * np.arange(d) - (d - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = (pw(2) - pw(-2))[:, None]
-
-        def bracket(x: np.ndarray) -> np.ndarray:  # [x/2] at base Q = u**2
-            return (pw(x) - pw(-x)) / den
-
-        steps = bracket(2 * twice_m)                                        # [2m]
-        casimirs = bracket(twice_m) * bracket(twice_m + 2)                  # [m][m+1]
-        targets = bracket(np.array([d - 1])) * bracket(np.array([d + 1]))  # [j][j+1]
+    steps, casimirs, targets = _su2_numbers(spins.powers, d)
     more, rows = finite_members(steps, casimirs, targets)
-    errors = {**spins.errors, **{spins.alive[row]: exc for row, exc in more.items()}}
+    live = spins.narrow(more, rows)
     if not rows:
-        return unbatch(t, dropped(errors, tol))
-    Jp, Jm, J0 = spins.Jp[rows], spins.Jm[rows], spins.J0[rows]
-    arms = Arms([spins.alive[row] for row in rows], ("su2", d))
+        return unbatch(t, dropped(live.errors, tol))
+    Jp, Jm, J0 = live.Jp, live.Jm, live.J0
+    arms = Arms(live.alive, ("su2", d))
     arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
     arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
     arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps[rows]), Jp, Jm))
     cas = Jm @ Jp + diag_stack(casimirs[rows])
     arms.compare("su_casimir", cas, targets[rows][:, :, None] * np.eye(d))
-    return unbatch(t, arms.block(tol, errors))
+    return unbatch(t, arms.block(tol, live.errors))
 
 
 def check_equivalence(
@@ -249,7 +245,9 @@ def check_equivalence(
     report.
     """
     spins = _spin_map(reps)
-    live, refs = spins.narrow(lambda row: su2_direct(spins.j, spins.Q[row]))
+    more, rows, refs = member_scalars(len(spins.alive),
+                                      lambda row: su2_direct(spins.j, spins.Q[row]))
+    live = spins.narrow(more, rows)
     if not refs:
         block = dropped(live.errors, tol)
     else:

@@ -195,7 +195,7 @@ def _ref_relations(rep):
 
 
 def _ref_casimir(rep):
-    numbers = _table(rep).number(4 * np.arange(rep.dim + 1))[0]  # [N] and [N+1]
+    numbers = _table(rep).number(4 * np.arange(rep.dim + 1), spectral=True)[0]  # [N], [N+1]
     c_low = rep.Abar @ rep.A - np.diag(numbers[:-1])
     c_high = rep.A @ rep.Abar - np.diag(numbers[1:])
     scalar = complex(c_low[1, 1] if not rep.normalized and rep.dim > 1 else c_low[0, 0])

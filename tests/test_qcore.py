@@ -152,7 +152,7 @@ def test_table_rows_equal_their_batch_of_one_rows(k):
     for i, rep in enumerate(batch.reps):
         alone = RepBatch((rep,)).powers
         assert (alone.span, alone.center) == (table.span, table.center) == (4 * k + 4, 2 * k + 2)
-        for field in ("powers", "unit", "root", "gap"):
+        for field in ("powers", "offsets", "unit", "root"):
             mine, single = getattr(table, field)[i], getattr(alone, field)[0]
             assert mine.tobytes() == single.tobytes(), (k, i, field)
         if rep.normalized:
@@ -162,27 +162,64 @@ def test_table_rows_equal_their_batch_of_one_rows(k):
 @pytest.mark.parametrize("mode,eps,l", [("unimodular", 0.9, 0), ("unimodular", -2.5, 1),
                                         ("realline", 1.0, 1), ("realline", -0.7, 0)])
 def test_table_scalars_match_the_cmath_formulas(mode, eps, l):
-    """Steps, deformed numbers and ``K`` from the table agree with the scalar formulas."""
+    """Every scalar a check reads from the table agrees with the scalar formula it replaced:
+    steps, deformed numbers, ``K``, the star steps, the Delta(N) steps of the Hopf check,
+    the ladder coefficients ``[n]' G_n`` and ``-[n]' H_n``, and the su(2) brackets."""
+    from qosc.algcheck import ladder_factors
     from qosc.repbuild import RepBatch, build_generic_window, build_rep
+    from qosc.sumap import _spin_map, _su2_numbers
 
     p = make_params(mode, eps, l)
     k = 5
+    close = lambda got, want: np.allclose(got[0], want, rtol=1e-13, atol=1e-13)  # noqa: E731
     for rep in (build_rep(p, k), build_generic_window(complex(0.3, 0.2), 0.7 + 0j, p, k + 1)):
         pw, n = RepBatch((rep,)).powers, np.arange(k + 1)
         nvals = [rep.nu0 + j for j in range(k + 1)]
-        close = lambda got, want: np.allclose(got[0], want, rtol=1e-13, atol=1e-13)  # noqa: E731
         assert close(pw.step(4 * n), [bracket_step(v, p) for v in nvals])
-        assert close(pw.number(4 * n + 4), [qnum(v + 1.0, p.log_q) for v in nvals])
+        assert close(pw.number(4 * n + 4, spectral=True), [qnum(v + 1.0, p.log_q) for v in nvals])
         assert close(pw.root[:, None] * pw(2 * n - k), [p.qpow((v + p.gamma) / 2.0) for v in nvals])
         conj = p.log_q.conjugate()
         for eta in (0.0, complex(0.0, -3 * PI / eps)):
             sign = -1 if mode == "unimodular" else 1
             got = pw.step(4 * n, sign, np.array([cmath.exp(conj * eta)]))
             assert close(got, [qnum(v + eta + 1.0, conj) - qnum(v + eta, conj) for v in nvals])
+        # the diagonal block of Delta(N) holds 2 nu0 + gamma + i + j
+        ij = np.add.outer(n, n)
+        got = pw.step(4 * ij - 2 * k, shift=pw.root * pw.root)
+        assert close(got, np.vectorize(lambda s: bracket_step(2 * rep.nu0 + p.gamma + s, p))(ij))
+        half = p.log_q / 2.0
+        den = p.qpow(0.5) + p.qpow(-0.5)
+        brackets, raising, lowering = ladder_factors(pw, k + 1, k + 1)
+        for order in range(1, k + 2):
+            g = [(p.qpow(v - order / 2 + 1) + p.qpow(-(v - order / 2 + 1))) / den for v in nvals]
+            h = [(p.qpow(v + order / 2) + p.qpow(-(v + order / 2))) / den for v in nvals]
+            c = brackets[:, order - 1, None]
+            assert close(c * raising[:, order - 1], qnum(order, half) * np.array(g))
+            assert close(c * lowering[:, order - 1], -qnum(order, half) * np.array(h))
+    lg = cmath.log(p.sqrt_q)
+    ms = np.arange(k + 1) - k / 2.0
+    steps, casimirs, targets = _su2_numbers(_spin_map(build_rep(p, k)).powers, k + 1)
+    assert close(steps, [qnum(2 * m, lg) for m in ms])
+    assert close(casimirs, [qnum(m, lg) * qnum(m + 1, lg) for m in ms])
+    assert close(targets, [qnum(k / 2.0, lg) * qnum(k / 2.0 + 1, lg)])
 
 
-def test_gap_keeps_its_digits_near_q_equal_one():
-    for mode in ("unimodular", "realline"):
-        p = make_params(mode, 2e-6, 1)
-        assert p.gap == pytest.approx(p.q - 1 / p.q, rel=1e-9)
-        assert abs(p.gap) == pytest.approx(2.0 * math.sinh(2e-6), rel=1e-15)
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_deformed_numbers_keep_their_digits_near_q_equal_one(mode):
+    from qosc.algcheck import ladder_factors
+    from qosc.repbuild import RepBatch, build_rep
+
+    eps = 2e-6
+    pw = RepBatch((build_rep(make_params(mode, eps, 0 if mode == "unimodular" else 1), 3),)).powers
+    gap = complex(0.0, 2.0 * math.sin(eps)) if mode == "unimodular" else 2.0 * math.sinh(eps)
+    assert (pw.offset(4) - pw.offset(-4))[0] == pytest.approx(gap, rel=1e-15)
+    # [x] at base q: 1 at x = 1, q + 1/q at x = 2, and [1/2] = 1 / (q**(1/2) + q**(-1/2))
+    two = 2.0 * (math.cos(eps) if mode == "unimodular" else math.cosh(eps))
+    half = 0.5 / (math.cos(eps / 2) if mode == "unimodular" else math.cosh(eps / 2))
+    for m, want in ((4, 1.0), (8, two), (2, half)):
+        assert pw.number(np.array([m]))[0, 0] == pytest.approx(want, rel=1e-15)
+    # the ladder bracket (t**n - t**-n) / (t**2 - t**-2), t = q**(1/2)
+    sin = math.sin if mode == "unimodular" else math.sinh
+    brackets = ladder_factors(pw, 4, 4)[0][0]
+    for order in (1, 2, 3, 4):
+        assert brackets[order - 1] == pytest.approx(sin(order * eps / 2) / sin(eps), rel=1e-15)

@@ -8,7 +8,15 @@ from qosc.algcheck import DEFAULT_TOL, report
 from qosc.errors import DegenerateParameter
 from qosc.qcore import make_params, qnum
 from qosc.repbuild import RepBatch, build_rep
-from qosc.sumap import SuTriple, _spin_powers, check_equivalence, check_su2, su2_direct, to_su2
+from qosc.sumap import (
+    SuTriple,
+    _spin_map,
+    _su2_numbers,
+    check_equivalence,
+    check_su2,
+    su2_direct,
+    to_su2,
+)
 
 PI = math.pi
 
@@ -134,15 +142,12 @@ def _ref_residual(defect, *operands):
 
 
 def _ref_su2(t):
-    """The per-point 2D spin checks the batched ones replaced, on the triple's own power table."""
-    pw, twice_m = _spin_powers([t.Q], t.dim), 2 * np.arange(t.dim) - (t.dim - 1)
-
-    def bracket(x):  # [x/2] at base Q, from the powers of Q**(1/2)
-        return ((pw(x) - pw(-x)) / (pw(2) - pw(-2))[:, None])[0]
-
-    step2 = np.diag(bracket(2 * twice_m))
-    cas = t.Jm @ t.Jp + np.diag(bracket(twice_m) * bracket(twice_m + 2))
-    target = (bracket(np.array([t.dim - 1])) * bracket(np.array([t.dim + 1])))[0] * np.eye(t.dim)
+    """The per-point 2D spin checks the batched ones replaced, on the triple's own scalars
+    (test_table_scalars_match_the_cmath_formulas checks those against the cmath formulas)."""
+    steps, casimirs, targets = (x[0] for x in _su2_numbers(_spin_map(t).powers, t.dim))
+    step2 = np.diag(steps)
+    cas = t.Jm @ t.Jp + np.diag(casimirs)
+    target = targets[0] * np.eye(t.dim)
     pairs = (("su_raise", t.J0 @ t.Jp - t.Jp @ t.J0, t.Jp),
              ("su_lower", t.J0 @ t.Jm - t.Jm @ t.J0, -t.Jm))
     out = [report(name, _ref_residual(lhs - rhs, lhs, rhs), DEFAULT_TOL) for name, lhs, rhs in pairs]
@@ -200,7 +205,7 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
     reps = [_rep("unimodular", eps, 0, 3) for eps in (0.9, 1.2, 2.5)]
     batch = RepBatch(tuple(reps))
     rescaled = []
-    rescaling, direct, spin_powers = sumap._rescaling, sumap.su2_direct, sumap._spin_powers
+    rescaling, direct, su2_numbers = sumap._rescaling, sumap.su2_direct, sumap._su2_numbers
     failing_q = reps[1].params.sqrt_q  # the reference block of member 1 "overflows"
 
     def counted(p):
@@ -212,14 +217,14 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
             raise OverflowError("reference block leaves the double range")
         return direct(j, Q)
 
-    def powers(Q, d):
-        table = spin_powers(Q, d)
-        table.powers[0] = np.inf  # the su(2) scalars of member 0 leave the double range
-        return table
+    def numbers(pw, d):
+        steps, casimirs, targets = su2_numbers(pw, d)
+        steps[0] = np.inf  # the su(2) scalars of member 0 leave the double range
+        return steps, casimirs, targets
 
     monkeypatch.setattr(sumap, "_rescaling", counted)
     monkeypatch.setattr(sumap, "su2_direct", reference)
-    monkeypatch.setattr(sumap, "_spin_powers", powers)
+    monkeypatch.setattr(sumap, "_su2_numbers", numbers)
     equivalence = check_equivalence(batch)
     relations = check_su2(batch)
     assert check_equivalence(batch).alive == equivalence.alive  # su2's drop stays in su2
