@@ -8,12 +8,13 @@ pass: every matrix carries a leading batch axis, and residuals are maxima
 over every axis but that one.  The scalar data (bracket steps, deformed
 numbers, ladder coefficients) are indexed arithmetic on the batch's
 :class:`~qosc.qcore.PowerTable`, with no transcendental function, so a
-member's residuals are bit for bit those of the single-rep call; a member
-whose scalars leave the double range is dropped alone
-(:func:`finite_members`).
+member's residuals are bit for bit those of the single-rep call.
 
 The batch contract is shared by every check family (the Hopf and star
-checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`).
+checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`), and so
+is its one drop rule: every check evaluates every member, and a member with
+a non-finite scalar (:func:`finite_members`), or one the spin map rejects,
+leaves only when the block is cut (:meth:`Arms.block`).
 :class:`Arms` takes the max-norms of all of a check's operands in one pass
 and computes each residual with :func:`residual_of`'s formula.  A batch
 gives one :class:`ReportBlock` per check: the report names, shared by every
@@ -126,7 +127,7 @@ class ReportBlock:
 
 @dataclass(frozen=True, eq=False)
 class CasimirBlock(ReportBlock):
-    """A :func:`casimir` block with each row's Casimir matrix and scalar."""
+    """A :func:`casimir` block with each member's Casimir matrix and scalar."""
 
     matrices: np.ndarray
     scalars: tuple[complex, ...]
@@ -134,13 +135,8 @@ class CasimirBlock(ReportBlock):
     def result(self, member: int) -> CasimirResult:
         """The result of batch member ``member``; raises the error that dropped it."""
         reports = tuple(self.reports(member))
-        j = self.alive.index(member)
-        return CasimirResult(matrix=self.matrices[j], scalar=self.scalars[j], reports=reports)
-
-
-def dropped(errors: dict[int, MemberError], tol: float, kind: type = ReportBlock, **extra: Any):
-    """The block of a batch whose every member was dropped."""
-    return kind((), (), np.empty((0, 0)), float(tol), errors, {}, **extra)
+        return CasimirResult(matrix=self.matrices[member], scalar=self.scalars[member],
+                             reports=reports)
 
 
 def as_batch(reps: Union[Rep, RepBatch]) -> RepBatch:
@@ -152,46 +148,41 @@ def unbatch(reps: Union[Rep, RepBatch], block: ReportBlock):
     return block if isinstance(reps, RepBatch) else block.reports(0)
 
 
-def member_scalars(
-    count: int, scalars: Callable[[int], Any], dropped: Optional[dict[int, MemberError]] = None
-) -> tuple[dict[int, MemberError], list[int], list]:
-    """Each member's ``scalars(i)``; an ``OverflowError`` or ``DegenerateParameter`` drops it.
+def member_scalars(count: int, scalars: Callable[[int], Any],
+                   errors: Optional[dict[int, MemberError]] = None, fill: Any = None
+                   ) -> tuple[dict[int, MemberError], list]:
+    """Each member's ``scalars(i)``, or ``fill`` where an ``OverflowError`` or
+    ``DegenerateParameter`` drops it.
 
-    Members in ``dropped`` keep the error given there.  Returns the error of
-    every dropped member, the surviving indices and their scalar data.
+    Members in ``errors`` keep the error given there.  Returns the error of
+    every dropped member and the data of every member.
     """
-    errors = dict(dropped) if dropped else {}
-    alive: list[int] = []
+    errors = dict(errors) if errors else {}
     data: list = []
     for i in range(count):
-        if i in errors:
-            continue
         try:
             data.append(scalars(i))
         except (OverflowError, DegenerateParameter) as exc:
-            errors[i] = exc
-            continue
-        alive.append(i)
-    return errors, alive, data
+            errors.setdefault(i, exc)
+            data.append(fill)
+    return errors, data
 
 
 def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]] = None
-                   ) -> tuple[dict[int, MemberError], list[int]]:
-    """Drop each member whose ``scalars`` (one row per member) are not all finite.
+                   ) -> dict[int, MemberError]:
+    """The errors of the members whose ``scalars`` (one row per member) are not all finite.
 
-    A dropped member gets an ``OverflowError``, as ``cmath`` raises one;
-    members in ``errors`` keep the error given there.  Returns the error of
-    every dropped member and the surviving indices.
+    Such a member gets an ``OverflowError``, as ``cmath`` raises one;
+    members in ``errors`` keep the error given there.
     """
     errors = dict(errors) if errors else {}
-    count = len(scalars[0])
     if not all(np.isfinite(values).all() for values in scalars):
-        finite = np.ones(count, dtype=bool)
+        finite = np.ones(len(scalars[0]), dtype=bool)
         for values in scalars:
             finite &= np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
         for i in np.flatnonzero(~finite).tolist():
             errors.setdefault(i, OverflowError("math range error"))
-    return errors, [i for i in range(count) if i not in errors]
+    return errors
 
 
 def diag_stack(w: np.ndarray) -> np.ndarray:
@@ -251,7 +242,7 @@ _LAYOUTS: dict[tuple, _Layout] = {}
 class Arms:
     """The named arms of one batched check, reduced to one block in one pass.
 
-    Row ``j`` of every operand belongs to batch member ``rows[j]``.  An
+    Row ``i`` of every operand belongs to batch member ``i``, of ``count``.  An
     operand is a dense stack or a graded operator, a dict of blocks that
     never overlap, so their maxima suffice.  The max-norms of all operands
     are taken in one pass, over every axis but the batch axis, and a term's
@@ -265,14 +256,14 @@ class Arms:
     flavor, depth): the term layout is worked out once per key.
     """
 
-    def __init__(self, rows: Sequence[int], key: tuple) -> None:
-        self.rows = rows
+    def __init__(self, count: int, key: tuple) -> None:
+        self.count = count
         self.key = key
         self._arms: list[tuple[str, tuple]] = []  # name and terms of each arm
         self._details: dict[int, Sequence[str]] = {}
 
     def add(self, name: str, *terms: tuple, details: Optional[Sequence[str]] = None) -> None:
-        """An arm of terms ``(defect, *operands)``; ``details`` holds one detail per row."""
+        """An arm of terms ``(defect, *operands)``; ``details`` holds one detail per member."""
         if details is not None:
             self._details[len(self._arms)] = details
         self._arms.append((name, terms))
@@ -281,14 +272,13 @@ class Arms:
         self.add(name, (lhs - rhs, lhs, rhs))
 
     def absolute(self, name: str, residuals: Sequence[float]) -> None:
-        """An arm whose residuals, one per row, are given: a defect with no operands."""
+        """An arm whose residuals, one per member, are given: a defect with no operands."""
         self.add(name, (np.array(residuals)[:, None],))
 
     def _residuals(self, layout: _Layout) -> np.ndarray:
         """Per row, the residual of every arm."""
-        count = len(self.rows)
         flat = np.abs(np.concatenate(
-            [block.reshape(count, -1) for _, terms in self._arms for term in terms
+            [block.reshape(self.count, -1) for _, terms in self._arms for term in terms
              for op in term for block in (op.values() if isinstance(op, dict) else (op,))],
             axis=1))
         if flat.shape[1] != layout.width:
@@ -301,18 +291,20 @@ class Arms:
 
     def block(self, tol: float, errors: dict[int, MemberError], label: Optional[str] = None,
               kind: type = ReportBlock, **extra: Any) -> ReportBlock:
-        """The arms' block, less the rows of members in ``errors``; ``label.`` prefixes names."""
+        """The arms' block, less the rows of members in ``errors``; ``label.`` prefixes names.
+
+        This cut is the only place a member leaves a check.
+        """
         layout = _LAYOUTS.get(self.key)
         if layout is None:
             layout = _LAYOUTS[self.key] = _Layout(self._arms)
         residuals = self._residuals(layout)
-        keep = [j for j, i in enumerate(self.rows) if i not in errors]
-        if len(keep) < len(self.rows):
+        keep = [i for i in range(self.count) if i not in errors]
+        if len(keep) < self.count:
             residuals = residuals[keep]
-        details = {c: tuple(rows[j] for j in keep) for c, rows in self._details.items()}
+        details = {c: tuple(rows[i] for i in keep) for c, rows in self._details.items()}
         names = layout.names if label is None else tuple(f"{label}.{n}" for n in layout.names)
-        return kind(names, tuple(self.rows[j] for j in keep), residuals, float(tol), errors,
-                    details, **extra)
+        return kind(names, tuple(keep), residuals, float(tol), errors, details, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +322,7 @@ def _interior(defect: np.ndarray, reps: Sequence[Rep]) -> np.ndarray:
     return trimmed
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step drops its member below
 def check_defining_relations(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
@@ -342,19 +335,14 @@ def check_defining_relations(
     single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = batch.powers.step(4 * np.arange(batch.dim))
-    errors, alive = finite_members(steps)
-    if not alive:
-        return unbatch(reps, dropped(errors, tol))
-    live = batch.subset(alive)
-    A, Abar, N = live.A, live.Abar, live.Nmat
-    step = diag_stack(steps[alive])
-    arms = Arms(alive, ("algebra", batch.mode, batch.k))
-    arms.add("rel_commutator", (_interior((A @ Abar - Abar @ A) - step, live.reps), A, Abar))
+    steps = batch.powers.step(4 * np.arange(batch.dim))
+    A, Abar, N = batch.A, batch.Abar, batch.Nmat
+    arms = Arms(len(batch.reps), ("algebra", batch.mode, batch.k))
+    arms.add("rel_commutator",
+             (_interior((A @ Abar - Abar @ A) - diag_stack(steps), batch.reps), A, Abar))
     arms.add("rel_number_raise", ((N @ Abar - Abar @ N) - Abar, N, Abar))
     arms.add("rel_number_lower", ((N @ A - A @ N) + A, N, A))
-    return unbatch(reps, arms.block(tol, errors))
+    return unbatch(reps, arms.block(tol, finite_members(steps)))
 
 
 @dataclass(frozen=True)
@@ -364,6 +352,7 @@ class CasimirResult:
     reports: tuple[CheckReport, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite number drops its member below
 def casimir(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
 ) -> Union[CasimirResult, CasimirBlock]:
@@ -372,33 +361,25 @@ def casimir(
     Reports: agreement of the two equivalent forms, and deviation from the
     scalar.  For truncated reps the scalar is ``-[nu0]``.  A
     :class:`~qosc.repbuild.RepBatch` gives one :class:`CasimirBlock`, which
-    also holds each surviving member's matrix and scalar; a single rep gives
-    its :class:`CasimirResult`.  Overflows drop members as in
+    also holds each member's matrix and scalar; a single rep gives its
+    :class:`CasimirResult`.  Overflows drop members as in
     :func:`check_defining_relations`.
     """
     batch = as_batch(reps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        numbers = batch.powers.number(4 * np.arange(batch.dim + 1), spectral=True)  # [N], [N+1]
-    errors, alive = finite_members(numbers)
-    if not alive:
-        block = dropped(errors, tol, CasimirBlock,
-                        matrices=np.empty((0, batch.dim, batch.dim), dtype=complex), scalars=())
-        return block if isinstance(reps, RepBatch) else block.result(0)
-    live = batch.subset(alive)
-    low, high = diag_stack(numbers[alive, :-1]), diag_stack(numbers[alive, 1:])
-    c_low = live.Abar @ live.A - low
-    c_high = live.A @ live.Abar - high
+    numbers = batch.powers.number(4 * np.arange(batch.dim + 1), spectral=True)  # [N], [N+1]
+    c_low = batch.Abar @ batch.A - diag_stack(numbers[:, :-1])
+    c_high = batch.A @ batch.Abar - diag_stack(numbers[:, 1:])
     scalars = [
-        complex(c_low[j, 1, 1] if not rep.normalized and rep.dim > 1 else c_low[j, 0, 0])
-        for j, rep in enumerate(live.reps)
+        complex(c_low[i, 1, 1] if not rep.normalized and rep.dim > 1 else c_low[i, 0, 0])
+        for i, rep in enumerate(batch.reps)
     ]
-    eye = np.eye(live.dim)
-    scalar_defect = c_low - np.array(scalars)[:, None, None] * eye
-    arms = Arms(alive, ("casimir", batch.mode, batch.k))
-    arms.add("casimir_two_forms", (_interior(c_low - c_high, live.reps), live.A, live.Abar))
-    arms.add("casimir_scalar", (_interior(scalar_defect, live.reps), c_low),
+    scalar_defect = c_low - np.array(scalars)[:, None, None] * np.eye(batch.dim)
+    arms = Arms(len(batch.reps), ("casimir", batch.mode, batch.k))
+    arms.add("casimir_two_forms", (_interior(c_low - c_high, batch.reps), batch.A, batch.Abar))
+    arms.add("casimir_scalar", (_interior(scalar_defect, batch.reps), c_low),
              details=[f"scalar={scalar!r}" for scalar in scalars])
-    block = arms.block(tol, errors, kind=CasimirBlock, matrices=c_low, scalars=tuple(scalars))
+    block = arms.block(tol, finite_members(numbers), kind=CasimirBlock, matrices=c_low,
+                       scalars=tuple(scalars))
     return block if isinstance(reps, RepBatch) else block.result(0)
 
 
@@ -453,7 +434,7 @@ def _ladder_groups(n_max: int) -> tuple[tuple[dict, int], dict, dict]:
     return (stacked(brackets), brackets[0].den), stacked(shapes), stacked(lowered)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is detected and raised below
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite factor drops its member below
 def check_ladder_identities(
     reps: Union[Rep, RepBatch], n_max: int, tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
@@ -468,23 +449,24 @@ def check_ladder_identities(
     from the offsets ``t**b - 1`` so that its numerator and ``q - 1/q``
     keep their digits as ``q -> 1``, and the factor in ``s``, which
     vanishes exactly where the block truncates.  A coefficient or power outside the double
-    range raises ``OverflowError``.  A :class:`~qosc.repbuild.RepBatch`
+    range raises ``OverflowError``; ``n_max`` outside ``1..k+1`` raises
+    ``ValueError``.  A :class:`~qosc.repbuild.RepBatch`
     gives one block, as :func:`check_defining_relations` does; a member's
     error is the first one its single-rep call would raise, order by order.
     """
     batch = as_batch(reps)
-    if n_max > batch.k + 1:
-        raise ValueError(f"n_max={n_max} exceeds k+1={batch.k + 1}")
+    if not 1 <= n_max <= batch.k + 1:
+        raise ValueError(f"n_max={n_max} outside 1..k+1 = 1..{batch.k + 1}")
     count, d = len(batch.reps), batch.dim
     errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
-    arms = Arms(range(count), ("ladder", batch.mode, batch.k, n_max))
+    arms = Arms(count, ("ladder", batch.mode, batch.k, n_max))
     raise_pow = np.repeat(np.eye(d, dtype=complex)[None], count, axis=0)  # Abar^(n-1)
     lower_pow = raise_pow                                                 # A^(n-1)
     brackets, raising, lowering = ladder_factors(batch.powers, d, n_max)
     for n in range(1, n_max + 1):
         bracket, up, down = brackets[:, n - 1, None], raising[:, n - 1], lowering[:, n - 1]
-        errors = finite_members(bracket, up, down, errors=errors)[0]
+        errors = finite_members(bracket, up, down, errors=errors)
         c_raise, c_lower = bracket * up, bracket * down
         raise_n = raise_pow @ Abar                  # Abar^n
         lower_n = lower_pow @ A                     # A^n

@@ -46,7 +46,6 @@ from .algcheck import (
     casimir,
     check_defining_relations,
     check_ladder_identities,
-    dropped,
     max_rule,
     member_scalars,
 )
@@ -68,7 +67,7 @@ from .hopfstar import (
     with_flavor,
 )
 from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
-from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, symbolic_block
+from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, exact_defects, symbolic_block
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
 from .sumap import check_equivalence, check_su2
@@ -189,13 +188,13 @@ def _symbolic_family(cfg: RunConfig, params: QParams) -> ReportBlock:
     return symbolic_block(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
 
 
-def _symbolic_runs(batch: RepBatch, symbolic: Symbolic, tol: float) -> ReportBlock:
+def _symbolic_runs(batch: RepBatch, symbolic: Symbolic, cfg: RunConfig) -> ReportBlock:
     """The symbolic rows of every member's params as one block; an overflow drops its member."""
-    errors, alive, blocks = member_scalars(len(batch.reps), lambda i: symbolic(batch.params[i]))
-    if not blocks:
-        return dropped(errors, tol)
-    return ReportBlock(blocks[0].names, tuple(alive),
-                       np.concatenate([b.residuals for b in blocks]), blocks[0].tol, errors, {})
+    errors, blocks = member_scalars(len(batch.reps), lambda i: symbolic(batch.params[i]))
+    alive = [i for i in range(len(blocks)) if i not in errors]
+    names = tuple(d.name for d in exact_defects(cfg.n_max))
+    residuals = np.array([blocks[i].residuals[0] for i in alive]).reshape(len(alive), len(names))
+    return ReportBlock(names, tuple(alive), residuals, float(cfg.sym_tol), errors, {})
 
 
 def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbolic
@@ -213,7 +212,7 @@ def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbo
     if family == "suq2":  # one spin map serves both
         return [check_su2(batch, cfg.tol), check_equivalence(batch, cfg.tol)]
     if family == "symbolic":
-        return [_symbolic_runs(batch, symbolic, cfg.sym_tol)]
+        return [_symbolic_runs(batch, symbolic, cfg)]
     raise ValueError(f"unknown check family {family!r}")
 
 
@@ -387,21 +386,20 @@ class _Point:
         row["status"] = "fail" if self.mismatch else ("skipped:singular" if self.singular else "ok")
 
 
-def _fold(live: Sequence[_Point], batch: RepBatch, blocks: list[ReportBlock],
+def _fold(members: Sequence[_Point], batch: RepBatch, blocks: list[ReportBlock],
           column: Optional[str]) -> None:
     """Fold one family's blocks over ``batch`` into the points of their rows.
 
     A member a block drops is dropped from its point.  A row gives its point
     a mismatch if one of its reports missed its expected outcome, and in
     ``column`` the largest residual of the reports that must pass, folded
-    across blocks and families by Python ``max``'s rule.
+    across blocks and families by Python ``max``'s rule.  A point an earlier
+    family skipped still gets its rows folded in, and its row ignores them.
     """
     for block in blocks:
         for i, exc in block.errors.items():
-            live[i].drop(exc)
-        if not block.alive:
-            continue
-        points = [live[i] for i in block.alive]
+            members[i].drop(exc)
+        points = [members[i] for i in block.alive]
         fails = _expected_fails(block.names, batch.mode, batch.dim == 1)
         mismatch = ((block.residuals < block.tol) == fails).any(axis=1)
         for point, bad in zip(points, mismatch.tolist()):
@@ -433,29 +431,27 @@ def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
 
 def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic
                ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
-    """The points of one batch, run, and each family's blocks over the points still standing."""
+    """The points of one batch, run, and each family's blocks over the points that were built."""
     points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
+    built = [point for point in points if point.skip is None]
     families: dict[str, list[ReportBlock]] = {}
-    batch: Optional[RepBatch] = None
+    batch = RepBatch(tuple(point.rep for point in built)) if built else None
     for family in (None, *cfg.checks):  # None: the casimir every point runs first, for its row
-        live = [point for point in points if point.skip is None]
-        if not live:
+        if all(point.skip is not None for point in built):
             break
-        if batch is None or len(batch.reps) != len(live):  # points are only ever dropped
-            batch = RepBatch(tuple(point.rep for point in live))
         if family is None:
             cas = casimir(batch, cfg.tol)
             for i, exc in cas.errors.items():
-                live[i].drop(exc)
-            for i, scalar in zip(cas.alive, cas.scalars):
-                live[i].cas = scalar
+                built[i].drop(exc)
+            for i in cas.alive:
+                built[i].cas = cas.scalars[i]
             families["casimir"] = [cas]
             if "casimir" in cfg.checks:  # the family's reports are these, folded in at once
-                _fold(live, batch, [cas], None)
+                _fold(built, batch, [cas], None)
         elif family != "casimir":  # both star families share res_star
             families[family] = _family_blocks(family, batch, cfg, symbolic)
             column = "res_" + family.partition(":")[0]
-            _fold(live, batch, families[family], column if column in _CSV_COLUMNS else None)
+            _fold(built, batch, families[family], column if column in _CSV_COLUMNS else None)
     for point in points:
         if point.skip is None:
             point.finish()
@@ -470,10 +466,12 @@ def _run_points(
     A point that cannot be built, or whose build or checks overflow, is
     skipped whole; a spin map rejected at a singular locus skips only that
     family.  Each point runs casimir and then the families in order, as it
-    would alone.  Every family but symbolic runs once over the stack of the
-    points still standing, in batches of at most
+    would alone.  The points built form batches of at most
     ``_BATCH_CUBE_ENTRIES // (k+1)**3`` points, which bounds the memory of
-    the stacked tensor blocks; symbolic reads no k and runs point by point.
+    the stacked tensor blocks, and every family but symbolic runs once over
+    each: every check evaluates every member, and a member with a non-finite
+    scalar, or one the spin map rejects, leaves only when the block is cut.
+    Symbolic reads no k and runs point by point.
     """
     size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
     for start in range(0, len(epsilons), size):

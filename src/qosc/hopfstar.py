@@ -32,8 +32,9 @@ each arm once per ``k``.  The scalar data are ``(members, ...)`` arrays:
 ``K``, the antipode constants and the bracket steps are read from the
 batch's :class:`~qosc.qcore.PowerTable`, and the star steps take one
 ``q**eta`` per member on top.  So a member's residuals are bit for bit those
-of the single-rep call, and a member whose scalars leave the double range
-is dropped alone.  A single rep is the batch of one and gets its reports.
+of the single-rep call.  Every check evaluates every member, and a member
+whose scalars leave the double range leaves only when the block is cut.  A
+single rep is the batch of one and gets its reports.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .algcheck import (
     ReportBlock,
     as_batch,
     diag_stack,
-    dropped,
     finite_members,
     residual_of,
     unbatch,
@@ -153,13 +153,13 @@ def _commutator(x: dict, y: dict) -> dict:
     return _minus(_compose(x, y), _compose(y, x))
 
 
-def _affine(elem: tuple, dense: dict[str, np.ndarray], rows: list[int]) -> np.ndarray:
-    """Dense stack of ``coef * symbol + const * 1``, at the member ``rows``."""
+def _affine(elem: tuple, dense: dict[str, np.ndarray]) -> np.ndarray:
+    """Dense stack of ``coef * symbol + const * 1``."""
     coef, sym, const = elem
-    image = _rows(coef, 2, rows) * dense[sym]
+    image = _rows(coef, 2) * dense[sym]
     if isinstance(const, float) and not const:
         return image
-    return image + _rows(const, 2, rows) * dense["one"]
+    return image + _rows(const, 2) * dense["one"]
 
 
 #: coproduct of every symbol of the Hopf table, as sums of symbol pairs
@@ -229,17 +229,10 @@ class _Realization:
         pw, twice = batch.powers, 2 * np.arange(d) - batch.k  # K = q**((N + gamma)/2)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = {"qp": pw.root[:, None] * pw(twice), "qm": pw(-twice) / pw.root[:, None]}
-        self.overflow = finite_members(*powers.values())[0]
+        self.overflow = finite_members(*powers.values())
         for sym, weights in powers.items():
             self.dense[sym] = diag_stack(weights)
             self.graded[sym] = ((0,), weights)
-
-    def select(self, alive: list[int]) -> tuple[dict, dict]:
-        """Dense stacks and graded weights of the members ``alive``."""
-        if len(alive) == len(self.dense["a"]):
-            return self.dense, self.graded
-        return ({sym: m[alive] for sym, m in self.dense.items()},
-                {sym: (deg, w[alive]) for sym, (deg, w) in self.graded.items()})
 
 
 def _coproduct(cop_terms, graded: dict[str, tuple]) -> dict:
@@ -262,6 +255,7 @@ def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
     return {deg: w[0] for deg, w in blocks.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
 def check_hopf_axioms(
     reps: Union[Rep, RepBatch], tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
@@ -281,22 +275,18 @@ def check_hopf_axioms(
     # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
     # with q**eta = root**2
     ij = np.add.outer(np.arange(d), np.arange(d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = pw.step(4 * ij - 2 * batch.k, shift=pw.root * pw.root)
-    errors, alive = finite_members(steps, errors=real.overflow)
-    if not alive:
-        return unbatch(reps, dropped(errors, tol))
+    steps = pw.step(4 * ij - 2 * batch.k, shift=pw.root * pw.root)
     counit, antipode = _hopf_table(batch)
-    counit = {sym: _rows(c, 2, alive) for sym, c in counit.items()}
-    dense, graded = real.select(alive)
-    arms = Arms(alive, ("hopf", batch.mode, batch.k))
+    counit = {sym: _rows(c, 2) for sym, c in counit.items()}
+    dense, graded = real.dense, real.graded
+    arms = Arms(len(batch.reps), ("hopf", batch.mode, batch.k))
 
     # every tensor square of the table, shared by the coproducts and both coassociativity sides
     pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
              for term in terms}
     da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
     relations = (
-        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps[alive]}),
+        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps}),
          (da, dab)),
         ("homomorphism_raise", _minus(_commutator(dn, dab), dab), (dn, dab)),
         ("homomorphism_lower", _minus(_commutator(da, dn), da), (dn, da)),  # -([DN, Da] + Da)
@@ -319,14 +309,14 @@ def check_hopf_axioms(
         arms.compare(f"counit_left_{gen}", lhs_l, dense[gen])
         arms.compare(f"counit_right_{gen}", lhs_r, dense[gen])
 
-    s_image = {sym: _affine(antipode[sym], dense, alive) for sym in cop}
+    s_image = {sym: _affine(antipode[sym], dense) for sym in cop}
     for gen in _GENERATORS:
         target = counit[gen] * dense["one"]
         lhs_l = sum(s_image[le] @ dense[ri] for le, ri in cop[gen])
         lhs_r = sum(dense[le] @ s_image[ri] for le, ri in cop[gen])
         arms.compare(f"antipode_left_{gen}", lhs_l, target)
         arms.compare(f"antipode_right_{gen}", lhs_r, target)
-    return unbatch(reps, arms.block(tol, errors))
+    return unbatch(reps, arms.block(tol, finite_members(steps, errors=real.overflow)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,6 +383,7 @@ def _s_affine(elem, antipode):
     return (c * coef, target, c * const + d)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
 def check_star_structure(
     reps: Union[Rep, RepBatch],
     inv: Union[InvolutionSpec, Sequence[InvolutionSpec]],
@@ -431,12 +422,7 @@ def check_star_structure(
     pw = batch.powers
     shift = None if all(spec.eta == 0 for spec in invs) else np.array(
         [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_bar = pw.step(4 * np.arange(batch.dim), -1 if batch.mode is Mode.UNIMODULAR else 1,
-                           shift)
-    errors, alive = finite_members(step_bar, errors=real.overflow)
-    if not alive:
-        return unbatch(reps, dropped(errors, tol))
+    step_bar = pw.step(4 * np.arange(batch.dim), -1 if batch.mode is Mode.UNIMODULAR else 1, shift)
     counit, antipode = _hopf_table(batch)
     star = _star_table(*invs)
     counit_defects = []
@@ -453,12 +439,12 @@ def check_star_structure(
         else:
             antipode_sides += [_s_affine(_star_affine(start, star), antipode),
                                _star_affine(_s_affine(start, antipode), star)]
-    dense, graded = real.select(alive)
-    arms = Arms(alive, ("star", batch.mode, batch.k, flavor))
+    dense, graded = real.dense, real.graded
+    arms = Arms(len(batch.reps), ("star", batch.mode, batch.k, flavor))
 
-    img = {gen: _affine(star[gen], dense, alive) for gen in _GENERATORS}
+    img = {gen: _affine(star[gen], dense) for gen in _GENERATORS}
     lhs = img["abar"] @ img["a"] - img["a"] @ img["abar"]
-    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar[alive]))
+    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar))
     arms.compare("algebra_compat_raise",
                  img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
     arms.compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
@@ -473,27 +459,27 @@ def check_star_structure(
 
     # the adjoint of a weighted shift is one of the opposite degree
     graded_adj = {sym: ((-deg,), _band(adj[sym], -deg)) for sym, ((deg,), _) in graded.items()}
-    empty = np.zeros((len(alive), batch.dim, batch.dim), dtype=complex)
+    empty = np.zeros((len(batch.reps), batch.dim, batch.dim), dtype=complex)
     for gen in _GENERATORS:
         coef, target, const = star[gen]
         dag = _coproduct(cop[gen], graded_adj)
         image = _graded_sum(
-            _otimes((graded[le][0], _rows(coef, 1, alive) * graded[le][1]), graded[ri])
+            _otimes((graded[le][0], _rows(coef, 1) * graded[le][1]), graded[ri])
             for le, ri in cop[target]
         )
         # the coproduct of 1 is 1 (x) 1
-        image[(0, 0)] = image.get((0, 0), empty) + _rows(const, 2, alive)
+        image[(0, 0)] = image.get((0, 0), empty) + _rows(const, 2)
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
         arms.add(f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image))
 
     for gen, defect in zip(_GENERATORS, counit_defects):
-        arms.absolute(f"counit_{gen}", defect[alive])
+        arms.absolute(f"counit_{gen}", defect)
 
-    sides = [_affine(side, dense, alive) for side in antipode_sides]
+    sides = [_affine(side, dense) for side in antipode_sides]
     for j, gen in enumerate(_GENERATORS):
         arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
-    return unbatch(reps, arms.block(tol, errors, label))
+    return unbatch(reps, arms.block(tol, finite_members(step_bar, errors=real.overflow), label))
 
 
 def parity_metric(dim: int) -> np.ndarray:

@@ -134,12 +134,12 @@ def bracket_step(nu: complex, params: QParams) -> complex:
 # integer powers of u = q**(1/4)
 
 
-def _rows(x: Any, ndim: int, at: Any = slice(None)) -> Any:
-    """The rows ``at`` of ``x``, one value per row, broadcast against ``ndim``
-    axes after the rows; a scalar as it is."""
+def _rows(x: Any, ndim: int) -> Any:
+    """``x``, one value per row, broadcast against ``ndim`` axes after the
+    rows; a scalar as it is."""
     if not isinstance(x, np.ndarray):
         return x
-    return x[at].reshape((-1,) + (1,) * ndim)
+    return x.reshape((-1,) + (1,) * ndim)
 
 
 def _expm1(z: complex) -> complex:

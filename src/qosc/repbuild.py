@@ -16,7 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -123,12 +123,6 @@ class RepBatch:
         return PowerTable.build(
             [p.log_q / 4.0 for p in self.params], 4 * (k + 1), center=2 * k + 2,
             unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex))
-
-    def subset(self, members: Sequence[int]) -> "RepBatch":
-        """The batch of the given members in order; the batch itself when that is all of them."""
-        if len(members) == len(self.reps):
-            return self
-        return RepBatch(tuple(self.reps[i] for i in members))
 
     def derived(self, build: Callable[["RepBatch"], _T]) -> _T:
         """``build(self)``, computed once per batch and shared by every check that asks."""

@@ -15,7 +15,8 @@ deformed numbers from a :class:`~qosc.qcore.PowerTable` of a fourth root of ``Q`
 only the reference blocks of :func:`check_equivalence` are built member by
 member.  So a member's residuals are bit for bit those of the single-rep
 call.  The two checks share one spin map per batch, and :func:`to_su2` is
-its row 0.  A member at a singular locus is dropped with its
+its row 0.  Every check evaluates every member, and a member leaves only
+when the block is cut: one at a singular locus with its
 ``DegenerateParameter``, one whose scalars overflow with its
 ``OverflowError``; a single rep gets its reports and raises them.
 :func:`check_su2` also takes a :class:`SuTriple`, the batch of one triple.
@@ -39,7 +40,6 @@ from .algcheck import (
     ReportBlock,
     as_batch,
     diag_stack,
-    dropped,
     finite_members,
     member_scalars,
     unbatch,
@@ -128,10 +128,9 @@ def _rescaling(p: QParams) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class _Triples:
-    """Stacked triples of the members a spin map admits, at spin ``j``; the errors of the rest."""
+    """Stacked triples of every member at spin ``j``; the error of each one the spin map rejects."""
 
     errors: dict[int, MemberError]
-    alive: list[int]
     Jp: np.ndarray
     Jm: np.ndarray
     J0: np.ndarray
@@ -143,14 +142,6 @@ class _Triples:
         """Powers of a fourth root ``u`` of each ``Q``: every scalar read (``[2m]``,
         ``[m][m+1]``, ``[j][j+1]`` at base ``Q = u**4``) is the same for every fourth root."""
         return PowerTable.build([cmath.log(Q) / 4.0 for Q in self.Q], 4 * self.J0.shape[1])
-
-    def narrow(self, more: dict[int, MemberError], kept: list[int]) -> "_Triples":
-        """The triples of the rows ``kept``; the rows in ``more`` are dropped with their errors."""
-        if not more:
-            return self
-        errors = {**self.errors, **{self.alive[row]: exc for row, exc in more.items()}}
-        return _Triples(errors, [self.alive[row] for row in kept], self.Jp[kept], self.Jm[kept],
-                        self.J0[kept], [self.Q[row] for row in kept], self.j)
 
 
 def _triples(batch: RepBatch) -> _Triples:
@@ -164,15 +155,14 @@ def _triples(batch: RepBatch) -> _Triples:
             f"epsilon={p.epsilon} inside guard band of a spin-map singular locus")
         for i, p in enumerate(batch.params)
         if p.mode is Mode.UNIMODULAR and _locus_distance(p.epsilon) < GUARD_BAND}
-    alive = [i for i in range(len(batch.reps)) if i not in errors]
-    params = [batch.params[i] for i in alive]
+    params = batch.params
     factors = [_rescaling(p) for p in params]
     raising, lowering = (np.array([f[side] for f in factors], dtype=complex)[:, None, None]
                          for side in (0, 1))
     gamma = np.array([p.gamma for p in params], dtype=complex)[:, None, None]
     return _Triples(
-        errors, alive, raising * batch.Abar[alive], lowering * batch.A[alive],
-        batch.Nmat[alive] + gamma * np.eye(batch.dim, dtype=complex),
+        errors, raising * batch.Abar, lowering * batch.A,
+        batch.Nmat + gamma * np.eye(batch.dim, dtype=complex),
         [p.sqrt_q for p in params], batch.k / 2.0,
     )
 
@@ -192,7 +182,7 @@ def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
     """The stacked spin map of a source; a batch's map is built once, for both checks."""
     if isinstance(source, SuTriple):
         t = source
-        return _Triples({}, [0], t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
+        return _Triples({}, t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
     return as_batch(source).derived(_triples)
 
 
@@ -205,6 +195,7 @@ def _su2_numbers(pw: PowerTable, d: int) -> tuple[np.ndarray, np.ndarray, np.nda
                 pw.number(np.array([2 * d - 2])) * pw.number(np.array([2 * d + 2])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite number drops its member below
 def check_su2(
     t: Union[SuTriple, Rep, RepBatch], tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
@@ -221,18 +212,15 @@ def check_su2(
     spins = _spin_map(t)
     d = spins.J0.shape[1]
     steps, casimirs, targets = _su2_numbers(spins.powers, d)
-    more, rows = finite_members(steps, casimirs, targets)
-    live = spins.narrow(more, rows)
-    if not rows:
-        return unbatch(t, dropped(live.errors, tol))
-    Jp, Jm, J0 = live.Jp, live.Jm, live.J0
-    arms = Arms(live.alive, ("su2", d))
+    Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
+    arms = Arms(len(spins.Q), ("su2", d))
     arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
     arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
-    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps[rows]), Jp, Jm))
-    cas = Jm @ Jp + diag_stack(casimirs[rows])
-    arms.compare("su_casimir", cas, targets[rows][:, :, None] * np.eye(d))
-    return unbatch(t, arms.block(tol, live.errors))
+    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
+    cas = Jm @ Jp + diag_stack(casimirs)
+    arms.compare("su_casimir", cas, targets[:, :, None] * np.eye(d))
+    errors = finite_members(steps, casimirs, targets, errors=spins.errors)
+    return unbatch(t, arms.block(tol, errors))
 
 
 def check_equivalence(
@@ -245,20 +233,17 @@ def check_equivalence(
     report.
     """
     spins = _spin_map(reps)
-    more, rows, refs = member_scalars(len(spins.alive),
-                                      lambda row: su2_direct(spins.j, spins.Q[row]))
-    live = spins.narrow(more, rows)
-    if not refs:
-        block = dropped(live.errors, tol)
-    else:
-        arms = Arms(live.alive, ("equivalence", live.J0.shape[1]))
-        arms.add("su_equivalence", *(
-            (mine - ref, mine, ref) for mine, ref in (
-                (live.Jp, np.stack([r.Jp for r in refs])),
-                (live.Jm, np.stack([r.Jm for r in refs])),
-                (live.J0, np.stack([r.J0 for r in refs])),
-            )))
-        block = arms.block(tol, live.errors)
+    zero = np.zeros_like(spins.J0[0])
+    errors, refs = member_scalars(len(spins.Q), lambda i: su2_direct(spins.j, spins.Q[i]),
+                                  spins.errors, fill=SuTriple(zero, zero, zero, 1.0, spins.j))
+    arms = Arms(len(refs), ("equivalence", spins.J0.shape[1]))
+    arms.add("su_equivalence", *(
+        (mine - ref, mine, ref) for mine, ref in (
+            (spins.Jp, np.stack([r.Jp for r in refs])),
+            (spins.Jm, np.stack([r.Jm for r in refs])),
+            (spins.J0, np.stack([r.J0 for r in refs])),
+        )))
+    block = arms.block(tol, errors)
     if isinstance(reps, RepBatch):
         return block
     (result,) = block.reports(0)

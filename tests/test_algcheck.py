@@ -115,8 +115,10 @@ def test_ladder_identities_matrix_route(mode, eps, l, k):
 
 def test_ladder_identities_cap():
     rep = build_rep(make_params("unimodular", 0.9, 0), 2)
-    with pytest.raises(ValueError):
-        check_ladder_identities(rep, n_max=4)
+    for n_max in (0, -1, 4):  # the admitted depths are 1..k+1
+        for reps in (rep, RepBatch((rep, rep))):
+            with pytest.raises(ValueError, match=r"outside 1\.\.k\+1 = 1\.\.3"):
+                check_ladder_identities(reps, n_max=n_max)
 
 
 def test_ladder_powers_out_of_double_range_overflow():

@@ -101,6 +101,35 @@ def test_a_guard_band_member_drops_only_itself_from_the_spin_map():
     _assert_members_match(batch, {"su2": degenerate, "equivalence": degenerate})
 
 
+def _assert_every_member_dropped(block, names, batch, error):
+    """The block keeps its names, has no row and drops every member with ``error``."""
+    assert block.names == names
+    assert block.alive == () and block.residuals.shape == (0, len(names))
+    assert set(block.errors) == set(range(len(batch.reps)))
+    assert all(isinstance(exc, error) for exc in block.errors.values())
+
+
+def test_a_batch_whose_every_member_is_dropped_keeps_its_names():
+    # at real-line eps 600, k 2 every scalar of these families leaves the double range
+    batch = RepBatch(tuple(build_rep(make_params("realline", eps, 1), 2)
+                           for eps in (600.0, 650.0)))
+    finite = RepBatch((build_rep(make_params("realline", 1.0, 1), 2),))
+    for check in (casimir, check_defining_relations, check_hopf_axioms):
+        _assert_every_member_dropped(check(batch), check(finite).names, batch, OverflowError)
+        for rep in batch.reps:
+            with pytest.raises(OverflowError):
+                check(rep)
+    batch = RepBatch(tuple(build_rep(make_params("unimodular", eps, l), 3)
+                           for eps, l in ((PI / 2 + 1e-8, 0), (-PI / 2 - 1e-8, 1))))
+    finite = RepBatch((build_rep(make_params("unimodular", 0.9, 0), 3),))
+    for check in (check_su2, check_equivalence):
+        _assert_every_member_dropped(check(batch), check(finite).names, batch,
+                                     DegenerateParameter)
+        for rep in batch.reps:
+            with pytest.raises(DegenerateParameter):
+                check(rep)
+
+
 @pytest.mark.parametrize("mode", ["unimodular", "realline"])
 def test_every_family_matches_its_single_rep_calls(mode):
     members = {"unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (2.5, 0)],

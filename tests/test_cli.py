@@ -441,6 +441,44 @@ def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
     assert calls == expected
 
 
+def test_sweep_keeps_one_batch_per_k_when_a_family_drops_a_point(capsys, monkeypatch):
+    import qosc.cli as cli
+
+    batches = []
+    drops = {"casimir": [], "check_hopf_axioms": []}
+    rep_batch = cli.RepBatch
+
+    def counted_batch(reps):
+        batches.append(len(reps))
+        return rep_batch(reps)
+
+    def recorded(name):
+        original = getattr(cli, name)
+
+        def wrapper(batch, *args, **kwargs):
+            block = original(batch, *args, **kwargs)
+            drops[name].append((batch.k, sorted(block.errors)))
+            return block
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "RepBatch", counted_batch)
+    for name in drops:
+        monkeypatch.setattr(cli, name, recorded(name))
+    assert main(["sweep", "--mode", "realline", "--epsilon-grid", "1:500:499",
+                 "--k", "1..2"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    rows = [line.split(",") for line in out.out.strip().split("\n")[1:]]
+    assert [(row[1], row[3], row[4]) for row in rows] == [
+        ("1", "1", "ok"), ("1", "2", "ok"),
+        ("500", "1", "skipped:overflow"), ("500", "2", "skipped:overflow")]
+    assert batches == [2, 2]  # one batch per k, kept when a family drops eps 500
+    # eps 500 leaves by hopf at k 1 and by casimir at k 2, where hopf still sees it
+    assert drops == {"casimir": [(1, []), (2, [1])],
+                     "check_hopf_axioms": [(1, [1]), (2, [1])]}
+
+
 def test_sweep_builds_no_check_report_and_verify_builds_one_per_check(capsys, monkeypatch):
     from qosc.algcheck import CheckReport
 
