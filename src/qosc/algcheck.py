@@ -14,7 +14,8 @@ The batch contract is shared by every check family (the Hopf and star
 checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`), and so
 is its one drop rule: every check evaluates every member, and a member with
 a non-finite scalar (:func:`finite_members`), or one the spin map rejects,
-leaves only when the block is cut (:meth:`Arms.block`).
+leaves only when the block is cut (:func:`cut`, which :meth:`Arms.block`
+and :func:`~qosc.normform.symbolic_block` call).
 :class:`Arms` takes the max-norms of all of a check's operands in one pass
 and computes each residual with :func:`residual_of`'s formula.  A batch
 gives one :class:`ReportBlock` per check: the report names, shared by every
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -148,24 +149,16 @@ def unbatch(reps: Union[Rep, RepBatch], block: ReportBlock):
     return block if isinstance(reps, RepBatch) else block.reports(0)
 
 
-def member_scalars(count: int, scalars: Callable[[int], Any],
-                   errors: Optional[dict[int, MemberError]] = None, fill: Any = None
-                   ) -> tuple[dict[int, MemberError], list]:
-    """Each member's ``scalars(i)``, or ``fill`` where an ``OverflowError`` or
-    ``DegenerateParameter`` drops it.
+def cut(names: tuple[str, ...], residuals: np.ndarray, tol: float, errors: dict[int, MemberError],
+        details: dict[int, Sequence[str]], kind: type = ReportBlock, **extra: Any) -> ReportBlock:
+    """The block of every member's row of ``residuals``, less the rows of members in ``errors``.
 
-    Members in ``errors`` keep the error given there.  Returns the error of
-    every dropped member and the data of every member.
+    ``details`` holds one detail per member for the columns that carry one.
+    This cut is the only place a member leaves a check.
     """
-    errors = dict(errors) if errors else {}
-    data: list = []
-    for i in range(count):
-        try:
-            data.append(scalars(i))
-        except (OverflowError, DegenerateParameter) as exc:
-            errors.setdefault(i, exc)
-            data.append(fill)
-    return errors, data
+    keep = [i for i in range(len(residuals)) if i not in errors]
+    details = {c: tuple(rows[i] for i in keep) for c, rows in details.items()}
+    return kind(names, tuple(keep), residuals[keep], float(tol), errors, details, **extra)
 
 
 def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]] = None
@@ -291,20 +284,13 @@ class Arms:
 
     def block(self, tol: float, errors: dict[int, MemberError], label: Optional[str] = None,
               kind: type = ReportBlock, **extra: Any) -> ReportBlock:
-        """The arms' block, less the rows of members in ``errors``; ``label.`` prefixes names.
-
-        This cut is the only place a member leaves a check.
-        """
+        """The arms' block, with the rows of members in ``errors`` :func:`cut`;
+        ``label.`` prefixes names."""
         layout = _LAYOUTS.get(self.key)
         if layout is None:
             layout = _LAYOUTS[self.key] = _Layout(self._arms)
-        residuals = self._residuals(layout)
-        keep = [i for i in range(self.count) if i not in errors]
-        if len(keep) < self.count:
-            residuals = residuals[keep]
-        details = {c: tuple(rows[i] for i in keep) for c, rows in self._details.items()}
         names = layout.names if label is None else tuple(f"{label}.{n}" for n in layout.names)
-        return kind(names, tuple(keep), residuals, float(tol), errors, details, **extra)
+        return cut(names, self._residuals(layout), tol, errors, self._details, kind, **extra)
 
 
 # ---------------------------------------------------------------------------

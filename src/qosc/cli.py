@@ -47,7 +47,6 @@ from .algcheck import (
     check_defining_relations,
     check_ladder_identities,
     max_rule,
-    member_scalars,
 )
 from .errors import (
     DegenerateParameter,
@@ -67,7 +66,7 @@ from .hopfstar import (
     with_flavor,
 )
 from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
-from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, exact_defects, symbolic_block
+from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, symbolic_block
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
 from .sumap import check_equivalence, check_su2
@@ -88,9 +87,6 @@ MAX_GRID_POINTS = 10_000
 
 #: most tensor-cube entries, (k+1)**3 per point, that one batch of points stacks
 _BATCH_CUBE_ENTRIES = 8192
-
-# Runs the symbolic family at a point's params (it reads no k).
-Symbolic = Callable[[QParams], ReportBlock]
 
 # The star arms that must fail, by mode and arm label: {arm: generators}.
 # At |q| = 1, forcing the standard flavor on the canonical involution breaks
@@ -184,21 +180,7 @@ def _expected_fails(names: tuple[str, ...], mode: Mode, one_state: bool) -> np.n
     return out
 
 
-def _symbolic_family(cfg: RunConfig, params: QParams) -> ReportBlock:
-    return symbolic_block(params, cfg.n_max, cfg.sym_tol, tamper=cfg.tamper)
-
-
-def _symbolic_runs(batch: RepBatch, symbolic: Symbolic, cfg: RunConfig) -> ReportBlock:
-    """The symbolic rows of every member's params as one block; an overflow drops its member."""
-    errors, blocks = member_scalars(len(batch.reps), lambda i: symbolic(batch.params[i]))
-    alive = [i for i in range(len(blocks)) if i not in errors]
-    names = tuple(d.name for d in exact_defects(cfg.n_max))
-    residuals = np.array([blocks[i].residuals[0] for i in alive]).reshape(len(alive), len(names))
-    return ReportBlock(names, tuple(alive), residuals, float(cfg.sym_tol), errors, {})
-
-
-def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbolic
-                   ) -> list[ReportBlock]:
+def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig) -> list[ReportBlock]:
     """The blocks of one family over the batch.  Not casimir: every point runs that first."""
     if family.startswith("star:"):
         return [check_star_structure(batch, invs, cfg.tol, metric=metric, label=label)
@@ -212,7 +194,7 @@ def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig, symbolic: Symbo
     if family == "suq2":  # one spin map serves both
         return [check_su2(batch, cfg.tol), check_equivalence(batch, cfg.tol)]
     if family == "symbolic":
-        return [_symbolic_runs(batch, symbolic, cfg)]
+        return [symbolic_block(batch.params, cfg.n_max, cfg.sym_tol, cfg.tamper)]
     raise ValueError(f"unknown check family {family!r}")
 
 
@@ -429,7 +411,7 @@ def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
     return point
 
 
-def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic
+def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int
                ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
     """The points of one batch, run, and each family's blocks over the points that were built."""
     points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
@@ -449,7 +431,7 @@ def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symb
             if "casimir" in cfg.checks:  # the family's reports are these, folded in at once
                 _fold(built, batch, [cas], None)
         elif family != "casimir":  # both star families share res_star
-            families[family] = _family_blocks(family, batch, cfg, symbolic)
+            families[family] = _family_blocks(family, batch, cfg)
             column = "res_" + family.partition(":")[0]
             _fold(built, batch, families[family], column if column in _CSV_COLUMNS else None)
     for point in points:
@@ -458,9 +440,7 @@ def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symb
     return points, families
 
 
-def _run_points(
-    cfg: RunConfig, epsilons: Sequence[float], k: int, symbolic: Symbolic
-) -> Iterator[_Point]:
+def _run_points(cfg: RunConfig, epsilons: Sequence[float], k: int) -> Iterator[_Point]:
     """Build the points of one k and run their families, yielding each point in epsilon order.
 
     A point that cannot be built, or whose build or checks overflow, is
@@ -468,20 +448,18 @@ def _run_points(
     family.  Each point runs casimir and then the families in order, as it
     would alone.  The points built form batches of at most
     ``_BATCH_CUBE_ENTRIES // (k+1)**3`` points, which bounds the memory of
-    the stacked tensor blocks, and every family but symbolic runs once over
-    each: every check evaluates every member, and a member with a non-finite
-    scalar, or one the spin map rejects, leaves only when the block is cut.
-    Symbolic reads no k and runs point by point.
+    the stacked tensor blocks, and every family runs once over each: every
+    check evaluates every member, and a member with a non-finite scalar, or
+    one the spin map rejects, leaves only when the block is cut.
     """
     size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
     for start in range(0, len(epsilons), size):
-        yield from _run_batch(cfg, epsilons[start:start + size], k, symbolic)[0]
+        yield from _run_batch(cfg, epsilons[start:start + size], k)[0]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    symbolic = functools.partial(_symbolic_family, cfg)
-    (point,), families = _run_batch(cfg, cfg.epsilons, cfg.k, symbolic)
+    (point,), families = _run_batch(cfg, cfg.epsilons, cfg.k)
     skipped = point.skip or point.singular
     if skipped is not None:
         raise skipped
@@ -505,10 +483,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    # The symbolic family depends on no k, and the points run k by k: the
-    # cache keeps one entry per epsilon for the sweep.  Exceptions are not cached.
-    symbolic = functools.lru_cache(maxsize=None)(functools.partial(_symbolic_family, cfg))
-    by_k = [[point.row for point in _run_points(cfg, cfg.epsilons, k, symbolic)] for k in cfg.ks]
+    by_k = [[point.row for point in _run_points(cfg, cfg.epsilons, k)] for k in cfg.ks]
     rows = [rows_k[i] for i in range(len(cfg.epsilons)) for rows_k in by_k]  # epsilon-major
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text(rows))
@@ -526,7 +501,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_symbolic(cfg: RunConfig) -> int:
     params = _resolve_params(cfg, cfg.epsilon)
-    reports = _symbolic_family(cfg, params).reports(0)
+    reports = symbolic_block([params], cfg.n_max, cfg.sym_tol, cfg.tamper).reports(0)
     doc = {
         "params": _report_params(params, None),
         "n_max": cfg.n_max,

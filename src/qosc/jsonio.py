@@ -19,7 +19,7 @@ import numpy as np
 from .algcheck import CheckReport
 from .hopfstar import Flavor, InvolutionSpec
 from .qcore import Mode, QParams, make_params
-from .repbuild import Rep, nu0
+from .repbuild import Rep, build_rep, nu0
 
 
 def cnum(z: complex) -> list[float]:
@@ -84,7 +84,8 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
 
     ``k`` must be an int >= 0, ``A``, ``Abar`` and ``N`` each (k+1)x(k+1),
     ``lambdas`` k long, ``normalized`` a bool, ``diag(N)`` equal to
-    ``nu0 + n`` and, for a normalized rep, ``nu0`` the one ``params`` give."""
+    ``nu0 + n`` and, for a normalized rep, ``nu0``, ``lambdas``, ``A``, ``Abar``
+    and ``N`` the ones :func:`~qosc.repbuild.build_rep` gives at ``params``."""
     k = doc["k"]
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an int >= 0, got {k!r}")
@@ -105,7 +106,7 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
         raise ValueError(f"diag(N) is not nu0 + n for nu0={base}")
     if doc["normalized"] and base != nu0(params, k):
         raise ValueError(f"nu0={base}, but these params give {nu0(params, k)}")
-    return Rep(
+    rep = Rep(
         params=params,
         k=k,
         A=a,
@@ -115,6 +116,12 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
         lambdas=tuple(complex(re, im) for re, im in doc["lambdas"]),
         normalized=doc["normalized"],
     )
+    if rep.normalized:
+        built = build_rep(params, k)
+        for name in ("lambdas", "A", "Abar", "Nmat"):
+            if not np.array_equal(getattr(rep, name), getattr(built, name)):
+                raise ValueError(f"{name} disagrees with build_rep at these params")
+    return rep
 
 
 def involution_to_json(inv: InvolutionSpec) -> dict[str, Any]:

@@ -15,14 +15,15 @@ which at ``s = q**(nu/2)`` and ``tau = 0`` is ``[nu+1] - [nu]``; the tamper
 variable ``tau`` exists only to prove that the checks can fail.
 :class:`~qosc.qcore.ExactPoly` is that ring, and the only coefficient ring
 here.  It lives in :mod:`qosc.qcore` with the ladder coefficients, which the
-matrix ladder check evaluates too.  One rewriter serves
-:func:`check_identities_symbolic`, which normal-orders its defects once per
-depth and per process and evaluates them at ``t`` and ``tau``
-(untampered, every defect cancels exactly), and :func:`nf_product`,
-which sets ``tau`` to its tamper afterwards.  :class:`NCPoly` keeps exact
-coefficients; ``q`` enters only where one is evaluated.  The number
-generator itself only enters through ``s``; its commutators with the ladder
-pair are matrix-level statements, not expressible here.
+matrix ladder check evaluates too.  One rewriter serves the identity checks,
+which normal-order their defects once per depth and per process and
+evaluate them at ``t`` and ``tau`` for a whole batch of parameters at once
+(:func:`symbolic_block`; untampered, every defect cancels exactly), and
+:func:`nf_product`, which sets ``tau`` to its tamper afterwards.
+:class:`NCPoly` keeps exact coefficients; ``q`` enters only where one is
+evaluated.  The number generator itself only enters through ``s``; its
+commutators with the ladder pair are matrix-level statements, not
+expressible here.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algcheck import CheckReport, ReportBlock, report, residual_of
+from .algcheck import CheckReport, ReportBlock, cut, finite_members, report, residual_of
 from .errors import ParamMismatch
 from .qcore import (
     ExactPoly,
@@ -69,18 +70,14 @@ _DELTA = (
 _NUMBER_PART = ExactPoly({(-2, 0, 0): 1, (2, 0, 0): -1}, den=1)
 
 
-def _q_values(groups: Iterable[Group], den: int, params: QParams, tamper: float) -> list[complex]:
-    """:func:`~qosc.qcore._values` at ``t = q**(1/2)``; ``OverflowError`` if a value is not finite."""
-    values = _values(groups, den, lambda b: params.qpow(b / 2.0), tamper)
+def _s_coeffs(c: ExactPoly, params: QParams) -> dict[int, complex]:
+    """The coefficient of each power of ``s`` in ``c`` at these parameters and ``tau = 0``;
+    ``OverflowError`` if one is not finite."""
+    groups = _by_s_power(c.num)
+    values = _values(groups.values(), c.den, lambda b: params.qpow(b / 2.0), 0.0)
     if not all(math.isfinite(abs(v)) for v in values):
         raise OverflowError(f"symbolic coefficient leaves the double range at q={params.q}")
-    return values
-
-
-def _s_coeffs(c: ExactPoly, params: QParams) -> dict[int, complex]:
-    """The coefficient of each power of ``s`` in ``c`` at these parameters and ``tau = 0``."""
-    groups = _by_s_power(c.num)
-    return dict(zip(groups, _q_values(groups.values(), c.den, params, 0.0)))
+    return dict(zip(groups, values))
 
 
 @dataclass(frozen=True)
@@ -271,16 +268,26 @@ def exact_defects(n_max: int) -> tuple[Defect, ...]:
     return tuple(out)
 
 
-def symbolic_block(params: QParams, n_max: int = 8, tol: float = DEFAULT_SYMBOLIC_TOL,
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value drops its member below
+def symbolic_block(params: Sequence[QParams], n_max: int = 8, tol: float = DEFAULT_SYMBOLIC_TOL,
                    tamper: float = 0.0) -> ReportBlock:
-    """:func:`check_identities_symbolic` as a one-member :class:`~qosc.algcheck.ReportBlock`."""
+    """:func:`check_identities_symbolic` at each of ``params``, as one block.
+
+    Each defect is evaluated once for all members, ``t**b`` as ``exp(log_q * b/2)``;
+    a member with a non-finite value leaves with an ``OverflowError`` when the block is cut.
+    """
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
     defects = exact_defects(n_max)
-    residuals = [max(map(abs, _q_values(d.groups, d.den, params, tamper)), default=0.0)
-                 for d in defects]
-    return ReportBlock(tuple(d.name for d in defects), (0,), np.array([residuals]),
-                       float(tol), {}, {})
+    log_q = np.array([p.log_q for p in params])
+    residuals = np.zeros((len(log_q), len(defects)))
+    for c, d in enumerate(defects):
+        # a group whose every tamper**u is 0 stays the scalar 0j, which cannot raise the max
+        values = [v for v in _values(d.groups, d.den, lambda b: np.exp(log_q * (b / 2)), tamper)
+                  if isinstance(v, np.ndarray)]
+        if values:
+            residuals[:, c] = np.abs(values).max(axis=0)  # a NaN propagates
+    return cut(tuple(d.name for d in defects), residuals, tol, finite_members(residuals), {})
 
 
 def check_identities_symbolic(
@@ -293,11 +300,11 @@ def check_identities_symbolic(
 
     Each defect is a normal-ordered polynomial whose coefficients must all
     vanish; residuals are absolute max coefficients.  The defects are
-    normal-ordered exactly (:func:`exact_defects`) and evaluated here at
-    ``t = q**(1/2)`` and ``tamper``: untampered, every residual is exactly 0.
-    A non-finite ``tamper`` raises ``ValueError``.
+    normal-ordered exactly (:func:`exact_defects`) and evaluated at ``t = q**(1/2)``
+    and ``tamper`` as row 0 of a one-member :func:`symbolic_block`: untampered,
+    every residual is exactly 0.  A non-finite ``tamper`` raises ``ValueError``.
     """
-    return symbolic_block(params, n_max, tol, tamper).reports(0)
+    return symbolic_block([params], n_max, tol, tamper).reports(0)
 
 
 def evaluate(p: NCPoly, rep: Rep) -> np.ndarray:

@@ -41,7 +41,6 @@ from .algcheck import (
     as_batch,
     diag_stack,
     finite_members,
-    member_scalars,
     unbatch,
 )
 from .errors import DegenerateParameter
@@ -233,16 +232,18 @@ def check_equivalence(
     report.
     """
     spins = _spin_map(reps)
-    zero = np.zeros_like(spins.J0[0])
-    errors, refs = member_scalars(len(spins.Q), lambda i: su2_direct(spins.j, spins.Q[i]),
-                                  spins.errors, fill=SuTriple(zero, zero, zero, 1.0, spins.j))
-    arms = Arms(len(refs), ("equivalence", spins.J0.shape[1]))
-    arms.add("su_equivalence", *(
-        (mine - ref, mine, ref) for mine, ref in (
-            (spins.Jp, np.stack([r.Jp for r in refs])),
-            (spins.Jm, np.stack([r.Jm for r in refs])),
-            (spins.J0, np.stack([r.J0 for r in refs])),
-        )))
+    errors = dict(spins.errors)
+    refs = np.zeros((3, *spins.J0.shape), dtype=complex)  # Jp, Jm, J0; zero where dropped
+    for i, Q in enumerate(spins.Q):
+        try:
+            ref = su2_direct(spins.j, Q)
+        except (OverflowError, DegenerateParameter) as exc:
+            errors.setdefault(i, exc)
+            continue
+        refs[:, i] = ref.Jp, ref.Jm, ref.J0
+    arms = Arms(len(spins.Q), ("equivalence", spins.J0.shape[1]))
+    arms.add("su_equivalence", *((mine - ref, mine, ref)
+                                 for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs)))
     block = arms.block(tol, errors)
     if isinstance(reps, RepBatch):
         return block

@@ -21,6 +21,7 @@ from qosc.hopfstar import (
     parity_metric,
     with_flavor,
 )
+from qosc.normform import check_identities_symbolic, symbolic_block
 from qosc.qcore import make_params
 from qosc.repbuild import RepBatch, build_rep
 from qosc.sumap import check_equivalence, check_su2
@@ -45,6 +46,8 @@ def _families(batch):
         "hopf": (check_hopf_axioms, check_hopf_axioms),
         "su2": (check_su2, check_su2),
         "equivalence": (check_equivalence, lambda r: [check_equivalence(r)]),
+        "symbolic": (lambda b: symbolic_block(b.params),
+                     lambda r: check_identities_symbolic(r.params)),
     }
     arms = [("canonical", lambda p: involution("canonical", p), None)]
     if mode == "unimodular":
@@ -99,6 +102,23 @@ def test_a_guard_band_member_drops_only_itself_from_the_spin_map():
                            for eps, l in ((0.9, 0), (PI / 2 + 1e-8, 0), (-1.1, 1))))
     degenerate = {1: DegenerateParameter}
     _assert_members_match(batch, {"su2": degenerate, "equivalence": degenerate})
+
+
+@pytest.mark.parametrize("tamper", [1e-3, -0.37])
+def test_a_tampered_symbolic_member_matches_its_batch_of_one(tamper):
+    # at real-line eps 200 the powers of t = q**(1/2) leave the double range
+    params = [make_params("realline", eps, 1) for eps in (1.0, 200.0, -0.7, 3.0)]
+    params += [make_params("unimodular", eps, l) for eps, l in ((0.9, 0), (-2.5, 1))]
+    block = symbolic_block(params, tamper=tamper)
+    assert list(block.errors) == [1] and str(block.errors[1]) == "math range error"
+    assert block.alive == (0, 2, 3, 4, 5)
+    with pytest.raises(OverflowError, match="math range error"):
+        check_identities_symbolic(params[1], tamper=tamper)
+    for i in block.alive:
+        reports = block.reports(i)
+        assert _bits(reports) == _bits(symbolic_block([params[i]], tamper=tamper).reports(0))
+        assert _bits(reports) == _bits(check_identities_symbolic(params[i], tamper=tamper))
+        assert not all(r.passed for r in reports)
 
 
 def _assert_every_member_dropped(block, names, batch, error):

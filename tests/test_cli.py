@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qosc
+from qosc.algcheck import cut
 from qosc.cli import main
 from qosc.jsonio import matrix_from_json
 
@@ -392,26 +393,27 @@ def _count_symbolic_calls(monkeypatch) -> list:
     calls = []
     original = cli.symbolic_block
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].epsilon)
-        return original(*args, **kwargs)
+    def counted(params, *args, **kwargs):
+        calls.append([p.epsilon for p in params])  # one list of epsilons per call
+        return original(params, *args, **kwargs)
 
     monkeypatch.setattr(cli, "symbolic_block", counted)
     return calls
 
 
-def test_sweep_runs_symbolic_once_per_epsilon(capsys, monkeypatch):
+def test_sweep_runs_symbolic_once_per_batch(capsys, monkeypatch):
     calls = _count_symbolic_calls(monkeypatch)
     assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
                  "--k", "0..3"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(calls) == 5 and len(set(calls)) == 5  # one per epsilon, not one per (eps, k)
+    epsilons = [float(line.split(",")[1]) for line in lines[1::4]]
+    assert calls == [epsilons] * 4  # one call per k's batch of the 5 epsilons
     for line in lines[1:]:
         cells = line.split(",")
         assert main(["verify", "--mode", "unimodular", f"--epsilon={cells[1]}", "--k", cells[3],
                      "--format", "csv"]) == 0
         assert capsys.readouterr().out == "\n".join([lines[0], line]) + "\n"
-    assert len(calls) == 5 + 20
+    assert calls[4:] == [[float(line.split(",")[1])] for line in lines[1:]]
 
 
 def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
@@ -624,14 +626,14 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
     assert [(row[1], row[3], row[4]) for row in rows] == [
         ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
         ("200", "0", "ok"), ("200", "1", "ok"), ("200", "2", "ok")]
-    assert calls == [1.0, 200.0]
+    assert calls == [[1.0, 200.0]] * 3
     counted = cli.symbolic_block
 
     def overflowing(params, *args, **kwargs):
-        reports = counted(params, *args, **kwargs)
-        if params.epsilon == 200.0:
-            raise OverflowError("symbolic coefficient leaves the double range")
-        return reports
+        block = counted(params, *args, **kwargs)
+        dropped = [i for i, p in enumerate(params) if p.epsilon == 200.0]
+        return cut(block.names, np.zeros((len(params), len(block.names))), block.tol,
+                   {i: OverflowError("math range error") for i in dropped}, {})
 
     monkeypatch.setattr(cli, "symbolic_block", overflowing)
     calls.clear()
@@ -643,7 +645,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
         ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
         ("200", "0", "skipped:overflow"), ("200", "1", "skipped:overflow"),
         ("200", "2", "skipped:overflow")]
-    assert calls == [1.0, 200.0, 200.0, 200.0]  # an overflow is not cached
+    assert calls == [[1.0, 200.0]] * 3
 
 
 def test_sweep_parity_skip_with_explicit_branch(capsys):

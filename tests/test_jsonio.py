@@ -148,12 +148,23 @@ def _disagreeing(case):
     elif case == "N_diagonal":
         re, im = doc["N"]["data"][0]
         doc["N"]["data"][0] = [re + 1.0, im]
+    elif case == "lambdas_value":
+        doc["lambdas"][0] = [0, 123]
+    elif case == "lambdas_nan":
+        doc["lambdas"][0] = [math.nan, 0]
+    elif case == "A_entry":
+        doc["A"]["data"][1] = [0, 7]
+    elif case == "Abar_entry":
+        doc["Abar"]["data"][4] = [7, 0]
+    elif case == "N_off_diagonal":
+        doc["N"]["data"][1] = [5, 0]
     return doc
 
 
 @pytest.mark.parametrize("case", [
     "k_above_matrices", "k_below_matrices", "nonsquare_A", "negative_k", "float_k", "bool_k",
     "lambdas_length", "normalized_not_bool", "params_epsilon", "N_diagonal",
+    "lambdas_value", "lambdas_nan", "A_entry", "Abar_entry", "N_off_diagonal",
 ])
 def test_rep_from_json_rejects_a_document_that_disagrees_with_itself(case):
     with pytest.raises(ValueError):

@@ -280,6 +280,20 @@ def test_tampered_residuals_match_the_float_rewriter(tamper):
             assert r.residual == pytest.approx(expect[r.name], rel=1e-9, abs=0.0), (mode, eps, r)
 
 
+@pytest.mark.parametrize("tamper", [1e-3, -0.37])
+def test_symbolic_block_matches_a_scalar_evaluation_to_two_ulps(tamper):
+    # one block for every member, against cmath powers member by member; numpy's
+    # complex exp and division may round differently, so each may move by 2 ulps
+    params = [make_params("unimodular", eps, 1) for eps in (0.1, 0.9, 2.5, -6.0)]
+    params += [make_params("realline", eps, 1) for eps in (0.3, -0.9, 3.0, 20.0)]
+    block = normform.symbolic_block(params, N_MAX_CAP, tamper=tamper)
+    assert block.alive == tuple(range(len(params)))
+    for p, row in zip(params, block.residuals):
+        want = [max(map(abs, qcore._values(d.groups, d.den, lambda b: p.qpow(b / 2.0), tamper)),
+                    default=0.0) for d in exact_defects(N_MAX_CAP)]
+        np.testing.assert_allclose(row, want, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
 def test_shifted_ladder_coefficient_fails_every_n(monkeypatch):
     original = normform._ladder_raise
 
