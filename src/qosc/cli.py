@@ -56,7 +56,6 @@ from .errors import (
     QoscError,
 )
 from .hopfstar import (
-    COASSOC_CAP,
     Flavor,
     RepBatch,
     check_hopf_axioms,
@@ -215,11 +214,6 @@ def _validate_selection(cfg: RunConfig) -> None:
     k_max = max(cfg.ks)
     if k_max > MAX_K:
         raise DimensionTooLarge(f"k={k_max} exceeds the cap {MAX_K}")
-    if "hopf" in cfg.checks and (k_max + 1) ** 3 > COASSOC_CAP:
-        raise DimensionTooLarge(
-            f"hopf coassociativity at k={k_max} needs dimension {(k_max + 1) ** 3} "
-            f"> cap {COASSOC_CAP}; drop hopf from --checks or lower k"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class ModeMismatch(QoscError):
 
 
 class DimensionTooLarge(QoscError):
-    """Dimension exceeds a fixed cap (``repbuild.MAX_K``, ``hopfstar.COASSOC_CAP``)."""
+    """Dimension exceeds the fixed cap ``repbuild.MAX_K`` on ``k``."""
 
 
 class NoSolution(QoscError):

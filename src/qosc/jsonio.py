@@ -17,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from .algcheck import CheckReport
+from .errors import QoscError
 from .hopfstar import Flavor, InvolutionSpec
 from .qcore import Mode, QParams, make_params
 from .repbuild import Rep, build_rep, nu0
@@ -117,7 +118,10 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
         normalized=doc["normalized"],
     )
     if rep.normalized:
-        built = build_rep(params, k)
+        try:
+            built = build_rep(params, k)
+        except QoscError as exc:
+            raise ValueError(f"build_rep rejects these params: {exc}") from exc
         for name in ("lambdas", "A", "Abar", "Nmat"):
             if not np.array_equal(getattr(rep, name), getattr(built, name)):
                 raise ValueError(f"{name} disagrees with build_rep at these params")

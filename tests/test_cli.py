@@ -149,11 +149,15 @@ def test_verify_rejects_unknown_check_token(capsys):
     capsys.readouterr()
 
 
-def test_verify_hopf_dimension_capped(capsys):
-    code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "12",
-                 "--checks", "hopf"])
-    assert code == 2
-    assert "coassociativity" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["--mode", "unimodular", "--epsilon", "0.9", "--k", "12"],  # a tensor cube of 2197 entries
+    ["--mode", "realline", "--epsilon", "300", "--k", "1"],  # antipode products near 1e32
+])
+def test_verify_hopf_passes(capsys, argv):
+    code = main(["verify", *argv, "--checks", "hopf"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert captured.err == ""
 
 
 def test_verify_env_tolerance(capsys, monkeypatch):
@@ -479,6 +483,31 @@ def test_sweep_keeps_one_batch_per_k_when_a_family_drops_a_point(capsys, monkeyp
     # eps 500 leaves by hopf at k 1 and by casimir at k 2, where hopf still sees it
     assert drops == {"casimir": [(1, []), (2, [1])],
                      "check_hopf_axioms": [(1, [1]), (2, [1])]}
+
+
+def test_sweep_text_table_matches_its_csv(capsys):
+    from qosc.cli import _CSV_COLUMNS
+
+    argv = ["sweep", "--mode", "realline", "--epsilon-grid", "1:500:499", "--k", "1..2"]
+    assert main(argv + ["--format", "csv"]) == 0
+    csv_rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert main(argv + ["--format", "text"]) == 0
+    header, *lines = [line.split() for line in capsys.readouterr().out.strip().split("\n")]
+    assert tuple(header) == _CSV_COLUMNS
+    assert [(line[1], line[3], line[4]) for line in lines] == [
+        ("1", "1", "ok"), ("1", "2", "ok"),
+        ("500", "1", "skipped:overflow"), ("500", "2", "skipped:overflow")]
+    for line, row in zip(lines, csv_rows, strict=True):
+        assert len(line) == len(_CSV_COLUMNS)
+        for col, cell, value in zip(_CSV_COLUMNS, line, row):
+            if col in ("mode", "l", "k", "status"):
+                assert cell == value
+            elif value == "":
+                assert cell == "-" and row[4] == "skipped:overflow"
+            else:
+                short = ".6g" if col in ("epsilon", "casimir_re", "casimir_im") else ".2e"
+                assert cell == format(float(value), short)
+    assert all(cell == "-" for line in lines[2:] for cell in line[5:])
 
 
 def test_sweep_builds_no_check_report_and_verify_builds_one_per_check(capsys, monkeypatch):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from qosc import hopfstar
 from qosc.algcheck import DEFAULT_TOL, compare, residual_of
-from qosc.errors import DimensionTooLarge, ModeMismatch, NoSolution
+from qosc.errors import ModeMismatch, NoSolution
 from qosc.hopfstar import (
     Flavor,
     InvolutionKind,
@@ -117,19 +118,46 @@ def test_graded_coproduct_densifies_to_kron_sum(mode, eps, l, k):
         assert np.array_equal(_dense(coproduct(rep, gen), rep.dim), expect)
 
 
-@pytest.mark.parametrize("mode,eps,l,k", POINTS)
+LARGE_K_POINTS = [(mode, eps, l, k) for k in (16, 32, 64)
+                  for mode, eps, l in (("unimodular", 0.9, 0), ("realline", 2.0, 1))]
+
+
+@pytest.mark.parametrize("mode,eps,l,k", POINTS + LARGE_K_POINTS)
 def test_hopf_axioms(mode, eps, l, k):
     reports = check_hopf_axioms(_rep(mode, eps, l, k))
     assert all(r.passed for r in reports)
-    assert max(r.residual for r in reports) < 1e-12
+    assert max(r.residual for r in reports) < 1e-13
     names = {r.name for r in reports}
     assert {"homomorphism_commutator", "coassoc_a", "counit_left_N", "antipode_right_abar"} <= names
 
 
-def test_coassociativity_cap():
-    rep = _rep("unimodular", 0.3, 0, 10)  # dimension 11**3 = 1331 > COASSOC_CAP
-    with pytest.raises(DimensionTooLarge):
-        check_hopf_axioms(rep)
+def _antipode_residuals(rep, gen, monkeypatch, factor):
+    """The ``antipode_*_{gen}`` residuals with the antipode coefficient of ``gen`` times ``factor``."""
+    table = hopfstar._hopf_table
+
+    def tampered(batch):
+        counit, antipode = table(batch)
+        coef, sym, const = antipode[gen]
+        return counit, {**antipode, gen: (coef * factor, sym, const)}
+
+    monkeypatch.setattr(hopfstar, "_hopf_table", tampered)
+    reports = _by_name(check_hopf_axioms(rep))
+    return [reports[f"antipode_{side}_{gen}"].residual for side in ("left", "right")]
+
+
+@pytest.mark.parametrize("mode,eps,l,k,gens", [
+    ("realline", 2.0, 1, 9, ("a", "abar")),
+    ("unimodular", 0.9, 0, 9, ("a", "abar")),
+    ("realline", 100.0, 1, 2, ("abar",)),
+    ("realline", 300.0, 1, 1, ("abar",)),
+])
+def test_antipode_arms_read_a_relative_tamper(mode, eps, l, k, gens, monkeypatch):
+    """Each antipode side is scaled by its first product, so a zero target still
+    reads a relative change of the antipode, here at 1e-9."""
+    rep = _rep(mode, eps, l, k)
+    for gen in gens:
+        assert max(_antipode_residuals(rep, gen, monkeypatch, 1.0)) <= 1e-15
+        assert min(_antipode_residuals(rep, gen, monkeypatch, 1.0 + 1e-9)) >= 5e-10
 
 
 # ---------------------------------------------------------------------------

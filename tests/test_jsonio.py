@@ -19,7 +19,7 @@ from qosc.jsonio import (
     report_to_json,
 )
 from qosc.qcore import make_params
-from qosc.repbuild import auto_params, build_rep
+from qosc.repbuild import MAX_K, auto_params, build_rep, nu0
 
 
 def _reference_dumps(doc, level=0):
@@ -158,6 +158,17 @@ def _disagreeing(case):
         doc["Abar"]["data"][4] = [7, 0]
     elif case == "N_off_diagonal":
         doc["N"]["data"][1] = [5, 0]
+    elif case in ("parity_l", "past_max_k"):
+        # consistent with itself at its params, which build_rep refuses:
+        # l 2 breaks the real-line sign rule, and k 65 is past MAX_K
+        l, k = (2, 3) if case == "parity_l" else (1, MAX_K + 1)
+        doc["params"]["l"], doc["k"] = l, k
+        base = nu0(params_from_json(doc["params"]), k)
+        doc["nu0"] = [base.real, base.imag]
+        doc["N"] = matrix_to_json(np.diag(base + np.arange(k + 1)))
+        if k != 3:
+            doc["A"] = doc["Abar"] = matrix_to_json(np.zeros((k + 1, k + 1), dtype=complex))
+            doc["lambdas"] = [[0.0, 0.0]] * k
     return doc
 
 
@@ -165,6 +176,7 @@ def _disagreeing(case):
     "k_above_matrices", "k_below_matrices", "nonsquare_A", "negative_k", "float_k", "bool_k",
     "lambdas_length", "normalized_not_bool", "params_epsilon", "N_diagonal",
     "lambdas_value", "lambdas_nan", "A_entry", "Abar_entry", "N_off_diagonal",
+    "parity_l", "past_max_k",
 ])
 def test_rep_from_json_rejects_a_document_that_disagrees_with_itself(case):
     with pytest.raises(ValueError):
