@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -198,13 +198,14 @@ def max_rule(values: np.ndarray) -> np.ndarray:
 class _Layout:
     """Where every term of a check's arms sits among its operand columns.
 
-    Operand ``o`` spans the columns from ``starts[o]`` to the next start;
-    term ``t`` has its defect in operand ``first[t]`` and its other operands
-    where :func:`_relative`'s ``gathers`` point; arm ``a`` has the terms
-    ``arm_terms[a]``.
+    Operand ``o`` spans the columns from ``starts[o]`` to the next start, and
+    ``width(op)`` counts an operand's columns: its entries for :class:`Arms`,
+    its blocks for a compiled plan.  Term ``t`` has its defect in operand
+    ``first[t]`` and its other operands where :func:`_relative`'s ``gathers``
+    point; arm ``a`` has the terms ``arm_terms[a]``.
     """
 
-    def __init__(self, arms: list[tuple[str, tuple]]) -> None:
+    def __init__(self, arms: Sequence[tuple[str, tuple]], width: Callable[[Any], int]) -> None:
         starts: list[int] = []
         first: list[int] = []
         size: list[int] = []
@@ -216,8 +217,7 @@ class _Layout:
                 size.append(len(term))
                 for op in term:
                     starts.append(self.width)
-                    self.width += sum(math.prod(block.shape[1:]) for block in
-                                      (op.values() if isinstance(op, dict) else (op,)))
+                    self.width += width(op)
             self.arm_terms.append(range(len(first) - len(terms), len(first)))
         self.names = tuple(name for name, _ in arms)
         self.starts = np.array(starts)
@@ -226,6 +226,20 @@ class _Layout:
         self.gathers = [np.where(offset < sizes, self.first + offset, -1)
                         for offset in range(1, max(size))]
         self.one_term_each = len(first) == len(arms)
+
+    def residuals(self, columns: np.ndarray) -> np.ndarray:
+        """Per row of the operands' ``columns``, the residual of every arm."""
+        norms = np.maximum.reduceat(columns, self.starts, axis=1)
+        terms = _relative(norms, self.first, self.gathers)
+        if self.one_term_each:
+            return terms
+        return np.stack([max_rule(terms[:, given]) for given in self.arm_terms], axis=1)
+
+
+def _entries(op: Any) -> int:
+    """The entries of an operand past its batch axis: a dense stack, or a dict of blocks."""
+    return sum(math.prod(block.shape[1:]) for block in
+               (op.values() if isinstance(op, dict) else (op,)))
 
 
 #: every check's layout, by the key its :class:`Arms` carry
@@ -264,10 +278,6 @@ class Arms:
     def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
         self.add(name, (lhs - rhs, lhs, rhs))
 
-    def absolute(self, name: str, residuals: Sequence[float]) -> None:
-        """An arm whose residuals, one per member, are given: a defect with no operands."""
-        self.add(name, (np.array(residuals)[:, None],))
-
     def _residuals(self, layout: _Layout) -> np.ndarray:
         """Per row, the residual of every arm."""
         flat = np.abs(np.concatenate(
@@ -276,11 +286,7 @@ class Arms:
             axis=1))
         if flat.shape[1] != layout.width:
             raise RuntimeError(f"the operands of {self.key} changed their layout")
-        norms = np.maximum.reduceat(flat, layout.starts, axis=1)
-        terms = _relative(norms, layout.first, layout.gathers)
-        if layout.one_term_each:
-            return terms
-        return np.stack([max_rule(terms[:, given]) for given in layout.arm_terms], axis=1)
+        return layout.residuals(flat)
 
     def block(self, tol: float, errors: dict[int, MemberError], label: Optional[str] = None,
               kind: type = ReportBlock, **extra: Any) -> ReportBlock:
@@ -288,7 +294,7 @@ class Arms:
         ``label.`` prefixes names."""
         layout = _LAYOUTS.get(self.key)
         if layout is None:
-            layout = _LAYOUTS[self.key] = _Layout(self._arms)
+            layout = _LAYOUTS[self.key] = _Layout(self._arms, _entries)
         names = layout.names if label is None else tuple(f"{label}.{n}" for n in layout.names)
         return cut(names, self._residuals(layout), tol, errors, self._details, kind, **extra)
 

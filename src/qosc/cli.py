@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import re
@@ -64,7 +65,15 @@ from .hopfstar import (
     parity_metric,
     with_flavor,
 )
-from .jsonio import dumps, params_to_json, rep_to_json, report_to_json
+from .jsonio import (
+    check_to_json,
+    dumps,
+    float_to_json,
+    params_to_json,
+    rep_to_json,
+    report_to_json,
+    scalar_to_json,
+)
 from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, symbolic_block
 from .qcore import Mode, QParams, make_params
 from .repbuild import MAX_K, Rep, build_rep, choose_branch
@@ -235,23 +244,95 @@ def _report_params(params: QParams, k: Optional[int]) -> dict[str, Any]:
     return doc
 
 
-def _verify_text(doc: dict[str, Any]) -> str:
-    p = doc["params"]
-    lines = [
-        "mode={mode} epsilon={epsilon:.12g} l={l} k={k}".format(**p),
-        f"casimir = {doc['casimir'][0]:.12g} {doc['casimir'][1]:+.12g}i",
-    ]
-    bad = 0
-    for chk in doc["checks"]:
-        observed = "pass" if chk["pass"] else "fail"
-        marker = "ok " if observed == chk["expected"] else "BAD"
-        bad += marker == "BAD"
-        lines.append(
-            f"{marker} {chk['name']:<42} residual={chk['residual']:.3e} "
-            f"tol={chk['tolerance']:.1e} expected={chk['expected']} observed={observed}"
-        )
-    lines.append(f"result: {'ok' if bad == 0 else f'{bad} unexpected outcome(s)'}")
-    return "\n".join(lines) + "\n"
+#: a per-call value of a verify report template
+_SLOT = "\x00"
+
+
+def _leaves(doc: Any) -> Iterator[Any]:
+    """The scalars of a document, in document order."""
+    if isinstance(doc, dict):
+        doc = doc.values()
+    elif not isinstance(doc, (list, tuple)):
+        yield doc
+        return
+    for value in doc:
+        yield from _leaves(value)
+
+
+def _stub(doc: Any) -> Any:
+    """``doc`` with every scalar a :data:`_SLOT`."""
+    if isinstance(doc, dict):
+        return {key: _stub(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_stub(value) for value in doc]
+    return _SLOT
+
+
+#: the template of every verify report, by format, mode, one state or not, and
+#: each block's names and tolerance
+_TEMPLATES: dict[tuple, tuple[str, np.ndarray, np.ndarray]] = {}
+
+
+def _verify_template(key: tuple, params: dict[str, Any]) -> tuple[str, np.ndarray, np.ndarray]:
+    """A verify report's bytes with a ``%s`` for every per-call value, each check's
+    tolerance and each check's expected failure.
+
+    The per-call values are the params' scalars, then per check its residual
+    and pass flag (JSON) or its marker, residual and observed outcome (text),
+    then the Casimir scalar (JSON) or the result (text).
+    """
+    fmt, mode, one_state, blocks = key
+    checks = [(name, tol, fail) for names, tol in blocks
+              for name, fail in zip(names, _expected_fails(names, mode, one_state).tolist())]
+    expected = ["fail" if fail else "pass" for _, _, fail in checks]
+    if fmt == "json":
+        text = dumps({
+            "params": _stub(params),
+            "checks": [check_to_json(name, _SLOT, tol, _SLOT, exp)
+                       for (name, tol, _), exp in zip(checks, expected)],
+            "casimir": [_SLOT, _SLOT],
+        }) + "\n"
+        template = text.replace("%", "%%").replace(dumps(_SLOT), "%s")
+    else:
+        lines = ["mode=%s epsilon=%s l=%s k=%s", "casimir = %s %si"]
+        padded = [f"{name:<42}".replace("%", "%%") for name, _, _ in checks]
+        lines += [f"%s {name} residual=%s tol={tol:.1e} expected={exp} observed=%s"
+                  for name, (_, tol, _), exp in zip(padded, checks, expected)]
+        template = "\n".join(lines + ["result: %s"]) + "\n"
+    return (template, np.array([tol for _, tol, _ in checks]),
+            np.array([fail for _, _, fail in checks], dtype=bool))
+
+
+def _verify_report(cfg: RunConfig, point: _Point, blocks: list[ReportBlock]) -> str:
+    """The JSON or text report of one point, rendered straight from its blocks' first rows."""
+    key = (cfg.fmt, cfg.mode, cfg.k == 0, tuple((block.names, block.tol) for block in blocks))
+    params = _report_params(point.params, cfg.k)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        template = _TEMPLATES[key] = _verify_template(key, params)
+    text, tols, fails = template
+    residuals = np.concatenate([block.residuals[0] for block in blocks])
+    passed = residuals < tols
+    row = point.row
+    if cfg.fmt == "json":
+        if np.isfinite(residuals).all() and not np.signbit(residuals).any():
+            digits = ["%.17g" % residual for residual in residuals.tolist()]
+        else:  # the first value that has no encoding raises
+            digits = [float_to_json(residual) for residual in residuals.tolist()]
+        flags = ["true" if ok else "false" for ok in passed.tolist()]
+        values = [scalar_to_json(value) for value in _leaves(params)]
+        values += itertools.chain.from_iterable(zip(digits, flags))
+        values += (float_to_json(row["casimir_re"]), float_to_json(row["casimir_im"]))
+        return text % tuple(values)
+    values = [params["mode"], format(params["epsilon"], ".12g"), params["l"], params["k"],
+              format(row["casimir_re"], ".12g"), format(row["casimir_im"], "+.12g")]
+    bad = passed == fails
+    values += itertools.chain.from_iterable(
+        ("BAD" if miss else "ok ", "%.3e" % residual, "pass" if ok else "fail")
+        for miss, residual, ok in zip(bad.tolist(), residuals.tolist(), passed.tolist()))
+    count = int(bad.sum())
+    values.append("ok" if count == 0 else f"{count} unexpected outcome(s)")
+    return text % tuple(values)
 
 
 def _symbolic_text(doc: dict[str, Any]) -> str:
@@ -457,22 +538,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     skipped = point.skip or point.singular
     if skipped is not None:
         raise skipped
-    row = point.row
     if cfg.fmt == "csv":
-        _emit(cfg, _csv_text([row]))
+        _emit(cfg, _csv_text([point.row]))
     else:
-        doc = {
-            "params": _report_params(point.params, cfg.k),
-            "checks": [
-                report_to_json(r, expected="fail" if fail else "pass")
-                for family in cfg.checks for block in families[family]
-                for r, fail in zip(block.reports(0),
-                                   _expected_fails(block.names, cfg.mode, cfg.k == 0).tolist())
-            ],
-            "casimir": [row["casimir_re"], row["casimir_im"]],
-        }
-        _emit(cfg, dumps(doc) + "\n" if cfg.fmt == "json" else _verify_text(doc))
-    return 1 if row["status"] == "fail" else 0
+        _emit(cfg, _verify_report(cfg, point, [block for family in cfg.checks
+                                               for block in families[family]]))
+    return 1 if point.row["status"] == "fail" else 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -23,42 +23,45 @@ serve the d*d arms (counit, antipode, star matrices).
 :func:`check_hopf_axioms` and :func:`check_star_structure` take either one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` (defined
 in :mod:`qosc.repbuild`, re-exported here) of representations that share
-``k`` and the mode, under the batch contract of :mod:`qosc.algcheck`: every
-weight, graded block and dense matrix carries a leading batch axis, and
-:class:`~qosc.algcheck.Arms` turns them into one
-:class:`~qosc.algcheck.ReportBlock` of residuals in one pass.  The graded
-structure depends on neither epsilon nor the branch, so a sweep evaluates
-each arm once per ``k``.  The scalar data are ``(members, ...)`` arrays:
-``K``, the antipode constants and the bracket steps are read from the
-batch's :class:`~qosc.qcore.PowerTable`, and the star steps take one
-``q**eta`` per member on top.  So a member's residuals are bit for bit those
-of the single-rep call.  Every check evaluates every member, and a member
-whose scalars leave the double range leaves only when the block is cut.  A
-single rep is the batch of one and gets its reports.
+``k`` and the mode, under the batch contract of :mod:`qosc.algcheck`, and
+give one :class:`~qosc.algcheck.ReportBlock` of residuals.  Which weights
+multiply which, at which offsets, and the order of every sum depend only on
+the check, the star flavor and the floats of the Hopf and star tables, so
+each such key is compiled once into a plan (:func:`_plan`): a fixed
+sequence of numpy calls on ``(slots, members, ...)`` stacks, whatever ``k``
+and the batch size.  The scalar data are ``(members, ...)`` arrays: ``K``,
+the antipode constants and the bracket steps are read from the batch's
+:class:`~qosc.qcore.PowerTable`, and the star steps take one ``q**eta`` per
+member on top.  So a member's residuals are bit for bit those of the
+single-rep call.  Every check evaluates every member, and a member whose
+scalars leave the double range leaves only when the block is cut.  A single
+rep is the batch of one and gets its reports.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from .algcheck import (
     DEFAULT_TOL,
-    Arms,
     CheckReport,
     ReportBlock,
+    _Layout,
     as_batch,
+    cut,
     diag_stack,
     finite_members,
     residual_of,
     unbatch,
 )
 from .errors import ModeMismatch, NoSolution
-from .qcore import Mode, QParams, _rows
+from .qcore import Mode, QParams
 from .repbuild import Rep, RepBatch
 
 _GENERATORS = ("a", "abar", "N")
@@ -82,8 +85,15 @@ class InvolutionKind(str, Enum):
 # outer product of the factors' weights; a sum of such products is a dict
 # ``{degrees: weights}``.  Distinct degree tuples never share a dense entry,
 # so sums, the factor swap and max-abs norms act block by block and give
-# exactly the dense values at O(d**2) / O(d**3) cost.  Weights carry the
-# batch axis first: ``(B, d)`` per symbol, ``(B, d, d)`` per square block.
+# exactly the dense values at O(d**2) / O(d**3) cost.
+#
+# This algebra runs once per key, on the symbolic values of a plan (:class:`_Sym`):
+# it works out which weights multiply which, at which offsets, and the order
+# of every sum.  A call runs the compiled :class:`_Plan` on stacked
+# ``(slots, members, ...)`` arrays.
+
+#: every symbol of the Hopf table, in the order of the realization's stacks
+_SYMBOLS = (*_GENERATORS, "one", "gone", "qp", "qm")
 
 #: N-grading degree of the symbols that are not diagonal
 _DEGREE = {"a": -1, "abar": 1}
@@ -105,38 +115,110 @@ def _shift_weights(name: str, m: np.ndarray, degree: int) -> np.ndarray:
     return _band(m, degree)
 
 
+def _is_int_zero(x: Any) -> bool:
+    return type(x) is int and x == 0
+
+
+class _Sym:
+    """A value of a plan being compiled: node ``id`` of ``tape``, of rank 0 (one
+    scalar per member), 1 (weights ``(d,)``), 2 (``(d, d)``) or 3 (``(d, d, d)``).
+
+    Arithmetic records nodes in operand order (a complex product does not
+    commute to the bit).  A Python float stays a float until it meets a
+    node, as it does in the tables.  The int 0 is the block a graded sum
+    lacks: ``0 + x`` and ``x - 0`` are ``x``, and ``0 - x`` is ``-x``.
+    """
+
+    __slots__ = ("tape", "id", "rank")
+
+    def __init__(self, tape: "_Tape", id: int, rank: int) -> None:
+        self.tape, self.id, self.rank = tape, id, rank
+
+    def _binary(self, op: str, other: Any, reverse: bool = False) -> "_Sym":
+        if not isinstance(other, _Sym):
+            other = self.tape.node("lit", 0, param=complex(other))
+        x, y = (other, self) if reverse else (self, other)
+        return self.tape.node(op, x.rank + y.rank if op == "outer" else max(x.rank, y.rank), x, y)
+
+    def __add__(self, other: Any) -> "_Sym":
+        return self._binary("add", other)
+
+    def __radd__(self, other: Any) -> "_Sym":
+        return self if _is_int_zero(other) else self._binary("add", other, True)
+
+    def __sub__(self, other: Any) -> "_Sym":
+        return self if _is_int_zero(other) else self._binary("sub", other)
+
+    def __rsub__(self, other: Any) -> "_Sym":
+        return -self if _is_int_zero(other) else self._binary("sub", other, True)
+
+    def __mul__(self, other: Any) -> "_Sym":
+        return self._binary("mul", other)
+
+    def __rmul__(self, other: Any) -> "_Sym":
+        return self._binary("mul", other, True)
+
+    def __matmul__(self, other: "_Sym") -> "_Sym":
+        return self._binary("matmul", other)
+
+    def __neg__(self) -> "_Sym":
+        return self.tape.node("neg", self.rank, self)
+
+    def conjugate(self) -> "_Sym":
+        return self.tape.node("conj", self.rank, self)
+
+    def outer(self, other: "_Sym") -> "_Sym":
+        return self._binary("outer", other)
+
+    def swap(self) -> "_Sym":
+        """The transposed weights of a tensor square."""
+        return self.tape.node("T", 2, self)
+
+    def shift(self, offsets: tuple[int, ...]) -> "_Sym":
+        """``weights[:, j + n]`` along each grade axis, zero where ``j + n`` leaves the block."""
+        return self.tape.node("shift", 2, self, param=offsets) if any(offsets) else self
+
+    def band(self, degree: int) -> "_Sym":
+        """:func:`_band` of a stack of weighted shifts of the given degree."""
+        return self.tape.node("band", 1, self, param=degree)
+
+
+class _Tape:
+    """The nodes ``(op, rank, args, param)`` of one plan; equal nodes are one node."""
+
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+
+    def node(self, op: str, rank: int, *args: _Sym, param: Any = None) -> _Sym:
+        key = (op, rank, tuple(arg.id for arg in args), param)
+        i = self._ids.setdefault(key, len(self.nodes))
+        if i == len(self.nodes):
+            self.nodes.append(key)
+        return _Sym(self, i, rank)
+
+    def input(self, rank: int, name: Any) -> _Sym:
+        """An input; each rank's inputs fill its first slots, in the order they are made."""
+        return self.node("in", rank, param=name)
+
+
 def _otimes(left: tuple, right: tuple) -> tuple:
     (ld, lw), (rd, rw) = left, right
-    return ld + rd, lw[(...,) + (None,) * len(rd)] * rw[(slice(None),) + (None,) * len(ld)]
+    return ld + rd, lw.outer(rw)
 
 
-def _graded_sum(terms) -> dict[tuple[int, ...], np.ndarray]:
+def _graded_sum(terms) -> dict:
     """Add weights per degree, in term order (the dense sum's order on every entry)."""
-    acc: dict[tuple[int, ...], np.ndarray] = {}
+    acc: dict = {}
     for degrees, weights in terms:
         acc[degrees] = acc[degrees] + weights if degrees in acc else weights
     return acc
 
 
-def _swap(blocks: dict) -> dict:
-    """Conjugate by the factor swap ``A (x) B -> B (x) A``: reverse degrees, transpose weights."""
-    return {(m2, m1): w.transpose(0, 2, 1) for (m1, m2), w in blocks.items()}
-
-
-def _read_at(weights: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    """``weights[:, j + n]`` along each grade axis; slots whose ``j + n`` leaves ``0..size-1`` read zero."""
-    spans = [(max(-n, 0), max(-n, 0, size - max(n, 0)))
-             for n, size in zip(offsets, weights.shape[1:])]
-    out = np.zeros_like(weights)
-    out[(slice(None),) + tuple(slice(lo, hi) for lo, hi in spans)] = weights[
-        (slice(None),) + tuple(slice(lo + n, hi + n) for (lo, hi), n in zip(spans, offsets))]
-    return out
-
-
 def _compose(left: dict, right: dict) -> dict:
     """Operator product ``left @ right``: degrees add, left weights are read where right lands."""
     return _graded_sum(
-        (tuple(ml + mr for ml, mr in zip(left_deg, right_deg)), _read_at(wl, right_deg) * wr)
+        (tuple(ml + mr for ml, mr in zip(left_deg, right_deg)), wl.shift(right_deg) * wr)
         for left_deg, wl in left.items()
         for right_deg, wr in right.items()
     )
@@ -150,13 +232,264 @@ def _commutator(x: dict, y: dict) -> dict:
     return _minus(_compose(x, y), _compose(y, x))
 
 
-def _affine(elem: tuple, dense: dict[str, np.ndarray]) -> np.ndarray:
-    """Dense stack of ``coef * symbol + const * 1``."""
+def _swap(blocks: dict) -> dict:
+    """Conjugate by the factor swap ``A (x) B -> B (x) A``: reverse degrees, transpose weights."""
+    return {(m2, m1): w.swap() for (m1, m2), w in blocks.items()}
+
+
+def _affine(elem: tuple, dense: dict) -> Any:
+    """``coef * symbol + const * 1``."""
     coef, sym, const = elem
-    image = _rows(coef, 2) * dense[sym]
+    image = coef * dense[sym]
     if isinstance(const, float) and not const:
         return image
-    return image + _rows(const, 2) * dense["one"]
+    return image + const * dense["one"]
+
+
+def _coproduct(cop_terms, graded: dict) -> dict:
+    return _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop_terms)
+
+
+#: the largest stacked block, in bytes, a plan step forms at once; a larger
+#: step runs node by node on views
+_STEP_BYTES = 1 << 24
+
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "outer": np.multiply,
+           "matmul": np.matmul, "neg": np.negative, "conj": np.conjugate,
+           "T": lambda x, out: np.copyto(out, x.swapaxes(-1, -2))}
+
+
+class _Step:
+    """One op over a run of nodes of one kind: one numpy call on stacked slots.
+
+    Per operand, the slots of the nodes' operands are read as a slice where
+    they are consecutive; two operands of one rank that are not are read in
+    one gather.  A shift or band step takes, flat per member, the entries
+    :meth:`_index` names in a copy padded by ``pad`` zeros.  A step whose
+    output passes :data:`_STEP_BYTES` runs node by node on views.
+    """
+
+    def __init__(self, plan: "_Plan", nodes: list[int]) -> None:
+        op, rank, args, _ = plan.nodes[nodes[0]]
+        self.op, self.rank, self.count = op, rank, len(nodes)
+        self.out = slice(plan.slot[nodes[0]], plan.slot[nodes[-1]] + 1)
+        self.ranks = [plan.nodes[arg][1] for arg in args]
+        self.slots = [[plan.slot[plan.nodes[i][2][j]] for i in nodes] for j in range(len(args))]
+        reads = [_run(slots) or np.array(slots) for slots in self.slots]
+        if op in ("shift", "band"):
+            # a shift reads (j1 + n1, j2 + n2); a band, row j + degree of column j
+            params = [plan.nodes[i][3] for i in nodes]
+            self.offsets = np.array([p if op == "shift" else (p, 0) for p in params])
+            self.pad = int(np.abs(self.offsets).max())
+            self._indices: dict[int, np.ndarray] = {}
+            self.read = reads[0]
+            self.run = self._padded
+            return
+        ufunc = _UFUNCS[op]
+        if len(args) == 2 and (op == "outer" or self.ranks[0] != self.ranks[1]):
+            rx, ry = self.ranks  # a tensor product; a scalar broadcasts
+            ex, ey = (...,) + (None,) * ry, (slice(None),) * 2 + (None,) * rx
+            self.apply = lambda out, x, y: ufunc(x[ex], y[ey], out=out)
+        else:
+            self.apply = lambda out, *xs: ufunc(*xs, out=out)
+        self.reads = list(zip(self.ranks, reads))
+        self.run = self._cubes if rank == 3 else self._stacked
+        if rank < 3 and len(args) == 2 and self.ranks[0] == self.ranks[1] and not any(
+                isinstance(read, slice) for read in reads):
+            self.read = np.concatenate(reads)  # one gather
+            self.run = self._gathered
+
+    def _gathered(self, ws: list[np.ndarray]) -> None:
+        both = ws[self.ranks[0]][self.read]
+        self.apply(ws[self.rank][self.out], both[:self.count], both[self.count:])
+
+    def _stacked(self, ws: list[np.ndarray]) -> None:
+        self.apply(ws[self.rank][self.out], *[ws[rank][at] for rank, at in self.reads])
+
+    def _cubes(self, ws: list[np.ndarray]) -> None:
+        out = ws[self.rank][self.out]
+        if out.nbytes <= _STEP_BYTES or self.count == 1:
+            self._stacked(ws)
+            return
+        for j, slots in enumerate(zip(*self.slots)):
+            self.apply(out[j:j + 1], *[ws[rank][s:s + 1] for rank, s in zip(self.ranks, slots)])
+
+    def _index(self, d: int) -> np.ndarray:
+        """The flat entries a shift or band step takes, per member, at dimension ``d``."""
+        index = self._indices.get(d)
+        if index is None:
+            size = d + 2 * self.pad
+            rows, cols = (self.pad + self.offsets[:, axis, None] + np.arange(d) for axis in (0, 1))
+            if self.op == "shift":
+                rows, cols = rows[:, :, None], cols[:, None, :]
+            which = np.arange(self.count).reshape((-1,) + (1,) * self.rank)
+            index = self._indices[d] = ((which * size + rows) * size + cols).ravel()
+        return index
+
+    def _padded(self, ws: list[np.ndarray]) -> None:
+        out = ws[self.rank][self.out]
+        block = ws[self.ranks[0]][self.read].swapaxes(0, 1)  # members first
+        d, pad = block.shape[-1], self.pad
+        padded = np.zeros(block.shape[:2] + (d + 2 * pad,) * 2, dtype=complex)
+        padded[:, :, pad:pad + d, pad:pad + d] = block
+        taken = padded.reshape(len(padded), -1).take(self._index(d), axis=1)
+        out[...] = taken.reshape((len(padded),) + out.shape[:1] + out.shape[2:]).swapaxes(0, 1)
+
+
+def _run(slots: list[int]) -> Optional[slice]:
+    if slots == list(range(slots[0], slots[0] + len(slots))):
+        return slice(slots[0], slots[0] + len(slots))
+    return None
+
+
+def _operand_blocks(op: Any) -> list[_Sym]:
+    return list(op.values()) if isinstance(op, dict) else [op]
+
+
+class _Plan:
+    """A check's arms compiled once per key, for every ``d`` and batch size.
+
+    Every node of ``tape`` the arms need gets a slot in the stacked
+    workspace of its rank, ``(slots, members, d, ...)``: the inputs first,
+    then the literals, then each step's outputs in a run.  A step is one
+    layer of one kind of node (:func:`_schedule`), so a call makes a fixed
+    number of numpy calls.  The residuals read the max-abs of every distinct
+    operand block, and :class:`~qosc.algcheck.Arms`' layout reduces them per
+    operand and per term.
+    """
+
+    def __init__(self, tape: _Tape, arms: list[tuple[str, tuple]]) -> None:
+        self.arms = arms
+        nodes = self.nodes = tape.nodes
+        blocks = [sym.id for _, (term,) in arms for op in term for sym in _operand_blocks(op)]
+        keep, stack = set(), list(blocks)
+        while stack:
+            i = stack.pop()
+            if i not in keep:
+                keep.add(i)
+                stack.extend(nodes[i][2])
+        self.slot: dict[int, int] = {}
+        self.sizes = [0, 0, 0, 0]
+
+        def place(group: list[int]) -> None:
+            for i in group:
+                self.slot[i] = self.sizes[nodes[i][1]]
+                self.sizes[nodes[i][1]] += 1
+
+        place([i for i, node in enumerate(nodes) if node[0] == "in"])  # every input holds its slot
+        literals = [i for i in sorted(keep) if nodes[i][0] == "lit"]
+        self.literals = (self.sizes[0], np.array([nodes[i][3] for i in literals]))
+        place(literals)
+        self.steps = []
+        for group in _schedule(nodes, keep):
+            group.sort(key=lambda i: [self.slot[arg] for arg in nodes[i][2]])
+            place(group)
+            self.steps.append(_Step(self, group))
+        self.names = tuple(name for name, _ in arms)
+        self.layout = _Layout(arms, lambda op: len(_operand_blocks(op)))
+        # the max-abs of each distinct operand block, rank by rank, read once per operand
+        self.norms = []
+        rows: dict[tuple[int, int], int] = {}  # (rank, slot) of a distinct block -> its row
+        for rank in range(4):
+            distinct = sorted({self.slot[i] for i in blocks if nodes[i][1] == rank})
+            if distinct:
+                base = len(rows)
+                rows.update(((rank, slot), base + j) for j, slot in enumerate(distinct))
+                self.norms.append((rank, np.array(distinct)))
+        self.gather = np.array([rows[nodes[i][1], self.slot[i]] for i in blocks])
+
+    def run(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> list[np.ndarray]:
+        """The workspace after every step, ``(slots, count, d, ...)`` per rank; ``inputs``
+        fill each rank's first slots."""
+        ws = [np.empty((size, count) + (d,) * rank, dtype=complex)
+              for rank, size in enumerate(self.sizes)]
+        for rank, arrays in inputs.items():
+            at = 0
+            for array in arrays:
+                ws[rank][at:at + len(array)] = array
+                at += len(array)
+        at, values = self.literals
+        if len(values):
+            ws[0][at:at + len(values)] = values[:, None]
+        for step in self.steps:
+            step.run(ws)
+        return ws
+
+    def residuals(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
+        """Per member, the residual of every arm."""
+        ws = self.run(count, d, inputs)
+        rows = []
+        for rank, at in self.norms:
+            if rank == 0:
+                rows.append(np.abs(ws[rank][at]))
+                continue
+            run = max(1, _STEP_BYTES // ws[rank][0].nbytes)  # blocks read at once
+            rows += [np.abs(ws[rank][at[j:j + run]]).reshape(-1, count, d ** rank).max(axis=2)
+                     for j in range(0, len(at), run)]
+        flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        return self.layout.residuals(flat[self.gather].T)
+
+
+def _schedule(nodes: list[tuple], keep: set[int]) -> list[list[int]]:
+    """The computed nodes among ``keep`` in steps of one kind (op and operand ranks).
+
+    A node's layer is the count of nodes of its kind on the longest path of
+    operands that ends at it, so a kind takes at least as many steps as it
+    has layers.  The largest lowest pending layer of a kind whose nodes are
+    all ready runs next; if there is none, the kind with the most ready
+    nodes does.
+    """
+    kind: dict[int, tuple] = {}
+    layer: dict[int, tuple] = {}  # node -> (kind, layer)
+    paths: dict[int, dict[tuple, int]] = {}  # kind -> most nodes of it on a path ending here
+    users: dict[int, list[int]] = {}
+    waiting: dict[int, int] = {}
+    pending: dict[tuple, int] = {}
+    ready: dict[tuple, list[int]] = {}
+    for i in sorted(keep):
+        op, rank, args, _ = nodes[i]
+        most: dict[tuple, int] = {}
+        for arg in args:
+            for k, count in paths[arg].items():
+                most[k] = max(most.get(k, 0), count)
+        paths[i] = most
+        if op in ("in", "lit"):
+            continue
+        k = kind[i] = (op, rank, tuple(nodes[arg][1] for arg in args))
+        most[k] = most.get(k, 0) + 1
+        layer[i] = (k, most[k])
+        pending[layer[i]] = pending.get(layer[i], 0) + 1
+        deps = {arg for arg in args if arg in kind}
+        waiting[i] = len(deps)
+        for arg in deps:
+            users.setdefault(arg, []).append(i)
+        if not deps:
+            ready.setdefault(layer[i], []).append(i)
+    steps = []
+    while pending:
+        lowest: dict[tuple, tuple] = {}
+        for k, n in pending:
+            if n < lowest.get(k, (k, n + 1))[1]:
+                lowest[k] = (k, n)
+        whole = [at for at in lowest.values() if len(ready.get(at, ())) == pending[at]]
+        if whole:
+            step = ready.pop(max(whole, key=pending.__getitem__))
+        else:
+            by_kind: dict[tuple, list[tuple]] = {}
+            for at in ready:
+                by_kind.setdefault(at[0], []).append(at)
+            most = max(by_kind.values(), key=lambda ats: sum(len(ready[at]) for at in ats))
+            step = [i for at in most for i in ready.pop(at)]
+        for i in step:
+            pending[layer[i]] -= 1
+            if not pending[layer[i]]:
+                del pending[layer[i]]
+            for user in users.get(i, ()):
+                waiting[user] -= 1
+                if not waiting[user]:
+                    ready.setdefault(layer[user], []).append(user)
+        steps.append(step)
+    return steps
 
 
 #: coproduct of every symbol of the Hopf table, as sums of symbol pairs
@@ -199,41 +532,31 @@ def _hopf_table(batch: RepBatch):
 class _Realization:
     """Dense stacks and graded weights of every symbol of :func:`_hopf_table`.
 
-    ``qp``, ``qm`` are ``K``, ``K^-1``, read from the batch's power table;
-    a member whose powers leave the double range keeps its
-    ``OverflowError`` in ``overflow``.  The rep's own ``A``, ``Abar`` and
-    ``Nmat`` are validated as weighted shifts here, once per member.
+    ``stack`` holds the ``(symbols, members, d, d)`` dense matrices and
+    ``weights`` the ``(symbols, members, d)`` graded weights, in
+    :data:`_SYMBOLS` order; ``dense`` names the stack's symbols.  ``qp``,
+    ``qm`` are ``K``, ``K^-1``, read from the batch's power table; a member
+    whose powers leave the double range keeps its ``OverflowError`` in
+    ``overflow``.  The rep's own ``A``, ``Abar`` and ``Nmat`` are validated
+    as weighted shifts here, once per member.
     """
 
     def __init__(self, batch: RepBatch) -> None:
-        reps = batch.reps
-        d = batch.dim
-        eye = np.eye(d, dtype=complex)
-        gamma = np.array([rep.params.gamma for rep in reps], dtype=complex)[:, None, None]
-        self.dense = {
-            "a": batch.A,
-            "abar": batch.Abar,
-            "N": batch.Nmat,
-            "one": np.repeat(eye[None], len(reps), axis=0),
-            "gone": gamma * eye,
-        }
-        self.graded = {
-            sym: ((_DEGREE.get(sym, 0),), _shift_weights(sym, m, _DEGREE.get(sym, 0)))
-            for sym, m in self.dense.items() if sym in _GENERATORS
-        }
-        self.graded.update(
-            (sym, ((0,), _band(self.dense[sym], 0))) for sym in ("one", "gone"))
+        count, d = len(batch.reps), batch.dim
         pw, twice = batch.powers, 2 * np.arange(d) - batch.k  # K = q**((N + gamma)/2)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = {"qp": pw.root[:, None] * pw(twice), "qm": pw(-twice) / pw.root[:, None]}
-        self.overflow = finite_members(*powers.values())
-        for sym, weights in powers.items():
-            self.dense[sym] = diag_stack(weights)
-            self.graded[sym] = ((0,), weights)
-
-
-def _coproduct(cop_terms, graded: dict[str, tuple]) -> dict:
-    return _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop_terms)
+            powers = (pw.root[:, None] * pw(twice), pw(-twice) / pw.root[:, None])
+        self.overflow = finite_members(*powers)
+        self.stack = np.zeros((len(_SYMBOLS), count, d, d), dtype=complex)
+        self.stack[:3] = batch.A, batch.Abar, batch.Nmat
+        diagonals = self.stack.reshape(len(_SYMBOLS), count, d * d)[:, :, ::d + 1]
+        diagonals[3] = 1.0
+        diagonals[4] = np.array([p.gamma for p in batch.params], dtype=complex)[:, None]
+        diagonals[5:] = powers
+        self.dense = dict(zip(_SYMBOLS, self.stack))
+        self.weights = np.concatenate((
+            [_shift_weights(sym, self.dense[sym], _DEGREE.get(sym, 0)) for sym in _GENERATORS],
+            diagonals[3:]))
 
 
 def _realize(rep: Rep) -> _Realization:
@@ -244,12 +567,115 @@ def _realize(rep: Rep) -> _Realization:
     return real
 
 
+def _key(tables: tuple, arrays: list) -> tuple[int, tuple]:
+    """The count of arrays in ``tables`` and ``arrays``, and ``tables`` with each of its
+    arrays appended to ``arrays`` and replaced by its index there.
+
+    Floats and symbol names stay, so the result keys a plan, which does the
+    arithmetic of the tables' floats as the tables' types do.
+    """
+    def leaf(value: Any) -> Any:
+        if isinstance(value, tuple):
+            return tuple(map(leaf, value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return len(arrays) - 1
+        return value
+
+    skeleton = tuple(tuple((key, leaf(value)) for key, value in table.items()) for table in tables)
+    return len(arrays), skeleton
+
+
+def _hopf_key(batch: RepBatch) -> tuple[list[np.ndarray], int, tuple]:
+    """:func:`_key` of the batch's :func:`_hopf_table`, with its arrays."""
+    arrays: list[np.ndarray] = []
+    return (arrays, *_key(_hopf_table(batch), arrays))
+
+
+def _symbols(t: _Tape) -> tuple[dict, dict]:
+    """The graded weights and the dense matrices of every symbol, as inputs."""
+    graded = {sym: ((_DEGREE.get(sym, 0),), t.input(1, sym)) for sym in _SYMBOLS}
+    return graded, {sym: t.input(2, sym) for sym in _SYMBOLS}
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(family: Union[str, Flavor], scalars: int = 0, tables: tuple = ()) -> _Plan:
+    """The plan of one family: ``"hopf"``, a star flavor or ``"coproduct"``.
+
+    ``scalars`` and ``tables`` are :func:`_key`'s key of the tables, whose
+    arrays are the rank-0 inputs.
+    """
+    t = _Tape()
+    graded, dense = _symbols(t)
+    inputs = [t.input(0, j) for j in range(scalars)]
+
+    def leaf(value: Any) -> Any:
+        if isinstance(value, tuple):
+            return tuple(map(leaf, value))
+        return inputs[value] if type(value) is int else value
+
+    tables = [{key: leaf(value) for key, value in table} for table in tables]
+    if family == "coproduct":
+        arms = [(gen, (_coproduct(_COPRODUCT[gen], graded),)) for gen in _GENERATORS]
+    elif family == "hopf":
+        arms = _hopf_arms(t, graded, dense, *tables)
+    else:
+        arms = _star_arms(t, graded, dense, *tables, family)
+    return _Plan(t, [(name, (term,)) for name, term in arms])
+
+
 def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
     """Coproduct of a generator on the tensor square, as graded blocks ``{(m1, m2): weights}``."""
     if gen not in _GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    blocks = _coproduct(_COPRODUCT[gen], _realize(rep).graded)
-    return {deg: w[0] for deg, w in blocks.items()}
+    real = _realize(rep)
+    plan = _plan("coproduct")
+    ws = plan.run(1, rep.dim, {1: [real.weights], 2: [real.stack]})
+    (blocks,), = dict(plan.arms)[gen]
+    return {deg: ws[2][plan.slot[w.id], 0] for deg, w in blocks.items()}
+
+
+def _hopf_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict) -> list:
+    """The arms of :func:`check_hopf_axioms`, each ``(name, (defect, *operands))``."""
+    cop = _COPRODUCT
+    # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
+    # with q**eta = root**2
+    steps = t.input(2, "steps")
+
+    # every tensor square of the table, shared by the coproducts and both coassociativity sides
+    pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
+             for term in terms}
+    da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
+    arms = [
+        ("homomorphism_commutator", (_minus(_commutator(da, dab), {(0, 0): steps}), da, dab)),
+        ("homomorphism_raise", (_minus(_commutator(dn, dab), dab), dn, dab)),
+        ("homomorphism_lower", (_minus(_commutator(da, dn), da), dn, da)),  # -([DN, Da] + Da)
+    ]
+
+    for gen in _GENERATORS:
+        left = _graded_sum(
+            _otimes(pairs[term], graded[ri]) for le, ri in cop[gen] for term in cop[le]
+        )
+        right = _graded_sum(
+            _otimes(graded[le], pairs[term]) for le, ri in cop[gen] for term in cop[ri]
+        )
+        arms.append((f"coassoc_{gen}", (_minus(left, right), left, right)))
+
+    for gen in _GENERATORS:
+        lhs_l = sum(counit[le] * dense[ri] for le, ri in cop[gen])
+        lhs_r = sum(dense[le] * counit[ri] for le, ri in cop[gen])
+        arms.append((f"counit_left_{gen}", (lhs_l - dense[gen], lhs_l, dense[gen])))
+        arms.append((f"counit_right_{gen}", (lhs_r - dense[gen], lhs_r, dense[gen])))
+
+    s_image = {sym: _affine(antipode[sym], dense) for sym in cop}
+    for gen in _GENERATORS:
+        target = counit[gen] * dense["one"]
+        for side, products in (
+            ("left", [s_image[le] @ dense[ri] for le, ri in cop[gen]]),
+            ("right", [dense[le] @ s_image[ri] for le, ri in cop[gen]]),
+        ):
+            arms.append((f"antipode_{side}_{gen}", (sum(products) - target, products[0])))
+    return arms
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
@@ -267,55 +693,16 @@ def check_hopf_axioms(
     """
     batch = as_batch(reps)
     d = batch.dim
-    cop = _COPRODUCT
     real = batch.derived(_Realization)
     pw = batch.powers
-    # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
-    # with q**eta = root**2
     ij = np.add.outer(np.arange(d), np.arange(d))
     steps = pw.step(4 * ij - 2 * batch.k, shift=pw.root * pw.root)
-    counit, antipode = _hopf_table(batch)
-    counit = {sym: _rows(c, 2) for sym, c in counit.items()}
-    dense, graded = real.dense, real.graded
-    arms = Arms(len(batch.reps), ("hopf", batch.mode, batch.k))
-
-    # every tensor square of the table, shared by the coproducts and both coassociativity sides
-    pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
-             for term in terms}
-    da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
-    relations = (
-        ("homomorphism_commutator", _minus(_commutator(da, dab), {(0, 0): steps}),
-         (da, dab)),
-        ("homomorphism_raise", _minus(_commutator(dn, dab), dab), (dn, dab)),
-        ("homomorphism_lower", _minus(_commutator(da, dn), da), (dn, da)),  # -([DN, Da] + Da)
-    )
-    for name, defect, ops in relations:
-        arms.add(name, (defect, *ops))
-
-    for gen in _GENERATORS:
-        left = _graded_sum(
-            _otimes(pairs[term], graded[ri]) for le, ri in cop[gen] for term in cop[le]
-        )
-        right = _graded_sum(
-            _otimes(graded[le], pairs[term]) for le, ri in cop[gen] for term in cop[ri]
-        )
-        arms.add(f"coassoc_{gen}", (_minus(left, right), left, right))
-
-    for gen in _GENERATORS:
-        lhs_l = sum(counit[le] * dense[ri] for le, ri in cop[gen])
-        lhs_r = sum(dense[le] * counit[ri] for le, ri in cop[gen])
-        arms.compare(f"counit_left_{gen}", lhs_l, dense[gen])
-        arms.compare(f"counit_right_{gen}", lhs_r, dense[gen])
-
-    s_image = {sym: _affine(antipode[sym], dense) for sym in cop}
-    for gen in _GENERATORS:
-        target = counit[gen] * dense["one"]
-        for side, products in (
-            ("left", [s_image[le] @ dense[ri] for le, ri in cop[gen]]),
-            ("right", [dense[le] @ s_image[ri] for le, ri in cop[gen]]),
-        ):
-            arms.add(f"antipode_{side}_{gen}", (sum(products) - target, products[0]))
-    return unbatch(reps, arms.block(tol, finite_members(steps, errors=real.overflow)))
+    scalars, *key = batch.derived(_hopf_key)
+    plan = _plan("hopf", *key)
+    residuals = plan.residuals(len(batch.reps), d, {
+        0: [np.array(scalars)], 1: [real.weights], 2: [real.stack, steps[None]]})
+    return unbatch(reps, cut(plan.names, residuals, tol,
+                             finite_members(steps, errors=real.overflow), {}))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -382,6 +769,62 @@ def _s_affine(elem, antipode):
     return (c * coef, target, c * const + d)
 
 
+def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict, star: dict,
+               flavor: Flavor) -> list:
+    """The arms of :func:`check_star_structure`, each ``(name, (defect, *operands))``."""
+    cop = _COPRODUCT
+    adj = {sym: t.input(2, ("adjoint", sym)) for sym in _SYMBOLS}
+    step_bar = t.input(2, "step_bar")
+    counit_defects = []
+    antipode_sides = []
+    for gen in _GENERATORS:
+        coef, target, const = star[gen]
+        counit_defects.append(coef * counit[target] + const - counit[gen].conjugate())
+        start = (1.0, gen, 0.0)
+        if flavor is Flavor.STANDARD:
+            lhs = _star_affine(
+                _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
+            )
+            antipode_sides += [lhs, start]
+        else:
+            antipode_sides += [_s_affine(_star_affine(start, star), antipode),
+                               _star_affine(_s_affine(start, antipode), star)]
+
+    img = {gen: _affine(star[gen], dense) for gen in _GENERATORS}
+    arms = []
+
+    def compare(name: str, lhs: Any, rhs: Any) -> None:
+        arms.append((name, (lhs - rhs, lhs, rhs)))
+
+    compare("algebra_compat_commutator", img["abar"] @ img["a"] - img["a"] @ img["abar"], step_bar)
+    compare("algebra_compat_raise", img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
+    compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
+    for gen in _GENERATORS:
+        compare(f"star_matrix_{gen}", adj[gen], img[gen])
+
+    # the adjoint of a weighted shift is one of the opposite degree
+    graded_adj = {sym: ((-deg,), adj[sym].band(-deg)) for sym, ((deg,), _) in graded.items()}
+    for gen in _GENERATORS:
+        coef, target, const = star[gen]
+        dag = _coproduct(cop[gen], graded_adj)
+        image = _graded_sum(
+            _otimes((graded[le][0], coef * graded[le][1]), graded[ri]) for le, ri in cop[target]
+        )
+        if not (isinstance(const, float) and not const):  # the coproduct of 1 is 1 (x) 1
+            image[(0, 0)] = image[(0, 0)] + const
+        if flavor is Flavor.NONSTANDARD:
+            image = _swap(image)
+        arms.append((f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image)))
+
+    for gen, defect in zip(_GENERATORS, counit_defects):  # its max-abs is its residual
+        arms.append((f"counit_{gen}", (defect,)))
+
+    sides = [_affine(side, dense) for side in antipode_sides]
+    for j, gen in enumerate(_GENERATORS):
+        compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
+    return arms
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
 def check_star_structure(
     reps: Union[Rep, RepBatch],
@@ -409,76 +852,31 @@ def check_star_structure(
     flavor = invs[0].flavor
     if any(spec.flavor is not flavor for spec in invs):
         raise ValueError("the involutions of a batch must share one flavor")
-    cop = _COPRODUCT
+    d = batch.dim
     real = batch.derived(_Realization)
+    adjoint = real.stack.conj().swapaxes(-1, -2)
     if metric is not None:
-        g = np.diagonal(metric)
-        if not np.count_nonzero(metric) == np.count_nonzero(g) == len(g):
-            raise ValueError("the metric must be diagonal and invertible")
-        twist = (1.0 / g)[:, None] * g  # G^-1 M^H G scales entry (i, j) of M^H by g_j / g_i
+        g = np.diagonal(metric) if np.shape(metric) == (d, d) else ()
+        if not np.count_nonzero(metric) == np.count_nonzero(g) == d:
+            raise ValueError(f"the metric must be a diagonal and invertible {d}x{d} matrix, "
+                             f"got one of shape {np.shape(metric)}")
+        adjoint = adjoint * ((1.0 / g)[:, None] * g)  # G^-1 M^H G scales (i, j) by g_j / g_i
     # conjugated defining relations: steps at base conj(q), which is 1/q on the
     # unit circle and q on the real line, taken at N + eta
     pw = batch.powers
     shift = None if all(spec.eta == 0 for spec in invs) else np.array(
         [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
-    step_bar = pw.step(4 * np.arange(batch.dim), -1 if batch.mode is Mode.UNIMODULAR else 1, shift)
-    counit, antipode = _hopf_table(batch)
-    star = _star_table(*invs)
-    counit_defects = []
-    antipode_sides = []
-    for gen in _GENERATORS:
-        coef, target, const = star[gen]
-        counit_defects.append(abs(coef * counit[target] + const - np.conjugate(counit[gen])))
-        start = (1.0, gen, 0.0)
-        if flavor is Flavor.STANDARD:
-            lhs = _star_affine(
-                _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
-            )
-            antipode_sides += [lhs, start]
-        else:
-            antipode_sides += [_s_affine(_star_affine(start, star), antipode),
-                               _star_affine(_s_affine(start, antipode), star)]
-    dense, graded = real.dense, real.graded
-    arms = Arms(len(batch.reps), ("star", batch.mode, batch.k, flavor))
-
-    img = {gen: _affine(star[gen], dense) for gen in _GENERATORS}
-    lhs = img["abar"] @ img["a"] - img["a"] @ img["abar"]
-    arms.compare("algebra_compat_commutator", lhs, diag_stack(step_bar))
-    arms.compare("algebra_compat_raise",
-                 img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
-    arms.compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
-
-    def adjoint(m: np.ndarray) -> np.ndarray:
-        h = m.conj().transpose(0, 2, 1)
-        return h if metric is None else h * twist
-
-    adj = {sym: adjoint(m) for sym, m in dense.items()}
-    for gen in _GENERATORS:
-        arms.compare(f"star_matrix_{gen}", adj[gen], img[gen])
-
-    # the adjoint of a weighted shift is one of the opposite degree
-    graded_adj = {sym: ((-deg,), _band(adj[sym], -deg)) for sym, ((deg,), _) in graded.items()}
-    empty = np.zeros((len(batch.reps), batch.dim, batch.dim), dtype=complex)
-    for gen in _GENERATORS:
-        coef, target, const = star[gen]
-        dag = _coproduct(cop[gen], graded_adj)
-        image = _graded_sum(
-            _otimes((graded[le][0], _rows(coef, 1) * graded[le][1]), graded[ri])
-            for le, ri in cop[target]
-        )
-        # the coproduct of 1 is 1 (x) 1
-        image[(0, 0)] = image.get((0, 0), empty) + _rows(const, 2)
-        if flavor is Flavor.NONSTANDARD:
-            image = _swap(image)
-        arms.add(f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image))
-
-    for gen, defect in zip(_GENERATORS, counit_defects):
-        arms.absolute(f"counit_{gen}", defect)
-
-    sides = [_affine(side, dense) for side in antipode_sides]
-    for j, gen in enumerate(_GENERATORS):
-        arms.compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
-    return unbatch(reps, arms.block(tol, finite_members(step_bar, errors=real.overflow), label))
+    step_bar = pw.step(4 * np.arange(d), -1 if batch.mode is Mode.UNIMODULAR else 1, shift)
+    hopf_scalars, _, hopf_tables = batch.derived(_hopf_key)
+    scalars = list(hopf_scalars)
+    count, star_tables = _key((_star_table(*invs),), scalars)
+    plan = _plan(flavor, count, hopf_tables + star_tables)
+    residuals = plan.residuals(len(batch.reps), d, {
+        0: [np.array(scalars)], 1: [real.weights],
+        2: [real.stack, adjoint, diag_stack(step_bar)[None]]})
+    names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
+    return unbatch(reps, cut(names, residuals, tol,
+                             finite_members(step_bar, errors=real.overflow), {}))
 
 
 def parity_metric(dim: int) -> np.ndarray:

@@ -149,18 +149,21 @@ def involution_from_json(doc: dict[str, Any]) -> InvolutionSpec:
 
 
 def report_to_json(r: CheckReport, expected: str | None = None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "name": r.name,
-        "residual": r.residual,
-        "tolerance": r.tolerance,
-        "pass": r.passed,
-    }
+    return check_to_json(r.name, r.residual, r.tolerance, r.passed, expected)
+
+
+def check_to_json(name: str, residual: Any, tolerance: float, passed: Any,
+                  expected: str | None = None) -> dict[str, Any]:
+    """The document of one check's report, with or without its expected outcome."""
+    doc: dict[str, Any] = {"name": name, "residual": residual, "tolerance": tolerance,
+                           "pass": passed}
     if expected is not None:
         doc["expected"] = expected
     return doc
 
 
-def _float_repr(x: float) -> str:
+def float_to_json(x: float) -> str:
+    """A float as :func:`dumps` writes it; a non-finite one raises ``ValueError``."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} has no JSON encoding")
     text = format(x, ".17g")
@@ -187,7 +190,7 @@ def _pair_list(doc: list | tuple, level: int) -> str | None:
         key = (re, im, math.copysign(1.0, re), math.copysign(1.0, im))
         frag = memo.get(key)
         if frag is None:
-            frag = memo[key] = head + _float_repr(re) + mid + _float_repr(im) + tail
+            frag = memo[key] = head + float_to_json(re) + mid + float_to_json(im) + tail
         parts.append(frag)
     return "[\n" + ",\n".join(parts) + "\n" + "  " * level + "]"
 
@@ -210,7 +213,7 @@ def _fragment(doc: Any, level: int) -> str:
     if isinstance(doc, bool):
         return "true" if doc else "false"
     if isinstance(doc, float):
-        return _float_repr(doc)
+        return float_to_json(doc)
     if isinstance(doc, int):
         return str(doc)
     if isinstance(doc, str):
@@ -218,6 +221,11 @@ def _fragment(doc: Any, level: int) -> str:
     if doc is None:
         return "null"
     raise TypeError(f"cannot encode {type(doc).__name__}")
+
+
+def scalar_to_json(value: Any) -> str:
+    """A float, bool, int, string or None as :func:`dumps` writes it."""
+    return _fragment(value, 0)
 
 
 def dumps(doc: Any) -> str:

@@ -510,7 +510,7 @@ def test_sweep_text_table_matches_its_csv(capsys):
     assert all(cell == "-" for line in lines[2:] for cell in line[5:])
 
 
-def test_sweep_builds_no_check_report_and_verify_builds_one_per_check(capsys, monkeypatch):
+def test_sweep_and_verify_build_no_check_report(capsys, monkeypatch):
     from qosc.algcheck import CheckReport
 
     built = []
@@ -525,8 +525,11 @@ def test_sweep_builds_no_check_report_and_verify_builds_one_per_check(capsys, mo
                  "--k", "0..3"]) == 0
     capsys.readouterr()
     assert built == []  # every row is reduced from the residual arrays
-    code, doc = run_json(capsys, ["verify", "--mode", "unimodular", "--epsilon", "0.6", "--k", "3"])
-    assert code == 0 and built == [chk["name"] for chk in doc["checks"]]
+    for fmt in ("json", "text"):  # a report is rendered from the blocks
+        assert main(["verify", "--mode", "unimodular", "--epsilon", "0.6", "--k", "3",
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out
+    assert built == []
 
 
 def test_a_failing_casimir_report_fails_its_sweep_row_and_verify(capsys):
@@ -861,3 +864,96 @@ def test_negative_values_with_an_exponent_or_a_grid_parse(capsys):
         main(["verify", "--mode", "unimodular", "--epsilon", "--k", "1"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: argument --epsilon: expected one argument\n"
+
+
+# ---------------------------------------------------------------------------
+# the verify report, rendered from the blocks
+
+
+def _reference_verify_text(doc):
+    """The text layout verify wrote from its report document before it rendered from blocks."""
+    p = doc["params"]
+    lines = [
+        "mode={mode} epsilon={epsilon:.12g} l={l} k={k}".format(**p),
+        f"casimir = {doc['casimir'][0]:.12g} {doc['casimir'][1]:+.12g}i",
+    ]
+    bad = 0
+    for chk in doc["checks"]:
+        observed = "pass" if chk["pass"] else "fail"
+        marker = "ok " if observed == chk["expected"] else "BAD"
+        bad += marker == "BAD"
+        lines.append(
+            f"{marker} {chk['name']:<42} residual={chk['residual']:.3e} "
+            f"tol={chk['tolerance']:.1e} expected={chk['expected']} observed={observed}"
+        )
+    lines.append(f"result: {'ok' if bad == 0 else f'{bad} unexpected outcome(s)'}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_verify(argv):
+    """Exit code and stdout of verify built the way it was before it rendered from blocks:
+    each block's ``reports(0)`` through ``report_to_json``, then ``dumps`` or the text layout."""
+    from qosc import cli
+    from qosc.jsonio import dumps, report_to_json
+
+    cfg = cli._config_from_args(cli._parser().parse_args(argv))
+    (point,), families = cli._run_batch(cfg, cfg.epsilons, cfg.k)
+    assert point.skip is None and point.singular is None
+    row = point.row
+    if cfg.fmt == "csv":
+        out = cli._csv_text([row])
+    else:
+        doc = {
+            "params": cli._report_params(point.params, cfg.k),
+            "checks": [
+                report_to_json(r, expected="fail" if fail else "pass")
+                for family in cfg.checks for block in families[family]
+                for r, fail in zip(block.reports(0),
+                                   cli._expected_fails(block.names, cfg.mode, cfg.k == 0).tolist())
+            ],
+            "casimir": [row["casimir_re"], row["casimir_im"]],
+        }
+        out = dumps(doc) + "\n" if cfg.fmt == "json" else _reference_verify_text(doc)
+    return (1 if row["status"] == "fail" else 0), out
+
+
+_RENDER_CASES = [
+    ["verify", "--mode", mode, "--epsilon", "0.9", "--k", str(k), "--format", fmt, *checks]
+    for mode in ("unimodular", "realline") for k in (0, 1, 3, 9) for fmt in ("json", "text", "csv")
+    for checks in ([], ["--checks", "star:canonical"], ["--checks", "hopf"],
+                   ["--checks", "casimir", "--tol", "1e-20"])
+] + [["verify", "--mode", "realline", "--epsilon", "79", "--k", "3", "--format", fmt]
+     for fmt in ("json", "text", "csv")]
+
+
+def test_verify_renders_the_bytes_its_reports_give(capsys):
+    codes = set()
+    for argv in _RENDER_CASES:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == _reference_verify(argv), argv
+        codes.add(code)
+    assert codes == {0, 1}
+    main(_RENDER_CASES[-2])  # real line at epsilon 79, k 3, as text
+    out = capsys.readouterr().out
+    assert sum(line.startswith("BAD ") for line in out.splitlines()) == 4
+    assert out.endswith("result: 4 unexpected outcome(s)\n")
+
+
+def test_verify_with_a_non_finite_residual_is_one_error_line(capsys, monkeypatch):
+    from qosc import cli
+
+    relations = cli.check_defining_relations
+
+    def with_nan(batch, tol):
+        block = relations(batch, tol)
+        residuals = block.residuals.copy()
+        residuals[0, 1] = np.nan
+        return cut(block.names, residuals, block.tol, block.errors, {})
+
+    monkeypatch.setattr(cli, "check_defining_relations", with_nan)
+    code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "3",
+                 "--checks", "algebra"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: non-finite value nan has no JSON encoding\n"

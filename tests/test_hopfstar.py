@@ -15,10 +15,12 @@ from qosc.hopfstar import (
     _graded_sum,
     _COPRODUCT,
     _otimes,
+    _Plan,
     _realize,
     _shift_weights,
     _star_table,
     _swap,
+    _Tape,
     check_hopf_axioms,
     check_star_structure,
     coproduct,
@@ -27,6 +29,7 @@ from qosc.hopfstar import (
     parity_metric,
     with_flavor,
 )
+from qosc.cli import main
 from qosc.qcore import make_params
 from qosc.repbuild import build_generic_window, build_rep
 
@@ -97,15 +100,31 @@ def test_coproduct_of_number_is_additive_with_shift():
     assert np.allclose(_dense(coproduct(rep, "N"), rep.dim), expect, atol=1e-12)
 
 
-def test_swap_matrix_exchanges_tensor_factors():
+def _evaluate(build, inputs, d):
+    """Compile the graded operators ``build(tape)`` names into a plan, run it on ``inputs``
+    and read every block of its only member."""
+    tape = _Tape()
+    ops = build(tape)
+    plan = _Plan(tape, [(name, ((op,),)) for name, op in ops.items()])
+    ws = plan.run(1, d, inputs)
+    return {name: {deg: ws[w.rank][plan.slot[w.id], 0] for deg, w in op.items()}
+            for name, op in ops.items()}
+
+
+def test_plan_swap_exchanges_tensor_factors():
     rng = np.random.default_rng(3)
     wx, wy = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     x, y = np.diag(wx, -1), np.diag(wy, 1)  # a raising and a lowering shift
-    # the graded helpers take a leading batch axis: a batch of one here
-    gx, gy = ((1,), _shift_weights("x", x[None], 1)), ((-1,), _shift_weights("y", y[None], -1))
-    blocks = _graded_sum([_otimes(gx, gy)])
-    assert np.array_equal(_dense(_unstack(blocks), 3), np.kron(x, y))
-    assert np.allclose(_dense(_unstack(_swap(blocks)), 3), np.kron(y, x), rtol=0, atol=1e-15)
+
+    def build(t):
+        blocks = _graded_sum([_otimes(((1,), t.input(1, "x")), ((-1,), t.input(1, "y")))])
+        return {"xy": blocks, "yx": _swap(blocks)}
+
+    # the plan's inputs carry a member axis after the slot axis: a batch of one here
+    weights = np.stack([_shift_weights("x", x[None], 1), _shift_weights("y", y[None], -1)])
+    got = _evaluate(build, {1: [weights]}, 3)
+    assert np.array_equal(_dense(got["xy"], 3), np.kron(x, y))
+    assert np.allclose(_dense(got["yx"], 3), np.kron(y, x), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
@@ -368,7 +387,7 @@ def test_graded_homomorphism_matches_dense(mode, eps):
         _assert_homomorphism_matches_dense(_rep(mode, eps, _branch(mode, eps), k))
 
 
-def test_compose_matches_dense_product():
+def test_plan_compose_matches_dense_product():
     rng = np.random.default_rng(7)
     d = 4
 
@@ -384,11 +403,38 @@ def test_compose_matches_dense_product():
 
     x = random_operator([(-1, 0), (0, 1), (1, 1), (0, 0)])
     y = random_operator([(1, 0), (0, -1), (-1, 1)])
-    bx, by = ({deg: w[None] for deg, w in op.items()} for op in (x, y))  # batch of one
-    assert np.allclose(_dense(_unstack(_compose(bx, by)), d), _dense(x, d) @ _dense(y, d),
-                       rtol=0, atol=1e-14)
-    assert np.allclose(_dense(_unstack(_compose(by, bx)), d), _dense(y, d) @ _dense(x, d),
-                       rtol=0, atol=1e-14)
+
+    def build(t):
+        gx = {deg: t.input(2, ("x", deg)) for deg in x}
+        gy = {deg: t.input(2, ("y", deg)) for deg in y}
+        return {"xy": _compose(gx, gy), "yx": _compose(gy, gx)}
+
+    weights = np.stack([w[None] for w in (*x.values(), *y.values())])  # batch of one
+    got = _evaluate(build, {2: [weights]}, d)
+    assert np.allclose(_dense(got["xy"], d), _dense(x, d) @ _dense(y, d), rtol=0, atol=1e-14)
+    assert np.allclose(_dense(got["yx"], d), _dense(y, d) @ _dense(x, d), rtol=0, atol=1e-14)
+
+
+def test_plans_compile_once_per_key(capsys):
+    hopfstar._plan.cache_clear()
+    argv = ["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2", "--k", "0..3"]
+    for _ in range(2):
+        assert main(argv) == 0
+    capsys.readouterr()
+    # hopf, and the canonical star arm in both flavors, each for every k
+    assert hopfstar._plan.cache_info().misses == hopfstar._plan.cache_info().currsize == 3
+    reps = [_rep("unimodular", eps, 0, 3) for eps in (0.3, 0.5, 0.7, 0.9, 1.1)]
+    check_hopf_axioms(RepBatch(tuple(reps)))
+    check_hopf_axioms(reps[0])
+    assert hopfstar._plan.cache_info().misses == 3  # a batch of 5 and of 1 share a plan
+
+
+def test_star_rejects_a_metric_of_the_wrong_size():
+    params = make_params("realline", 0.9, 1)
+    rep = build_rep(params, 3)
+    wrong_size = r"diagonal and invertible 4x4 matrix, got one of shape \(5, 5\)"
+    with pytest.raises(ValueError, match=wrong_size):
+        check_star_structure(rep, involution("imaginary_plus", params), metric=parity_metric(5))
 
 
 def _star_arms(rep):
