@@ -315,10 +315,7 @@ def _verify_report(cfg: RunConfig, point: _Point, blocks: list[ReportBlock]) -> 
     passed = residuals < tols
     row = point.row
     if cfg.fmt == "json":
-        if np.isfinite(residuals).all() and not np.signbit(residuals).any():
-            digits = ["%.17g" % residual for residual in residuals.tolist()]
-        else:  # the first value that has no encoding raises
-            digits = [float_to_json(residual) for residual in residuals.tolist()]
+        digits = [float_to_json(residual) for residual in residuals.tolist()]
         flags = ["true" if ok else "false" for ok in passed.tolist()]
         values = [scalar_to_json(value) for value in _leaves(params)]
         values += itertools.chain.from_iterable(zip(digits, flags))
