@@ -26,16 +26,16 @@ in :mod:`qosc.repbuild`, re-exported here) of representations that share
 ``k`` and the mode, under the batch contract of :mod:`qosc.algcheck`, and
 give one :class:`~qosc.algcheck.ReportBlock` of residuals.  Which weights
 multiply which, at which offsets, and the order of every sum depend only on
-the check, the star flavor and the floats of the Hopf and star tables, so
-each such key is compiled once into a plan (:func:`_plan`): a fixed
-sequence of numpy calls on ``(slots, members, ...)`` stacks, whatever ``k``
-and the batch size.  The scalar data are ``(members, ...)`` arrays: ``K``,
-the antipode constants and the bracket steps are read from the batch's
-:class:`~qosc.qcore.PowerTable`, and the star steps take one ``q**eta`` per
-member on top.  So a member's residuals are bit for bit those of the
-single-rep call.  Every check evaluates every member, and a member whose
-scalars leave the double range leaves only when the block is cut.  A single
-rep is the batch of one and gets its reports.
+the family (the Hopf check, a star flavor or the coproduct), so each family
+is compiled once into a plan (:func:`_plan`): a fixed sequence of numpy
+calls on ``(slots, members, ...)`` stacks, whatever ``k`` and the batch
+size.  The scalar data, the tables' values among them, are ``(members,
+...)`` inputs: ``K``, the antipode constants and the bracket steps are read
+from the batch's :class:`~qosc.qcore.PowerTable`, and the star steps take
+one ``q**eta`` per member on top.  So a member's residuals are bit for bit
+those of the single-rep call.  Every check evaluates every member, and a
+member whose scalars leave the double range leaves only when the block is
+cut.  A single rep is the batch of one and gets its reports.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class InvolutionKind(str, Enum):
 # so sums, the factor swap and max-abs norms act block by block and give
 # exactly the dense values at O(d**2) / O(d**3) cost.
 #
-# This algebra runs once per key, on the symbolic values of a plan (:class:`_Sym`):
+# This algebra runs once per family, on the symbolic values of a plan (:class:`_Sym`):
 # it works out which weights multiply which, at which offsets, and the order
 # of every sum.  A call runs the compiled :class:`_Plan` on stacked
 # ``(slots, members, ...)`` arrays.
@@ -347,13 +347,13 @@ def _operand_blocks(op: Any) -> list[_Sym]:
 
 
 class _Plan:
-    """A check's arms compiled once per key, for every ``d`` and batch size.
+    """A check's arms compiled once per family, for every ``d`` and batch size.
 
     Every node of ``tape`` the arms need gets a slot in the stacked
     workspace of its rank, ``(slots, members, d, ...)``: the inputs first,
-    then the literals, then each step's outputs in a run.  A step is one
-    layer of one kind of node (:func:`_schedule`), so a call makes a fixed
-    number of numpy calls.  The residuals read the max-abs of every distinct
+    then the literals, then each step's outputs in a run.  A step runs
+    nodes of one kind (:func:`_schedule`), so a call makes a fixed number
+    of numpy calls.  The residuals read the max-abs of every distinct
     operand block, and :class:`~qosc.algcheck.Arms`' layout reduces them per
     operand and per term.
     """
@@ -433,61 +433,37 @@ class _Plan:
 def _schedule(nodes: list[tuple], keep: set[int]) -> list[list[int]]:
     """The computed nodes among ``keep`` in steps of one kind (op and operand ranks).
 
-    A node's layer is the count of nodes of its kind on the longest path of
-    operands that ends at it, so a kind takes at least as many steps as it
-    has layers.  The largest lowest pending layer of a kind whose nodes are
-    all ready runs next; if there is none, the kind with the most ready
-    nodes does.
+    The largest kind whose pending nodes are all ready runs next; if no kind
+    is whole, the kind with the most ready nodes does.
     """
     kind: dict[int, tuple] = {}
-    layer: dict[int, tuple] = {}  # node -> (kind, layer)
-    paths: dict[int, dict[tuple, int]] = {}  # kind -> most nodes of it on a path ending here
     users: dict[int, list[int]] = {}
     waiting: dict[int, int] = {}
-    pending: dict[tuple, int] = {}
-    ready: dict[tuple, list[int]] = {}
+    pending: dict[tuple, int] = {}  # kind -> its nodes not yet run
+    ready: dict[tuple, list[int]] = {}  # kind -> its nodes whose operands have run
     for i in sorted(keep):
         op, rank, args, _ = nodes[i]
-        most: dict[tuple, int] = {}
-        for arg in args:
-            for k, count in paths[arg].items():
-                most[k] = max(most.get(k, 0), count)
-        paths[i] = most
         if op in ("in", "lit"):
             continue
         k = kind[i] = (op, rank, tuple(nodes[arg][1] for arg in args))
-        most[k] = most.get(k, 0) + 1
-        layer[i] = (k, most[k])
-        pending[layer[i]] = pending.get(layer[i], 0) + 1
+        pending[k] = pending.get(k, 0) + 1
         deps = {arg for arg in args if arg in kind}
         waiting[i] = len(deps)
         for arg in deps:
             users.setdefault(arg, []).append(i)
         if not deps:
-            ready.setdefault(layer[i], []).append(i)
+            ready.setdefault(k, []).append(i)
     steps = []
-    while pending:
-        lowest: dict[tuple, tuple] = {}
-        for k, n in pending:
-            if n < lowest.get(k, (k, n + 1))[1]:
-                lowest[k] = (k, n)
-        whole = [at for at in lowest.values() if len(ready.get(at, ())) == pending[at]]
-        if whole:
-            step = ready.pop(max(whole, key=pending.__getitem__))
-        else:
-            by_kind: dict[tuple, list[tuple]] = {}
-            for at in ready:
-                by_kind.setdefault(at[0], []).append(at)
-            most = max(by_kind.values(), key=lambda ats: sum(len(ready[at]) for at in ats))
-            step = [i for at in most for i in ready.pop(at)]
+    while ready:
+        whole = [k for k, run in ready.items() if len(run) == pending[k]]
+        k = max(whole or ready, key=lambda k: len(ready[k]))  # in a whole kind, ready = pending
+        step = ready.pop(k)
+        pending[k] -= len(step)
         for i in step:
-            pending[layer[i]] -= 1
-            if not pending[layer[i]]:
-                del pending[layer[i]]
             for user in users.get(i, ()):
                 waiting[user] -= 1
                 if not waiting[user]:
-                    ready.setdefault(layer[user], []).append(user)
+                    ready.setdefault(kind[user], []).append(user)
         steps.append(step)
     return steps
 
@@ -504,22 +480,20 @@ _COPRODUCT = {
 }
 
 
-def _hopf_table(batch: RepBatch):
-    """Counit and antipode of every symbol, one coefficient per member.
+def _hopf_table(gamma: Any, k_minus: Any, k_plus: Any):
+    """Counit and antipode of every symbol, at ``gamma`` and ``q**(-+1/2)``.
 
     Every antipode image is affine, ``(coef, symbol, const)`` standing for
     ``coef * symbol + const * 1``; the antipode of ``a`` and ``abar`` takes
-    ``-q**(-+1/2)`` from the batch's power table.
+    ``-q**(-+1/2)``.
     """
-    gamma = np.array([p.gamma for p in batch.params], dtype=complex)
-    pw = batch.powers
     counit = {
         "a": 0.0, "abar": 0.0, "N": -gamma,
         "qp": 1.0, "qm": 1.0, "one": 1.0, "gone": gamma,
     }
     antipode = {
-        "a": (-pw(-2), "a", 0.0),
-        "abar": (-pw(2), "abar", 0.0),
+        "a": (-k_minus, "a", 0.0),
+        "abar": (-k_plus, "abar", 0.0),
         "N": (-1.0, "N", -2.0 * gamma),
         "qp": (1.0, "qm", 0.0),
         "qm": (1.0, "qp", 0.0),
@@ -527,6 +501,12 @@ def _hopf_table(batch: RepBatch):
         "gone": (1.0, "gone", 0.0),
     }
     return counit, antipode
+
+
+def _hopf_values(batch: RepBatch) -> np.ndarray:
+    """The values :func:`_hopf_table` takes, ``(values, members)``, from the batch."""
+    pw = batch.powers
+    return np.array([[p.gamma for p in batch.params], pw(-2), pw(2)], dtype=complex)
 
 
 class _Realization:
@@ -567,31 +547,6 @@ def _realize(rep: Rep) -> _Realization:
     return real
 
 
-def _key(tables: tuple, arrays: list) -> tuple[int, tuple]:
-    """The count of arrays in ``tables`` and ``arrays``, and ``tables`` with each of its
-    arrays appended to ``arrays`` and replaced by its index there.
-
-    Floats and symbol names stay, so the result keys a plan, which does the
-    arithmetic of the tables' floats as the tables' types do.
-    """
-    def leaf(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return tuple(map(leaf, value))
-        if isinstance(value, np.ndarray):
-            arrays.append(value)
-            return len(arrays) - 1
-        return value
-
-    skeleton = tuple(tuple((key, leaf(value)) for key, value in table.items()) for table in tables)
-    return len(arrays), skeleton
-
-
-def _hopf_key(batch: RepBatch) -> tuple[list[np.ndarray], int, tuple]:
-    """:func:`_key` of the batch's :func:`_hopf_table`, with its arrays."""
-    arrays: list[np.ndarray] = []
-    return (arrays, *_key(_hopf_table(batch), arrays))
-
-
 def _symbols(t: _Tape) -> tuple[dict, dict]:
     """The graded weights and the dense matrices of every symbol, as inputs."""
     graded = {sym: ((_DEGREE.get(sym, 0),), t.input(1, sym)) for sym in _SYMBOLS}
@@ -599,28 +554,21 @@ def _symbols(t: _Tape) -> tuple[dict, dict]:
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(family: Union[str, Flavor], scalars: int = 0, tables: tuple = ()) -> _Plan:
+def _plan(family: Union[str, Flavor]) -> _Plan:
     """The plan of one family: ``"hopf"``, a star flavor or ``"coproduct"``.
 
-    ``scalars`` and ``tables`` are :func:`_key`'s key of the tables, whose
-    arrays are the rank-0 inputs.
+    Each table is built once, here, on rank-0 inputs: the Hopf table's values
+    (:func:`_hopf_values`), then a star flavor's (:func:`_star_values`).
     """
     t = _Tape()
     graded, dense = _symbols(t)
-    inputs = [t.input(0, j) for j in range(scalars)]
-
-    def leaf(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return tuple(map(leaf, value))
-        return inputs[value] if type(value) is int else value
-
-    tables = [{key: leaf(value) for key, value in table} for table in tables]
     if family == "coproduct":
         arms = [(gen, (_coproduct(_COPRODUCT[gen], graded),)) for gen in _GENERATORS]
     elif family == "hopf":
-        arms = _hopf_arms(t, graded, dense, *tables)
+        arms = _hopf_arms(t, graded, dense, *_hopf_table(*(t.input(0, j) for j in range(3))))
     else:
-        arms = _star_arms(t, graded, dense, *tables, family)
+        arms = _star_arms(t, graded, dense, *_hopf_table(*(t.input(0, j) for j in range(3))),
+                          _star_table(*(t.input(0, j) for j in range(3, 6))), family)
     return _Plan(t, [(name, (term,)) for name, term in arms])
 
 
@@ -697,10 +645,9 @@ def check_hopf_axioms(
     pw = batch.powers
     ij = np.add.outer(np.arange(d), np.arange(d))
     steps = pw.step(4 * ij - 2 * batch.k, shift=pw.root * pw.root)
-    scalars, *key = batch.derived(_hopf_key)
-    plan = _plan("hopf", *key)
+    plan = _plan("hopf")
     residuals = plan.residuals(len(batch.reps), d, {
-        0: [np.array(scalars)], 1: [real.weights], 2: [real.stack, steps[None]]})
+        0: [batch.derived(_hopf_values)], 1: [real.weights], 2: [real.stack, steps[None]]})
     return unbatch(reps, cut(plan.names, residuals, tol,
                              finite_members(steps, errors=real.overflow), {}))
 
@@ -721,6 +668,8 @@ class InvolutionSpec:
     label: str
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.alpha, self.beta, self.eta))):
+            raise ValueError(f"involution data must be finite, got {self}")
         if abs(self.alpha * self.beta.conjugate() - 1.0) > 1e-9:
             raise ValueError(
                 f"not involutive: alpha*conj(beta) = {self.alpha * self.beta.conjugate()}"
@@ -749,11 +698,14 @@ def with_flavor(inv: InvolutionSpec, flavor: Flavor | str) -> InvolutionSpec:
     return dataclasses.replace(inv, flavor=Flavor(flavor))
 
 
-def _star_table(*invs: InvolutionSpec):
-    """Star image of each generator, affine as in the antipode table, one value per involution."""
-    alpha, beta, eta = (np.array([getattr(inv, name) for inv in invs], dtype=complex)
-                        for name in ("alpha", "beta", "eta"))
+def _star_table(alpha: Any, beta: Any, eta: Any):
+    """Star image of each generator, affine as in the antipode table."""
     return {"a": (alpha, "abar", 0.0), "abar": (beta, "a", 0.0), "N": (1.0, "N", eta)}
+
+
+def _star_values(invs: Sequence[InvolutionSpec]) -> np.ndarray:
+    """The values :func:`_star_table` takes, ``(values, members)``, one member per involution."""
+    return np.array([[inv.alpha, inv.beta, inv.eta] for inv in invs], dtype=complex).T
 
 
 def _star_affine(elem, star):
@@ -857,9 +809,9 @@ def check_star_structure(
     adjoint = real.stack.conj().swapaxes(-1, -2)
     if metric is not None:
         g = np.diagonal(metric) if np.shape(metric) == (d, d) else ()
-        if not np.count_nonzero(metric) == np.count_nonzero(g) == d:
-            raise ValueError(f"the metric must be a diagonal and invertible {d}x{d} matrix, "
-                             f"got one of shape {np.shape(metric)}")
+        if not np.count_nonzero(metric) == np.count_nonzero(g) == d or not np.isfinite(g).all():
+            raise ValueError(f"the metric must be a finite, diagonal and invertible {d}x{d} "
+                             f"matrix, got one of shape {np.shape(metric)}")
         adjoint = adjoint * ((1.0 / g)[:, None] * g)  # G^-1 M^H G scales (i, j) by g_j / g_i
     # conjugated defining relations: steps at base conj(q), which is 1/q on the
     # unit circle and q on the real line, taken at N + eta
@@ -867,12 +819,9 @@ def check_star_structure(
     shift = None if all(spec.eta == 0 for spec in invs) else np.array(
         [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
     step_bar = pw.step(4 * np.arange(d), -1 if batch.mode is Mode.UNIMODULAR else 1, shift)
-    hopf_scalars, _, hopf_tables = batch.derived(_hopf_key)
-    scalars = list(hopf_scalars)
-    count, star_tables = _key((_star_table(*invs),), scalars)
-    plan = _plan(flavor, count, hopf_tables + star_tables)
+    plan = _plan(flavor)
     residuals = plan.residuals(len(batch.reps), d, {
-        0: [np.array(scalars)], 1: [real.weights],
+        0: [batch.derived(_hopf_values), _star_values(invs)], 1: [real.weights],
         2: [real.stack, adjoint, diag_stack(step_bar)[None]]})
     names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
     return unbatch(reps, cut(names, residuals, tol,

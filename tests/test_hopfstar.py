@@ -19,6 +19,7 @@ from qosc.hopfstar import (
     _realize,
     _shift_weights,
     _star_table,
+    _star_values,
     _swap,
     _Tape,
     check_hopf_axioms,
@@ -151,16 +152,22 @@ def test_hopf_axioms(mode, eps, l, k):
 
 
 def _antipode_residuals(rep, gen, monkeypatch, factor):
-    """The ``antipode_*_{gen}`` residuals with the antipode coefficient of ``gen`` times ``factor``."""
+    """The ``antipode_*_{gen}`` residuals with the antipode coefficient of ``gen`` times
+    ``factor``, from a plan compiled on the tampered table and dropped afterwards."""
     table = hopfstar._hopf_table
 
-    def tampered(batch):
-        counit, antipode = table(batch)
+    def tampered(*values):
+        counit, antipode = table(*values)
         coef, sym, const = antipode[gen]
         return counit, {**antipode, gen: (coef * factor, sym, const)}
 
-    monkeypatch.setattr(hopfstar, "_hopf_table", tampered)
-    reports = _by_name(check_hopf_axioms(rep))
+    hopfstar._plan.cache_clear()  # a plan reads the table when it compiles
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(hopfstar, "_hopf_table", tampered)
+            reports = _by_name(check_hopf_axioms(rep))
+    finally:
+        hopfstar._plan.cache_clear()
     return [reports[f"antipode_{side}_{gen}"].residual for side in ("left", "right")]
 
 
@@ -175,8 +182,11 @@ def test_antipode_arms_read_a_relative_tamper(mode, eps, l, k, gens, monkeypatch
     reads a relative change of the antipode, here at 1e-9."""
     rep = _rep(mode, eps, l, k)
     for gen in gens:
-        assert max(_antipode_residuals(rep, gen, monkeypatch, 1.0)) <= 1e-15
+        untampered = _antipode_residuals(rep, gen, monkeypatch, 1.0)
+        assert max(untampered) <= 1e-15
         assert min(_antipode_residuals(rep, gen, monkeypatch, 1.0 + 1e-9)) >= 5e-10
+        plain = _by_name(check_hopf_axioms(rep))  # no tampered plan is left cached
+        assert [plain[f"antipode_{side}_{gen}"].residual for side in ("left", "right")] == untampered
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +228,18 @@ def test_involution_spec_validates_involutivity():
 
     with pytest.raises(ValueError):
         InvolutionSpec(2j, 2j, 0.0, Flavor.STANDARD, "bad")
+
+
+@pytest.mark.parametrize("alpha,beta,eta", [
+    (float("nan"), float("nan"), 0j),
+    (1j, 1j, complex(0.0, math.inf)),
+    (complex(math.inf, 0.0), 0j, 0j),
+])
+def test_involution_spec_rejects_non_finite_data(alpha, beta, eta):
+    from qosc.hopfstar import InvolutionSpec
+
+    with pytest.raises(ValueError, match="involution data must be finite"):
+        InvolutionSpec(alpha, beta, eta, Flavor.STANDARD, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +366,7 @@ def _dense_star_coproduct(rep, inv, metric=None):
     """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
     cop = _COPRODUCT
     realize = _dense_symbols(rep)
-    star = _star_table(inv)
+    star = _star_table(*_star_values([inv]))
     d = rep.dim
 
     def adjoint(m):
@@ -427,6 +449,46 @@ def test_plans_compile_once_per_key(capsys):
     check_hopf_axioms(RepBatch(tuple(reps)))
     check_hopf_axioms(reps[0])
     assert hopfstar._plan.cache_info().misses == 3  # a batch of 5 and of 1 share a plan
+    # a plan is keyed by its family alone, so the real line's arms reuse all three
+    assert main(["sweep", "--mode", "realline", "--epsilon-grid", "0.5:2:0.5", "--k", "0..3"]) == 0
+    capsys.readouterr()
+    assert hopfstar._plan.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("family", ["coproduct", "hopf", Flavor.STANDARD, Flavor.NONSTANDARD])
+def test_plan_steps_are_a_valid_schedule(family):
+    """Every kept computed node runs in exactly one step of its own kind, after its operands."""
+    plan = hopfstar._plan(family)
+    nodes = plan.nodes
+    keep, stack = set(), [sym.id for _, (term,) in plan.arms for op in term
+                          for sym in hopfstar._operand_blocks(op)]
+    while stack:
+        i = stack.pop()
+        if i not in keep:
+            keep.add(i)
+            stack.extend(nodes[i][2])
+    node_at = {(nodes[i][1], slot): i for i, slot in plan.slot.items()}
+    given = {i for i in plan.slot if nodes[i][0] in ("in", "lit")}
+    done = set(given)
+    for step in plan.steps:
+        group = [node_at[step.rank, slot] for slot in range(step.out.start, step.out.stop)]
+        kinds = {(nodes[i][0], nodes[i][1], tuple(nodes[arg][1] for arg in nodes[i][2]))
+                 for i in group}
+        assert kinds == {(step.op, step.rank, tuple(step.ranks))}
+        assert all(set(nodes[i][2]) <= done for i in group)  # inputs, literals, earlier steps
+        assert step.slots == [[plan.slot[nodes[i][2][j]] for i in group]
+                              for j in range(len(step.ranks))]
+        assert not done & set(group)
+        done.update(group)
+    assert done - given == keep - given
+
+
+def test_star_rejects_a_metric_with_a_non_finite_diagonal():
+    params = make_params("realline", 0.9, 1)
+    rep = build_rep(params, 3)
+    with pytest.raises(ValueError, match="finite, diagonal and invertible 4x4 matrix"):
+        check_star_structure(rep, involution("imaginary_plus", params),
+                             metric=np.diag([1.0, np.inf, 1.0, 1.0]))
 
 
 def test_star_rejects_a_metric_of_the_wrong_size():

@@ -195,6 +195,14 @@ def test_involution_round_trip():
     assert involution_from_json(involution_to_json(inv)) == inv
 
 
+def test_involution_from_json_rejects_nan():
+    # Python's json reads the bare NaN token
+    doc = json.loads('{"alpha": [NaN, 0], "beta": [NaN, 0], "eta": [0, 0], '
+                     '"flavor": "standard", "label": "x"}')
+    with pytest.raises(ValueError, match="involution data must be finite"):
+        involution_from_json(doc)
+
+
 def test_report_serialization_keys():
     r = CheckReport(name="x", residual=1e-16, tolerance=1e-10, passed=True)
     doc = report_to_json(r)
