@@ -68,9 +68,9 @@ from .hopfstar import (
 from .jsonio import (
     check_to_json,
     dumps,
+    dumps_rep,
     float_to_json,
     params_to_json,
-    rep_to_json,
     report_to_json,
     scalar_to_json,
 )
@@ -381,11 +381,8 @@ def _table_text(rows: Sequence[dict[str, Any]]) -> str:
 
 
 def _rep_text(rep: Rep) -> str:
-    def matrix_lines(name: str, m) -> list[str]:
-        body = [
-            "  [" + ", ".join(f"{m[i, j]:.12g}" for j in range(m.shape[1])) + "]"
-            for i in range(m.shape[0])
-        ]
+    def matrix_lines(name: str, m: np.ndarray) -> list[str]:
+        body = ["  [" + ", ".join(format(z, ".12g") for z in row) + "]" for row in m.tolist()]
         return [f"{name} ="] + body
 
     p = rep.params
@@ -406,7 +403,7 @@ def _rep_text(rep: Rep) -> str:
 def cmd_build(cfg: RunConfig) -> int:
     rep = build_rep(_resolve_params(cfg, cfg.epsilon), cfg.k)
     if cfg.fmt == "json":
-        _emit(cfg, dumps(rep_to_json(rep)) + "\n")
+        _emit(cfg, dumps_rep(rep) + "\n")
     else:
         _emit(cfg, _rep_text(rep))
     return 0

@@ -808,11 +808,7 @@ def check_star_structure(
     real = batch.derived(_Realization)
     adjoint = real.stack.conj().swapaxes(-1, -2)
     if metric is not None:
-        g = np.diagonal(metric) if np.shape(metric) == (d, d) else ()
-        if not np.count_nonzero(metric) == np.count_nonzero(g) == d or not np.isfinite(g).all():
-            raise ValueError(f"the metric must be a finite, diagonal and invertible {d}x{d} "
-                             f"matrix, got one of shape {np.shape(metric)}")
-        adjoint = adjoint * ((1.0 / g)[:, None] * g)  # G^-1 M^H G scales (i, j) by g_j / g_i
+        adjoint = adjoint * _twist(metric, d)
     # conjugated defining relations: steps at base conj(q), which is 1/q on the
     # unit circle and q on the real line, taken at N + eta
     pw = batch.powers
@@ -826,6 +822,31 @@ def check_star_structure(
     names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
     return unbatch(reps, cut(names, residuals, tol,
                              finite_members(step_bar, errors=real.overflow), {}))
+
+
+def _twist(metric: np.ndarray, d: int) -> np.ndarray:
+    """The factors ``g_j / g_i`` by which ``G^-1 M^H G`` scales entry (i, j) of ``M^H``.
+
+    A metric that is not a finite, diagonal and invertible ``d x d`` matrix, or
+    whose twist overflows, raises ``ValueError`` naming the condition it breaks.
+    Runs under the caller's ``errstate``, which lets ``1.0 / g`` overflow."""
+    shape = np.shape(metric)
+    g = np.diagonal(metric) if shape == (d, d) else None
+    if g is None:
+        why = f"one of shape {shape}"
+    elif np.count_nonzero(metric) != np.count_nonzero(g):
+        why = "one with a nonzero entry off its diagonal"
+    elif np.count_nonzero(g) != d:
+        why = "one with a zero on its diagonal"
+    elif not np.isfinite(g).all():
+        why = "one with a non-finite entry on its diagonal"
+    else:
+        twist = (1.0 / g)[:, None] * g
+        if np.isfinite(twist).all():
+            return twist
+        why = "one whose twist g_j / g_i overflows"
+    raise ValueError(f"the metric must be a finite, diagonal and invertible {d}x{d} matrix, "
+                     f"got {why}")
 
 
 def parity_metric(dim: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Complex scalars serialize as two-element ``[re, im]`` arrays; matrices as
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data.
+:func:`dumps_rep` writes a representation's document straight from its
+matrix arrays, with the bytes of ``dumps(rep_to_json(rep))``.
 Serialization is deterministic: key order is fixed by construction and
 floats are written with 17 significant digits, and negative zero as
 ``-0.0``, which is lossless for IEEE doubles and byte-stable across runs.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,10 +30,17 @@ def cnum(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
+def _matrix_doc(m: np.ndarray) -> dict[str, Any]:
+    """``matrix_to_json``'s document with its data left as the flat complex array,
+    which :func:`dumps` encodes with the same bytes as the pair list."""
     rows, cols = m.shape
-    data = np.ascontiguousarray(m, complex).view(np.float64).reshape(-1, 2).tolist()
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": np.ascontiguousarray(m, complex).reshape(-1)}
+
+
+def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
+    doc = _matrix_doc(m)
+    doc["data"] = doc["data"].view(np.float64).reshape(-1, 2).tolist()
+    return doc
 
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
@@ -67,17 +76,27 @@ def params_from_json(doc: dict[str, Any]) -> QParams:
     return make_params(Mode(doc["mode"]), doc["epsilon"], doc["l"])
 
 
-def rep_to_json(rep: Rep) -> dict[str, Any]:
+def _rep_doc(rep: Rep, matrix: Callable[[np.ndarray], dict[str, Any]]) -> dict[str, Any]:
+    """The rep document's key layout, with each matrix written by ``matrix``."""
     return {
         "params": params_to_json(rep.params),
         "k": rep.k,
         "nu0": cnum(rep.nu0),
         "lambdas": [cnum(lam) for lam in rep.lambdas],
         "normalized": rep.normalized,
-        "A": matrix_to_json(rep.A),
-        "Abar": matrix_to_json(rep.Abar),
-        "N": matrix_to_json(rep.Nmat),
+        "A": matrix(rep.A),
+        "Abar": matrix(rep.Abar),
+        "N": matrix(rep.Nmat),
     }
+
+
+def rep_to_json(rep: Rep) -> dict[str, Any]:
+    return _rep_doc(rep, matrix_to_json)
+
+
+def dumps_rep(rep: Rep) -> str:
+    """``dumps(rep_to_json(rep))``, encoded from the matrix arrays without their pair lists."""
+    return dumps(_rep_doc(rep, _matrix_doc))
 
 
 def rep_from_json(doc: dict[str, Any]) -> Rep:
@@ -171,28 +190,38 @@ def float_to_json(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def _pair_list(doc: list | tuple, level: int) -> str | None:
-    """Encoding of a list whose items are all ``[float, float]`` pairs, with
-    the bytes ``_fragment`` would write; None if any item is not such a pair.
+def _pairs(view: np.ndarray, level: int) -> str:
+    """Encoding of an ``(n, 2)`` float64 array as the list of its ``[re, im]``
+    rows, with the bytes ``_fragment`` would write for that list.
 
-    Each distinct pair is formatted once; the sign bits keep ``-0.0`` apart
-    from ``0.0``, which compare equal."""
+    Only the rows with a set bit are formatted; every all-zero row shares one
+    fragment.  ``-0.0`` has its sign bit set, so it keeps its sign."""
     outer, inner = "  " * (level + 1), "  " * (level + 2)
-    head, mid, tail = outer + "[\n" + inner, ",\n" + inner, "\n" + outer + "]"
-    memo: dict[tuple[float, float, float, float], str] = {}
-    parts = []
-    for item in doc:
-        if type(item) not in (list, tuple) or len(item) != 2:
-            return None
-        re, im = item
-        if type(re) is not float or type(im) is not float:
-            return None
-        key = (re, im, math.copysign(1.0, re), math.copysign(1.0, im))
-        frag = memo.get(key)
-        if frag is None:
-            frag = memo[key] = head + float_to_json(re) + mid + float_to_json(im) + tail
-        parts.append(frag)
-    return "[\n" + ",\n".join(parts) + "\n" + "  " * level + "]"
+    head, mid, tail = f"{outer}[\n{inner}", f",\n{inner}", f"\n{outer}]"
+    zero = float_to_json(0.0)
+    parts = [f"{head}{zero}{mid}{zero}{tail}"] * len(view)
+    bits = view.view(np.uint64)
+    nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    for i, (re, im) in zip(nonzero.tolist(), view[nonzero].tolist()):
+        parts[i] = f"{head}{float_to_json(re)}{mid}{float_to_json(im)}{tail}"
+    return _bracket(parts, level)
+
+
+def _bracket(items: Any, level: int, brackets: str = "[]") -> str:
+    """``items`` one per line between ``brackets``, built in one copy."""
+    body = ",\n".join(items)
+    return f"{brackets[0]}\n{body}\n{'  ' * level}{brackets[1]}"
+
+
+def _float_pairs(doc: list | tuple) -> np.ndarray | None:
+    """A non-empty list whose items are all ``[float, float]`` lists or tuples,
+    as an ``(n, 2)`` float64 array; None for any other list."""
+    if not set(map(type, doc)) <= {list, tuple} or set(map(len, doc)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(doc))
+    if set(map(type, flat)) != {float}:
+        return None
+    return np.fromiter(flat, np.float64, len(flat)).reshape(-1, 2)
 
 
 def _fragment(doc: Any, level: int) -> str:
@@ -201,15 +230,20 @@ def _fragment(doc: Any, level: int) -> str:
         if not doc:
             return "{}"
         items = (f'{pad}{json.dumps(key)}: {_fragment(val, level + 1)}' for key, val in doc.items())
-        return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"
+        return _bracket(items, level, "{}")
+    if isinstance(doc, np.ndarray):
+        if doc.dtype != complex or doc.ndim != 1:
+            raise TypeError(f"cannot encode a {doc.ndim}-D {doc.dtype} ndarray")
+        view = np.ascontiguousarray(doc).view(np.float64).reshape(-1, 2)
+        return _pairs(view, level) if len(view) else "[]"
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        pairs = _pair_list(doc, level)
+        pairs = _float_pairs(doc)
         if pairs is not None:
-            return pairs
+            return _pairs(pairs, level)
         items = (pad + _fragment(val, level + 1) for val in doc)
-        return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
+        return _bracket(items, level)
     if isinstance(doc, bool):
         return "true" if doc else "false"
     if isinstance(doc, float):
@@ -231,5 +265,6 @@ def scalar_to_json(value: Any) -> str:
 def dumps(doc: Any) -> str:
     """Deterministic encoding: construction key order, 2-space indent,
     floats at 17 significant digits.  Lists of ``[float, float]`` pairs
-    (matrix data, eigenvalues) take a flat path with the same bytes."""
+    (matrix data, eigenvalues) and 1-D complex arrays, written as the list
+    of their ``[re, im]`` pairs, take one array-fed path."""
     return _fragment(doc, 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 import qosc
+from qosc import jsonio
 from qosc.algcheck import cut
-from qosc.cli import main
-from qosc.jsonio import matrix_from_json
+from qosc.cli import _rep_text, main
+from qosc.jsonio import dumps, matrix_from_json, rep_to_json
+from qosc.repbuild import auto_params, build_rep
+from test_jsonio import _reference_dumps
 
 PI = math.pi
 
@@ -60,6 +64,57 @@ def test_rep_text_format(capsys):
                  "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "Abar =" in out and "0.679791995584" in out
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_rep_json_stdout_is_dumps_of_rep_to_json(capsys, mode):
+    for k in (0, 1, 2, 17, 64):
+        assert main(["rep", "--mode", mode, "--epsilon", "0.9", "--k", str(k)]) == 0
+        doc = rep_to_json(build_rep(auto_params(mode, 0.9), k))
+        assert capsys.readouterr().out == dumps(doc) + "\n" == _reference_dumps(doc) + "\n"
+
+
+def test_rep_json_is_written_without_the_pair_lists(capsys, monkeypatch, tmp_path):
+    argv = ["rep", "--mode", "realline", "--epsilon", "0.9", "--k", "9"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(m):
+        raise AssertionError("the CLI must encode the rep from its matrix arrays")
+
+    monkeypatch.setattr(jsonio, "matrix_to_json", refuse)
+    path = tmp_path / "rep.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_text() == want
+
+
+def _entrywise_rep_text(rep):
+    """``_rep_text`` as it read each entry from the array: the layout it must keep."""
+    p = rep.params
+    lines = [f"mode={p.mode.value} epsilon={p.epsilon:.12g} l={p.l} k={rep.k}",
+             f"nu0 = {rep.nu0:.12g}",
+             f"lambda = [{', '.join(format(lam, '.12g') for lam in rep.lambdas)}]"]
+    for name, m in (("A", rep.A), ("Abar", rep.Abar), ("N", rep.Nmat)):
+        lines.append(f"{name} =")
+        lines += ["  [" + ", ".join(f"{m[i, j]:.12g}" for j in range(m.shape[1])) + "]"
+                  for i in range(m.shape[0])]
+    return "\n".join(lines) + "\n"
+
+
+def test_rep_text_matches_the_entrywise_layout(capsys):
+    for mode in ("unimodular", "realline"):
+        for k in (0, 3, 64):
+            rep = build_rep(auto_params(mode, 0.9), k)
+            assert main(["rep", "--mode", mode, "--epsilon", "0.9", "--k", str(k),
+                         "--format", "text"]) == 0
+            assert capsys.readouterr().out == _entrywise_rep_text(rep)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    edges = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+                      [complex(tiny, -tiny), complex(huge, -huge), complex(1e308, 2.2e-308)],
+                      [complex(1.0 / 3.0, -0.1), 0j, complex(-1e-300, 123456789012.5)]])
+    rep = dataclasses.replace(build_rep(auto_params("realline", 0.9), 2),
+                              A=edges, Abar=edges.T, Nmat=-edges)
+    assert _rep_text(rep) == _entrywise_rep_text(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,23 @@ def test_star_rejects_a_metric_of_the_wrong_size():
         check_star_structure(rep, involution("imaginary_plus", params), metric=parity_metric(5))
 
 
+@pytest.mark.parametrize("metric,why", [
+    (np.diag([1.0, 1e-320, 1.0, 1.0]), "one whose twist g_j / g_i overflows"),
+    (np.diag([1e300, 1e-300, 1.0, 1.0]), "one whose twist g_j / g_i overflows"),
+    (np.diag([1.0, np.nan, 1.0, 1.0]), "one with a non-finite entry on its diagonal"),
+    (np.diag([1.0, 1.0, 0.0, 1.0]), "one with a zero on its diagonal"),
+    (np.eye(4) + 0.1 * np.eye(4, k=1), "one with a nonzero entry off its diagonal"),
+    (np.eye(3), "one of shape (3, 3)"),
+], ids=["subnormal_entry", "wide_range", "nan_entry", "zero_entry", "off_diagonal", "shape"])
+def test_star_metric_refusal_names_the_condition_it_breaks(metric, why):
+    params = make_params("realline", 0.9, 1)
+    rep = build_rep(params, 3)
+    with pytest.raises(ValueError) as err:
+        check_star_structure(rep, involution("imaginary_plus", params), metric=metric)
+    assert str(err.value) == ("the metric must be a finite, diagonal and invertible 4x4 matrix, "
+                              f"got {why}")
+
+
 def _star_arms(rep):
     canonical = involution("canonical", rep.params)
     if rep.params.mode.value == "unimodular":

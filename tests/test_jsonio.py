@@ -277,3 +277,36 @@ def test_dumps_rejects_non_finite():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"m": np.eye(2)})
+
+
+def test_rep_to_json_keeps_plain_pair_lists():
+    doc = rep_to_json(build_rep(make_params("unimodular", 0.9, 0), 3))
+    for name in ("A", "Abar", "N"):
+        data = doc[name]["data"]
+        assert type(data) is list and len(data) == 16
+        assert {type(pair) for pair in data} == {list}
+        assert {type(x) for pair in data for x in pair} == {float}
+
+
+def test_dumps_of_a_complex_array_equals_its_pair_list():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    values = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j,
+              complex(tiny, -tiny), complex(huge, -huge), complex(-huge, 1.0 / 3.0), 0j]
+    for array in (np.array(values), np.array(values)[::-2], np.zeros(0, dtype=complex)):
+        pairs = [[z.real, z.imag] for z in array.tolist()]
+        assert dumps(array) == dumps(pairs) == _reference_dumps(pairs)
+        assert dumps({"m": {"data": array}}) == _reference_dumps({"m": {"data": pairs}})
+    assert dumps(np.zeros(0, dtype=complex)) == "[]"
+
+
+def test_dumps_of_a_complex_array_rejects_non_finite():
+    for bad in (complex(math.nan, 0.0), complex(0.0, -math.inf), complex(math.inf, math.nan)):
+        with pytest.raises(ValueError, match="non-finite value"):
+            dumps({"data": np.array([0j, bad, 1j])})
+
+
+def test_dumps_rejects_arrays_other_than_one_dimensional_complex():
+    for array in (np.eye(2), np.zeros(3, dtype=np.complex64), np.zeros((2, 2), dtype=complex),
+                  np.zeros(0)):
+        with pytest.raises(TypeError):
+            dumps({"data": array})
