@@ -16,21 +16,24 @@ is its one drop rule: every check evaluates every member, and a member with
 a non-finite scalar (:func:`finite_members`), or one the spin map rejects,
 leaves only when the block is cut (:func:`cut`, which :meth:`Arms.block`
 and :func:`~qosc.normform.symbolic_block` call).
-:class:`Arms` takes the max-norms of all of a check's operands in one pass
-and computes each residual with :func:`residual_of`'s formula.  A batch
-gives one :class:`ReportBlock` per check: the report names, shared by every
-member, a ``(members, names)`` array of residuals, and the error that
-dropped each other member.  :class:`CheckReport` objects are built from a
-block only on request (:meth:`ReportBlock.reports`); a single rep is the
-batch of one, and its call returns its reports or raises its error.
+Every arm is ``(defect, lhs, rhs)``, with one or both operands absent, and
+one rule gives its residual, ``|defect| / max(1, |lhs| |rhs|)`` in
+max-norms, for :func:`residual_of`, :class:`Arms` and the compiled hopf and
+star plans alike.  A batch gives one :class:`ReportBlock` per check: the
+report names, shared by every member, a ``(members, names)`` array of
+residuals, and the error that dropped each other member.
+:class:`CheckReport` objects are built from a block only on request
+(:meth:`ReportBlock.reports`); a single rep is the batch of one, and its
+call returns its reports or raises its error.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,31 +62,33 @@ def report(name: str, residual: float, tol: float, detail: str | None = None) ->
     )
 
 
-def _maxabs(m: np.ndarray) -> float:
-    return float(np.abs(m).max()) if m.size else 0.0  # method form: no np.max dispatch
-
-
-def _relative(norms: np.ndarray, first: Sequence[int],
-              gathers: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per row of ``norms`` and per term, ``defect / max(1, product of operand norms)``.
-
-    Term ``t`` has its defect's max-norm in column ``first[t]``; ``gathers[o][t]``
-    is the column of its operand ``o``, or ``-1`` past its last operand.  The
-    arithmetic is float arithmetic, in operand order.
-    """
-    # a column of ones pads every term to the most operands: x * 1.0 == x
-    padded = np.concatenate((norms, np.ones((len(norms), 1))), axis=1)
+def _relative(norms: np.ndarray) -> np.ndarray:
+    """``defect / max(1, lhs * rhs)`` in float arithmetic, over the last axis of the max-norms
+    ``(defect, lhs, rhs)`` of arms; an absent operand reads ``1.0``, and ``1.0 * x == x``."""
     with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic, which never warns
-        scale = np.ones((len(norms), len(first)))
-        for gather in gathers:
-            scale = scale * padded[:, gather]
-        return padded[:, first] / np.fmax(1.0, scale)  # fmax(1, nan) == max(1.0, nan)
+        # fmax(1, nan) == max(1.0, nan) == 1
+        return norms[..., 0] / np.fmax(1.0, norms[..., 1] * norms[..., 2])
 
 
-def residual_of(defect: np.ndarray, *operands: np.ndarray) -> float:
-    """Max-abs of the defect relative to ``max(1, prod of operand max-norms)``."""
-    norms = np.array([[_maxabs(m) for m in (defect, *operands)]])
-    return float(_relative(norms, [0], [[j] for j in range(1, 1 + len(operands))])[0, 0])
+def residual_of(defect: np.ndarray, lhs: Optional[np.ndarray] = None,
+                rhs: Optional[np.ndarray] = None) -> float:
+    """Max-abs of the defect relative to ``max(1, product of operand max-norms)``."""
+    norms = [1.0 if m is None else np.abs(m).max(initial=0.0) for m in (defect, lhs, rhs)]
+    return float(_relative(np.array(norms)))
+
+
+def _columns(arms: Sequence[tuple[str, tuple]]) -> np.ndarray:
+    """Per arm ``(name, (defect, *operands))``, the columns of its operands, -1 if absent."""
+    sizes = [len(term) for _, term in arms]
+    return np.array([(*range(at, at + n), *(-1,) * (3 - n))
+                     for at, n in zip(itertools.accumulate(sizes, initial=0), sizes)])
+
+
+def _arm_residuals(maxima: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per member, every arm's residual from the ``(members, operands)`` max-norms
+    of its operands, placed by :func:`_columns`."""
+    padded = np.concatenate((maxima, np.ones((len(maxima), 1))), axis=1)  # column -1 reads 1.0
+    return _relative(padded[:, columns])
 
 
 def compare(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float) -> CheckReport:
@@ -195,108 +200,44 @@ def max_rule(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(values[:, 0]), values[:, 0], np.fmax.reduce(values, axis=1))
 
 
-class _Layout:
-    """Where every term of a check's arms sits among its operand columns.
-
-    Operand ``o`` spans the columns from ``starts[o]`` to the next start, and
-    ``width(op)`` counts an operand's columns: its entries for :class:`Arms`,
-    its blocks for a compiled plan.  Term ``t`` has its defect in operand
-    ``first[t]`` and its other operands where :func:`_relative`'s ``gathers``
-    point; arm ``a`` has the terms ``arm_terms[a]``.
-    """
-
-    def __init__(self, arms: Sequence[tuple[str, tuple]], width: Callable[[Any], int]) -> None:
-        starts: list[int] = []
-        first: list[int] = []
-        size: list[int] = []
-        self.width = 0
-        self.arm_terms: list[range] = []
-        for _, terms in arms:
-            for term in terms:
-                first.append(len(starts))
-                size.append(len(term))
-                for op in term:
-                    starts.append(self.width)
-                    self.width += width(op)
-            self.arm_terms.append(range(len(first) - len(terms), len(first)))
-        self.names = tuple(name for name, _ in arms)
-        self.starts = np.array(starts)
-        self.first = np.array(first)
-        sizes = np.array(size)
-        self.gathers = [np.where(offset < sizes, self.first + offset, -1)
-                        for offset in range(1, max(size))]
-        self.one_term_each = len(first) == len(arms)
-
-    def residuals(self, columns: np.ndarray) -> np.ndarray:
-        """Per row of the operands' ``columns``, the residual of every arm."""
-        norms = np.maximum.reduceat(columns, self.starts, axis=1)
-        terms = _relative(norms, self.first, self.gathers)
-        if self.one_term_each:
-            return terms
-        return np.stack([max_rule(terms[:, given]) for given in self.arm_terms], axis=1)
-
-
-def _entries(op: Any) -> int:
-    """The entries of an operand past its batch axis: a dense stack, or a dict of blocks."""
-    return sum(math.prod(block.shape[1:]) for block in
-               (op.values() if isinstance(op, dict) else (op,)))
-
-
-#: every check's layout, by the key its :class:`Arms` carry
-_LAYOUTS: dict[tuple, _Layout] = {}
-
-
 class Arms:
     """The named arms of one batched check, reduced to one block in one pass.
 
-    Row ``i`` of every operand belongs to batch member ``i``, of ``count``.  An
-    operand is a dense stack or a graded operator, a dict of blocks that
-    never overlap, so their maxima suffice.  The max-norms of all operands
-    are taken in one pass, over every axis but the batch axis, and a term's
-    residual is :func:`residual_of`'s ``defect / max(1, product of operand
-    norms)`` in float arithmetic, for every row at once: each member sees
-    exactly the scalar operations of a single-rep :func:`residual_of`.  An
-    arm of several terms reports the largest of their residuals, in term
-    order by :func:`max_rule`.
-
-    ``key`` names the check and every size its operands depend on (mode, k,
-    flavor, depth): the term layout is worked out once per key.
+    An arm is ``(defect, lhs, rhs)``, with one or both operands absent, and
+    row ``i`` of every ``(count, d, d)`` operand belongs to batch member
+    ``i``, of ``count``.  The max-norms of all operands are taken in one
+    pass, over every axis but the batch axis, and an arm's residual is
+    :func:`residual_of`'s ``defect / max(1, lhs * rhs)`` in float
+    arithmetic, for every row at once: each member sees exactly the scalar
+    operations of a single-rep :func:`residual_of`.
     """
 
-    def __init__(self, count: int, key: tuple) -> None:
+    def __init__(self, count: int) -> None:
         self.count = count
-        self.key = key
-        self._arms: list[tuple[str, tuple]] = []  # name and terms of each arm
+        self._arms: list[tuple[str, tuple]] = []  # name and (defect, *operands) of each arm
         self._details: dict[int, Sequence[str]] = {}
 
-    def add(self, name: str, *terms: tuple, details: Optional[Sequence[str]] = None) -> None:
-        """An arm of terms ``(defect, *operands)``; ``details`` holds one detail per member."""
+    def add(self, name: str, defect: np.ndarray, lhs: Optional[np.ndarray] = None,
+            rhs: Optional[np.ndarray] = None, *, details: Optional[Sequence[str]] = None) -> None:
+        """An arm ``(defect, lhs, rhs)``; ``details`` holds one detail per member."""
         if details is not None:
             self._details[len(self._arms)] = details
-        self._arms.append((name, terms))
+        self._arms.append((name, tuple(m for m in (defect, lhs, rhs) if m is not None)))
 
     def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
-        self.add(name, (lhs - rhs, lhs, rhs))
+        self.add(name, lhs - rhs, lhs, rhs)
 
-    def _residuals(self, layout: _Layout) -> np.ndarray:
+    def _residuals(self) -> np.ndarray:
         """Per row, the residual of every arm."""
-        flat = np.abs(np.concatenate(
-            [block.reshape(self.count, -1) for _, terms in self._arms for term in terms
-             for op in term for block in (op.values() if isinstance(op, dict) else (op,))],
-            axis=1))
-        if flat.shape[1] != layout.width:
-            raise RuntimeError(f"the operands of {self.key} changed their layout")
-        return layout.residuals(flat)
+        operands = [op for _, term in self._arms for op in term]
+        maxima = np.abs(np.concatenate(operands)).reshape(len(operands), self.count, -1).max(axis=2)
+        return _arm_residuals(maxima.T, _columns(self._arms))
 
-    def block(self, tol: float, errors: dict[int, MemberError], label: Optional[str] = None,
-              kind: type = ReportBlock, **extra: Any) -> ReportBlock:
-        """The arms' block, with the rows of members in ``errors`` :func:`cut`;
-        ``label.`` prefixes names."""
-        layout = _LAYOUTS.get(self.key)
-        if layout is None:
-            layout = _LAYOUTS[self.key] = _Layout(self._arms, _entries)
-        names = layout.names if label is None else tuple(f"{label}.{n}" for n in layout.names)
-        return cut(names, self._residuals(layout), tol, errors, self._details, kind, **extra)
+    def block(self, tol: float, errors: dict[int, MemberError], kind: type = ReportBlock,
+              **extra: Any) -> ReportBlock:
+        """The arms' block, with the rows of members in ``errors`` :func:`cut`."""
+        names = tuple(name for name, _ in self._arms)
+        return cut(names, self._residuals(), tol, errors, self._details, kind, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +270,11 @@ def check_defining_relations(
     batch = as_batch(reps)
     steps = batch.powers.step(4 * np.arange(batch.dim))
     A, Abar, N = batch.A, batch.Abar, batch.Nmat
-    arms = Arms(len(batch.reps), ("algebra", batch.mode, batch.k))
+    arms = Arms(len(batch.reps))
     arms.add("rel_commutator",
-             (_interior((A @ Abar - Abar @ A) - diag_stack(steps), batch.reps), A, Abar))
-    arms.add("rel_number_raise", ((N @ Abar - Abar @ N) - Abar, N, Abar))
-    arms.add("rel_number_lower", ((N @ A - A @ N) + A, N, A))
+             _interior((A @ Abar - Abar @ A) - diag_stack(steps), batch.reps), A, Abar)
+    arms.add("rel_number_raise", (N @ Abar - Abar @ N) - Abar, N, Abar)
+    arms.add("rel_number_lower", (N @ A - A @ N) + A, N, A)
     return unbatch(reps, arms.block(tol, finite_members(steps)))
 
 
@@ -366,9 +307,9 @@ def casimir(
         for i, rep in enumerate(batch.reps)
     ]
     scalar_defect = c_low - np.array(scalars)[:, None, None] * np.eye(batch.dim)
-    arms = Arms(len(batch.reps), ("casimir", batch.mode, batch.k))
-    arms.add("casimir_two_forms", (_interior(c_low - c_high, batch.reps), batch.A, batch.Abar))
-    arms.add("casimir_scalar", (_interior(scalar_defect, batch.reps), c_low),
+    arms = Arms(len(batch.reps))
+    arms.add("casimir_two_forms", _interior(c_low - c_high, batch.reps), batch.A, batch.Abar)
+    arms.add("casimir_scalar", _interior(scalar_defect, batch.reps), c_low,
              details=[f"scalar={scalar!r}" for scalar in scalars])
     block = arms.block(tol, finite_members(numbers), kind=CasimirBlock, matrices=c_low,
                        scalars=tuple(scalars))
@@ -452,7 +393,7 @@ def check_ladder_identities(
     count, d = len(batch.reps), batch.dim
     errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
-    arms = Arms(count, ("ladder", batch.mode, batch.k, n_max))
+    arms = Arms(count)
     raise_pow = np.repeat(np.eye(d, dtype=complex)[None], count, axis=0)  # Abar^(n-1)
     lower_pow = raise_pow                                                 # A^(n-1)
     brackets, raising, lowering = ladder_factors(batch.powers, d, n_max)
@@ -469,8 +410,8 @@ def check_ladder_identities(
         for i in np.flatnonzero(~finite).tolist():
             errors.setdefault(
                 i, OverflowError(f"ladder powers of order {n} leave the double range"))
-        arms.add(f"ladder_raise_n{n}", (d_raise, A, raise_n))
-        arms.add(f"ladder_lower_n{n}", (d_lower, Abar, lower_n))
+        arms.add(f"ladder_raise_n{n}", d_raise, A, raise_n)
+        arms.add(f"ladder_lower_n{n}", d_lower, Abar, lower_n)
         raise_pow, lower_pow = raise_n, lower_n
     return unbatch(reps, arms.block(tol, errors))
 

@@ -52,7 +52,8 @@ from .algcheck import (
     DEFAULT_TOL,
     CheckReport,
     ReportBlock,
-    _Layout,
+    _arm_residuals,
+    _columns,
     as_batch,
     cut,
     diag_stack,
@@ -354,14 +355,16 @@ class _Plan:
     then the literals, then each step's outputs in a run.  A step runs
     nodes of one kind (:func:`_schedule`), so a call makes a fixed number
     of numpy calls.  The residuals read the max-abs of every distinct
-    operand block, and :class:`~qosc.algcheck.Arms`' layout reduces them per
-    operand and per term.
+    operand block, fold them per operand with one ``np.maximum.reduceat``
+    and take each arm ``(name, (defect, *operands))`` through
+    :mod:`~qosc.algcheck`'s one residual rule.
     """
 
     def __init__(self, tape: _Tape, arms: list[tuple[str, tuple]]) -> None:
         self.arms = arms
         nodes = self.nodes = tape.nodes
-        blocks = [sym.id for _, (term,) in arms for op in term for sym in _operand_blocks(op)]
+        operands = [_operand_blocks(op) for _, term in arms for op in term]
+        blocks = [sym.id for op in operands for sym in op]
         keep, stack = set(), list(blocks)
         while stack:
             i = stack.pop()
@@ -386,7 +389,7 @@ class _Plan:
             place(group)
             self.steps.append(_Step(self, group))
         self.names = tuple(name for name, _ in arms)
-        self.layout = _Layout(arms, lambda op: len(_operand_blocks(op)))
+        self.columns = _columns(arms)
         # the max-abs of each distinct operand block, rank by rank, read once per operand
         self.norms = []
         rows: dict[tuple[int, int], int] = {}  # (rank, slot) of a distinct block -> its row
@@ -397,6 +400,7 @@ class _Plan:
                 rows.update(((rank, slot), base + j) for j, slot in enumerate(distinct))
                 self.norms.append((rank, np.array(distinct)))
         self.gather = np.array([rows[nodes[i][1], self.slot[i]] for i in blocks])
+        self.starts = np.cumsum([0] + [len(op) for op in operands[:-1]])  # each operand's blocks
 
     def run(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> list[np.ndarray]:
         """The workspace after every step, ``(slots, count, d, ...)`` per rank; ``inputs``
@@ -420,14 +424,11 @@ class _Plan:
         ws = self.run(count, d, inputs)
         rows = []
         for rank, at in self.norms:
-            if rank == 0:
-                rows.append(np.abs(ws[rank][at]))
-                continue
             run = max(1, _STEP_BYTES // ws[rank][0].nbytes)  # blocks read at once
             rows += [np.abs(ws[rank][at[j:j + run]]).reshape(-1, count, d ** rank).max(axis=2)
                      for j in range(0, len(at), run)]
         flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        return self.layout.residuals(flat[self.gather].T)
+        return _arm_residuals(np.maximum.reduceat(flat[self.gather], self.starts).T, self.columns)
 
 
 def _schedule(nodes: list[tuple], keep: set[int]) -> list[list[int]]:
@@ -569,7 +570,7 @@ def _plan(family: Union[str, Flavor]) -> _Plan:
     else:
         arms = _star_arms(t, graded, dense, *_hopf_table(*(t.input(0, j) for j in range(3))),
                           _star_table(*(t.input(0, j) for j in range(3, 6))), family)
-    return _Plan(t, [(name, (term,)) for name, term in arms])
+    return _Plan(t, arms)
 
 
 def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
@@ -579,7 +580,7 @@ def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
     real = _realize(rep)
     plan = _plan("coproduct")
     ws = plan.run(1, rep.dim, {1: [real.weights], 2: [real.stack]})
-    (blocks,), = dict(plan.arms)[gen]
+    (blocks,) = dict(plan.arms)[gen]
     return {deg: ws[2][plan.slot[w.id], 0] for deg, w in blocks.items()}
 
 

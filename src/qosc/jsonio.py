@@ -73,7 +73,17 @@ def params_to_json(p: QParams) -> dict[str, Any]:
 
 
 def params_from_json(doc: dict[str, Any]) -> QParams:
+    if type(doc["epsilon"]) not in (int, float) or type(doc["l"]) is not int:
+        raise ValueError("params.epsilon must be a number and params.l an int")
     return make_params(Mode(doc["mode"]), doc["epsilon"], doc["l"])
+
+
+def _number_pairs(pairs: Any, field: str) -> list[complex]:
+    """The ``[re, im]`` number pairs of a list as complex; else ``ValueError`` naming ``field``."""
+    if type(pairs) is not list or not all(
+            type(p) is list and len(p) == 2 and {*map(type, p)} <= {int, float} for p in pairs):
+        raise ValueError(f"{field} must hold [re, im] number pairs")
+    return [complex(re, im) for re, im in pairs]
 
 
 def _rep_doc(rep: Rep, matrix: Callable[[np.ndarray], dict[str, Any]]) -> dict[str, Any]:
@@ -117,11 +127,12 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
             raise ValueError(
                 f"{name} is {m.shape[0]}x{m.shape[1]}, but k={k} needs {k + 1}x{k + 1}")
         m.setflags(write=False)
-    if len(doc["lambdas"]) != k:
-        raise ValueError(f"{len(doc['lambdas'])} lambdas, but k={k} needs {k}")
+    lambdas = _number_pairs(doc["lambdas"], "lambdas")
+    if len(lambdas) != k:
+        raise ValueError(f"{len(lambdas)} lambdas, but k={k} needs {k}")
     if type(doc["normalized"]) is not bool:
         raise ValueError(f"normalized must be a bool, got {doc['normalized']!r}")
-    params, base = params_from_json(doc["params"]), complex(*doc["nu0"])
+    params, (base,) = params_from_json(doc["params"]), _number_pairs([doc["nu0"]], "nu0")
     if not np.array_equal(np.diag(nmat), base + np.arange(k + 1)):
         raise ValueError(f"diag(N) is not nu0 + n for nu0={base}")
     if doc["normalized"] and base != nu0(params, k):
@@ -133,7 +144,7 @@ def rep_from_json(doc: dict[str, Any]) -> Rep:
         Abar=abar,
         Nmat=nmat,
         nu0=base,
-        lambdas=tuple(complex(re, im) for re, im in doc["lambdas"]),
+        lambdas=tuple(lambdas),
         normalized=doc["normalized"],
     )
     if rep.normalized:

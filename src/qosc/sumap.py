@@ -39,8 +39,10 @@ from .algcheck import (
     MemberError,
     ReportBlock,
     as_batch,
+    cut,
     diag_stack,
     finite_members,
+    max_rule,
     unbatch,
 )
 from .errors import DegenerateParameter
@@ -212,10 +214,10 @@ def check_su2(
     d = spins.J0.shape[1]
     steps, casimirs, targets = _su2_numbers(spins.powers, d)
     Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
-    arms = Arms(len(spins.Q), ("su2", d))
+    arms = Arms(len(spins.Q))
     arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
     arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
-    arms.add("su_commutator", ((Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm))
+    arms.add("su_commutator", (Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm)
     cas = Jm @ Jp + diag_stack(casimirs)
     arms.compare("su_casimir", cas, targets[:, :, None] * np.eye(d))
     errors = finite_members(steps, casimirs, targets, errors=spins.errors)
@@ -227,9 +229,10 @@ def check_equivalence(
 ) -> Union[CheckReport, ReportBlock]:
     """Entrywise agreement of the rescaled rep with the reference block.
 
-    A :class:`~qosc.repbuild.RepBatch` gives one block of the one report
-    ``su_equivalence``, as :func:`check_su2` does; a single rep gives its
-    report.
+    ``su_equivalence`` is the largest of the ``Jp``, ``Jm`` and ``J0``
+    comparisons, in that order by :func:`~qosc.algcheck.max_rule`.  A
+    :class:`~qosc.repbuild.RepBatch` gives one block of that one report, as
+    :func:`check_su2` does; a single rep gives its report.
     """
     spins = _spin_map(reps)
     errors = dict(spins.errors)
@@ -241,11 +244,8 @@ def check_equivalence(
             errors.setdefault(i, exc)
             continue
         refs[:, i] = ref.Jp, ref.Jm, ref.J0
-    arms = Arms(len(spins.Q), ("equivalence", spins.J0.shape[1]))
-    arms.add("su_equivalence", *((mine - ref, mine, ref)
-                                 for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs)))
-    block = arms.block(tol, errors)
-    if isinstance(reps, RepBatch):
-        return block
-    (result,) = block.reports(0)
-    return result
+    arms = Arms(len(spins.Q))
+    for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs):
+        arms.compare("su_equivalence", mine, ref)
+    block = cut(("su_equivalence",), max_rule(arms._residuals())[:, None], tol, errors, {})
+    return block if isinstance(reps, RepBatch) else block.reports(0)[0]

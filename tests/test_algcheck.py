@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qosc.algcheck import (
     DEFAULT_TOL,
+    Arms,
     CheckReport,
     report,
     casimir,
@@ -74,6 +76,33 @@ def test_residual_is_normalized_by_operand_scale():
     assert residual_of(defect, a, a) == pytest.approx(1.0 / 1e16)
     # small operands do not inflate the residual
     assert residual_of(defect, 1e-8 * a) == pytest.approx(1.0)
+
+
+_EDGE_NORMS = [0.0, 5e-324, 1e-200, 1.0, 1e200, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("operands", [0, 1, 2])
+def test_residual_rule_is_the_python_float_rule_at_its_edges(operands):
+    """``d / max(1.0, n1 * n2)`` in Python floats, an absent operand reading 1.0, bit for bit,
+    from ``residual_of`` and from a batched ``Arms`` block: subnormal, overflowing, infinite
+    and NaN norms included."""
+    cases = list(itertools.product(_EDGE_NORMS, repeat=1 + operands))
+    padded = [case + (1.0,) * (2 - operands) for case in cases]
+    want = [(d / max(1.0, n1 * n2)).hex() for d, n1, n2 in padded]
+    norms = np.array(cases).reshape(len(cases), 1 + operands, 1, 1)  # one 1x1 matrix per norm
+    assert [residual_of(*row).hex() for row in norms] == want
+    arms = Arms(len(cases))
+    arms.add("edge", *(norms[:, j] for j in range(1 + operands)))
+    block = arms.block(DEFAULT_TOL, {})
+    assert [x.hex() for x in block.residuals[:, 0].tolist()] == want
+
+
+def test_an_arm_takes_at_most_two_operands():
+    m = np.ones((1, 2, 2))
+    with pytest.raises(TypeError):
+        residual_of(m[0], m[0], m[0], m[0])
+    with pytest.raises(TypeError):
+        Arms(1).add("three", m, m, m, m)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", GRID)

@@ -335,6 +335,18 @@ def test_unwritable_out_path_is_exit_two(capsys, tmp_path):
     assert not target.exists()
 
 
+# |N| ~ 3e6 enters the conjugated commutators of the star arms but not their
+# max(1, |lhs| |rhs|) scale, so rounding of that size reads as a defect; l <= 20000
+# is clean.  Mend the residual rule (ROADMAP item 1), never the tolerance.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a large branch index fails a star algebra arm")
+@pytest.mark.parametrize("mode,l", [("unimodular", "2000000"), ("realline", "2000001")])
+def test_verify_passes_at_a_large_explicit_branch_index(capsys, mode, l):
+    code = main(["verify", "--mode", mode, "--epsilon", "0.9", "--k", "3", "--l", l])
+    capsys.readouterr()
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

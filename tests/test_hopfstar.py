@@ -106,7 +106,7 @@ def _evaluate(build, inputs, d):
     and read every block of its only member."""
     tape = _Tape()
     ops = build(tape)
-    plan = _Plan(tape, [(name, ((op,),)) for name, op in ops.items()])
+    plan = _Plan(tape, [(name, (op,)) for name, op in ops.items()])
     ws = plan.run(1, d, inputs)
     return {name: {deg: ws[w.rank][plan.slot[w.id], 0] for deg, w in op.items()}
             for name, op in ops.items()}
@@ -460,7 +460,7 @@ def test_plan_steps_are_a_valid_schedule(family):
     """Every kept computed node runs in exactly one step of its own kind, after its operands."""
     plan = hopfstar._plan(family)
     nodes = plan.nodes
-    keep, stack = set(), [sym.id for _, (term,) in plan.arms for op in term
+    keep, stack = set(), [sym.id for _, term in plan.arms for op in term
                           for sym in hopfstar._operand_blocks(op)]
     while stack:
         i = stack.pop()

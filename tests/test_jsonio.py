@@ -183,6 +183,25 @@ def test_rep_from_json_rejects_a_document_that_disagrees_with_itself(case):
         rep_from_json(_disagreeing(case))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("nu0", ["x", 0]),
+    ("nu0", [1, 2, 3]),
+    ("lambdas", [["a", "b"], [0, 0], [0, 0]]),
+    ("lambdas", [1.0, [0, 0], [0, 0]]),
+    ("lambdas", 5),
+    ("params.l", 0.0),
+    ("params.epsilon", "0.9"),
+])
+def test_rep_from_json_refuses_a_malformed_scalar_naming_its_field(field, value):
+    doc = rep_to_json(build_rep(make_params("unimodular", 0.9, 0), 3))
+    if field.startswith("params."):
+        doc["params"][field[len("params."):]] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+        rep_from_json(doc)
+
+
 def test_rep_from_json_rejects_k_5_with_4x4_matrices():
     doc = rep_to_json(build_rep(make_params("unimodular", 0.9, 0), 3))
     doc["k"] = 5
