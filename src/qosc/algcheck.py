@@ -3,12 +3,16 @@
 :func:`check_defining_relations`, :func:`casimir` and
 :func:`check_ladder_identities` take either one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` of
-representations that share ``k`` and the mode.  A batch is evaluated in one
-pass: every matrix carries a leading batch axis, and residuals are maxima
-over every axis but that one.  The scalar data (bracket steps, deformed
-numbers, ladder coefficients) are indexed arithmetic on the batch's
-:class:`~qosc.qcore.PowerTable`, with no transcendental function, so a
-member's residuals are bit for bit those of the single-rep call.
+representations of one mode and any ``k``.  A batch is evaluated in one
+pass: every matrix carries a leading batch axis, zero-padded to the largest
+block, and residuals are maxima over every axis but that one.  The scalar
+data (bracket steps, deformed numbers, ladder coefficients) are indexed
+arithmetic on the batch's :class:`~qosc.qcore.PowerTable`, at each
+member's own ``k`` and with no transcendental function, and are set to 0
+past a member's block; every product of matrices runs once per k group on
+the members' own blocks.  So a member's residuals are bit for bit those of
+the single-rep call, and a ladder member reports the orders up to its own
+depth (:attr:`ReportBlock.widths`).
 
 The batch contract is shared by every check family (the Hopf and star
 checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`), and so
@@ -32,14 +36,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateParameter
 from .qcore import Mode, PowerTable, QParams, _by_s_power, _ladder_factors, _lowered, _values
-from .repbuild import Rep, RepBatch, norm_factors
+from .repbuild import Rep, RepBatch, grouped, norm_factors
 
 DEFAULT_TOL = 1e-10
 
@@ -110,7 +114,8 @@ class ReportBlock:
     member ``alive[j]``'s residual under each name; ``errors`` holds the
     error that dropped each other member, and ``details`` one detail per row
     for the columns that carry one.  Report ``c`` of a member passes iff its
-    residual is below ``tol``.
+    residual is below ``tol``.  Where ``widths`` is given, row ``j`` reports
+    only its first ``widths[j]`` names and reads 0 under the others.
     """
 
     names: tuple[str, ...]
@@ -119,15 +124,18 @@ class ReportBlock:
     tol: float
     errors: dict[int, MemberError]
     details: dict[int, tuple[str, ...]]
+    widths: Optional[tuple[int, ...]] = field(default=None, kw_only=True)
 
     def reports(self, member: int) -> list[CheckReport]:
         """The reports of batch member ``member``; raises the error that dropped it."""
         if member in self.errors:
             raise self.errors[member]
         j = self.alive.index(member)
+        width = len(self.names) if self.widths is None else self.widths[j]
         return [
             report(name, residual, self.tol, self.details[c][j] if c in self.details else None)
-            for c, (name, residual) in enumerate(zip(self.names, self.residuals[j].tolist()))
+            for c, (name, residual) in enumerate(zip(self.names[:width],
+                                                     self.residuals[j, :width].tolist()))
         ]
 
 
@@ -135,7 +143,7 @@ class ReportBlock:
 class CasimirBlock(ReportBlock):
     """A :func:`casimir` block with each member's Casimir matrix and scalar."""
 
-    matrices: np.ndarray
+    matrices: tuple[np.ndarray, ...]
     scalars: tuple[complex, ...]
 
     def result(self, member: int) -> CasimirResult:
@@ -155,15 +163,22 @@ def unbatch(reps: Union[Rep, RepBatch], block: ReportBlock):
 
 
 def cut(names: tuple[str, ...], residuals: np.ndarray, tol: float, errors: dict[int, MemberError],
-        details: dict[int, Sequence[str]], kind: type = ReportBlock, **extra: Any) -> ReportBlock:
+        details: dict[int, Sequence[str]], kind: type = ReportBlock,
+        widths: Optional[Sequence[int]] = None, **extra: Any) -> ReportBlock:
     """The block of every member's row of ``residuals``, less the rows of members in ``errors``.
 
-    ``details`` holds one detail per member for the columns that carry one.
-    This cut is the only place a member leaves a check.
+    ``details`` holds one detail per member for the columns that carry one,
+    and ``widths`` (if given) the number of names each member reports; its
+    row's other residuals are set to 0.  This cut is the only place a
+    member leaves a check.
     """
     keep = [i for i in range(len(residuals)) if i not in errors]
     details = {c: tuple(rows[i] for i in keep) for c, rows in details.items()}
-    return kind(names, tuple(keep), residuals[keep], float(tol), errors, details, **extra)
+    if widths is not None:
+        residuals[np.arange(len(names)) >= np.asarray(widths)[:, None]] = 0.0
+        widths = tuple(int(widths[i]) for i in keep)
+    return kind(names, tuple(keep), residuals[keep], float(tol), errors, details, widths=widths,
+                **extra)
 
 
 def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]] = None
@@ -250,8 +265,8 @@ def _interior(defect: np.ndarray, reps: Sequence[Rep]) -> np.ndarray:
     if not windows:
         return defect
     trimmed = defect.copy()
-    trimmed[windows, :, 0] = 0.0
-    trimmed[windows, :, -1] = 0.0
+    for j in windows:
+        trimmed[j, :, [0, reps[j].dim - 1]] = 0.0
     return trimmed
 
 
@@ -268,13 +283,13 @@ def check_defining_relations(
     single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
-    steps = batch.powers.step(4 * np.arange(batch.dim))
-    A, Abar, N = batch.A, batch.Abar, batch.Nmat
+    steps = batch.blank(batch.powers.step(4 * np.arange(batch.dim)))
+    A, Abar, N, mm = batch.A, batch.Abar, batch.Nmat, batch.matmul
     arms = Arms(len(batch.reps))
     arms.add("rel_commutator",
-             _interior((A @ Abar - Abar @ A) - diag_stack(steps), batch.reps), A, Abar)
-    arms.add("rel_number_raise", (N @ Abar - Abar @ N) - Abar, N, Abar)
-    arms.add("rel_number_lower", (N @ A - A @ N) + A, N, A)
+             _interior((mm(A, Abar) - mm(Abar, A)) - diag_stack(steps), batch.reps), A, Abar)
+    arms.add("rel_number_raise", (mm(N, Abar) - mm(Abar, N)) - Abar, N, Abar)
+    arms.add("rel_number_lower", (mm(N, A) - mm(A, N)) + A, N, A)
     return unbatch(reps, arms.block(tol, finite_members(steps)))
 
 
@@ -300,18 +315,21 @@ def casimir(
     """
     batch = as_batch(reps)
     numbers = batch.powers.number(4 * np.arange(batch.dim + 1), spectral=True)  # [N], [N+1]
-    c_low = batch.Abar @ batch.A - diag_stack(numbers[:, :-1])
-    c_high = batch.A @ batch.Abar - diag_stack(numbers[:, 1:])
+    high = batch.blank(numbers[:, 1:].copy())
+    low = batch.blank(numbers[:, :-1])
+    c_low = batch.matmul(batch.Abar, batch.A) - diag_stack(low)
+    c_high = batch.matmul(batch.A, batch.Abar) - diag_stack(high)
     scalars = [
         complex(c_low[i, 1, 1] if not rep.normalized and rep.dim > 1 else c_low[i, 0, 0])
         for i, rep in enumerate(batch.reps)
     ]
-    scalar_defect = c_low - np.array(scalars)[:, None, None] * np.eye(batch.dim)
+    scalar_defect = c_low - np.array(scalars)[:, None, None] * batch.eye
     arms = Arms(len(batch.reps))
     arms.add("casimir_two_forms", _interior(c_low - c_high, batch.reps), batch.A, batch.Abar)
     arms.add("casimir_scalar", _interior(scalar_defect, batch.reps), c_low,
              details=[f"scalar={scalar!r}" for scalar in scalars])
-    block = arms.block(tol, finite_members(numbers), kind=CasimirBlock, matrices=c_low,
+    matrices = tuple(c_low[i, :rep.dim, :rep.dim] for i, rep in enumerate(batch.reps))
+    block = arms.block(tol, finite_members(low, high), kind=CasimirBlock, matrices=matrices,
                        scalars=tuple(scalars))
     return block if isinstance(reps, RepBatch) else block.result(0)
 
@@ -369,7 +387,7 @@ def _ladder_groups(n_max: int) -> tuple[tuple[dict, int], dict, dict]:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor drops its member below
 def check_ladder_identities(
-    reps: Union[Rep, RepBatch], n_max: int, tol: float = DEFAULT_TOL
+    reps: Union[Rep, RepBatch], n_max: Union[int, Sequence[int]], tol: float = DEFAULT_TOL
 ) -> Union[list[CheckReport], ReportBlock]:
     """Reordering identities for powers of the ladder operators.
 
@@ -384,36 +402,53 @@ def check_ladder_identities(
     vanishes exactly where the block truncates.  A coefficient or power outside the double
     range raises ``OverflowError``; ``n_max`` outside ``1..k+1`` raises
     ``ValueError``.  A :class:`~qosc.repbuild.RepBatch`
-    gives one block, as :func:`check_defining_relations` does; a member's
-    error is the first one its single-rep call would raise, order by order.
+    gives one block, as :func:`check_defining_relations` does; ``n_max`` is
+    one depth for every member or one per member, and a member reports the
+    orders up to its own.  A member's error is the first one its single-rep
+    call would raise, order by order.
     """
     batch = as_batch(reps)
-    if not 1 <= n_max <= batch.k + 1:
-        raise ValueError(f"n_max={n_max} outside 1..k+1 = 1..{batch.k + 1}")
     count, d = len(batch.reps), batch.dim
+    depths = np.broadcast_to(np.asarray(n_max), (count,))
+    limits = np.broadcast_to(batch.ks, (count,)) + 1
+    outside = np.flatnonzero((depths < 1) | (depths > limits))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"n_max={depths[i]} outside 1..k+1 = 1..{limits[i]}")
+    top, low = int(depths.max()), int(depths.min())
+    tops = [int(depths[rows].max()) for _, rows in batch.groups]  # each k group's depth
+    mm = batch.matmul
     errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
     arms = Arms(count)
-    raise_pow = np.repeat(np.eye(d, dtype=complex)[None], count, axis=0)  # Abar^(n-1)
-    lower_pow = raise_pow                                                 # A^(n-1)
-    brackets, raising, lowering = ladder_factors(batch.powers, d, n_max)
-    for n in range(1, n_max + 1):
+    raise_pow = lower_pow = batch.eye  # Abar^(n-1), A^(n-1)
+    brackets, raising, lowering = ladder_factors(batch.powers, d, top)
+    batch.blank(raising.swapaxes(0, 1)), batch.blank(lowering.swapaxes(0, 1))  # orders first
+    idle = np.zeros(count, dtype=bool)  # the members past their own depth
+    for n in range(1, top + 1):
+        if n > min(tops):  # only the k groups with a member at this order; the others' stay 0
+            mm = grouped([group for group, depth in zip(batch.groups, tops) if depth >= n])
         bracket, up, down = brackets[:, n - 1, None], raising[:, n - 1], lowering[:, n - 1]
+        if n > low:  # a member past its own depth reads 0 at this order
+            idle = depths < n
+            for values in (bracket, up, down):
+                values[idle] = 0.0
         errors = finite_members(bracket, up, down, errors=errors)
         c_raise, c_lower = bracket * up, bracket * down
-        raise_n = raise_pow @ Abar                  # Abar^n
-        lower_n = lower_pow @ A                     # A^n
-        d_raise = A @ raise_n - raise_n @ A - c_raise[:, :, None] * raise_pow
-        d_lower = Abar @ lower_n - lower_n @ Abar - c_lower[:, :, None] * lower_pow
+        raise_n = mm(raise_pow, Abar)                # Abar^n
+        lower_n = mm(lower_pow, A)                   # A^n
+        d_raise = mm(A, raise_n) - mm(raise_n, A) - c_raise[:, :, None] * raise_pow
+        d_lower = mm(Abar, lower_n) - mm(lower_n, Abar) - c_lower[:, :, None] * lower_pow
         # a power with a non-finite entry makes its defect non-finite too
         finite = np.isfinite(d_raise).all(axis=(1, 2)) & np.isfinite(d_lower).all(axis=(1, 2))
-        for i in np.flatnonzero(~finite).tolist():
+        for i in np.flatnonzero(~(finite | idle)).tolist():
             errors.setdefault(
                 i, OverflowError(f"ladder powers of order {n} leave the double range"))
         arms.add(f"ladder_raise_n{n}", d_raise, A, raise_n)
         arms.add(f"ladder_lower_n{n}", d_lower, Abar, lower_n)
         raise_pow, lower_pow = raise_n, lower_n
-    return unbatch(reps, arms.block(tol, errors))
+    widths = None if low == top else 2 * depths
+    return unbatch(reps, arms.block(tol, errors, widths=widths))
 
 
 def norm_profile(params: QParams, k: int) -> tuple[list[float], CheckReport]:

@@ -93,7 +93,7 @@ CHECK_FAMILIES = (
 #: most parameter points one sweep may ask for
 MAX_GRID_POINTS = 10_000
 
-#: most tensor-cube entries, (k+1)**3 per point, that one batch of points stacks
+#: most tensor-cube entries, D**3 per point at the padded dimension D, that one batch stacks
 _BATCH_CUBE_ENTRIES = 8192
 
 # The star arms that must fail, by mode and arm label: {arm: generators}.
@@ -196,7 +196,7 @@ def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig) -> list[ReportB
     if family == "algebra":
         return [check_defining_relations(batch, cfg.tol)]
     if family == "ladder":
-        return [check_ladder_identities(batch, min(cfg.n_max, batch.k + 1), cfg.tol)]
+        return [check_ladder_identities(batch, np.minimum(cfg.n_max, batch.ks + 1), cfg.tol)]
     if family == "hopf":
         return [check_hopf_axioms(batch, cfg.tol)]
     if family == "suq2":  # one spin map serves both
@@ -445,22 +445,37 @@ def _fold(members: Sequence[_Point], batch: RepBatch, blocks: list[ReportBlock],
     a mismatch if one of its reports missed its expected outcome, and in
     ``column`` the largest residual of the reports that must pass, folded
     across blocks and families by Python ``max``'s rule.  A point an earlier
-    family skipped still gets its rows folded in, and its row ignores them.
+    block skipped still gets its rows folded in, and its row ignores them.
+    On one state (``k = 0``) only the ``N`` arms must fail.
     """
     for block in blocks:
         for i, exc in block.errors.items():
             members[i].drop(exc)
-        points = [members[i] for i in block.alive]
-        fails = _expected_fails(block.names, batch.mode, batch.dim == 1)
-        mismatch = ((block.residuals < block.tol) == fails).any(axis=1)
-        for point, bad in zip(points, mismatch.tolist()):
-            point.mismatch = point.mismatch or bad
-        passing = block.residuals[:, ~fails]
-        if column is None or not passing.shape[1]:
-            continue
-        for point, worst in zip(points, max_rule(passing).tolist()):
-            prev = point.worst.get(column)
-            point.worst[column] = worst if prev is None or worst > prev else prev
+        for state, rows in _one_state(batch, block.alive):
+            alive = block.alive[rows] if isinstance(rows, slice) else [
+                block.alive[j] for j in rows.tolist()]
+            points = [members[i] for i in alive]
+            residuals = block.residuals[rows]
+            fails = _expected_fails(block.names, batch.mode, state)
+            mismatch = ((residuals < block.tol) == fails).any(axis=1)
+            for point, bad in zip(points, mismatch.tolist()):
+                point.mismatch = point.mismatch or bad
+            passing = residuals[:, ~fails]
+            if column is None or not passing.shape[1]:
+                continue
+            for point, worst in zip(points, max_rule(passing).tolist()):
+                prev = point.worst.get(column)
+                point.worst[column] = worst if prev is None or worst > prev else prev
+
+
+def _one_state(batch: RepBatch, alive: Sequence[int]) -> list[tuple[bool, Any]]:
+    """``(one state or not, rows)`` for the rows of a block, of the members ``alive``:
+    a slice of all of them where every member has the same ``k``."""
+    if not isinstance(batch.ks, np.ndarray):
+        return [(batch.ks == 0, slice(None))]
+    one = batch.ks[list(alive)] == 0
+    return [(state, np.flatnonzero(one == state)) for state in (False, True)
+            if (one == state).any()]
 
 
 def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
@@ -480,50 +495,77 @@ def _build_point(cfg: RunConfig, epsilon: float, k: int) -> _Point:
     return point
 
 
-def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int
-               ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
-    """The points of one batch, run, and each family's blocks over the points that were built."""
-    points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
-    built = [point for point in points if point.skip is None]
+def _run_families(cfg: RunConfig, built: Sequence[_Point]) -> dict[str, list[ReportBlock]]:
+    """Run the families over one batch of built points and finish each; each family's
+    blocks, over the points no earlier family skipped."""
     families: dict[str, list[ReportBlock]] = {}
-    batch = RepBatch(tuple(point.rep for point in built)) if built else None
+    batch: Optional[RepBatch] = None
     for family in (None, *cfg.checks):  # None: the casimir every point runs first, for its row
-        if all(point.skip is not None for point in built):
+        live = [point for point in built if point.skip is None]
+        if not live:
             break
+        if batch is None or len(live) < len(batch.reps):  # a skipped point runs no later family
+            batch = RepBatch(tuple(point.rep for point in live))
         if family is None:
             cas = casimir(batch, cfg.tol)
             for i, exc in cas.errors.items():
-                built[i].drop(exc)
+                live[i].drop(exc)
             for i in cas.alive:
-                built[i].cas = cas.scalars[i]
+                live[i].cas = cas.scalars[i]
             families["casimir"] = [cas]
             if "casimir" in cfg.checks:  # the family's reports are these, folded in at once
-                _fold(built, batch, [cas], None)
+                _fold(live, batch, [cas], None)
         elif family != "casimir":  # both star families share res_star
             families[family] = _family_blocks(family, batch, cfg)
             column = "res_" + family.partition(":")[0]
-            _fold(built, batch, families[family], column if column in _CSV_COLUMNS else None)
-    for point in points:
+            _fold(live, batch, families[family], column if column in _CSV_COLUMNS else None)
+    for point in built:
         if point.skip is None:
             point.finish()
-    return points, families
+    return families
 
 
-def _run_points(cfg: RunConfig, epsilons: Sequence[float], k: int) -> Iterator[_Point]:
-    """Build the points of one k and run their families, yielding each point in epsilon order.
+def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int
+               ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
+    """The points of one k, run as one batch, and each family's blocks over the points built."""
+    points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
+    built = [point for point in points if point.skip is None]
+    return points, _run_families(cfg, built) if built else {}
+
+
+def _run_points(cfg: RunConfig) -> list[_Point]:
+    """Build every point of the grid and run its families; the points in epsilon-major order.
 
     A point that cannot be built, or whose build or checks overflow, is
     skipped whole; a spin map rejected at a singular locus skips only that
     family.  Each point runs casimir and then the families in order, as it
-    would alone.  The points built form batches of at most
-    ``_BATCH_CUBE_ENTRIES // (k+1)**3`` points, which bounds the memory of
-    the stacked tensor blocks, and every family runs once over each: every
-    check evaluates every member, and a member with a non-finite scalar, or
-    one the spin map rejects, leaves only when the block is cut.
+    would alone.  The points built, of every ``k``, run as one batch, cut k
+    by k only where it would pass ``_BATCH_CUBE_ENTRIES`` tensor-cube
+    entries counted at its padded dimension, which bounds the memory of the
+    stacked tensor blocks.  Every family runs once over the points of a
+    batch that no earlier family skipped: every check evaluates every
+    member, and a member with a non-finite scalar, or one the spin map
+    rejects, leaves only when the block is cut.
     """
-    size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
-    for start in range(0, len(epsilons), size):
-        yield from _run_batch(cfg, epsilons[start:start + size], k)[0]
+    points: list[list[_Point]] = [[] for _ in cfg.epsilons]
+    batch: list[_Point] = []
+    dim = 0  # the batch's padded dimension
+    for k in cfg.ks:
+        for row, epsilon in zip(points, cfg.epsilons):
+            point = _build_point(cfg, epsilon, k)
+            row.append(point)
+            if point.skip is not None:
+                continue
+            if batch and (len(batch) + 1) * max(dim, point.rep.dim) ** 3 > _BATCH_CUBE_ENTRIES:
+                _run_families(cfg, batch)
+                for member in batch:
+                    member.rep = None  # a grid holds the reps of one batch at a time
+                batch, dim = [], 0
+            batch.append(point)
+            dim = max(dim, point.rep.dim)
+    if batch:
+        _run_families(cfg, batch)
+    return [point for row in points for point in row]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -542,8 +584,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    by_k = [[point.row for point in _run_points(cfg, cfg.epsilons, k)] for k in cfg.ks]
-    rows = [rows_k[i] for i in range(len(cfg.epsilons)) for rows_k in by_k]  # epsilon-major
+    rows = [point.row for point in _run_points(cfg)]
     if cfg.fmt == "csv":
         _emit(cfg, _csv_text(rows))
     elif cfg.fmt == "json":

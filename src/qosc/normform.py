@@ -273,13 +273,16 @@ def symbolic_block(params: Sequence[QParams], n_max: int = 8, tol: float = DEFAU
                    tamper: float = 0.0) -> ReportBlock:
     """:func:`check_identities_symbolic` at each of ``params``, as one block.
 
-    Each defect is evaluated once for all members, ``t**b`` as ``exp(log_q * b/2)``;
+    Each defect is evaluated once for every distinct ``q`` among the members,
+    ``t**b`` as ``exp(log_q * b/2)``, and each member reads its ``q``'s row;
     a member with a non-finite value leaves with an ``OverflowError`` when the block is cut.
     """
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
     defects = exact_defects(n_max)
-    log_q = np.array([p.log_q for p in params])
+    distinct: dict[complex, int] = {}  # log q -> its row
+    rows = [distinct.setdefault(p.log_q, len(distinct)) for p in params]
+    log_q = np.array(list(distinct))
     residuals = np.zeros((len(log_q), len(defects)))
     for c, d in enumerate(defects):
         # a group whose every tamper**u is 0 stays the scalar 0j, which cannot raise the max
@@ -287,6 +290,7 @@ def symbolic_block(params: Sequence[QParams], n_max: int = 8, tol: float = DEFAU
                   if isinstance(v, np.ndarray)]
         if values:
             residuals[:, c] = np.abs(values).max(axis=0)  # a NaN propagates
+    residuals = residuals[rows]
     return cut(tuple(d.name for d in defects), residuals, tol, finite_members(residuals), {})
 
 

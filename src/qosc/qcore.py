@@ -155,8 +155,10 @@ class PowerTable:
 
     ``table(j)`` reads ``u**j`` and ``table.offset(j)`` reads ``u**j - 1``,
     for an integer or an integer array ``j``, every row at once, in shape
-    ``(rows, *j.shape)``.  Both come from one ``exp`` of ``log u`` and one
-    ``expm1`` of ``+-log u`` per row, by products and sums (:meth:`build`),
+    ``(rows, *j.shape)``; every read takes an ``at``, an int or one int per
+    row, that moves each row's reads by its own amount.  Both come from one
+    ``exp`` of ``log u`` and one ``expm1`` of ``+-log u`` per row, by
+    products and sums (:meth:`build`),
     so a row does not depend on the others, and the offsets keep their
     digits as ``u -> 1``.  An entry past the double range is not finite (or
     0) and makes non-finite only the scalars that use it.
@@ -164,7 +166,8 @@ class PowerTable:
     On the spectrum ``nu0 + n`` of a (k+1)-dimensional block, ``unit`` is
     ``q**(nu0 + (k+1)/2)``, exactly ``i**(2l+1)`` on a truncated block, and
     ``root`` is ``q**((nu0 + gamma + k/2)/2)``, exactly 1 there, with
-    ``q = u**4``.
+    ``q = u**4``.  ``center`` is ``2k + 2``, an int or one per row when the
+    rows' blocks differ in ``k``.
     """
 
     powers: np.ndarray  # (rows, 2*span + 1): u**j in column span + j
@@ -172,7 +175,7 @@ class PowerTable:
     span: int
     unit: Optional[np.ndarray] = None  # (rows,)
     root: Optional[np.ndarray] = None  # (rows,)
-    center: int = 0  # 2k + 2: q**(nu0 + m/4) = unit * u**(m - center)
+    center: Any = 0  # 2k + 2: q**(nu0 + m/4) = unit * u**(m - center)
 
     @classmethod
     def build(cls, logs: Sequence[complex], span: int, **factors: Any) -> "PowerTable":
@@ -200,21 +203,31 @@ class PowerTable:
 
         return cls(columns(powers, 1.0), columns(offsets, 0.0), span, **factors)
 
-    def __call__(self, j: Any) -> np.ndarray:
-        return self.powers[:, self.span + (j if isinstance(j, int) else np.asarray(j))]
+    def _take(self, values: np.ndarray, j: Any, at: Any) -> np.ndarray:
+        """``values[r, span + j + at[r]]`` for every row ``r``: ``j`` an int or an index
+        array shared by the rows, ``at`` an int or one int per row."""
+        if not isinstance(at, np.ndarray):
+            return values[:, self.span + at + (j if isinstance(j, int) else np.asarray(j))]
+        j = np.asarray(j)
+        starts = np.arange(0, values.size, values.shape[1]) + (self.span + at)
+        # a read past its row's span (a padded entry, which callers zero) is clipped into range
+        return values.take(starts.reshape((-1,) + (1,) * j.ndim) + j, mode="clip")
 
-    def offset(self, j: Any) -> np.ndarray:
-        return self.offsets[:, self.span + (j if isinstance(j, int) else np.asarray(j))]
+    def __call__(self, j: Any, at: Any = 0) -> np.ndarray:
+        return self._take(self.powers, j, at)
 
-    def nu(self, m: Any, sign: int = 1) -> np.ndarray:
-        """``q**(sign * (nu0 + m/4))`` for the integers ``m``."""
-        j = np.asarray(m) - self.center
-        unit = _rows(self.unit, j.ndim)
-        return unit * self(j) if sign > 0 else self(-j) / unit
+    def offset(self, j: Any, at: Any = 0) -> np.ndarray:
+        return self._take(self.offsets, j, at)
 
-    def number(self, m: Any, spectral: bool = False) -> np.ndarray:
-        """``[x] = (q**x - q**-x) / (q - 1/q)`` at each ``x = m/4``, or at
-        ``x = nu0 + m/4`` if ``spectral``.
+    def nu(self, m: Any, sign: int = 1, at: Any = 0) -> np.ndarray:
+        """``q**(sign * (nu0 + (m + at)/4))`` for the integers ``m``."""
+        m = np.asarray(m)
+        unit, shift = _rows(self.unit, m.ndim), at - self.center
+        return unit * self(m, shift) if sign > 0 else self(-m, -shift) / unit
+
+    def number(self, m: Any, spectral: bool = False, at: Any = 0) -> np.ndarray:
+        """``[x] = (q**x - q**-x) / (q - 1/q)`` at each ``x = (m + at)/4``, or at
+        ``x = nu0 + (m + at)/4`` if ``spectral``.
 
         With ``q**x = unit * u**j`` (``unit = 1`` off the spectrum) the
         numerator is ``(unit - 1/unit) + unit (u**j - 1) - (u**-j - 1)/unit``
@@ -223,21 +236,22 @@ class PowerTable:
         """
         m = np.asarray(m)
         if not spectral:
-            top = self.offset(m) - self.offset(-m)
+            top = self.offset(m, at) - self.offset(-m, -at)
         else:
-            j, unit = m - self.center, _rows(self.unit, m.ndim)
-            top = (unit - 1.0 / unit) + (unit * self.offset(j) - self.offset(-j) / unit)
+            j, unit = at - self.center, _rows(self.unit, m.ndim)  # reads at m + j
+            top = (unit - 1.0 / unit) + (unit * self.offset(m, j) - self.offset(-m, -j) / unit)
         return top / _rows(self.offset(4) - self.offset(-4), m.ndim)
 
-    def step(self, m: Any, sign: int = 1, shift: Optional[np.ndarray] = None) -> np.ndarray:
-        """``[x+1] - [x] = (q**(x+1) + q**-x) / (q + 1)`` at each ``x = nu0 + eta + m/4``.
+    def step(self, m: Any, sign: int = 1, shift: Optional[np.ndarray] = None,
+             at: Any = 0) -> np.ndarray:
+        """``[x+1] - [x] = (q**(x+1) + q**-x) / (q + 1)`` at each ``x = nu0 + eta + (m + at)/4``.
 
         ``shift`` is ``q**eta``, one value per row (``None``: ``eta = 0``);
         ``sign=-1`` takes the step at base ``1/q``.  The form has no
         cancellation as ``q -> 1``, and overflows exactly where ``[x+1]`` or
         ``[x]`` would.
         """
-        up, down = self.nu(np.asarray(m) + 4, sign), self.nu(m, -sign)
+        up, down = self.nu(np.asarray(m) + 4, sign, at), self.nu(m, -sign, at)
         if shift is not None:
             shift = _rows(shift, np.ndim(m))
             up, down = shift * up, down / shift

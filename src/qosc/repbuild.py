@@ -5,9 +5,12 @@ The algebra has generators ``a`` (lowering), ``abar`` (raising) and ``N``
 (k+1)-dimensional block exactly when the number eigenvalue base ``nu0``
 sits on a distinguished branch; :func:`build_rep` produces the normalized
 block, :func:`build_generic_window` a window of the untruncated ladder.
-A :class:`RepBatch` holds representations of one ``k`` and one mode, which
+A :class:`RepBatch` holds representations of one mode and any ``k``, which
 every check family evaluates in one pass over their stacked matrices and
-the one :class:`~qosc.qcore.PowerTable` of their q-powers.
+the one :class:`~qosc.qcore.PowerTable` of their q-powers.  The stacks are
+zero-padded to the largest block, and every matmul runs once per k group
+(:func:`matmul`) on the views of its members' own blocks, so each member
+keeps the bits of its own call.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -52,16 +55,79 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _stack(matrices: list[np.ndarray]) -> np.ndarray:
-    return _freeze(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))  # a view for one
+#: one k group of a batch: its dimension ``d`` and its members, a slice where they are
+#: consecutive, else their indices
+Group = tuple[int, Union[slice, np.ndarray]]
+
+
+def _groups(dims: Sequence[int]) -> tuple[Group, ...]:
+    """The members of each dimension, by ascending dimension."""
+    members: dict[int, list[int]] = {}
+    for i, d in enumerate(dims):
+        members.setdefault(d, []).append(i)
+    if len(members) == 1:
+        return ((dims[0], slice(None)),)
+    return tuple((d, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1
+                  else np.array(rows)) for d, rows in sorted(members.items()))
+
+
+def matmul(x: np.ndarray, y: np.ndarray, groups: Sequence[Group],
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x @ y`` over complex stacks ``(..., members, D, D)`` of one shape, into ``out``
+    if given: one matmul per group on the ``[:d, :d]`` views of its members, and 0
+    past them.
+
+    A zero-padded matmul may sum in another order than the ``d x d`` one;
+    the views keep each member's product to the bit.
+    """
+    if _whole(groups):
+        return np.matmul(x, y, out=out)
+    if out is None:
+        out = np.zeros(x.shape, dtype=complex)
+    else:
+        out[...] = 0
+    for d, rows in groups:
+        at = (..., rows, slice(d), slice(d))
+        if isinstance(rows, slice):
+            np.matmul(x[at], y[at], out=out[at])
+        else:
+            out[at] = np.matmul(x[at], y[at])
+    return out
+
+
+def _whole(groups: Sequence[Group]) -> bool:
+    """Whether ``groups`` is one group of every member, with nothing past its blocks."""
+    (_, rows), *rest = groups
+    return not rest and isinstance(rows, slice) and rows == slice(None)
+
+
+def grouped(groups: Sequence[Group]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``matmul(x, y)`` over ``groups``: ``np.matmul`` itself where they are whole."""
+    return np.matmul if _whole(groups) else functools.partial(matmul, groups=groups)
+
+
+def blank(values: np.ndarray, groups: Sequence[Group], axes: int = 1) -> np.ndarray:
+    """``values``, whose last ``axes`` axes run over the padded states and whose member
+    axis precedes them, with each member's entries past its dimension set to 0, in place."""
+    for d, rows in groups[:-1]:  # the last group spans the padded dimension
+        for axis in range(axes):
+            values[(..., rows) + tuple(slice(d, None) if a == axis else slice(None)
+                                       for a in range(axes))] = 0
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class RepBatch:
-    """Representations of one ``k`` and one mode, checked together.
+    """Representations of one mode, checked together.
 
     Member ``i`` sits at index ``i`` of the leading axis of every stacked
-    array; the members may differ in epsilon and branch.
+    array; the members may differ in epsilon, branch and ``k``.  A stack is
+    ``(B, D, D)`` for the largest dimension ``D``: each member's block is
+    the direct sum of its own with the zero representation, so every
+    symbol, step and identity is exactly 0 past a member's own block.
+    Elementwise steps run once on the padded stack; a matmul runs once per
+    k group (:attr:`groups`, :meth:`matmul`), on the views of its members'
+    own blocks.
     """
 
     reps: tuple[Rep, ...]
@@ -71,19 +137,31 @@ class RepBatch:
             raise ValueError("a batch needs at least one representation")
         head = self.reps[0]
         for rep in self.reps[1:]:
-            if rep.k != head.k or rep.params.mode is not head.params.mode:
+            if rep.params.mode is not head.params.mode:
                 raise ValueError(
-                    f"a batch needs one k and one mode: k={rep.k}, "
-                    f"mode={rep.params.mode.value} joins k={head.k}, "
+                    f"a batch needs one mode: mode={rep.params.mode.value} joins "
                     f"mode={head.params.mode.value}"
                 )
 
+    @functools.cached_property
+    def ks(self) -> Union[int, np.ndarray]:
+        """Each member's ``k``: an int when they share it, else ``(B,)`` ints."""
+        ks = [rep.k for rep in self.reps]
+        return ks[0] if len(set(ks)) == 1 else np.array(ks)
+
+    @functools.cached_property
+    def groups(self) -> tuple[Group, ...]:
+        """The members of each ``k``, by ascending ``k``, with their dimension."""
+        return _groups([rep.dim for rep in self.reps])
+
     @property
     def k(self) -> int:
-        return self.reps[0].k
+        """The largest member ``k``."""
+        return self.groups[-1][0] - 1
 
     @property
     def dim(self) -> int:
+        """The padded dimension ``D``, the largest member's."""
         return self.k + 1
 
     @property
@@ -94,35 +172,61 @@ class RepBatch:
     def params(self) -> tuple[QParams, ...]:
         return tuple(rep.params for rep in self.reps)
 
+    def _stack(self, name: str) -> np.ndarray:
+        if len(self.groups) == 1:
+            matrices = [getattr(rep, name) for rep in self.reps]
+            return _freeze(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))
+        out = np.zeros((len(self.reps), self.dim, self.dim), dtype=complex)
+        for i, rep in enumerate(self.reps):
+            out[i, :rep.dim, :rep.dim] = getattr(rep, name)
+        return _freeze(out)
+
     @functools.cached_property
     def A(self) -> np.ndarray:
-        """The members' lowering matrices, stacked ``(B, d, d)``."""
-        return _stack([rep.A for rep in self.reps])
+        """The members' lowering matrices, stacked ``(B, D, D)``."""
+        return self._stack("A")
 
     @functools.cached_property
     def Abar(self) -> np.ndarray:
-        """The members' raising matrices, stacked ``(B, d, d)``."""
-        return _stack([rep.Abar for rep in self.reps])
+        """The members' raising matrices, stacked ``(B, D, D)``."""
+        return self._stack("Abar")
 
     @functools.cached_property
     def Nmat(self) -> np.ndarray:
-        """The members' number matrices, stacked ``(B, d, d)``."""
-        return _stack([rep.Nmat for rep in self.reps])
+        """The members' number matrices, stacked ``(B, D, D)``."""
+        return self._stack("Nmat")
+
+    @functools.cached_property
+    def eye(self) -> np.ndarray:
+        """The members' identities, stacked ``(B, D, D)``."""
+        eye = np.zeros((len(self.reps), self.dim, self.dim), dtype=complex)
+        eye.reshape(len(self.reps), -1)[:, ::self.dim + 1] = 1.0
+        return _freeze(blank(eye, self.groups, axes=2))
 
     @functools.cached_property
     def powers(self) -> PowerTable:
-        """Each member's ``u**j`` for ``|j| <= 4(k+1)``, the most any check reads.
+        """Each member's ``u**j`` for ``|j| <= 4(k+1)``, the most any check reads,
+        centred on its own ``k``.
 
         A truncated member's spectral factors are exact; a window's root
         costs one ``exp``.
         """
-        k = self.k
         roots = [1.0 if rep.normalized else
-                 rep.params.qpow((rep.nu0 + rep.params.gamma + k / 2.0) / 2.0) for rep in self.reps]
+                 rep.params.qpow((rep.nu0 + rep.params.gamma + rep.k / 2.0) / 2.0)
+                 for rep in self.reps]
         units = [r * r * unit_of_branch(rep.params.l) for r, rep in zip(roots, self.reps)]
         return PowerTable.build(
-            [p.log_q / 4.0 for p in self.params], 4 * (k + 1), center=2 * k + 2,
+            [p.log_q / 4.0 for p in self.params], 4 * self.dim, center=2 * self.ks + 2,
             unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex))
+
+    @functools.cached_property
+    def matmul(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``matmul(x, y)``: :func:`matmul` over this batch's k groups."""
+        return grouped(self.groups)
+
+    def blank(self, values: np.ndarray, axes: int = 1) -> np.ndarray:
+        """:func:`blank` over this batch's k groups."""
+        return blank(values, self.groups, axes)
 
     def derived(self, build: Callable[["RepBatch"], _T]) -> _T:
         """``build(self)``, computed once per batch and shared by every check that asks."""

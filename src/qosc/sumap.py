@@ -47,7 +47,7 @@ from .algcheck import (
 )
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
-from .repbuild import Rep, RepBatch, require_parity
+from .repbuild import Group, Rep, RepBatch, blank, grouped, require_parity
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,21 @@ def _rescaling(p: QParams) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class _Triples:
-    """Stacked triples of every member at spin ``j``; the error of each one the spin map rejects."""
+    """Stacked triples of every member at its spin ``k/2``, padded to the largest
+    block (:class:`~qosc.repbuild.RepBatch`); the error of each one the spin map rejects."""
 
     errors: dict[int, MemberError]
     Jp: np.ndarray
     Jm: np.ndarray
     J0: np.ndarray
     Q: list[complex]
-    j: float
+    k: Union[int, np.ndarray]  # each member's k: an int when they share it
+    groups: tuple[Group, ...]
+    eye: np.ndarray  # the members' identities
+
+    @property
+    def j(self) -> Union[float, np.ndarray]:
+        return self.k / 2.0
 
     @functools.cached_property
     def powers(self) -> PowerTable:
@@ -162,9 +169,8 @@ def _triples(batch: RepBatch) -> _Triples:
                          for side in (0, 1))
     gamma = np.array([p.gamma for p in params], dtype=complex)[:, None, None]
     return _Triples(
-        errors, raising * batch.Abar, lowering * batch.A,
-        batch.Nmat + gamma * np.eye(batch.dim, dtype=complex),
-        [p.sqrt_q for p in params], batch.k / 2.0,
+        errors, raising * batch.Abar, lowering * batch.A, batch.Nmat + gamma * batch.eye,
+        [p.sqrt_q for p in params], batch.ks, batch.groups, batch.eye,
     )
 
 
@@ -182,18 +188,23 @@ def to_su2(rep: Rep) -> SuTriple:
 def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
     """The stacked spin map of a source; a batch's map is built once, for both checks."""
     if isinstance(source, SuTriple):
-        t = source
-        return _Triples({}, t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], t.j)
+        t, d = source, source.dim
+        return _Triples({}, t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], d - 1,
+                        ((d, slice(None)),), np.eye(d, dtype=complex)[None])
     return as_batch(source).derived(_triples)
 
 
-def _su2_numbers(pw: PowerTable, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _su2_numbers(pw: PowerTable, d: Union[int, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``[2m]`` and ``[m][m+1]`` at the states ``m = -j .. j`` and ``[j][j+1]``,
-    at base ``Q = u**4`` for the ``u`` of each row of ``pw``."""
-    m4 = 4 * np.arange(d) - 2 * (d - 1)  # 4m
+    at base ``Q = u**4`` for the ``u`` of each row of ``pw``.  ``d = 2j + 1`` is one
+    dimension or one per row; a row's entries past its own ``d`` states are not its numbers."""
+    k = d - 1
+    m4 = 4 * np.arange(np.max(d))  # 4m + 2k
     with np.errstate(over="ignore", invalid="ignore"):
-        return (pw.number(2 * m4), pw.number(m4) * pw.number(m4 + 4),
-                pw.number(np.array([2 * d - 2])) * pw.number(np.array([2 * d + 2])))
+        return (pw.number(2 * m4, at=-4 * k),
+                pw.number(m4, at=-2 * k) * pw.number(m4 + 4, at=-2 * k),
+                pw.number(np.array([0]), at=2 * k) * pw.number(np.array([4]), at=2 * k))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite number drops its member below
@@ -211,15 +222,15 @@ def check_su2(
     its error.
     """
     spins = _spin_map(t)
-    d = spins.J0.shape[1]
-    steps, casimirs, targets = _su2_numbers(spins.powers, d)
-    Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
+    steps, casimirs, targets = _su2_numbers(spins.powers, spins.k + 1)
+    steps, casimirs = blank(steps, spins.groups), blank(casimirs, spins.groups)
+    Jp, Jm, J0, mm = spins.Jp, spins.Jm, spins.J0, grouped(spins.groups)
     arms = Arms(len(spins.Q))
-    arms.compare("su_raise", J0 @ Jp - Jp @ J0, Jp)
-    arms.compare("su_lower", J0 @ Jm - Jm @ J0, -Jm)
-    arms.add("su_commutator", (Jp @ Jm - Jm @ Jp) - diag_stack(steps), Jp, Jm)
-    cas = Jm @ Jp + diag_stack(casimirs)
-    arms.compare("su_casimir", cas, targets[:, :, None] * np.eye(d))
+    arms.compare("su_raise", mm(J0, Jp) - mm(Jp, J0), Jp)
+    arms.compare("su_lower", mm(J0, Jm) - mm(Jm, J0), -Jm)
+    arms.add("su_commutator", (mm(Jp, Jm) - mm(Jm, Jp)) - diag_stack(steps), Jp, Jm)
+    cas = mm(Jm, Jp) + diag_stack(casimirs)
+    arms.compare("su_casimir", cas, targets[:, :, None] * spins.eye)
     errors = finite_members(steps, casimirs, targets, errors=spins.errors)
     return unbatch(t, arms.block(tol, errors))
 
@@ -237,13 +248,14 @@ def check_equivalence(
     spins = _spin_map(reps)
     errors = dict(spins.errors)
     refs = np.zeros((3, *spins.J0.shape), dtype=complex)  # Jp, Jm, J0; zero where dropped
-    for i, Q in enumerate(spins.Q):
+    spin = np.broadcast_to(spins.j, (len(spins.Q),)).tolist()
+    for i, (j, Q) in enumerate(zip(spin, spins.Q)):
         try:
-            ref = su2_direct(spins.j, Q)
+            ref = su2_direct(j, Q)
         except (OverflowError, DegenerateParameter) as exc:
             errors.setdefault(i, exc)
             continue
-        refs[:, i] = ref.Jp, ref.Jm, ref.J0
+        refs[:, i, :ref.dim, :ref.dim] = ref.Jp, ref.Jm, ref.J0
     arms = Arms(len(spins.Q))
     for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs):
         arms.compare("su_equivalence", mine, ref)

@@ -35,13 +35,17 @@ def _bits(reports):
 
 
 def _families(batch):
-    """Per family: the batched call, and the single-rep call that materializes member i."""
-    mode, dim = batch.mode.value, batch.dim
-    n_max = min(8, batch.k + 1)
+    """Per family: the batched call, and the single-rep call that materializes member i.
+
+    The ladder runs each member to depth ``min(8, k+1)``; ``imaginary_plus`` takes the
+    parity metric of the batch's padded dimension, and a single rep that of its own.
+    """
+    mode = batch.mode.value
+    depths = [min(8, rep.k + 1) for rep in batch.reps]
     out = {
         "algebra": (check_defining_relations, check_defining_relations),
-        "ladder": (lambda b: check_ladder_identities(b, n_max),
-                   lambda r: check_ladder_identities(r, n_max)),
+        "ladder": (lambda b: check_ladder_identities(b, depths),
+                   lambda r: check_ladder_identities(r, min(8, r.k + 1))),
         "casimir": (casimir, lambda r: list(casimir(r).reports)),
         "hopf": (check_hopf_axioms, check_hopf_axioms),
         "su2": (check_su2, check_su2),
@@ -55,13 +59,13 @@ def _families(batch):
                      lambda p: with_flavor(involution("canonical", p), Flavor.STANDARD), None))
     else:
         arms += [("imaginary_minus", lambda p: involution("imaginary_minus", p), None),
-                 ("imaginary_plus", lambda p: involution("imaginary_plus", p), parity_metric(dim))]
+                 ("imaginary_plus", lambda p: involution("imaginary_plus", p), parity_metric)]
     for label, inv, metric in arms:
         out[f"star:{label}"] = (
             lambda b, inv=inv, metric=metric, label=label: check_star_structure(
-                b, [inv(p) for p in b.params], metric=metric, label=label),
+                b, [inv(p) for p in b.params], metric=metric and metric(b.dim), label=label),
             lambda r, inv=inv, metric=metric, label=label: check_star_structure(
-                r, inv(r.params), metric=metric, label=label),
+                r, inv(r.params), metric=metric and metric(r.dim), label=label),
         )
     return out
 
@@ -78,16 +82,17 @@ def _assert_members_match(batch, dropped_by):
         assert block.residuals.shape == (len(block.alive), len(block.names))
         want_dropped = dropped_by.get(family, {})
         assert {i: type(e) for i, e in block.errors.items()} == want_dropped, family
-        for i, rep in enumerate(batch.reps):
-            if i in block.errors:
-                with pytest.raises(type(block.errors[i])):
-                    single(rep)
-                with pytest.raises(type(block.errors[i])):
-                    block.reports(i)
-                continue
+        for j, i in enumerate(block.alive):
             reports = block.reports(i)
-            assert tuple(r.name for r in reports) == block.names
-            assert _bits(reports) == _bits(single(rep)), (family, i)
+            width = len(block.names) if block.widths is None else block.widths[j]
+            assert tuple(r.name for r in reports) == block.names[:width]
+            assert _bits(reports) == _bits(single(batch.reps[i])), (family, i)
+        for i, error in block.errors.items():
+            with pytest.raises(type(error)) as raised:
+                single(batch.reps[i])
+            assert str(raised.value) == str(error), (family, i)
+            with pytest.raises(type(error)):
+                block.reports(i)
 
 
 def test_an_overflowing_ladder_member_drops_only_itself_in_every_family():
@@ -95,6 +100,30 @@ def test_an_overflowing_ladder_member_drops_only_itself_in_every_family():
     batch = RepBatch(tuple(build_rep(make_params("realline", eps, l), 9)
                            for eps, l in ((1.0, 1), (40.0, 1), (-0.7, 2))))
     _assert_members_match(batch, {"ladder": {1: OverflowError}})
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_a_batch_of_every_k_matches_its_single_rep_calls(mode):
+    # k 0..9 in one batch, each member padded to the largest block; the extra member
+    # overflows (real line) or sits on the spin-map locus (unimodular), and joins the
+    # middle of the k-1 members, so two k groups are not runs of the batch
+    members = {"unimodular": [(0.9, 0), (-1.1, 1), (2.5, 0)],
+               "realline": [(1.0, 1), (-0.7, 0), (2.0, 1)]}[mode]
+    reps = [build_rep(make_params(mode, eps, l), k) for k in range(10) for eps, l in members]
+    if mode == "realline":
+        extra = build_rep(make_params(mode, 301.0, 1), 2)
+        overflow = {4: OverflowError}
+        dropped_by = {"ladder": overflow, "hopf": overflow}
+    else:
+        extra = build_rep(make_params(mode, PI / 2 + 1e-8, 0), 2)
+        degenerate = {4: DegenerateParameter}
+        dropped_by = {"su2": degenerate, "equivalence": degenerate}
+    reps.insert(4, extra)
+    batch = RepBatch(tuple(reps))
+    assert batch.dim == 10 and [d for d, _ in batch.groups] == list(range(1, 11))
+    _assert_members_match(batch, dropped_by)
+    block = check_ladder_identities(batch, [min(8, rep.k + 1) for rep in reps])
+    assert block.widths[0] == 2 and block.residuals[0, 2:].tolist() == [0.0] * 14
 
 
 def test_a_guard_band_member_drops_only_itself_from_the_spin_map():

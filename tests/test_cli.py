@@ -478,16 +478,16 @@ def test_sweep_runs_symbolic_once_per_batch(capsys, monkeypatch):
                  "--k", "0..3"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     epsilons = [float(line.split(",")[1]) for line in lines[1::4]]
-    assert calls == [epsilons] * 4  # one call per k's batch of the 5 epsilons
+    assert calls == [epsilons * 4]  # one call for the one batch of 5 epsilons at each of 4 k
     for line in lines[1:]:
         cells = line.split(",")
         assert main(["verify", "--mode", "unimodular", f"--epsilon={cells[1]}", "--k", cells[3],
                      "--format", "csv"]) == 0
         assert capsys.readouterr().out == "\n".join([lines[0], line]) + "\n"
-    assert calls[4:] == [[float(line.split(",")[1])] for line in lines[1:]]
+    assert calls[1:] == [[float(line.split(",")[1])] for line in lines[1:]]
 
 
-def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
+def test_sweep_runs_each_family_once_per_sweep(capsys, monkeypatch):
     import qosc.cli as cli
 
     names = ("casimir", "check_defining_relations", "check_ladder_identities",
@@ -508,13 +508,13 @@ def test_sweep_runs_each_family_once_per_k(capsys, monkeypatch):
     assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
                  "--k", "0..3"]) == 0
     capsys.readouterr()
-    # one call per k over its five points; the canonical star family has two arms
-    expected = {name: [5] * 4 for name in names}
-    expected["check_star_structure"] = [5] * 8
+    # one call over the 5 points at each of 4 k; the canonical star family has two arms
+    expected = {name: [20] for name in names}
+    expected["check_star_structure"] = [20] * 2
     assert calls == expected
 
 
-def test_sweep_keeps_one_batch_per_k_when_a_family_drops_a_point(capsys, monkeypatch):
+def test_sweep_runs_later_families_on_the_points_a_family_leaves(capsys, monkeypatch):
     import qosc.cli as cli
 
     batches = []
@@ -530,7 +530,8 @@ def test_sweep_keeps_one_batch_per_k_when_a_family_drops_a_point(capsys, monkeyp
 
         def wrapper(batch, *args, **kwargs):
             block = original(batch, *args, **kwargs)
-            drops[name].append((batch.k, sorted(block.errors)))
+            drops[name].append([(batch.reps[i].params.epsilon, batch.reps[i].k)
+                                for i in sorted(block.errors)])
             return block
 
         return wrapper
@@ -546,10 +547,10 @@ def test_sweep_keeps_one_batch_per_k_when_a_family_drops_a_point(capsys, monkeyp
     assert [(row[1], row[3], row[4]) for row in rows] == [
         ("1", "1", "ok"), ("1", "2", "ok"),
         ("500", "1", "skipped:overflow"), ("500", "2", "skipped:overflow")]
-    assert batches == [2, 2]  # one batch per k, kept when a family drops eps 500
-    # eps 500 leaves by hopf at k 1 and by casimir at k 2, where hopf still sees it
-    assert drops == {"casimir": [(1, []), (2, [1])],
-                     "check_hopf_axioms": [(1, [1]), (2, [1])]}
+    # one batch across k; casimir drops eps 500 at k 2, so hopf runs on the three points
+    # left and drops eps 500 at k 1, so the star families run on eps 1 alone
+    assert batches == [4, 3, 2]
+    assert drops == {"casimir": [[(500.0, 2)]], "check_hopf_axioms": [[(500.0, 1)]]}
 
 
 def test_sweep_text_table_matches_its_csv(capsys):
@@ -680,6 +681,25 @@ def test_sweep_rows_equal_verify_on_the_real_line(capsys):
     assert statuses == ["ok", "skipped:overflow", "ok", "ok", "ok", "ok"]
 
 
+@pytest.mark.parametrize("mode,grid,built,skip", [
+    # 0.1 + 2 * 0.73539816... is pi/2, where the spin map is singular
+    ("unimodular", "0.1:3.1:0.7353981633974483", 20, "skipped:singular"),
+    # from eps 251 on, points overflow in their checks; eps 501 at k 3 in its build
+    ("realline", "1:501:125", 19, "skipped:overflow"),
+])
+def test_a_sweep_of_every_k_runs_one_batch_whose_rows_equal_verify(capsys, monkeypatch, mode,
+                                                                    grid, built, skip):
+    import qosc.cli as cli
+
+    sizes = []
+    rep_batch = cli.RepBatch
+    monkeypatch.setattr(cli, "RepBatch", lambda reps: sizes.append(len(reps)) or rep_batch(reps))
+    statuses = _assert_rows_equal_verify(
+        capsys, ["sweep", "--mode", mode, "--epsilon-grid", grid, "--k", "0..3"])
+    assert sizes[0] == built  # the sweep: every point built, k 0..3, in one padded batch
+    assert statuses[0] == "ok" and skip in statuses and len(statuses) == 20
+
+
 @pytest.mark.parametrize("mode,checks", [("unimodular", "hopf,star:canonical"),
                                          ("realline", "hopf,star:canonical,star:imaginary")])
 def test_sweep_rows_equal_verify_around_a_skipped_epsilon(capsys, mode, checks):
@@ -725,7 +745,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
     assert [(row[1], row[3], row[4]) for row in rows] == [
         ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
         ("200", "0", "ok"), ("200", "1", "ok"), ("200", "2", "ok")]
-    assert calls == [[1.0, 200.0]] * 3
+    assert calls == [[1.0, 200.0] * 3]
     counted = cli.symbolic_block
 
     def overflowing(params, *args, **kwargs):
@@ -744,7 +764,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
         ("1", "0", "ok"), ("1", "1", "ok"), ("1", "2", "ok"),
         ("200", "0", "skipped:overflow"), ("200", "1", "skipped:overflow"),
         ("200", "2", "skipped:overflow")]
-    assert calls == [[1.0, 200.0]] * 3
+    assert calls == [[1.0, 200.0] * 3]
 
 
 def test_sweep_parity_skip_with_explicit_branch(capsys):

@@ -631,10 +631,12 @@ def test_batch_member_overflow_drops_only_that_member():
     assert block.reports(1) == check_star_structure(reps[1], invs[1])
 
 
-def test_batch_needs_one_k_one_mode_and_matching_involutions():
+def test_batch_needs_one_mode_and_matching_involutions():
     uni2, uni3 = _rep("unimodular", 0.9, 0, 2), _rep("unimodular", 0.9, 0, 3)
     real2 = _rep("realline", 1.0, 1, 2)
-    for members in ((uni2, uni3), (uni2, real2), ()):
+    mixed = RepBatch((uni3, uni2))  # members of any k share a batch, padded to the largest
+    assert (mixed.dim, mixed.ks.tolist()) == (4, [3, 2])
+    for members in ((uni2, real2), ()):
         with pytest.raises(ValueError):
             RepBatch(members)
     batch = RepBatch((uni2, _rep("unimodular", -1.1, 1, 2)))
