@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateParameter
 from .qcore import Mode, PowerTable, QParams, _by_s_power, _ladder_factors, _lowered, _values
-from .repbuild import Rep, RepBatch, grouped, norm_factors
+from .repbuild import Rep, RepBatch, blank, matmul, norm_factors
 
 DEFAULT_TOL = 1e-10
 
@@ -283,13 +283,16 @@ def check_defining_relations(
     single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
-    steps = batch.blank(batch.powers.step(4 * np.arange(batch.dim)))
-    A, Abar, N, mm = batch.A, batch.Abar, batch.Nmat, batch.matmul
+    groups = batch.groups
+    steps = blank(batch.powers.step(4 * np.arange(batch.dim)), groups)
+    A, Abar, N = batch.A, batch.Abar, batch.Nmat
     arms = Arms(len(batch.reps))
-    arms.add("rel_commutator",
-             _interior((mm(A, Abar) - mm(Abar, A)) - diag_stack(steps), batch.reps), A, Abar)
-    arms.add("rel_number_raise", (mm(N, Abar) - mm(Abar, N)) - Abar, N, Abar)
-    arms.add("rel_number_lower", (mm(N, A) - mm(A, N)) + A, N, A)
+    arms.add("rel_commutator", _interior(
+        (matmul(A, Abar, groups) - matmul(Abar, A, groups)) - diag_stack(steps), batch.reps),
+        A, Abar)
+    arms.add("rel_number_raise", (matmul(N, Abar, groups) - matmul(Abar, N, groups)) - Abar,
+             N, Abar)
+    arms.add("rel_number_lower", (matmul(N, A, groups) - matmul(A, N, groups)) + A, N, A)
     return unbatch(reps, arms.block(tol, finite_members(steps)))
 
 
@@ -315,10 +318,10 @@ def casimir(
     """
     batch = as_batch(reps)
     numbers = batch.powers.number(4 * np.arange(batch.dim + 1), spectral=True)  # [N], [N+1]
-    high = batch.blank(numbers[:, 1:].copy())
-    low = batch.blank(numbers[:, :-1])
-    c_low = batch.matmul(batch.Abar, batch.A) - diag_stack(low)
-    c_high = batch.matmul(batch.A, batch.Abar) - diag_stack(high)
+    high = blank(numbers[:, 1:].copy(), batch.groups)
+    low = blank(numbers[:, :-1], batch.groups)
+    c_low = matmul(batch.Abar, batch.A, batch.groups) - diag_stack(low)
+    c_high = matmul(batch.A, batch.Abar, batch.groups) - diag_stack(high)
     scalars = [
         complex(c_low[i, 1, 1] if not rep.normalized and rep.dim > 1 else c_low[i, 0, 0])
         for i, rep in enumerate(batch.reps)
@@ -417,17 +420,17 @@ def check_ladder_identities(
         raise ValueError(f"n_max={depths[i]} outside 1..k+1 = 1..{limits[i]}")
     top, low = int(depths.max()), int(depths.min())
     tops = [int(depths[rows].max()) for _, rows in batch.groups]  # each k group's depth
-    mm = batch.matmul
+    groups = batch.groups
     errors: dict[int, MemberError] = {}
     A, Abar = batch.A, batch.Abar
     arms = Arms(count)
     raise_pow = lower_pow = batch.eye  # Abar^(n-1), A^(n-1)
     brackets, raising, lowering = ladder_factors(batch.powers, d, top)
-    batch.blank(raising.swapaxes(0, 1)), batch.blank(lowering.swapaxes(0, 1))  # orders first
+    blank(raising.swapaxes(0, 1), groups), blank(lowering.swapaxes(0, 1), groups)  # orders first
     idle = np.zeros(count, dtype=bool)  # the members past their own depth
     for n in range(1, top + 1):
         if n > min(tops):  # only the k groups with a member at this order; the others' stay 0
-            mm = grouped([group for group, depth in zip(batch.groups, tops) if depth >= n])
+            groups = [group for group, depth in zip(batch.groups, tops) if depth >= n]
         bracket, up, down = brackets[:, n - 1, None], raising[:, n - 1], lowering[:, n - 1]
         if n > low:  # a member past its own depth reads 0 at this order
             idle = depths < n
@@ -435,10 +438,12 @@ def check_ladder_identities(
                 values[idle] = 0.0
         errors = finite_members(bracket, up, down, errors=errors)
         c_raise, c_lower = bracket * up, bracket * down
-        raise_n = mm(raise_pow, Abar)                # Abar^n
-        lower_n = mm(lower_pow, A)                   # A^n
-        d_raise = mm(A, raise_n) - mm(raise_n, A) - c_raise[:, :, None] * raise_pow
-        d_lower = mm(Abar, lower_n) - mm(lower_n, Abar) - c_lower[:, :, None] * lower_pow
+        raise_n = matmul(raise_pow, Abar, groups)    # Abar^n
+        lower_n = matmul(lower_pow, A, groups)       # A^n
+        d_raise = (matmul(A, raise_n, groups) - matmul(raise_n, A, groups)
+                   - c_raise[:, :, None] * raise_pow)
+        d_lower = (matmul(Abar, lower_n, groups) - matmul(lower_n, Abar, groups)
+                   - c_lower[:, :, None] * lower_pow)
         # a power with a non-finite entry makes its defect non-finite too
         finite = np.isfinite(d_raise).all(axis=(1, 2)) & np.isfinite(d_lower).all(axis=(1, 2))
         for i in np.flatnonzero(~(finite | idle)).tolist():

@@ -539,33 +539,43 @@ def _run_points(cfg: RunConfig) -> list[_Point]:
     A point that cannot be built, or whose build or checks overflow, is
     skipped whole; a spin map rejected at a singular locus skips only that
     family.  Each point runs casimir and then the families in order, as it
-    would alone.  The points built, of every ``k``, run as one batch, cut k
-    by k only where it would pass ``_BATCH_CUBE_ENTRIES`` tensor-cube
-    entries counted at its padded dimension, which bounds the memory of the
-    stacked tensor blocks.  Every family runs once over the points of a
-    batch that no earlier family skipped: every check evaluates every
-    member, and a member with a non-finite scalar, or one the spin map
+    would alone.  The points built run as one batch of every ``k`` while
+    they fit in ``_BATCH_CUBE_ENTRIES`` tensor-cube entries, counted at the
+    batch's padded dimension, which bounds the memory of the stacked tensor
+    blocks.  A ``k`` whose grid does not fit beside the batch so far starts
+    a new one, and one whose grid does not fit alone runs in batches of its
+    own, as full as the bound allows, the last open to the next ``k``.  So
+    a small ``k`` is padded only up to a ``k`` it shares a batch with, and
+    a large ``k`` runs as it would alone.  Every family runs once over the
+    points of a batch that no earlier family skipped: every check evaluates
+    every member, and a member with a non-finite scalar, or one the spin map
     rejects, leaves only when the block is cut.
     """
     points: list[list[_Point]] = [[] for _ in cfg.epsilons]
     batch: list[_Point] = []
-    dim = 0  # the batch's padded dimension
-    for k in cfg.ks:
+    for k in cfg.ks:  # ascending, so k + 1 is the padded dimension of the batch k joins
+        size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
+        if len(batch) + len(cfg.epsilons) > size:
+            batch = _run_cut(cfg, batch)
         for row, epsilon in zip(points, cfg.epsilons):
             point = _build_point(cfg, epsilon, k)
             row.append(point)
-            if point.skip is not None:
-                continue
-            if batch and (len(batch) + 1) * max(dim, point.rep.dim) ** 3 > _BATCH_CUBE_ENTRIES:
-                _run_families(cfg, batch)
-                for member in batch:
-                    member.rep = None  # a grid holds the reps of one batch at a time
-                batch, dim = [], 0
-            batch.append(point)
-            dim = max(dim, point.rep.dim)
+            if point.skip is None:
+                if len(batch) == size:
+                    batch = _run_cut(cfg, batch)
+                batch.append(point)
+    _run_cut(cfg, batch)
+    return [point for row in points for point in row]
+
+
+def _run_cut(cfg: RunConfig, batch: list[_Point]) -> list[_Point]:
+    """Run the families over ``batch``, then drop its reps, so a grid holds the reps of
+    one batch at a time; the next batch, empty."""
     if batch:
         _run_families(cfg, batch)
-    return [point for row in points for point in row]
+    for point in batch:
+        point.rep = None
+    return []
 
 
 def cmd_verify(cfg: RunConfig) -> int:

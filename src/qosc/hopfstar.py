@@ -29,14 +29,12 @@ multiply which, at which offsets, and the order of every sum depend only on
 the family (the Hopf check, a star flavor or the coproduct), so each family
 is compiled once into a plan (:func:`_plan`): a fixed sequence of numpy
 calls on ``(slots, members, ...)`` stacks, whatever ``k`` and the batch
-size.  The stacks are zero-padded to the batch's largest block; every
-symbol is 0 past a member's own block, so the elementwise, shift and band
-steps keep each member's entries, and a matmul step runs once per k group
-on the members' own blocks.  The scalar data, the tables' values among
-them, are ``(members, ...)`` inputs: ``K``, the antipode constants and the
-bracket steps are read from the batch's :class:`~qosc.qcore.PowerTable` at
-each member's own ``k``, and the star steps take one ``q**eta`` per member
-on top.  So a member's residuals are bit for bit those of the single-rep
+size.  A plan runs once per k group of a batch, on the views of its
+members' own blocks, so padding costs it nothing.  The scalar data, the
+tables' values among them, are ``(members, ...)`` inputs: ``K``, the
+antipode constants and the bracket steps are read from the batch's
+:class:`~qosc.qcore.PowerTable` at each member's own ``k``, and the star
+steps take one ``q**eta`` per member on top.  So a member's residuals are bit for bit those of the single-rep
 call.  Every check evaluates every member, and a
 member whose scalars leave the double range leaves only when the block is
 cut.  A single rep is the batch of one and gets its reports.
@@ -67,7 +65,7 @@ from .algcheck import (
 )
 from .errors import ModeMismatch, NoSolution
 from .qcore import Mode, QParams
-from .repbuild import Group, Rep, RepBatch, matmul
+from .repbuild import Rep, RepBatch, blank
 
 _GENERATORS = ("a", "abar", "N")
 
@@ -260,7 +258,7 @@ def _coproduct(cop_terms, graded: dict) -> dict:
 _STEP_BYTES = 1 << 24
 
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "outer": np.multiply,
-           "neg": np.negative, "conj": np.conjugate,
+           "matmul": np.matmul, "neg": np.negative, "conj": np.conjugate,
            "T": lambda x, out: np.copyto(out, x.swapaxes(-1, -2))}
 
 
@@ -270,10 +268,8 @@ class _Step:
     Per operand, the slots of the nodes' operands are read as a slice where
     they are consecutive; two operands of one rank that are not are read in
     one gather.  A shift or band step takes, flat per member, the entries
-    :meth:`_index` names in a copy padded by ``pad`` zeros.  A matmul step
-    runs once per k group of the batch, on the views of its members' own
-    blocks.  A step whose output passes :data:`_STEP_BYTES` runs node by
-    node on views.
+    :meth:`_index` names in a copy padded by ``pad`` zeros.  A step whose
+    output passes :data:`_STEP_BYTES` runs node by node on views.
     """
 
     def __init__(self, plan: "_Plan", nodes: list[int]) -> None:
@@ -292,15 +288,13 @@ class _Step:
             self.read = reads[0]
             self.run = self._padded
             return
-        ufunc = _UFUNCS.get(op)
-        if op == "matmul":
-            self.apply = lambda groups, out, x, y: matmul(x, y, groups, out)
-        elif len(args) == 2 and (op == "outer" or self.ranks[0] != self.ranks[1]):
+        ufunc = _UFUNCS[op]
+        if len(args) == 2 and (op == "outer" or self.ranks[0] != self.ranks[1]):
             rx, ry = self.ranks  # a tensor product; a scalar broadcasts
             ex, ey = (...,) + (None,) * ry, (slice(None),) * 2 + (None,) * rx
-            self.apply = lambda groups, out, x, y: ufunc(x[ex], y[ey], out=out)
+            self.apply = lambda out, x, y: ufunc(x[ex], y[ey], out=out)
         else:
-            self.apply = lambda groups, out, *xs: ufunc(*xs, out=out)
+            self.apply = lambda out, *xs: ufunc(*xs, out=out)
         self.reads = list(zip(self.ranks, reads))
         self.run = self._cubes if rank == 3 else self._stacked
         if rank < 3 and len(args) == 2 and self.ranks[0] == self.ranks[1] and not any(
@@ -308,21 +302,20 @@ class _Step:
             self.read = np.concatenate(reads)  # one gather
             self.run = self._gathered
 
-    def _gathered(self, ws: list[np.ndarray], groups: Sequence[Group]) -> None:
+    def _gathered(self, ws: list[np.ndarray]) -> None:
         both = ws[self.ranks[0]][self.read]
-        self.apply(groups, ws[self.rank][self.out], both[:self.count], both[self.count:])
+        self.apply(ws[self.rank][self.out], both[:self.count], both[self.count:])
 
-    def _stacked(self, ws: list[np.ndarray], groups: Sequence[Group]) -> None:
-        self.apply(groups, ws[self.rank][self.out], *[ws[rank][at] for rank, at in self.reads])
+    def _stacked(self, ws: list[np.ndarray]) -> None:
+        self.apply(ws[self.rank][self.out], *[ws[rank][at] for rank, at in self.reads])
 
-    def _cubes(self, ws: list[np.ndarray], groups: Sequence[Group]) -> None:
+    def _cubes(self, ws: list[np.ndarray]) -> None:
         out = ws[self.rank][self.out]
         if out.nbytes <= _STEP_BYTES or self.count == 1:
-            self._stacked(ws, groups)
+            self._stacked(ws)
             return
         for j, slots in enumerate(zip(*self.slots)):
-            self.apply(groups, out[j:j + 1],
-                       *[ws[rank][s:s + 1] for rank, s in zip(self.ranks, slots)])
+            self.apply(out[j:j + 1], *[ws[rank][s:s + 1] for rank, s in zip(self.ranks, slots)])
 
     def _index(self, d: int) -> np.ndarray:
         """The flat entries a shift or band step takes, per member, at dimension ``d``."""
@@ -336,7 +329,7 @@ class _Step:
             index = self._indices[d] = ((which * size + rows) * size + cols).ravel()
         return index
 
-    def _padded(self, ws: list[np.ndarray], groups: Sequence[Group]) -> None:
+    def _padded(self, ws: list[np.ndarray]) -> None:
         out = ws[self.rank][self.out]
         block = ws[self.ranks[0]][self.read].swapaxes(0, 1)  # members first
         d, pad = block.shape[-1], self.pad
@@ -411,12 +404,9 @@ class _Plan:
         self.gather = np.array([rows[nodes[i][1], self.slot[i]] for i in blocks])
         self.starts = np.cumsum([0] + [len(op) for op in operands[:-1]])  # each operand's blocks
 
-    def run(self, count: int, d: int, inputs: dict[int, list[np.ndarray]],
-            groups: Optional[Sequence[Group]] = None) -> list[np.ndarray]:
+    def run(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> list[np.ndarray]:
         """The workspace after every step, ``(slots, count, d, ...)`` per rank; ``inputs``
-        fill each rank's first slots.  ``groups`` are the k groups of the members
-        (:attr:`~qosc.repbuild.RepBatch.groups`), by default one of dimension ``d``."""
-        groups = ((d, slice(None)),) if groups is None else groups
+        fill each rank's first slots."""
         ws = [np.empty((size, count) + (d,) * rank, dtype=complex)
               for rank, size in enumerate(self.sizes)]
         for rank, arrays in inputs.items():
@@ -428,13 +418,25 @@ class _Plan:
         if len(values):
             ws[0][at:at + len(values)] = values[:, None]
         for step in self.steps:
-            step.run(ws, groups)
+            step.run(ws)
         return ws
 
     def residuals(self, batch: RepBatch, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
-        """Per member of ``batch``, the residual of every arm."""
-        count, d = len(batch.reps), batch.dim
-        ws = self.run(count, d, inputs, batch.groups)
+        """Per member of ``batch``, the residual of every arm.  ``inputs`` hold every
+        member, ``(arrays, members, D, ...)``; the plan runs once per k group of the
+        batch, on its members' own blocks."""
+        if len(batch.groups) == 1:
+            return self._residuals(len(batch.reps), batch.dim, inputs)
+        out = np.empty((len(batch.reps), len(self.names)))
+        for d, rows in batch.groups:
+            own = (slice(None), rows) + (slice(d),) * 3
+            group = {rank: [array[own[:2 + rank]] for array in arrays]
+                     for rank, arrays in inputs.items()}
+            out[rows] = self._residuals(group[1][0].shape[1], d, group)
+        return out
+
+    def _residuals(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
+        ws = self.run(count, d, inputs)
         rows = []
         for rank, at in self.norms:  # a rank's slots are freed once read: a lower peak
             run = max(1, _STEP_BYTES // ws[rank][0].nbytes)  # blocks read at once
@@ -533,8 +535,7 @@ class _Realization:
     ``qm`` are ``K``, ``K^-1``, read from the batch's power table; a member
     whose powers leave the double range keeps its ``OverflowError`` in
     ``overflow``.  The rep's own ``A``, ``Abar`` and ``Nmat`` are validated
-    as weighted shifts here, once per member.  Every symbol is 0 past a
-    member's own block.
+    as weighted shifts here, once per member.
     """
 
     def __init__(self, batch: RepBatch) -> None:
@@ -543,14 +544,13 @@ class _Realization:
         with np.errstate(over="ignore", invalid="ignore"):
             powers = (pw.root[:, None] * pw(twice, -batch.ks),
                       pw(-twice, batch.ks) / pw.root[:, None])
-        self.overflow = finite_members(*(batch.blank(p) for p in powers))
+        self.overflow = finite_members(*(blank(p, batch.groups) for p in powers))
         self.stack = np.zeros((len(_SYMBOLS), count, d, d), dtype=complex)
         self.stack[:3] = batch.A, batch.Abar, batch.Nmat
         diagonals = self.stack.reshape(len(_SYMBOLS), count, d * d)[:, :, ::d + 1]
         diagonals[3] = 1.0
         diagonals[4] = np.array([p.gamma for p in batch.params], dtype=complex)[:, None]
         diagonals[5:] = powers
-        batch.blank(diagonals[3:5])
         self.dense = dict(zip(_SYMBOLS, self.stack))
         self.weights = np.concatenate((
             [_shift_weights(sym, self.dense[sym], _DEGREE.get(sym, 0)) for sym in _GENERATORS],
@@ -662,7 +662,7 @@ def check_hopf_axioms(
     real = batch.derived(_Realization)
     pw = batch.powers
     ij = np.add.outer(np.arange(d), np.arange(d))
-    steps = batch.blank(pw.step(4 * ij, shift=pw.root * pw.root, at=-2 * batch.ks), axes=2)
+    steps = blank(pw.step(4 * ij, shift=pw.root * pw.root, at=-2 * batch.ks), batch.groups, axes=2)
     plan = _plan("hopf")
     residuals = plan.residuals(batch, {
         0: [batch.derived(_hopf_values)], 1: [real.weights], 2: [real.stack, steps[None]]})
@@ -781,7 +781,7 @@ def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict
             _otimes((graded[le][0], coef * graded[le][1]), graded[ri]) for le, ri in cop[target]
         )
         if not (isinstance(const, float) and not const):  # the coproduct of 1 is 1 (x) 1
-            image[(0, 0)] = image[(0, 0)] + const * _coproduct(cop["one"], graded)[(0, 0)]
+            image[(0, 0)] = image[(0, 0)] + const
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
         arms.append((f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image)))
@@ -832,8 +832,8 @@ def check_star_structure(
     pw = batch.powers
     shift = None if all(spec.eta == 0 for spec in invs) else np.array(
         [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
-    step_bar = batch.blank(
-        pw.step(4 * np.arange(d), -1 if batch.mode is Mode.UNIMODULAR else 1, shift))
+    step_bar = blank(pw.step(4 * np.arange(d), -1 if batch.mode is Mode.UNIMODULAR else 1, shift),
+                     batch.groups)
     plan = _plan(flavor)
     residuals = plan.residuals(batch, {
         0: [batch.derived(_hopf_values), _star_values(invs)], 1: [real.weights],

@@ -19,7 +19,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -59,6 +59,8 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 #: consecutive, else their indices
 Group = tuple[int, Union[slice, np.ndarray]]
 
+_EVERY = slice(None)  # the members of a batch's one group
+
 
 def _groups(dims: Sequence[int]) -> tuple[Group, ...]:
     """The members of each dimension, by ascending dimension."""
@@ -66,44 +68,25 @@ def _groups(dims: Sequence[int]) -> tuple[Group, ...]:
     for i, d in enumerate(dims):
         members.setdefault(d, []).append(i)
     if len(members) == 1:
-        return ((dims[0], slice(None)),)
+        return ((dims[0], _EVERY),)
     return tuple((d, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1
                   else np.array(rows)) for d, rows in sorted(members.items()))
 
 
-def matmul(x: np.ndarray, y: np.ndarray, groups: Sequence[Group],
-           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x @ y`` over complex stacks ``(..., members, D, D)`` of one shape, into ``out``
-    if given: one matmul per group on the ``[:d, :d]`` views of its members, and 0
-    past them.
+def matmul(x: np.ndarray, y: np.ndarray, groups: Sequence[Group]) -> np.ndarray:
+    """``x @ y`` over complex stacks ``(members, D, D)``: one matmul per group on the
+    ``[:d, :d]`` views of its members, and 0 past them and for the members of no group.
 
     A zero-padded matmul may sum in another order than the ``d x d`` one;
     the views keep each member's product to the bit.
     """
-    if _whole(groups):
-        return np.matmul(x, y, out=out)
-    if out is None:
-        out = np.zeros(x.shape, dtype=complex)
-    else:
-        out[...] = 0
+    if groups[0][1] is _EVERY:
+        return np.matmul(x, y)
+    out = np.zeros(x.shape, dtype=complex)
     for d, rows in groups:
-        at = (..., rows, slice(d), slice(d))
-        if isinstance(rows, slice):
-            np.matmul(x[at], y[at], out=out[at])
-        else:
-            out[at] = np.matmul(x[at], y[at])
+        at = (rows, slice(d), slice(d))
+        out[at] = np.matmul(x[at], y[at])
     return out
-
-
-def _whole(groups: Sequence[Group]) -> bool:
-    """Whether ``groups`` is one group of every member, with nothing past its blocks."""
-    (_, rows), *rest = groups
-    return not rest and isinstance(rows, slice) and rows == slice(None)
-
-
-def grouped(groups: Sequence[Group]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``matmul(x, y)`` over ``groups``: ``np.matmul`` itself where they are whole."""
-    return np.matmul if _whole(groups) else functools.partial(matmul, groups=groups)
 
 
 def blank(values: np.ndarray, groups: Sequence[Group], axes: int = 1) -> np.ndarray:
@@ -126,7 +109,7 @@ class RepBatch:
     the direct sum of its own with the zero representation, so every
     symbol, step and identity is exactly 0 past a member's own block.
     Elementwise steps run once on the padded stack; a matmul runs once per
-    k group (:attr:`groups`, :meth:`matmul`), on the views of its members'
+    k group (:attr:`groups`, :func:`matmul`), on the views of its members'
     own blocks.
     """
 
@@ -218,15 +201,6 @@ class RepBatch:
         return PowerTable.build(
             [p.log_q / 4.0 for p in self.params], 4 * self.dim, center=2 * self.ks + 2,
             unit=np.array(units, dtype=complex), root=np.array(roots, dtype=complex))
-
-    @functools.cached_property
-    def matmul(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``matmul(x, y)``: :func:`matmul` over this batch's k groups."""
-        return grouped(self.groups)
-
-    def blank(self, values: np.ndarray, axes: int = 1) -> np.ndarray:
-        """:func:`blank` over this batch's k groups."""
-        return blank(values, self.groups, axes)
 
     def derived(self, build: Callable[["RepBatch"], _T]) -> _T:
         """``build(self)``, computed once per batch and shared by every check that asks."""

@@ -47,7 +47,7 @@ from .algcheck import (
 )
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
-from .repbuild import Group, Rep, RepBatch, blank, grouped, require_parity
+from .repbuild import Group, Rep, RepBatch, blank, matmul, require_parity
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,13 @@ def check_su2(
     spins = _spin_map(t)
     steps, casimirs, targets = _su2_numbers(spins.powers, spins.k + 1)
     steps, casimirs = blank(steps, spins.groups), blank(casimirs, spins.groups)
-    Jp, Jm, J0, mm = spins.Jp, spins.Jm, spins.J0, grouped(spins.groups)
+    Jp, Jm, J0, groups = spins.Jp, spins.Jm, spins.J0, spins.groups
     arms = Arms(len(spins.Q))
-    arms.compare("su_raise", mm(J0, Jp) - mm(Jp, J0), Jp)
-    arms.compare("su_lower", mm(J0, Jm) - mm(Jm, J0), -Jm)
-    arms.add("su_commutator", (mm(Jp, Jm) - mm(Jm, Jp)) - diag_stack(steps), Jp, Jm)
-    cas = mm(Jm, Jp) + diag_stack(casimirs)
+    arms.compare("su_raise", matmul(J0, Jp, groups) - matmul(Jp, J0, groups), Jp)
+    arms.compare("su_lower", matmul(J0, Jm, groups) - matmul(Jm, J0, groups), -Jm)
+    arms.add("su_commutator", (matmul(Jp, Jm, groups) - matmul(Jm, Jp, groups))
+             - diag_stack(steps), Jp, Jm)
+    cas = matmul(Jm, Jp, groups) + diag_stack(casimirs)
     arms.compare("su_casimir", cas, targets[:, :, None] * spins.eye)
     errors = finite_members(steps, casimirs, targets, errors=spins.errors)
     return unbatch(t, arms.block(tol, errors))

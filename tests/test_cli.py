@@ -514,6 +514,29 @@ def test_sweep_runs_each_family_once_per_sweep(capsys, monkeypatch):
     assert calls == expected
 
 
+def test_sweep_batches_a_k_beside_smaller_ones_only_where_its_grid_fits(capsys, monkeypatch):
+    import qosc.cli as cli
+
+    argv = ["sweep", "--mode", "realline", "--epsilon-grid", "0.5:2.5:0.5", "--k", "0..3",
+            "--format", "csv"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    batches = []
+    original = cli.casimir
+
+    def recorded(batch, *args, **kwargs):
+        batches.append([rep.k for rep in batch.reps])
+        return original(batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "casimir", recorded)
+    # 6**3 entries: 27 points of k 1 fit in one batch, 8 of k 2 and 3 of k 3
+    monkeypatch.setattr(cli, "_BATCH_CUBE_ENTRIES", 216)
+    assert main(argv) == 0
+    # k 1's grid fits beside k 0's; k 2's does not, and k 3's does not fit alone
+    assert batches == [[0] * 5 + [1] * 5, [2] * 5, [3] * 3, [3] * 2]
+    assert capsys.readouterr().out == whole
+
+
 def test_sweep_runs_later_families_on_the_points_a_family_leaves(capsys, monkeypatch):
     import qosc.cli as cli
 
