@@ -18,15 +18,15 @@ The batch contract is shared by every check family (the Hopf and star
 checks of :mod:`qosc.hopfstar`, the spin map of :mod:`qosc.sumap`), and so
 is its one drop rule: every check evaluates every member, and a member with
 a non-finite scalar (:func:`finite_members`), or one the spin map rejects,
-leaves only when the block is cut (:func:`cut`, which :meth:`Arms.block`
-and :func:`~qosc.normform.symbolic_block` call).
+leaves only when the block is cut (:func:`cut`, the one block constructor
+every check calls, directly or through :meth:`Arms.block`).
 Every arm is ``(defect, lhs, rhs)``, with one or both operands absent, and
 one rule gives its residual, ``|defect| / max(1, |lhs| |rhs|)`` in
 max-norms, for :func:`residual_of`, :class:`Arms` and the compiled hopf and
 star plans alike.  A batch gives one :class:`ReportBlock` per check: the
 report names, shared by every member, a ``(members, names)`` array of
-residuals, and the error that dropped each other member.
-:class:`CheckReport` objects are built from a block only on request
+residuals, and the error that dropped each other member; :func:`casimir`
+wraps its block in a :class:`CasimirBlock`.  :class:`CheckReport` objects are built from a block only on request
 (:meth:`ReportBlock.reports`); a single rep is the batch of one, and its
 call returns its reports or raises its error.
 """
@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,10 +112,9 @@ class ReportBlock:
 
     ``names`` is shared by every member.  Row ``j`` of ``residuals`` holds
     member ``alive[j]``'s residual under each name; ``errors`` holds the
-    error that dropped each other member, and ``details`` one detail per row
-    for the columns that carry one.  Report ``c`` of a member passes iff its
-    residual is below ``tol``.  Where ``widths`` is given, row ``j`` reports
-    only its first ``widths[j]`` names and reads 0 under the others.
+    error that dropped each other member.  Report ``c`` of a member passes
+    iff its residual is below ``tol``.  Where ``widths`` is given, row ``j``
+    reports only its first ``widths[j]`` names and reads 0 under the others.
     """
 
     names: tuple[str, ...]
@@ -123,7 +122,6 @@ class ReportBlock:
     residuals: np.ndarray
     tol: float
     errors: dict[int, MemberError]
-    details: dict[int, tuple[str, ...]]
     widths: Optional[tuple[int, ...]] = field(default=None, kw_only=True)
 
     def reports(self, member: int) -> list[CheckReport]:
@@ -132,19 +130,22 @@ class ReportBlock:
             raise self.errors[member]
         j = self.alive.index(member)
         width = len(self.names) if self.widths is None else self.widths[j]
-        return [
-            report(name, residual, self.tol, self.details[c][j] if c in self.details else None)
-            for c, (name, residual) in enumerate(zip(self.names[:width],
-                                                     self.residuals[j, :width].tolist()))
-        ]
+        return [report(name, residual, self.tol)
+                for name, residual in zip(self.names[:width], self.residuals[j, :width].tolist())]
 
 
 @dataclass(frozen=True, eq=False)
 class CasimirBlock(ReportBlock):
-    """A :func:`casimir` block with each member's Casimir matrix and scalar."""
+    """A :func:`casimir` block with each member's Casimir matrix and scalar; its
+    ``casimir_scalar`` report names the scalar in its detail."""
 
     matrices: tuple[np.ndarray, ...]
     scalars: tuple[complex, ...]
+
+    def reports(self, member: int) -> list[CheckReport]:
+        two_forms, scalar = super().reports(member)
+        return [two_forms, report(scalar.name, scalar.residual, self.tol,
+                                  f"scalar={self.scalars[member]!r}")]
 
     def result(self, member: int) -> CasimirResult:
         """The result of batch member ``member``; raises the error that dropped it."""
@@ -163,22 +164,18 @@ def unbatch(reps: Union[Rep, RepBatch], block: ReportBlock):
 
 
 def cut(names: tuple[str, ...], residuals: np.ndarray, tol: float, errors: dict[int, MemberError],
-        details: dict[int, Sequence[str]], kind: type = ReportBlock,
-        widths: Optional[Sequence[int]] = None, **extra: Any) -> ReportBlock:
+        widths: Optional[Sequence[int]] = None) -> ReportBlock:
     """The block of every member's row of ``residuals``, less the rows of members in ``errors``.
 
-    ``details`` holds one detail per member for the columns that carry one,
-    and ``widths`` (if given) the number of names each member reports; its
-    row's other residuals are set to 0.  This cut is the only place a
-    member leaves a check.
+    ``widths`` (if given) holds the number of names each member reports; its
+    row's other residuals are set to 0.  Every check ends in this cut, the
+    only place a member leaves a check.
     """
     keep = [i for i in range(len(residuals)) if i not in errors]
-    details = {c: tuple(rows[i] for i in keep) for c, rows in details.items()}
     if widths is not None:
         residuals[np.arange(len(names)) >= np.asarray(widths)[:, None]] = 0.0
         widths = tuple(int(widths[i]) for i in keep)
-    return kind(names, tuple(keep), residuals[keep], float(tol), errors, details, widths=widths,
-                **extra)
+    return ReportBlock(names, tuple(keep), residuals[keep], float(tol), errors, widths=widths)
 
 
 def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]] = None
@@ -224,19 +221,17 @@ class Arms:
     pass, over every axis but the batch axis, and an arm's residual is
     :func:`residual_of`'s ``defect / max(1, lhs * rhs)`` in float
     arithmetic, for every row at once: each member sees exactly the scalar
-    operations of a single-rep :func:`residual_of`.
+    operations of a single-rep :func:`residual_of`.  :meth:`block` hands the
+    residuals to :func:`cut`, so an arm carries a name and a residual only.
     """
 
     def __init__(self, count: int) -> None:
         self.count = count
         self._arms: list[tuple[str, tuple]] = []  # name and (defect, *operands) of each arm
-        self._details: dict[int, Sequence[str]] = {}
 
     def add(self, name: str, defect: np.ndarray, lhs: Optional[np.ndarray] = None,
-            rhs: Optional[np.ndarray] = None, *, details: Optional[Sequence[str]] = None) -> None:
-        """An arm ``(defect, lhs, rhs)``; ``details`` holds one detail per member."""
-        if details is not None:
-            self._details[len(self._arms)] = details
+            rhs: Optional[np.ndarray] = None) -> None:
+        """An arm ``(defect, lhs, rhs)``."""
         self._arms.append((name, tuple(m for m in (defect, lhs, rhs) if m is not None)))
 
     def compare(self, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
@@ -248,11 +243,11 @@ class Arms:
         maxima = np.abs(np.concatenate(operands)).reshape(len(operands), self.count, -1).max(axis=2)
         return _arm_residuals(maxima.T, _columns(self._arms))
 
-    def block(self, tol: float, errors: dict[int, MemberError], kind: type = ReportBlock,
-              **extra: Any) -> ReportBlock:
+    def block(self, tol: float, errors: dict[int, MemberError],
+              widths: Optional[Sequence[int]] = None) -> ReportBlock:
         """The arms' block, with the rows of members in ``errors`` :func:`cut`."""
         names = tuple(name for name, _ in self._arms)
-        return cut(names, self._residuals(), tol, errors, self._details, kind, **extra)
+        return cut(names, self._residuals(), tol, errors, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +324,10 @@ def casimir(
     scalar_defect = c_low - np.array(scalars)[:, None, None] * batch.eye
     arms = Arms(len(batch.reps))
     arms.add("casimir_two_forms", _interior(c_low - c_high, batch.reps), batch.A, batch.Abar)
-    arms.add("casimir_scalar", _interior(scalar_defect, batch.reps), c_low,
-             details=[f"scalar={scalar!r}" for scalar in scalars])
+    arms.add("casimir_scalar", _interior(scalar_defect, batch.reps), c_low)
     matrices = tuple(c_low[i, :rep.dim, :rep.dim] for i, rep in enumerate(batch.reps))
-    block = arms.block(tol, finite_members(low, high), kind=CasimirBlock, matrices=matrices,
-                       scalars=tuple(scalars))
+    block = CasimirBlock(**vars(arms.block(tol, finite_members(low, high))), matrices=matrices,
+                         scalars=tuple(scalars))
     return block if isinstance(reps, RepBatch) else block.result(0)
 
 

@@ -158,12 +158,13 @@ class RunConfig:
 def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any]]:
     """Label, one involution per member and metric of each arm of a star family."""
     params = batch.params
-    if family == "star:canonical":
-        canonical = [involution("canonical", p) for p in params]
+    if family == "star:canonical":  # the canonical involution reads no parameter
+        canonical = involution("canonical", params[0])
+        arms = [("canonical", [canonical] * len(params), None)]
         if batch.mode is Mode.UNIMODULAR:
-            standard = [with_flavor(inv, Flavor.STANDARD) for inv in canonical]
-            return [("canonical", canonical, None), ("canonical_standard", standard, None)]
-        return [("canonical", canonical, None)]
+            standard = with_flavor(canonical, Flavor.STANDARD)
+            arms.append(("canonical_standard", [standard] * len(params), None))
+        return arms
     return [
         ("imaginary_minus", [involution("imaginary_minus", p) for p in params], None),
         ("imaginary_plus", [involution("imaginary_plus", p) for p in params],
@@ -525,14 +526,6 @@ def _run_families(cfg: RunConfig, built: Sequence[_Point]) -> dict[str, list[Rep
     return families
 
 
-def _run_batch(cfg: RunConfig, epsilons: Sequence[float], k: int
-               ) -> tuple[list[_Point], dict[str, list[ReportBlock]]]:
-    """The points of one k, run as one batch, and each family's blocks over the points built."""
-    points = [_build_point(cfg, epsilon, k) for epsilon in epsilons]
-    built = [point for point in points if point.skip is None]
-    return points, _run_families(cfg, built) if built else {}
-
-
 def _run_points(cfg: RunConfig) -> list[_Point]:
     """Build every point of the grid and run its families; the points in epsilon-major order.
 
@@ -580,7 +573,8 @@ def _run_cut(cfg: RunConfig, batch: list[_Point]) -> list[_Point]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     _validate_selection(cfg)
-    (point,), families = _run_batch(cfg, cfg.epsilons, cfg.k)
+    point = _build_point(cfg, cfg.epsilon, cfg.k)
+    families = _run_families(cfg, [point])
     skipped = point.skip or point.singular
     if skipped is not None:
         raise skipped

@@ -667,7 +667,7 @@ def check_hopf_axioms(
     residuals = plan.residuals(batch, {
         0: [batch.derived(_hopf_values)], 1: [real.weights], 2: [real.stack, steps[None]]})
     return unbatch(reps, cut(plan.names, residuals, tol,
-                             finite_members(steps, errors=real.overflow), {}))
+                             finite_members(steps, errors=real.overflow)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -840,7 +840,7 @@ def check_star_structure(
         2: [real.stack, adjoint, diag_stack(step_bar)[None]]})
     names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
     return unbatch(reps, cut(names, residuals, tol,
-                             finite_members(step_bar, errors=real.overflow), {}))
+                             finite_members(step_bar, errors=real.overflow)))
 
 
 def _twist(metric: np.ndarray, d: int) -> np.ndarray:

@@ -291,7 +291,7 @@ def symbolic_block(params: Sequence[QParams], n_max: int = 8, tol: float = DEFAU
         if values:
             residuals[:, c] = np.abs(values).max(axis=0)  # a NaN propagates
     residuals = residuals[rows]
-    return cut(tuple(d.name for d in defects), residuals, tol, finite_members(residuals), {})
+    return cut(tuple(d.name for d in defects), residuals, tol, finite_members(residuals))
 
 
 def check_identities_symbolic(

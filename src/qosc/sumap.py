@@ -260,5 +260,5 @@ def check_equivalence(
     arms = Arms(len(spins.Q))
     for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs):
         arms.compare("su_equivalence", mine, ref)
-    block = cut(("su_equivalence",), max_rule(arms._residuals())[:, None], tol, errors, {})
+    block = cut(("su_equivalence",), max_rule(arms._residuals())[:, None], tol, errors)
     return block if isinstance(reps, RepBatch) else block.reports(0)[0]

@@ -126,6 +126,11 @@ def test_casimir_frozen_values():
     assert casimir(rep).scalar == pytest.approx(CAS_REAL_1_L1_K2)
 
 
+def test_casimir_closed_form_refuses_the_real_line():
+    with pytest.raises(ValueError, match="unimodular mode only"):
+        casimir_scalar_closed_form(make_params("realline", 1.0, 1), 2)
+
+
 def test_real_line_casimir_is_purely_imaginary():
     for k in range(5):
         scalar = casimir(build_rep(make_params("realline", 0.8, 1), k)).scalar

@@ -55,8 +55,11 @@ def test_rep_rejects_parity_breaking_branch(capsys):
 
 
 def test_rep_rejects_oversized_k(capsys):
-    assert main(["rep", "--mode", "unimodular", "--epsilon", "0.9", "--k", "65"]) == 2
-    capsys.readouterr()
+    for argv, k in ((["rep", "--mode", "unimodular", "--epsilon", "0.9", "--k", "65"], 65),
+                    (["sweep", "--mode", "unimodular", "--epsilon", "0.9", "--k", "60..70"], 70)):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: k={k} exceeds the cap 64\n"
 
 
 def test_rep_text_format(capsys):
@@ -197,11 +200,13 @@ def test_verify_rejects_imaginary_family_at_unit_modulus(capsys):
 
 
 def test_verify_rejects_unknown_check_token(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2",
-              "--checks", "bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for option, value in (("--checks", "bogus"), ("--checks", ","), ("--l", "abc")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2", option, value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: argument {option}:")
+        assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +297,9 @@ def test_verify_rejects_non_finite_inputs(capsys, monkeypatch):
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:") and out.err.count("\n") == 1
         assert "finite" in out.err
+    assert main(base + ["--epsilon", "1", "--tol", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: tolerance must be positive, got -1.0\n"
     monkeypatch.setenv("QOSC_TOL", "nan")
     assert main(base + ["--epsilon", "1"]) == 2
     assert "finite" in capsys.readouterr().err
@@ -775,7 +783,7 @@ def test_sweep_symbolic_overflow_skips_every_k(capsys, monkeypatch):
         block = counted(params, *args, **kwargs)
         dropped = [i for i, p in enumerate(params) if p.epsilon == 200.0]
         return cut(block.names, np.zeros((len(params), len(block.names))), block.tol,
-                   {i: OverflowError("math range error") for i in dropped}, {})
+                   {i: OverflowError("math range error") for i in dropped})
 
     monkeypatch.setattr(cli, "symbolic_block", overflowing)
     calls.clear()
@@ -830,9 +838,9 @@ def test_sweep_failure_status_exits_one(capsys, monkeypatch):
 
 
 def test_sweep_rejects_malformed_grid(capsys):
-    for grid in ("1:2", "2:1:0.5", "1:2:0"):
+    for grid, k in (("1:2", "1"), ("2:1:0.5", "1"), ("1:2:0", "1"), ("1:2:0.5", "5..3")):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", "1"])
+            main(["sweep", "--mode", "unimodular", "--epsilon-grid", grid, "--k", k])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -1007,7 +1015,8 @@ def _reference_verify(argv):
     from qosc.jsonio import dumps, report_to_json
 
     cfg = cli._config_from_args(cli._parser().parse_args(argv))
-    (point,), families = cli._run_batch(cfg, cfg.epsilons, cfg.k)
+    point = cli._build_point(cfg, cfg.epsilon, cfg.k)
+    families = cli._run_families(cfg, [point])
     assert point.skip is None and point.singular is None
     row = point.row
     if cfg.fmt == "csv":
@@ -1059,7 +1068,7 @@ def test_verify_with_a_non_finite_residual_is_one_error_line(capsys, monkeypatch
         block = relations(batch, tol)
         residuals = block.residuals.copy()
         residuals[0, 1] = np.nan
-        return cut(block.names, residuals, block.tol, block.errors, {})
+        return cut(block.names, residuals, block.tol, block.errors)
 
     monkeypatch.setattr(cli, "check_defining_relations", with_nan)
     code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "3",

@@ -88,6 +88,17 @@ def test_monomial_multiplication_adds_exponents():
     assert (m1 * m2).close_to(NCPoly.monomial(P_REAL, 3, 0))
 
 
+def test_str_names_each_term_with_its_coefficients_in_s():
+    a, abar, s = NCPoly.gen_a(P_UNI), NCPoly.gen_abar(P_UNI), NCPoly.gen_s(P_UNI)
+    assert str(a) == "[((1+0j))]*a^1"
+    assert str(abar) == "[((1+0j))]*abar^1"
+    assert str(s) == "[((1+0j))*s^1]"
+    assert str(a - a) == str(NCPoly(P_UNI, {})) == "0"
+    delta = normform._s_coeffs(normform._DELTA.at_tau(0.0), P_UNI)
+    constant = " + ".join(f"({v})*s^{e}" for e, v in delta.items() if v)
+    assert str(nf_product(a, abar)) == f"[{constant}] + [((1+0j))]*abar^1*a^1"
+
+
 def test_mixed_params_rejected():
     with pytest.raises(ParamMismatch):
         nf_product(NCPoly.gen_a(P_UNI), NCPoly.gen_a(P_REAL))

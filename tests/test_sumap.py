@@ -34,7 +34,7 @@ def _rep(mode, eps, l, k):
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.5])
-@pytest.mark.parametrize("base", [np.exp(0.45j), np.exp(0.3)])
+@pytest.mark.parametrize("base", [np.exp(0.45j), np.exp(0.3), 1.3 * np.exp(0.4j)])
 def test_direct_spin_matrices_satisfy_deformed_relations(j, base):
     triple = su2_direct(j, base)
     assert all(r.passed for r in check_su2(triple))
