@@ -37,7 +37,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .jsonio import (
     float_to_json,
     params_to_json,
     report_to_json,
-    scalar_to_json,
 )
 from .normform import DEFAULT_SYMBOLIC_TOL, N_MAX_CAP, symbolic_block
 from .qcore import Mode, QParams, make_params
@@ -249,38 +248,18 @@ def _report_params(params: QParams, k: Optional[int]) -> dict[str, Any]:
 _SLOT = "\x00"
 
 
-def _leaves(doc: Any) -> Iterator[Any]:
-    """The scalars of a document, in document order."""
-    if isinstance(doc, dict):
-        doc = doc.values()
-    elif not isinstance(doc, (list, tuple)):
-        yield doc
-        return
-    for value in doc:
-        yield from _leaves(value)
-
-
-def _stub(doc: Any) -> Any:
-    """``doc`` with every scalar a :data:`_SLOT`."""
-    if isinstance(doc, dict):
-        return {key: _stub(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_stub(value) for value in doc]
-    return _SLOT
-
-
 #: the template of every verify report, by format, mode, one state or not, and
 #: each block's names and tolerance
 _TEMPLATES: dict[tuple, tuple[str, np.ndarray, np.ndarray]] = {}
 
 
-def _verify_template(key: tuple, params: dict[str, Any]) -> tuple[str, np.ndarray, np.ndarray]:
+def _verify_template(key: tuple) -> tuple[str, np.ndarray, np.ndarray]:
     """A verify report's bytes with a ``%s`` for every per-call value, each check's
     tolerance and each check's expected failure.
 
-    The per-call values are the params' scalars, then per check its residual
-    and pass flag (JSON) or its marker, residual and observed outcome (text),
-    then the Casimir scalar (JSON) or the result (text).
+    The per-call values are the params block (JSON) or its scalars (text), then
+    per check its residual and pass flag (JSON) or its marker, residual and
+    observed outcome (text), then the Casimir scalar (JSON) or the result (text).
     """
     fmt, mode, one_state, blocks = key
     checks = [(name, tol, fail) for names, tol in blocks
@@ -288,7 +267,7 @@ def _verify_template(key: tuple, params: dict[str, Any]) -> tuple[str, np.ndarra
     expected = ["fail" if fail else "pass" for _, _, fail in checks]
     if fmt == "json":
         text = dumps({
-            "params": _stub(params),
+            "params": _SLOT,
             "checks": [check_to_json(name, _SLOT, tol, _SLOT, exp)
                        for (name, tol, _), exp in zip(checks, expected)],
             "casimir": [_SLOT, _SLOT],
@@ -310,7 +289,7 @@ def _verify_report(cfg: RunConfig, point: _Point, blocks: list[ReportBlock]) -> 
     params = _report_params(point.params, cfg.k)
     template = _TEMPLATES.get(key)
     if template is None:
-        template = _TEMPLATES[key] = _verify_template(key, params)
+        template = _TEMPLATES[key] = _verify_template(key)
     text, tols, fails = template
     residuals = np.concatenate([block.residuals[0] for block in blocks])
     passed = residuals < tols
@@ -318,7 +297,8 @@ def _verify_report(cfg: RunConfig, point: _Point, blocks: list[ReportBlock]) -> 
     if cfg.fmt == "json":
         digits = [float_to_json(residual) for residual in residuals.tolist()]
         flags = ["true" if ok else "false" for ok in passed.tolist()]
-        values = [scalar_to_json(value) for value in _leaves(params)]
+        # the block one level in: an encoded value holds no raw newline
+        values = [dumps(params).replace("\n", "\n  ")]
         values += itertools.chain.from_iterable(zip(digits, flags))
         values += (float_to_json(row["casimir_re"]), float_to_json(row["casimir_im"]))
         return text % tuple(values)

@@ -64,7 +64,7 @@ from .algcheck import (
     unbatch,
 )
 from .errors import ModeMismatch, NoSolution
-from .qcore import Mode, QParams
+from .qcore import Mode, QParams, _branch_shift
 from .repbuild import Rep, RepBatch, blank
 
 _GENERATORS = ("a", "abar", "N")
@@ -707,7 +707,7 @@ def involution(kind: InvolutionKind | str, params: QParams) -> InvolutionSpec:
         return InvolutionSpec(1.0, 1.0, 0.0, Flavor.NONSTANDARD, kind.value)
     if params.mode is not Mode.REAL_LINE:
         raise ModeMismatch(f"{kind.value} involution requires the real-line mode")
-    eta = complex(0.0, -(2 * params.l + 1) * np.pi / params.epsilon)
+    eta = complex(0.0, -2.0 * _branch_shift(params.l, params.epsilon))
     sign = 1.0 if kind is InvolutionKind.IMAGINARY_PLUS else -1.0
     return InvolutionSpec(sign * 1j, sign * 1j, eta, Flavor.STANDARD, kind.value)
 
@@ -726,16 +726,12 @@ def _star_values(invs: Sequence[InvolutionSpec]) -> np.ndarray:
     return np.array([[inv.alpha, inv.beta, inv.eta] for inv in invs], dtype=complex).T
 
 
-def _star_affine(elem, star):
+def _apply(elem, table, antilinear=False):
+    """A table's image of the affine element ``c*gen + d``: the star's is antilinear."""
     c, gen, d = elem
-    coef, target, const = star[gen]
-    cc = c.conjugate()
-    return (cc * coef, target, cc * const + d.conjugate())
-
-
-def _s_affine(elem, antipode):
-    c, gen, d = elem
-    coef, target, const = antipode[gen]
+    coef, target, const = table[gen]
+    if antilinear:
+        c, d = c.conjugate(), d.conjugate()
     return (c * coef, target, c * const + d)
 
 
@@ -752,13 +748,13 @@ def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict
         counit_defects.append(coef * counit[target] + const - counit[gen].conjugate())
         start = (1.0, gen, 0.0)
         if flavor is Flavor.STANDARD:
-            lhs = _star_affine(
-                _s_affine(_star_affine(_s_affine(start, antipode), star), antipode), star
-            )
+            lhs = start
+            for _ in range(2):  # (star o S) twice
+                lhs = _apply(_apply(lhs, antipode), star, antilinear=True)
             antipode_sides += [lhs, start]
         else:
-            antipode_sides += [_s_affine(_star_affine(start, star), antipode),
-                               _star_affine(_s_affine(start, antipode), star)]
+            antipode_sides += [_apply(_apply(start, star, antilinear=True), antipode),
+                               _apply(_apply(start, antipode), star, antilinear=True)]
 
     img = {gen: _affine(star[gen], dense) for gen in _GENERATORS}
     arms = []

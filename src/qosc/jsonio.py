@@ -268,11 +268,6 @@ def _fragment(doc: Any, level: int) -> str:
     raise TypeError(f"cannot encode {type(doc).__name__}")
 
 
-def scalar_to_json(value: Any) -> str:
-    """A float, bool, int, string or None as :func:`dumps` writes it."""
-    return _fragment(value, 0)
-
-
 def dumps(doc: Any) -> str:
     """Deterministic encoding: construction key order, 2-space indent,
     floats at 17 significant digits.  Lists of ``[float, float]`` pairs

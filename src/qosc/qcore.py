@@ -78,6 +78,12 @@ def guard_epsilon(mode: Mode, epsilon: float) -> None:
         raise DegenerateParameter(f"epsilon={epsilon} inside guard band of a multiple of pi")
 
 
+def _branch_shift(l: int, epsilon: float) -> float:
+    """The shift ``(2l+1)*pi/(2*epsilon)`` that the branch value ``q**(2*gamma-1) = -1``
+    puts into ``gamma``, into ``nu0`` and into the ``eta`` of the imaginary involutions."""
+    return (2 * l + 1) * math.pi / (2 * epsilon)
+
+
 def make_params(mode: Mode | str, epsilon: float, l: int = 0) -> QParams:
     """Validate ``epsilon`` and derive ``q``, ``sqrt_q`` and ``gamma``.
 
@@ -90,14 +96,15 @@ def make_params(mode: Mode | str, epsilon: float, l: int = 0) -> QParams:
     if not isinstance(l, int):
         raise TypeError(f"l must be an integer, got {l!r}")
     guard_epsilon(mode, epsilon)
+    shift = _branch_shift(l, epsilon)
     if mode is Mode.UNIMODULAR:
         q = cmath.exp(1j * epsilon)
         sqrt_q = cmath.exp(0.5j * epsilon)
-        gamma = complex(0.5 - (2 * l + 1) * math.pi / (2 * epsilon), 0.0)
+        gamma = complex(0.5 - shift, 0.0)
     else:
         q = complex(math.exp(epsilon), 0.0)
         sqrt_q = complex(math.exp(0.5 * epsilon), 0.0)
-        gamma = complex(0.5, -(2 * l + 1) * math.pi / (2 * epsilon))
+        gamma = complex(0.5, -shift)
     return QParams(mode=mode, epsilon=epsilon, l=l, q=q, sqrt_q=sqrt_q, gamma=gamma)
 
 

@@ -24,7 +24,16 @@ from typing import Callable, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import DimensionTooLarge, ParityViolation
-from .qcore import Mode, PowerTable, QParams, guard_epsilon, make_params, qnum, unit_of_branch
+from .qcore import (
+    Mode,
+    PowerTable,
+    QParams,
+    _branch_shift,
+    guard_epsilon,
+    make_params,
+    qnum,
+    unit_of_branch,
+)
 
 #: default cap on the truncation index
 MAX_K = 64
@@ -215,22 +224,22 @@ def nu0(params: QParams, k: int) -> complex:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     base = -(k + 1) / 2.0
-    shift = (2 * params.l + 1) * math.pi / (2 * params.epsilon)
+    shift = _branch_shift(params.l, params.epsilon)
     if params.mode is Mode.UNIMODULAR:
         return complex(base + shift, 0.0)
     return complex(base, shift)
 
 
-def _parity_factor(params: QParams) -> float:
+def _parity_factor(mode: Mode, epsilon: float, l: int) -> float:
     """Sign-carrying prefactor of the squared-norm ratios; positive iff the
     branch index obeys the sign rule."""
-    if params.mode is Mode.UNIMODULAR:
-        return (-1.0) ** params.l * math.tan(params.epsilon / 2.0)
-    return (-1.0) ** (params.l + 1) * math.tanh(params.epsilon / 2.0)
+    if mode is Mode.UNIMODULAR:
+        return (-1.0) ** l * math.tan(epsilon / 2.0)
+    return (-1.0) ** (l + 1) * math.tanh(epsilon / 2.0)
 
 
 def require_parity(params: QParams) -> float:
-    factor = _parity_factor(params)
+    factor = _parity_factor(params.mode, params.epsilon, params.l)
     if factor <= 0.0:
         raise ParityViolation(
             f"l={params.l} gives nonpositive norm prefactor {factor} "
@@ -243,9 +252,7 @@ def choose_branch(mode: Mode | str, epsilon: float) -> int:
     """Smallest nonnegative branch index satisfying the sign rule."""
     mode = Mode(mode)
     guard_epsilon(mode, epsilon)
-    if mode is Mode.UNIMODULAR:
-        return 0 if math.tan(epsilon / 2.0) > 0.0 else 1
-    return 1 if epsilon > 0.0 else 0
+    return 0 if _parity_factor(mode, epsilon, 0) > 0.0 else 1
 
 
 def _half_bracket_real(params: QParams, n: float) -> float:

@@ -47,7 +47,7 @@ from .algcheck import (
 )
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
-from .repbuild import Group, Rep, RepBatch, blank, matmul, require_parity
+from .repbuild import Group, Rep, RepBatch, _groups, _parity_factor, blank, matmul, require_parity
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ def _locus_distance(eps: float) -> float:
 
 def _rescaling(p: QParams) -> tuple[complex, complex]:
     """Factors of the raising and lowering generators under the spin map."""
-    half = p.epsilon / 2.0
+    root = cmath.sqrt(complex(1.0 / _parity_factor(p.mode, p.epsilon, p.l)))
     if p.mode is Mode.UNIMODULAR:
-        root = cmath.sqrt(complex((-1.0) ** p.l / math.tan(half)))
         return root, root
-    root = cmath.sqrt(complex((-1.0) ** (p.l + 1) / math.tanh(half)))
     return root, -1j * root
 
 
@@ -190,7 +188,7 @@ def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
     if isinstance(source, SuTriple):
         t, d = source, source.dim
         return _Triples({}, t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], d - 1,
-                        ((d, slice(None)),), np.eye(d, dtype=complex)[None])
+                        _groups([d]), np.eye(d, dtype=complex)[None])
     return as_batch(source).derived(_triples)
 
 

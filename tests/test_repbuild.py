@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qosc.errors import DegenerateParameter, DimensionTooLarge, ParityViolation
+from qosc.hopfstar import involution
 from qosc.qcore import make_params, qnum
 from qosc.repbuild import (
     MAX_K,
@@ -52,6 +53,27 @@ def test_nu0_closed_forms():
     assert nu0(make_params("realline", 1.0, 1), 2) == pytest.approx(NU0_REAL_1_L1_K2)
 
 
+@pytest.mark.parametrize("l", [0, 1, 2000000, 2000001])
+@pytest.mark.parametrize("mode,eps", [("unimodular", 0.9), ("unimodular", -0.7),
+                                      ("unimodular", 3.1415937), ("unimodular", 1000000000.3),
+                                      ("realline", 700.0)])
+def test_branch_shift_is_one_formula_to_the_bit(mode, eps, l):
+    """gamma, nu0 and the imaginary involutions' eta carry the same branch shift."""
+    shift = (2 * l + 1) * PI / (2 * eps)
+    p, k = make_params(mode, eps, l), 3
+    base = -(k + 1) / 2.0
+    if mode == "unimodular":
+        assert p.gamma == complex(0.5 - shift, 0.0)
+        assert nu0(p, k) == complex(base + shift, 0.0)
+        return
+    assert p.gamma == complex(0.5, -shift)
+    assert nu0(p, k) == complex(base, shift)
+    for kind in ("imaginary_plus", "imaginary_minus"):
+        # halving and doubling are exact, so eta is -(2l+1)pi/eps to the bit
+        eta = involution(kind, p).eta
+        assert eta == complex(0.0, -2.0 * shift) == complex(0.0, -(2 * l + 1) * PI / eps)
+
+
 def test_lambda_seq_frozen_values():
     p = make_params("unimodular", 0.9, 0)
     assert lambda_seq(p, 3) == pytest.approx(LAM_UNI_09_L0_K3)
@@ -72,8 +94,18 @@ def test_lambda_seq_symmetric_under_reflection():
         ("unimodular", 0.9, 0, 1),
         ("unimodular", -0.9, 1, 0),
         ("unimodular", 4.0, 1, 0),  # tan(eps/2) < 0 on this arc
+        # just past each side of the guard bands at pi and 2 pi, and a large epsilon
+        ("unimodular", PI - 2e-6, 0, 1),
+        ("unimodular", PI + 2e-6, 1, 0),
+        ("unimodular", 2 * PI - 2e-6, 1, 0),
+        ("unimodular", 2 * PI + 2e-6, 0, 1),
+        ("unimodular", 1000000000.3, 0, 1),
         ("realline", 1.0, 1, 0),
         ("realline", -1.0, 0, 1),
+        ("realline", 2e-6, 1, 0),
+        ("realline", -2e-6, 0, 1),
+        ("realline", 700.0, 1, 0),
+        ("realline", -700.0, 0, 1),
     ],
 )
 def test_branch_sign_rule(mode, eps, l_good, l_bad):
