@@ -4,13 +4,15 @@
 :func:`check_ladder_identities` take either one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` of
 representations of one mode and any ``k``.  A batch is evaluated in one
-pass: every matrix carries a leading batch axis, zero-padded to the largest
-block, and residuals are maxima over every axis but that one.  The scalar
+pass: every operand carries a leading batch axis, zero-padded to the largest
+block, and residuals are maxima over every axis but that one.  An operand is
+the weights of a weighted shift (:attr:`~qosc.repbuild.RepBatch.weights`), and
+a product of two is a product of weights (:func:`~qosc.repbuild.shift`), left
+factor first, as a matrix product multiplies.  The scalar
 data (bracket steps, deformed numbers, ladder coefficients) are indexed
 arithmetic on the batch's :class:`~qosc.qcore.PowerTable`, at each
 member's own ``k`` and with no transcendental function, and are set to 0
-past a member's block; every product of matrices runs once per k group on
-the members' own blocks.  So a member's residuals are bit for bit those of
+past a member's block.  So a member's residuals are bit for bit those of
 the single-rep call, and a ladder member reports the orders up to its own
 depth (:attr:`ReportBlock.widths`).
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateParameter
 from .qcore import Mode, PowerTable, QParams, _by_s_power, _ladder_factors, _lowered, _values
-from .repbuild import Rep, RepBatch, blank, matmul, norm_factors
+from .repbuild import Rep, RepBatch, blank, norm_factors, shift
 
 DEFAULT_TOL = 1e-10
 
@@ -216,7 +218,7 @@ class Arms:
     """The named arms of one batched check, reduced to one block in one pass.
 
     An arm is ``(defect, lhs, rhs)``, with one or both operands absent, and
-    row ``i`` of every ``(count, d, d)`` operand belongs to batch member
+    row ``i`` of every ``(count, ...)`` operand, of one shape, belongs to batch member
     ``i``, of ``count``.  The max-norms of all operands are taken in one
     pass, over every axis but the batch axis, and an arm's residual is
     :func:`residual_of`'s ``defect / max(1, lhs * rhs)`` in float
@@ -255,13 +257,13 @@ class Arms:
 
 
 def _interior(defect: np.ndarray, reps: Sequence[Rep]) -> np.ndarray:
-    """Zero the boundary columns of the window reps, where truncation bites."""
+    """Zero the weights of the boundary columns of the window reps, where truncation bites."""
     windows = [j for j, rep in enumerate(reps) if not rep.normalized]
     if not windows:
         return defect
     trimmed = defect.copy()
     for j in windows:
-        trimmed[j, :, [0, reps[j].dim - 1]] = 0.0
+        trimmed[j, [0, reps[j].dim - 1]] = 0.0
     return trimmed
 
 
@@ -278,16 +280,13 @@ def check_defining_relations(
     single rep gives its reports and raises its overflow.
     """
     batch = as_batch(reps)
-    groups = batch.groups
-    steps = blank(batch.powers.step(4 * np.arange(batch.dim)), groups)
-    A, Abar, N = batch.A, batch.Abar, batch.Nmat
+    steps = blank(batch.powers.step(4 * np.arange(batch.dim)), batch.groups)
+    A, Abar, N = batch.weights
     arms = Arms(len(batch.reps))
     arms.add("rel_commutator", _interior(
-        (matmul(A, Abar, groups) - matmul(Abar, A, groups)) - diag_stack(steps), batch.reps),
-        A, Abar)
-    arms.add("rel_number_raise", (matmul(N, Abar, groups) - matmul(Abar, N, groups)) - Abar,
-             N, Abar)
-    arms.add("rel_number_lower", (matmul(N, A, groups) - matmul(A, N, groups)) + A, N, A)
+        (shift(A, 1) * Abar - shift(Abar, -1) * A) - steps, batch.reps), A, Abar)
+    arms.add("rel_number_raise", (shift(N, 1) * Abar - Abar * N) - Abar, N, Abar)
+    arms.add("rel_number_lower", (shift(N, -1) * A - A * N) + A, N, A)
     return unbatch(reps, arms.block(tol, finite_members(steps)))
 
 
@@ -315,17 +314,16 @@ def casimir(
     numbers = batch.powers.number(4 * np.arange(batch.dim + 1), spectral=True)  # [N], [N+1]
     high = blank(numbers[:, 1:].copy(), batch.groups)
     low = blank(numbers[:, :-1], batch.groups)
-    c_low = matmul(batch.Abar, batch.A, batch.groups) - diag_stack(low)
-    c_high = matmul(batch.A, batch.Abar, batch.groups) - diag_stack(high)
-    scalars = [
-        complex(c_low[i, 1, 1] if not rep.normalized and rep.dim > 1 else c_low[i, 0, 0])
-        for i, rep in enumerate(batch.reps)
-    ]
-    scalar_defect = c_low - np.array(scalars)[:, None, None] * batch.eye
+    A, Abar, _ = batch.weights
+    c_low = shift(Abar, -1) * A - low  # Abar a - [N]
+    c_high = shift(A, 1) * Abar - high  # a Abar - [N+1]
+    scalars = [complex(c_low[i, 1] if not rep.normalized and rep.dim > 1 else c_low[i, 0])
+               for i, rep in enumerate(batch.reps)]
+    scalar_defect = c_low - np.array(scalars)[:, None] * batch.one
     arms = Arms(len(batch.reps))
-    arms.add("casimir_two_forms", _interior(c_low - c_high, batch.reps), batch.A, batch.Abar)
+    arms.add("casimir_two_forms", _interior(c_low - c_high, batch.reps), A, Abar)
     arms.add("casimir_scalar", _interior(scalar_defect, batch.reps), c_low)
-    matrices = tuple(c_low[i, :rep.dim, :rep.dim] for i, rep in enumerate(batch.reps))
+    matrices = tuple(np.diag(c_low[i, :rep.dim]) for i, rep in enumerate(batch.reps))
     block = CasimirBlock(**vars(arms.block(tol, finite_members(low, high))), matrices=matrices,
                          scalars=tuple(scalars))
     return block if isinstance(reps, RepBatch) else block.result(0)
@@ -413,18 +411,15 @@ def check_ladder_identities(
         i = outside[0]
         raise ValueError(f"n_max={depths[i]} outside 1..k+1 = 1..{limits[i]}")
     top, low = int(depths.max()), int(depths.min())
-    tops = [int(depths[rows].max()) for _, rows in batch.groups]  # each k group's depth
     groups = batch.groups
     errors: dict[int, MemberError] = {}
-    A, Abar = batch.A, batch.Abar
+    A, Abar, _ = batch.weights
     arms = Arms(count)
-    raise_pow = lower_pow = batch.eye  # Abar^(n-1), A^(n-1)
+    raise_pow = lower_pow = batch.one  # Abar^(n-1), A^(n-1)
     brackets, raising, lowering = ladder_factors(batch.powers, d, top)
     blank(raising.swapaxes(0, 1), groups), blank(lowering.swapaxes(0, 1), groups)  # orders first
     idle = np.zeros(count, dtype=bool)  # the members past their own depth
     for n in range(1, top + 1):
-        if n > min(tops):  # only the k groups with a member at this order; the others' stay 0
-            groups = [group for group, depth in zip(batch.groups, tops) if depth >= n]
         bracket, up, down = brackets[:, n - 1, None], raising[:, n - 1], lowering[:, n - 1]
         if n > low:  # a member past its own depth reads 0 at this order
             idle = depths < n
@@ -432,14 +427,15 @@ def check_ladder_identities(
                 values[idle] = 0.0
         errors = finite_members(bracket, up, down, errors=errors)
         c_raise, c_lower = bracket * up, bracket * down
-        raise_n = matmul(raise_pow, Abar, groups)    # Abar^n
-        lower_n = matmul(lower_pow, A, groups)       # A^n
-        d_raise = (matmul(A, raise_n, groups) - matmul(raise_n, A, groups)
-                   - c_raise[:, :, None] * raise_pow)
-        d_lower = (matmul(Abar, lower_n, groups) - matmul(lower_n, Abar, groups)
-                   - c_lower[:, :, None] * lower_pow)
-        # a power with a non-finite entry makes its defect non-finite too
-        finite = np.isfinite(d_raise).all(axis=(1, 2)) & np.isfinite(d_lower).all(axis=(1, 2))
+        raise_n = shift(raise_pow, 1) * Abar  # Abar^n, of degree n
+        lower_n = shift(lower_pow, -1) * A  # A^n, of degree -n
+        d_raise = ((shift(A, n) * raise_n - shift(raise_n, -1) * A)
+                   - shift(c_raise, n - 1) * raise_pow)
+        d_lower = ((shift(Abar, -n) * lower_n - shift(lower_n, 1) * Abar)
+                   - shift(c_lower, 1 - n) * lower_pow)
+        # a power with a non-finite entry makes its defect non-finite too; a non-finite
+        # coefficient drops its member even at a state its power never reaches
+        finite = np.isfinite(np.hstack((d_raise, d_lower, c_raise, c_lower))).all(axis=1)
         for i in np.flatnonzero(~(finite | idle)).tolist():
             errors.setdefault(
                 i, OverflowError(f"ladder powers of order {n} leave the double range"))

@@ -102,22 +102,6 @@ _SYMBOLS = (*_GENERATORS, "one", "gone", "qp", "qm")
 _DEGREE = {"a": -1, "abar": 1}
 
 
-def _band(m: np.ndarray, degree: int) -> np.ndarray:
-    """Weights of a stack of weighted shifts of the given degree."""
-    band = np.diagonal(m, -degree, axis1=1, axis2=2)
-    if degree == 0:
-        return band
-    pad = np.zeros((len(m), abs(degree)), dtype=m.dtype)
-    return np.concatenate((band, pad) if degree > 0 else (pad, band), axis=1)
-
-
-def _shift_weights(name: str, m: np.ndarray, degree: int) -> np.ndarray:
-    """:func:`_band` of a stack whose every entry off the band must be zero."""
-    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m, -degree, axis1=1, axis2=2)):
-        raise ValueError(f"{name} is not a weighted shift of degree {degree}")
-    return _band(m, degree)
-
-
 def _is_int_zero(x: Any) -> bool:
     return type(x) is int and x == 0
 
@@ -182,7 +166,7 @@ class _Sym:
         return self.tape.node("shift", 2, self, param=offsets) if any(offsets) else self
 
     def band(self, degree: int) -> "_Sym":
-        """:func:`_band` of a stack of weighted shifts of the given degree."""
+        """:func:`~qosc.repbuild.band` of a stack of weighted shifts of the given degree."""
         return self.tape.node("band", 1, self, param=degree)
 
 
@@ -534,8 +518,8 @@ class _Realization:
     :data:`_SYMBOLS` order; ``dense`` names the stack's symbols.  ``qp``,
     ``qm`` are ``K``, ``K^-1``, read from the batch's power table; a member
     whose powers leave the double range keeps its ``OverflowError`` in
-    ``overflow``.  The rep's own ``A``, ``Abar`` and ``Nmat`` are validated
-    as weighted shifts here, once per member.
+    ``overflow``.  The generators' weights are the batch's
+    (:attr:`~qosc.repbuild.RepBatch.weights`), validated there.
     """
 
     def __init__(self, batch: RepBatch) -> None:
@@ -552,9 +536,7 @@ class _Realization:
         diagonals[4] = np.array([p.gamma for p in batch.params], dtype=complex)[:, None]
         diagonals[5:] = powers
         self.dense = dict(zip(_SYMBOLS, self.stack))
-        self.weights = np.concatenate((
-            [_shift_weights(sym, self.dense[sym], _DEGREE.get(sym, 0)) for sym in _GENERATORS],
-            diagonals[3:]))
+        self.weights = np.concatenate((batch.weights, diagonals[3:]))
 
 
 def _realize(rep: Rep) -> _Realization:

@@ -6,11 +6,14 @@ The algebra has generators ``a`` (lowering), ``abar`` (raising) and ``N``
 sits on a distinguished branch; :func:`build_rep` produces the normalized
 block, :func:`build_generic_window` a window of the untruncated ladder.
 A :class:`RepBatch` holds representations of one mode and any ``k``, which
-every check family evaluates in one pass over their stacked matrices and
-the one :class:`~qosc.qcore.PowerTable` of their q-powers.  The stacks are
-zero-padded to the largest block, and every matmul runs once per k group
-(:func:`matmul`) on the views of its members' own blocks, so each member
-keeps the bits of its own call.
+every check family evaluates in one pass over their stacked arrays and
+the one :class:`~qosc.qcore.PowerTable` of their q-powers, zero-padded to
+the largest block.  ``a``, ``abar`` and ``N`` are weighted shifts of N-degree
+-1, +1 and 0 (entry ``(j + m, j)`` holds ``w[j]``), held as the weights
+:attr:`RepBatch.weights`, which :func:`shift_weights` validates once per batch.
+``X @ Y`` for degrees ``mx``, ``my`` has the weights ``shift(x, my) * y``
+(:func:`shift`), of degree ``mx + my``: one nonzero term per entry, so a
+member keeps the bits of its own ``d x d`` matmul.
 """
 
 from __future__ import annotations
@@ -68,8 +71,6 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 #: consecutive, else their indices
 Group = tuple[int, Union[slice, np.ndarray]]
 
-_EVERY = slice(None)  # the members of a batch's one group
-
 
 def _groups(dims: Sequence[int]) -> tuple[Group, ...]:
     """The members of each dimension, by ascending dimension."""
@@ -77,24 +78,36 @@ def _groups(dims: Sequence[int]) -> tuple[Group, ...]:
     for i, d in enumerate(dims):
         members.setdefault(d, []).append(i)
     if len(members) == 1:
-        return ((dims[0], _EVERY),)
+        return ((dims[0], slice(None)),)
     return tuple((d, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1
                   else np.array(rows)) for d, rows in sorted(members.items()))
 
 
-def matmul(x: np.ndarray, y: np.ndarray, groups: Sequence[Group]) -> np.ndarray:
-    """``x @ y`` over complex stacks ``(members, D, D)``: one matmul per group on the
-    ``[:d, :d]`` views of its members, and 0 past them and for the members of no group.
+def band(m: np.ndarray, degree: int) -> np.ndarray:
+    """Weights of a stack of weighted shifts of the given degree."""
+    weights = np.diagonal(m, -degree, axis1=1, axis2=2)
+    if degree == 0:
+        return weights
+    pad = np.zeros((len(m), m.shape[-1] - weights.shape[-1]), dtype=m.dtype)
+    return np.concatenate((weights, pad) if degree > 0 else (pad, weights), axis=1)
 
-    A zero-padded matmul may sum in another order than the ``d x d`` one;
-    the views keep each member's product to the bit.
-    """
-    if groups[0][1] is _EVERY:
-        return np.matmul(x, y)
-    out = np.zeros(x.shape, dtype=complex)
-    for d, rows in groups:
-        at = (rows, slice(d), slice(d))
-        out[at] = np.matmul(x[at], y[at])
+
+def shift_weights(name: str, m: np.ndarray, degree: int) -> np.ndarray:
+    """:func:`band` of a stack whose every entry off the band must be zero."""
+    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m, -degree, axis1=1, axis2=2)):
+        raise ValueError(f"{name} is not a weighted shift of degree {degree}")
+    return band(m, degree)
+
+
+def shift(w: np.ndarray, m: int) -> np.ndarray:
+    """``w[..., j + m]`` at each ``j``, 0 where ``j + m`` leaves the last axis."""
+    if m == 0:
+        return w
+    out = np.zeros_like(w)
+    if m > 0:
+        out[..., :-m] = w[..., m:]
+    else:
+        out[..., -m:] = w[..., :m]
     return out
 
 
@@ -117,9 +130,7 @@ class RepBatch:
     ``(B, D, D)`` for the largest dimension ``D``: each member's block is
     the direct sum of its own with the zero representation, so every
     symbol, step and identity is exactly 0 past a member's own block.
-    Elementwise steps run once on the padded stack; a matmul runs once per
-    k group (:attr:`groups`, :func:`matmul`), on the views of its members'
-    own blocks.
+    The eager checks run on :attr:`weights`, once on the padded stack.
     """
 
     reps: tuple[Rep, ...]
@@ -189,11 +200,17 @@ class RepBatch:
         return self._stack("Nmat")
 
     @functools.cached_property
-    def eye(self) -> np.ndarray:
-        """The members' identities, stacked ``(B, D, D)``."""
-        eye = np.zeros((len(self.reps), self.dim, self.dim), dtype=complex)
-        eye.reshape(len(self.reps), -1)[:, ::self.dim + 1] = 1.0
-        return _freeze(blank(eye, self.groups, axes=2))
+    def weights(self) -> np.ndarray:
+        """The weights ``(3, B, D)`` of ``A``, ``Abar`` and ``Nmat``, of degrees -1, +1, 0;
+        raises ``ValueError`` unless each is a weighted shift of its degree."""
+        return _freeze(np.stack([shift_weights("a", self.A, -1),
+                                 shift_weights("abar", self.Abar, 1),
+                                 shift_weights("N", self.Nmat, 0)]))
+
+    @functools.cached_property
+    def one(self) -> np.ndarray:
+        """The weights ``(B, D)`` of the members' identities, 0 past each block."""
+        return _freeze(blank(np.ones((len(self.reps), self.dim), dtype=complex), self.groups))
 
     @functools.cached_property
     def powers(self) -> PowerTable:
@@ -224,10 +241,10 @@ def nu0(params: QParams, k: int) -> complex:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     base = -(k + 1) / 2.0
-    shift = _branch_shift(params.l, params.epsilon)
+    offset = _branch_shift(params.l, params.epsilon)
     if params.mode is Mode.UNIMODULAR:
-        return complex(base + shift, 0.0)
-    return complex(base, shift)
+        return complex(base + offset, 0.0)
+    return complex(base, offset)
 
 
 def _parity_factor(mode: Mode, epsilon: float, l: int) -> float:

@@ -10,7 +10,9 @@ a multiple of pi or an odd multiple of pi/2, so those loci are rejected.
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` under the
 batch contract of :mod:`qosc.algcheck`: the rescaled triples of all members
 are stacked on a leading batch axis and checked in one pass, into one
-:class:`~qosc.algcheck.ReportBlock` per check.  :func:`check_su2` reads its
+:class:`~qosc.algcheck.ReportBlock` per check.  A triple is held as the
+weights of ``Jp``, ``Jm`` and ``J0``, of degrees +1, -1 and 0, and multiplied
+as in :mod:`qosc.algcheck` (:func:`~qosc.repbuild.shift`).  :func:`check_su2` reads its
 deformed numbers from a :class:`~qosc.qcore.PowerTable` of a fourth root of ``Q``;
 only the reference blocks of :func:`check_equivalence` are built member by
 member.  So a member's residuals are bit for bit those of the single-rep
@@ -40,14 +42,14 @@ from .algcheck import (
     ReportBlock,
     as_batch,
     cut,
-    diag_stack,
     finite_members,
     max_rule,
     unbatch,
 )
 from .errors import DegenerateParameter
 from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
-from .repbuild import Group, Rep, RepBatch, _groups, _parity_factor, blank, matmul, require_parity
+from .repbuild import Group, Rep, RepBatch, _groups, _parity_factor, band, blank, require_parity
+from .repbuild import shift, shift_weights
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ def _rescaling(p: QParams) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class _Triples:
-    """Stacked triples of every member at its spin ``k/2``, padded to the largest
-    block (:class:`~qosc.repbuild.RepBatch`); the error of each one the spin map rejects."""
+    """The weights ``(members, D)`` of every member's triple at its spin ``k/2``, padded
+    (:class:`~qosc.repbuild.RepBatch`); the error of each one the spin map rejects."""
 
     errors: dict[int, MemberError]
     Jp: np.ndarray
@@ -137,7 +139,7 @@ class _Triples:
     Q: list[complex]
     k: Union[int, np.ndarray]  # each member's k: an int when they share it
     groups: tuple[Group, ...]
-    eye: np.ndarray  # the members' identities
+    one: np.ndarray  # the weights of the members' identities
 
     @property
     def j(self) -> Union[float, np.ndarray]:
@@ -163,13 +165,12 @@ def _triples(batch: RepBatch) -> _Triples:
         if p.mode is Mode.UNIMODULAR and _locus_distance(p.epsilon) < GUARD_BAND}
     params = batch.params
     factors = [_rescaling(p) for p in params]
-    raising, lowering = (np.array([f[side] for f in factors], dtype=complex)[:, None, None]
+    raising, lowering = (np.array([f[side] for f in factors], dtype=complex)[:, None]
                          for side in (0, 1))
-    gamma = np.array([p.gamma for p in params], dtype=complex)[:, None, None]
-    return _Triples(
-        errors, raising * batch.Abar, lowering * batch.A, batch.Nmat + gamma * batch.eye,
-        [p.sqrt_q for p in params], batch.ks, batch.groups, batch.eye,
-    )
+    gamma = np.array([p.gamma for p in params], dtype=complex)[:, None]
+    A, Abar, N = batch.weights
+    return _Triples(errors, raising * Abar, lowering * A, N + gamma * batch.one,
+                    [p.sqrt_q for p in params], batch.ks, batch.groups, batch.one)
 
 
 def to_su2(rep: Rep) -> SuTriple:
@@ -180,15 +181,18 @@ def to_su2(rep: Rep) -> SuTriple:
     spins = _triples(RepBatch((rep,)))
     if spins.errors:
         raise spins.errors[0]
-    return SuTriple(Jp=spins.Jp[0], Jm=spins.Jm[0], J0=spins.J0[0], Q=spins.Q[0], j=spins.j)
+    Jp, Jm, J0 = (np.diag(w[max(0, -m):len(w) - max(0, m)], -m)  # entry (j + m, j) is w[j]
+                  for w, m in ((spins.Jp[0], 1), (spins.Jm[0], -1), (spins.J0[0], 0)))
+    return SuTriple(Jp=Jp, Jm=Jm, J0=J0, Q=spins.Q[0], j=spins.j)
 
 
 def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
     """The stacked spin map of a source; a batch's map is built once, for both checks."""
     if isinstance(source, SuTriple):
         t, d = source, source.dim
-        return _Triples({}, t.Jp[None], t.Jm[None], t.J0[None], [complex(t.Q)], d - 1,
-                        _groups([d]), np.eye(d, dtype=complex)[None])
+        return _Triples({}, shift_weights("Jp", t.Jp[None], 1), shift_weights("Jm", t.Jm[None], -1),
+                        shift_weights("J0", t.J0[None], 0), [complex(t.Q)], d - 1, _groups([d]),
+                        np.ones((1, d), dtype=complex))
     return as_batch(source).derived(_triples)
 
 
@@ -222,14 +226,13 @@ def check_su2(
     spins = _spin_map(t)
     steps, casimirs, targets = _su2_numbers(spins.powers, spins.k + 1)
     steps, casimirs = blank(steps, spins.groups), blank(casimirs, spins.groups)
-    Jp, Jm, J0, groups = spins.Jp, spins.Jm, spins.J0, spins.groups
+    Jp, Jm, J0 = spins.Jp, spins.Jm, spins.J0
     arms = Arms(len(spins.Q))
-    arms.compare("su_raise", matmul(J0, Jp, groups) - matmul(Jp, J0, groups), Jp)
-    arms.compare("su_lower", matmul(J0, Jm, groups) - matmul(Jm, J0, groups), -Jm)
-    arms.add("su_commutator", (matmul(Jp, Jm, groups) - matmul(Jm, Jp, groups))
-             - diag_stack(steps), Jp, Jm)
-    cas = matmul(Jm, Jp, groups) + diag_stack(casimirs)
-    arms.compare("su_casimir", cas, targets[:, :, None] * spins.eye)
+    arms.compare("su_raise", shift(J0, 1) * Jp - Jp * J0, Jp)
+    arms.compare("su_lower", shift(J0, -1) * Jm - Jm * J0, -Jm)
+    arms.add("su_commutator", (shift(Jp, -1) * Jm - shift(Jm, 1) * Jp) - steps, Jp, Jm)
+    cas = shift(Jm, 1) * Jp + casimirs
+    arms.compare("su_casimir", cas, targets * spins.one)
     errors = finite_members(steps, casimirs, targets, errors=spins.errors)
     return unbatch(t, arms.block(tol, errors))
 
@@ -246,7 +249,7 @@ def check_equivalence(
     """
     spins = _spin_map(reps)
     errors = dict(spins.errors)
-    refs = np.zeros((3, *spins.J0.shape), dtype=complex)  # Jp, Jm, J0; zero where dropped
+    refs = np.zeros((3, *spins.J0.shape), dtype=complex)  # Jp, Jm, J0 weights; 0 where dropped
     spin = np.broadcast_to(spins.j, (len(spins.Q),)).tolist()
     for i, (j, Q) in enumerate(zip(spin, spins.Q)):
         try:
@@ -254,7 +257,8 @@ def check_equivalence(
         except (OverflowError, DegenerateParameter) as exc:
             errors.setdefault(i, exc)
             continue
-        refs[:, i, :ref.dim, :ref.dim] = ref.Jp, ref.Jm, ref.J0
+        refs[:, i, :ref.dim] = [band(m[None], degree)[0]
+                                for m, degree in ((ref.Jp, 1), (ref.Jm, -1), (ref.J0, 0))]
     arms = Arms(len(spins.Q))
     for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs):
         arms.compare("su_equivalence", mine, ref)

@@ -166,6 +166,15 @@ def test_ladder_powers_out_of_double_range_overflow():
         check_ladder_identities(build_rep(params, 9), n_max=8)
 
 
+def test_a_ladder_coefficient_out_of_double_range_overflows_off_its_power():
+    # at eps=300, k=2 the order-3 raising coefficient is inf at state 0, a row Abar**2
+    # never reaches: the member drops all the same, as an inf times a row of zeros is NaN
+    rep = build_rep(make_params("realline", 300.0, 1), 2)
+    with pytest.raises(OverflowError) as exc:
+        check_ladder_identities(rep, 3)
+    assert str(exc.value) == "ladder powers of order 3 leave the double range"
+
+
 def test_norm_profile_positive_and_monotone_start():
     profile, rpt = norm_profile(auto_params("unimodular", 0.3), 8)
     assert rpt.passed

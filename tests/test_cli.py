@@ -192,6 +192,15 @@ def test_verify_exit_two_on_spin_locus(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_verify_exit_two_when_a_ladder_coefficient_overflows(capsys):
+    code = main(["verify", "--mode", "realline", "--epsilon", "300", "--k", "2",
+                 "--checks", "ladder"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: overflow at these parameters "
+                            "(ladder powers of order 3 leave the double range)\n")
+
+
 def test_verify_rejects_imaginary_family_at_unit_modulus(capsys):
     code = main(["verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "2",
                  "--checks", "star:imaginary"])

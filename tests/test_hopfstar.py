@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qosc import hopfstar
 from qosc.algcheck import DEFAULT_TOL, compare, residual_of
+from qosc.algcheck import casimir, check_defining_relations, check_ladder_identities
 from qosc.errors import ModeMismatch, NoSolution
 from qosc.hopfstar import (
     Flavor,
@@ -17,7 +19,6 @@ from qosc.hopfstar import (
     _otimes,
     _Plan,
     _realize,
-    _shift_weights,
     _star_table,
     _star_values,
     _swap,
@@ -33,6 +34,9 @@ from qosc.hopfstar import (
 from qosc.cli import main
 from qosc.qcore import make_params
 from qosc.repbuild import build_generic_window, build_rep
+from qosc.repbuild import band, shift
+from qosc.repbuild import shift_weights as _shift_weights
+from qosc.sumap import check_su2, to_su2
 
 PI = math.pi
 
@@ -561,6 +565,13 @@ def test_graded_arms_reject_non_shift_input():
             check_hopf_axioms(broken)
         with pytest.raises(ValueError, match="weighted shift"):
             check_star_structure(broken, inv)
+        for check in (check_defining_relations, casimir, check_su2,
+                      lambda r: check_ladder_identities(r, 2)):
+            with pytest.raises(ValueError, match="weighted shift"):
+                check(broken)
+    triple = to_su2(rep)
+    with pytest.raises(ValueError, match="Jp is not a weighted shift"):
+        check_su2(dataclasses.replace(triple, Jp=triple.Jp + np.eye(4, k=2)))
     metric = parity_metric(4) + 0.1 * np.eye(4, k=1)
     with pytest.raises(ValueError, match="diagonal"):
         check_star_structure(rep, inv, metric=metric)
@@ -577,6 +588,43 @@ BATCH_MEMBERS = {
     "unimodular": [(0.9, 0), (0.9, 2), (-1.1, 1), (PI / 5, 0), (2.5, 0)],
     "realline": [(1.0, 1), (1.0, 3), (-0.7, 0), (-0.7, 2), (2.0, 1)],
 }
+
+
+def _words(x, signed_zeros):
+    """The bits of ``x``; a ``-0.0`` reads as ``0.0`` unless ``signed_zeros``."""
+    return np.ascontiguousarray(x if signed_zeros else x + 0.0).view(np.uint64)
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "realline"])
+def test_products_of_weights_equal_dense_products_to_the_bit(mode):
+    # every entry of a normalized rep's ladder matrices has an exactly-zero real or
+    # imaginary part, also where a negative lambda makes the roots imaginary (eps 2.5 and
+    # 0.9 at k 9 on the circle), so each entry of a product, one nonzero term, rounds as
+    # in a matmul.  A product with N may differ in the sign of a zero part, which a dense
+    # sum turns to 0.0; a residual reads only magnitudes
+    reps = [build_rep(make_params(mode, eps, l), k)
+            for eps, l in BATCH_MEMBERS[mode] for k in range(10)]
+    for rep in reps:
+        triple = to_su2(rep)
+        for m in (rep.A, rep.Abar, triple.Jp, triple.Jm):
+            assert np.all((m.real == 0.0) | (m.imag == 0.0))
+    degrees = (-1, 1, 0)
+
+    def products(weights):
+        return {(a, b): shift(weights[a], degrees[b]) * weights[b]
+                for a, b in itertools.product(range(3), repeat=2)}
+
+    mixed = products(RepBatch(tuple(reps)).weights)
+    for i, rep in enumerate(reps):
+        dense = (rep.A, rep.Abar, rep.Nmat)
+        single = products(RepBatch((rep,)).weights)
+        for (a, b), got in single.items():
+            signed = 2 not in (a, b)
+            want = _words(band((dense[a] @ dense[b])[None], degrees[a] + degrees[b]), signed)
+            assert np.array_equal(_words(got, signed), want)
+            row = mixed[a, b][i]
+            assert np.array_equal(_words(row[:rep.dim], signed), want[0])
+            assert not row[rep.dim:].any()
 
 
 def _batch_star_arms(mode, params, dim):

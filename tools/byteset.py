@@ -1,4 +1,4 @@
-"""Hash the output of a fixed set of 1,126 ``qosc`` invocations.
+"""Hash the output of a fixed set of 1,141 ``qosc`` invocations.
 
 Run from the root of a checkout:
 
@@ -15,7 +15,9 @@ The set:
   json/text/csv;
 - the same epsilons x k 0..9 with ``--checks suq2``, in json and text;
 - ``rep`` json/text at k 0, 3, 9, 32, 64 for each of those epsilons;
-- six sweeps x csv/json/text;
+- eleven sweeps x csv/json/text; five of them stress the algebra, ladder,
+  casimir and suq2 checks: k up to 12, ladder depth 16, and epsilon at the
+  q -> 1 edge of the real line and the q -> -1 edge of the circle;
 - four single points: a large explicit branch index in each mode, a large
   epsilon and ``--n-max 16``.
 """
@@ -47,6 +49,14 @@ SWEEPS = (
     ("--mode", "unimodular", "--epsilon-grid", "0.1:6.2:0.1", "--k", "0..3"),
     ("--mode", "unimodular", "--epsilon-grid", "0.1:1.5:0.1", "--k", "0..9", "--checks", "suq2"),
     ("--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "0..2", "--checks", "symbolic"),
+    ("--mode", "realline", "--epsilon-grid", "1:700:2", "--k", "0..9"),
+    ("--mode", "unimodular", "--epsilon-grid", "-3.1:3.1:0.07", "--k", "0..12",
+     "--checks", "algebra,ladder,casimir,suq2"),
+    ("--mode", "realline", "--epsilon-grid", "0.5:3:0.05", "--k", "0..6", "--n-max", "16"),
+    ("--mode", "unimodular", "--epsilon-grid", "3.1415:3.1417:0.0000011", "--k", "0..9",
+     "--checks", "casimir,ladder,suq2"),
+    ("--mode", "realline", "--epsilon-grid", "0.000001:0.00002:0.000001", "--k", "0..9",
+     "--checks", "algebra,ladder,casimir,suq2"),
 )
 SINGLES = (
     ("verify", "--mode", "unimodular", "--epsilon", "0.9", "--k", "3", "--l", "2000000"),
