@@ -92,8 +92,8 @@ CHECK_FAMILIES = (
 #: most parameter points one sweep may ask for
 MAX_GRID_POINTS = 10_000
 
-#: most tensor-cube entries, D**3 per point at the padded dimension D, that one batch stacks
-_BATCH_CUBE_ENTRIES = 8192
+#: most tensor-square entries, D**2 per point at the padded dimension D, that one batch stacks
+_BATCH_SQUARE_ENTRIES = 4096
 
 # The star arms that must fail, by mode and arm label: {arm: generators}.
 # At |q| = 1, forcing the standard flavor on the canonical involution breaks
@@ -513,9 +513,9 @@ def _run_points(cfg: RunConfig) -> list[_Point]:
     skipped whole; a spin map rejected at a singular locus skips only that
     family.  Each point runs casimir and then the families in order, as it
     would alone.  The points built run as one batch of every ``k`` while
-    they fit in ``_BATCH_CUBE_ENTRIES`` tensor-cube entries, counted at the
-    batch's padded dimension, which bounds the memory of the stacked tensor
-    blocks.  A ``k`` whose grid does not fit beside the batch so far starts
+    they fit in ``_BATCH_SQUARE_ENTRIES`` tensor-square entries, counted at
+    the batch's padded dimension, which bounds the memory of the stacked
+    tensor blocks.  A ``k`` whose grid does not fit beside the batch so far starts
     a new one, and one whose grid does not fit alone runs in batches of its
     own, as full as the bound allows, the last open to the next ``k``.  So
     a small ``k`` is padded only up to a ``k`` it shares a batch with, and
@@ -527,7 +527,7 @@ def _run_points(cfg: RunConfig) -> list[_Point]:
     points: list[list[_Point]] = [[] for _ in cfg.epsilons]
     batch: list[_Point] = []
     for k in cfg.ks:  # ascending, so k + 1 is the padded dimension of the batch k joins
-        size = max(1, _BATCH_CUBE_ENTRIES // (k + 1) ** 3)
+        size = max(1, _BATCH_SQUARE_ENTRIES // (k + 1) ** 2)
         if len(batch) + len(cfg.epsilons) > size:
             batch = _run_cut(cfg, batch)
         for row, epsilon in zip(points, cfg.epsilons):

@@ -13,12 +13,13 @@ the opposite coproduct.  On the unit circle the canonical involution
 the workable involutions pick up factors ``-+i`` and shift N by an
 imaginary constant, and are standard.
 
-Every tensor-square and tensor-cube arm (homomorphism, coassociativity and
-the star coproduct) runs on graded data: each symbol is a weighted shift
-``diag(w) S^m`` of one N-degree, so these arms cost O(d**2) / O(d**3) instead
-of the dense O(d**4) / O(d**6), and :func:`coproduct` returns graded blocks.
-The rep's dense ``A``/``Abar``/``Nmat`` remain the public and JSON view and
-serve the d*d arms (counit, antipode, star matrices).
+Every tensor-square arm (homomorphism and the star coproduct) runs on graded
+data: each symbol is a weighted shift ``diag(w) S^m`` of one N-degree, so
+these arms cost O(d**2) instead of the dense O(d**4), and :func:`coproduct`
+returns graded blocks.  Coassociativity is checked once per process on the
+coproduct table itself (:func:`_coassociativity_defects`).  The rep's dense
+``A``/``Abar``/``Nmat`` remain the public and JSON view and serve the d*d
+arms (counit, antipode, star matrices).
 
 :func:`check_hopf_axioms` and :func:`check_star_structure` take either one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` (defined
@@ -45,6 +46,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+from collections import Counter
 from enum import Enum
 from typing import Any, Optional, Sequence, Union
 
@@ -88,7 +90,7 @@ class InvolutionKind(str, Enum):
 # outer product of the factors' weights; a sum of such products is a dict
 # ``{degrees: weights}``.  Distinct degree tuples never share a dense entry,
 # so sums, the factor swap and max-abs norms act block by block and give
-# exactly the dense values at O(d**2) / O(d**3) cost.
+# exactly the dense values at O(d**2) cost.
 #
 # This algebra runs once per family, on the symbolic values of a plan (:class:`_Sym`):
 # it works out which weights multiply which, at which offsets, and the order
@@ -108,7 +110,7 @@ def _is_int_zero(x: Any) -> bool:
 
 class _Sym:
     """A value of a plan being compiled: node ``id`` of ``tape``, of rank 0 (one
-    scalar per member), 1 (weights ``(d,)``), 2 (``(d, d)``) or 3 (``(d, d, d)``).
+    scalar per member), 1 (weights ``(d,)``) or 2 (``(d, d)``).
 
     Arithmetic records nodes in operand order (a complex product does not
     commute to the bit).  A Python float stays a float until it meets a
@@ -237,10 +239,6 @@ def _coproduct(cop_terms, graded: dict) -> dict:
     return _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop_terms)
 
 
-#: the largest stacked block, in bytes, a plan step forms at once; a larger
-#: step runs node by node on views
-_STEP_BYTES = 1 << 24
-
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "outer": np.multiply,
            "matmul": np.matmul, "neg": np.negative, "conj": np.conjugate,
            "T": lambda x, out: np.copyto(out, x.swapaxes(-1, -2))}
@@ -252,8 +250,7 @@ class _Step:
     Per operand, the slots of the nodes' operands are read as a slice where
     they are consecutive; two operands of one rank that are not are read in
     one gather.  A shift or band step takes, flat per member, the entries
-    :meth:`_index` names in a copy padded by ``pad`` zeros.  A step whose
-    output passes :data:`_STEP_BYTES` runs node by node on views.
+    :meth:`_index` names in a copy padded by ``pad`` zeros.
     """
 
     def __init__(self, plan: "_Plan", nodes: list[int]) -> None:
@@ -280,8 +277,8 @@ class _Step:
         else:
             self.apply = lambda out, *xs: ufunc(*xs, out=out)
         self.reads = list(zip(self.ranks, reads))
-        self.run = self._cubes if rank == 3 else self._stacked
-        if rank < 3 and len(args) == 2 and self.ranks[0] == self.ranks[1] and not any(
+        self.run = self._stacked
+        if len(args) == 2 and self.ranks[0] == self.ranks[1] and not any(
                 isinstance(read, slice) for read in reads):
             self.read = np.concatenate(reads)  # one gather
             self.run = self._gathered
@@ -292,14 +289,6 @@ class _Step:
 
     def _stacked(self, ws: list[np.ndarray]) -> None:
         self.apply(ws[self.rank][self.out], *[ws[rank][at] for rank, at in self.reads])
-
-    def _cubes(self, ws: list[np.ndarray]) -> None:
-        out = ws[self.rank][self.out]
-        if out.nbytes <= _STEP_BYTES or self.count == 1:
-            self._stacked(ws)
-            return
-        for j, slots in enumerate(zip(*self.slots)):
-            self.apply(out[j:j + 1], *[ws[rank][s:s + 1] for rank, s in zip(self.ranks, slots)])
 
     def _index(self, d: int) -> np.ndarray:
         """The flat entries a shift or band step takes, per member, at dimension ``d``."""
@@ -358,7 +347,7 @@ class _Plan:
                 keep.add(i)
                 stack.extend(nodes[i][2])
         self.slot: dict[int, int] = {}
-        self.sizes = [0, 0, 0, 0]
+        self.sizes = [0, 0, 0]
 
         def place(group: list[int]) -> None:
             for i in group:
@@ -379,7 +368,7 @@ class _Plan:
         # the max-abs of each distinct operand block, rank by rank, read once per operand
         self.norms = []
         rows: dict[tuple[int, int], int] = {}  # (rank, slot) of a distinct block -> its row
-        for rank in range(4):
+        for rank in range(len(self.sizes)):
             distinct = sorted({self.slot[i] for i in blocks if nodes[i][1] == rank})
             if distinct:
                 base = len(rows)
@@ -413,7 +402,7 @@ class _Plan:
             return self._residuals(len(batch.reps), batch.dim, inputs)
         out = np.empty((len(batch.reps), len(self.names)))
         for d, rows in batch.groups:
-            own = (slice(None), rows) + (slice(d),) * 3
+            own = (slice(None), rows) + (slice(d),) * 2
             group = {rank: [array[own[:2 + rank]] for array in arrays]
                      for rank, arrays in inputs.items()}
             out[rows] = self._residuals(group[1][0].shape[1], d, group)
@@ -421,12 +410,8 @@ class _Plan:
 
     def _residuals(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
         ws = self.run(count, d, inputs)
-        rows = []
-        for rank, at in self.norms:  # a rank's slots are freed once read: a lower peak
-            run = max(1, _STEP_BYTES // ws[rank][0].nbytes)  # blocks read at once
-            rows += [np.abs(ws[rank][at[j:j + run]]).reshape(-1, count, d ** rank).max(axis=2)
-                     for j in range(0, len(at), run)]
-            ws[rank] = None
+        rows = [np.abs(ws[rank][at]).reshape(-1, count, d ** rank).max(axis=2)
+                for rank, at in self.norms]
         flat = rows[0] if len(rows) == 1 else np.concatenate(rows)
         return _arm_residuals(np.maximum.reduceat(flat[self.gather], self.starts).T, self.columns)
 
@@ -583,31 +568,39 @@ def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
     return {deg: ws[2][plan.slot[w.id], 0] for deg, w in blocks.items()}
 
 
+def _coassociativity_defects(cop: dict) -> dict[str, int]:
+    """Per generator, the symbol triples of ``(D (x) id) D`` and ``(id (x) D) D`` left unmatched.
+
+    The sides are compared as multisets, each ``gone`` read as ``gamma * one``
+    as :class:`_Realization` builds it, so with none left over they agree in
+    exact arithmetic for every realization.
+    """
+    def key(*triple: str) -> tuple:
+        return tuple("one" if s == "gone" else s for s in triple), triple.count("gone")
+
+    out = {}
+    for gen in _GENERATORS:
+        left = Counter(key(*pair, ri) for le, ri in cop[gen] for pair in cop[le])
+        right = Counter(key(le, *pair) for le, ri in cop[gen] for pair in cop[ri])
+        out[gen] = sum(((left - right) + (right - left)).values())
+    return out
+
+
 def _hopf_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict) -> list:
     """The arms of :func:`check_hopf_axioms`, each ``(name, (defect, *operands))``."""
     cop = _COPRODUCT
     # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
     # with q**eta = root**2
     steps = t.input(2, "steps")
-
-    # every tensor square of the table, shared by the coproducts and both coassociativity sides
-    pairs = {term: _otimes(graded[term[0]], graded[term[1]]) for terms in cop.values()
-             for term in terms}
-    da, dab, dn = (_graded_sum(pairs[term] for term in cop[gen]) for gen in _GENERATORS)
+    da, dab, dn = (_coproduct(cop[gen], graded) for gen in _GENERATORS)
     arms = [
         ("homomorphism_commutator", (_minus(_commutator(da, dab), {(0, 0): steps}), da, dab)),
         ("homomorphism_raise", (_minus(_commutator(dn, dab), dab), dn, dab)),
         ("homomorphism_lower", (_minus(_commutator(da, dn), da), dn, da)),  # -([DN, Da] + Da)
     ]
 
-    for gen in _GENERATORS:
-        left = _graded_sum(
-            _otimes(pairs[term], graded[ri]) for le, ri in cop[gen] for term in cop[le]
-        )
-        right = _graded_sum(
-            _otimes(graded[le], pairs[term]) for le, ri in cop[gen] for term in cop[ri]
-        )
-        arms.append((f"coassoc_{gen}", (_minus(left, right), left, right)))
+    for gen, unmatched in _coassociativity_defects(cop).items():  # its max-abs is its residual
+        arms.append((f"coassoc_{gen}", (t.node("lit", 0, param=complex(unmatched)),)))
 
     for gen in _GENERATORS:
         lhs_l = sum(counit[le] * dense[ri] for le, ri in cop[gen])
@@ -632,8 +625,10 @@ def check_hopf_axioms(
 ) -> Union[list[CheckReport], ReportBlock]:
     """Algebra-map property of the coproduct plus the three Hopf axioms.
 
-    Runs at every ``k`` a rep admits (the cube arms cost O(d**3)).  Each
-    antipode side is scaled by its first product, where its products cancel.
+    Runs at every ``k`` a rep admits.  Each ``coassoc_*`` row reads the
+    table's count of :func:`_coassociativity_defects`, 0.0, for every
+    member.  Each antipode side is scaled by its first product, where its
+    products cancel.
 
     A :class:`RepBatch` gives one :class:`~qosc.algcheck.ReportBlock`, which
     drops a member with the ``OverflowError`` its scalar data raised.  A

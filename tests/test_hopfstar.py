@@ -13,6 +13,7 @@ from qosc.hopfstar import (
     Flavor,
     InvolutionKind,
     RepBatch,
+    _coassociativity_defects,
     _compose,
     _graded_sum,
     _COPRODUCT,
@@ -398,13 +399,36 @@ def _branch(mode, eps):
     return 1 if eps > 0 else 0
 
 
+def _assert_coassociativity_is_exact(rep):
+    """The report reads the table's exact 0.0; the dense cubes agree up to rounding."""
+    by = _by_name(check_hopf_axioms(rep))
+    for name, residual in _dense_coassoc(rep).items():
+        assert by[name].residual == 0.0, (rep.k, name)
+        assert residual <= 2.0**-50, (rep.k, name)
+
+
 @pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
 def test_graded_coassociativity_equals_dense(mode, eps):
     for k in range(10):
-        rep = _rep(mode, eps, _branch(mode, eps), k)
-        by = _by_name(check_hopf_axioms(rep))
-        for name, residual in _dense_coassoc(rep).items():
-            assert by[name].residual == residual, (k, name)
+        _assert_coassociativity_is_exact(_rep(mode, eps, _branch(mode, eps), k))
+
+
+def test_coassociativity_of_the_coproduct_table():
+    assert _coassociativity_defects(_COPRODUCT) == {"a": 0, "abar": 0, "N": 0}
+    flipped = {**_COPRODUCT, "qp": (("qp", "qm"),), "qm": (("qm", "qp"),)}
+    assert _coassociativity_defects(flipped) == {"a": 4, "abar": 4, "N": 0}
+    grown = {**_COPRODUCT, "a": (*_COPRODUCT["a"], ("a", "a"))}
+    assert _coassociativity_defects(grown)["a"] == 2
+    # gone is gamma * one, so D(N) stays coassociative without its gamma term; the
+    # homomorphism arms are what test gamma
+    plain = {**_COPRODUCT, "N": _COPRODUCT["N"][:2]}
+    assert _coassociativity_defects(plain) == {"a": 0, "abar": 0, "N": 0}
+
+
+@pytest.mark.parametrize("family", ["coproduct", "hopf", Flavor.STANDARD, Flavor.NONSTANDARD])
+def test_no_plan_has_a_rank_three_slot(family):
+    plan = hopfstar._plan(family)
+    assert max(plan.nodes[i][1] for i in plan.slot) <= 2
 
 
 @pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
@@ -549,9 +573,7 @@ def test_graded_arms_equal_dense_on_generic_window(mode, eps, l):
     params = make_params(mode, eps, l)
     rep = build_generic_window(complex(0.3, 0.2), complex(0.7, -0.4), params, 6)
     _assert_star_equal(rep)
-    by = _by_name(check_hopf_axioms(rep))
-    for name, residual in _dense_coassoc(rep).items():
-        assert by[name].residual == residual
+    _assert_coassociativity_is_exact(rep)
     _assert_homomorphism_matches_dense(rep)
 
 

@@ -1,4 +1,4 @@
-"""Hash the output of a fixed set of 1,141 ``qosc`` invocations.
+"""Hash the output of a fixed set of 1,144 ``qosc`` invocations.
 
 Run from the root of a checkout:
 
@@ -15,9 +15,10 @@ The set:
   json/text/csv;
 - the same epsilons x k 0..9 with ``--checks suq2``, in json and text;
 - ``rep`` json/text at k 0, 3, 9, 32, 64 for each of those epsilons;
-- eleven sweeps x csv/json/text; five of them stress the algebra, ladder,
+- twelve sweeps x csv/json/text; five of them stress the algebra, ladder,
   casimir and suq2 checks: k up to 12, ladder depth 16, and epsilon at the
-  q -> 1 edge of the real line and the q -> -1 edge of the circle;
+  q -> 1 edge of the real line and the q -> -1 edge of the circle, and one
+  runs hopf alone on the circle at k 0..9, whose large k fill several batches;
 - four single points: a large explicit branch index in each mode, a large
   epsilon and ``--n-max 16``.
 """
@@ -47,6 +48,7 @@ SWEEPS = (
     ("--mode", "realline", "--epsilon-grid", "20:700:7.3", "--k", "0..3", "--checks", "hopf"),
     ("--mode", "realline", "--epsilon-grid", "0.5:3:0.25", "--k", "0..9"),
     ("--mode", "unimodular", "--epsilon-grid", "0.1:6.2:0.1", "--k", "0..3"),
+    ("--mode", "unimodular", "--epsilon-grid", "0.1:6.2:0.1", "--k", "0..9", "--checks", "hopf"),
     ("--mode", "unimodular", "--epsilon-grid", "0.1:1.5:0.1", "--k", "0..9", "--checks", "suq2"),
     ("--mode", "realline", "--epsilon-grid", "1:200:199", "--k", "0..2", "--checks", "symbolic"),
     ("--mode", "realline", "--epsilon-grid", "1:700:2", "--k", "0..9"),
