@@ -197,14 +197,6 @@ def finite_members(*scalars: np.ndarray, errors: Optional[dict[int, MemberError]
     return errors
 
 
-def diag_stack(w: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices with the rows of ``w`` on their diagonals."""
-    b, d = w.shape
-    out = np.zeros((b, d, d), dtype=complex)
-    out.reshape(b, d * d)[:, :: d + 1] = w
-    return out
-
-
 def max_rule(values: np.ndarray) -> np.ndarray:
     """Per row, Python's ``max`` of the columns in order: a leading NaN wins, a later one loses.
 

@@ -13,13 +13,14 @@ the opposite coproduct.  On the unit circle the canonical involution
 the workable involutions pick up factors ``-+i`` and shift N by an
 imaginary constant, and are standard.
 
-Every tensor-square arm (homomorphism and the star coproduct) runs on graded
-data: each symbol is a weighted shift ``diag(w) S^m`` of one N-degree, so
-these arms cost O(d**2) instead of the dense O(d**4), and :func:`coproduct`
-returns graded blocks.  Coassociativity is checked once per process on the
-coproduct table itself (:func:`_coassociativity_defects`).  The rep's dense
-``A``/``Abar``/``Nmat`` remain the public and JSON view and serve the d*d
-arms (counit, antipode, star matrices).
+Every arm runs on graded data: each symbol is a weighted shift
+``diag(w) S^m`` of one N-degree, held as its weights, so the d*d arms
+(counit, antipode, star matrices) cost O(d) and the tensor-square arms
+(homomorphism, star coproduct) O(d**2) instead of the dense O(d**3) and
+O(d**4), and :func:`coproduct` returns graded blocks.  Coassociativity is
+checked once per process on the coproduct table itself
+(:func:`_coassociativity_defects`).  The rep's dense ``A``/``Abar``/``Nmat``
+remain the public and JSON view.
 
 :func:`check_hopf_axioms` and :func:`check_star_structure` take either one
 :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` (defined
@@ -30,15 +31,17 @@ multiply which, at which offsets, and the order of every sum depend only on
 the family (the Hopf check, a star flavor or the coproduct), so each family
 is compiled once into a plan (:func:`_plan`): a fixed sequence of numpy
 calls on ``(slots, members, ...)`` stacks, whatever ``k`` and the batch
-size.  A plan runs once per k group of a batch, on the views of its
-members' own blocks, so padding costs it nothing.  The scalar data, the
-tables' values among them, are ``(members, ...)`` inputs: ``K``, the
-antipode constants and the bracket steps are read from the batch's
-:class:`~qosc.qcore.PowerTable` at each member's own ``k``, and the star
-steps take one ``q**eta`` per member on top.  So a member's residuals are bit for bit those of the single-rep
-call.  Every check evaluates every member, and a
-member whose scalars leave the double range leaves only when the block is
-cut.  A single rep is the batch of one and gets its reports.
+size.  A plan runs once per batch, on its zero-padded stacks: every input is
+0 past each member's block, and so is every weight the plan computes (a
+shift only ever multiplies a weight that is 0 there), so the padding moves
+no bit of a member's own block.  The scalar data, the tables' values among
+them, are ``(members, ...)`` inputs: ``K``, the antipode constants and the
+bracket steps are read from the batch's :class:`~qosc.qcore.PowerTable` at
+each member's own ``k``, and the star steps take one ``q**eta`` per member
+on top.  So a member's residuals are bit for bit those of the single-rep
+call.  Every check evaluates every member, and a member whose scalars leave
+the double range leaves only when the block is cut.  A single rep is the
+batch of one and gets its reports.
 """
 
 from __future__ import annotations
@@ -60,14 +63,13 @@ from .algcheck import (
     _columns,
     as_batch,
     cut,
-    diag_stack,
     finite_members,
     residual_of,
     unbatch,
 )
 from .errors import ModeMismatch, NoSolution
 from .qcore import Mode, QParams, _branch_shift
-from .repbuild import Rep, RepBatch, blank
+from .repbuild import Rep, RepBatch, band, blank, shift
 
 _GENERATORS = ("a", "abar", "N")
 
@@ -85,23 +87,20 @@ class InvolutionKind(str, Enum):
 
 # Graded operators.  Every symbol is homogeneous in the N-grading, so its d*d
 # matrix is a weighted shift of one degree m: entry ``(j+m, j)`` holds
-# ``w[j]``, and slots whose row leaves the block hold exact zeros.  A tensor
+# ``w[j]``, and slots whose row leaves the block hold exact zeros.  An operator
+# is a dict ``{degrees: weights}``: a symbol is ``{(m,): w}``, and a tensor
 # product of shifts is a pair ``(degrees, weights)`` whose weights are the
-# outer product of the factors' weights; a sum of such products is a dict
-# ``{degrees: weights}``.  Distinct degree tuples never share a dense entry,
-# so sums, the factor swap and max-abs norms act block by block and give
-# exactly the dense values at O(d**2) cost.
+# outer product of the factors' weights.  Distinct degree tuples never share a
+# dense entry, so sums, products, the factor swap and max-abs norms act block
+# by block, on one operator or on the tensor square alike.
 #
 # This algebra runs once per family, on the symbolic values of a plan (:class:`_Sym`):
 # it works out which weights multiply which, at which offsets, and the order
 # of every sum.  A call runs the compiled :class:`_Plan` on stacked
 # ``(slots, members, ...)`` arrays.
 
-#: every symbol of the Hopf table, in the order of the realization's stacks
-_SYMBOLS = (*_GENERATORS, "one", "gone", "qp", "qm")
-
-#: N-grading degree of the symbols that are not diagonal
-_DEGREE = {"a": -1, "abar": 1}
+#: N-grading degree of every symbol of the Hopf table, in the order of the realization's weights
+_DEGREE = {"a": -1, "abar": 1, "N": 0, "one": 0, "gone": 0, "qp": 0, "qm": 0}
 
 
 def _is_int_zero(x: Any) -> bool:
@@ -110,7 +109,8 @@ def _is_int_zero(x: Any) -> bool:
 
 class _Sym:
     """A value of a plan being compiled: node ``id`` of ``tape``, of rank 0 (one
-    scalar per member), 1 (weights ``(d,)``) or 2 (``(d, d)``).
+    scalar per member), 1 (the weights ``(d,)`` of one operator) or 2 (the
+    weights ``(d, d)`` of a tensor square).
 
     Arithmetic records nodes in operand order (a complex product does not
     commute to the bit).  A Python float stays a float until it meets a
@@ -147,9 +147,6 @@ class _Sym:
     def __rmul__(self, other: Any) -> "_Sym":
         return self._binary("mul", other, True)
 
-    def __matmul__(self, other: "_Sym") -> "_Sym":
-        return self._binary("matmul", other)
-
     def __neg__(self) -> "_Sym":
         return self.tape.node("neg", self.rank, self)
 
@@ -164,12 +161,8 @@ class _Sym:
         return self.tape.node("T", 2, self)
 
     def shift(self, offsets: tuple[int, ...]) -> "_Sym":
-        """``weights[:, j + n]`` along each grade axis, zero where ``j + n`` leaves the block."""
-        return self.tape.node("shift", 2, self, param=offsets) if any(offsets) else self
-
-    def band(self, degree: int) -> "_Sym":
-        """:func:`~qosc.repbuild.band` of a stack of weighted shifts of the given degree."""
-        return self.tape.node("band", 1, self, param=degree)
+        """``weights[j + n]`` along each grade axis, zero where ``j + n`` leaves the block."""
+        return self.tape.node("shift", self.rank, self, param=offsets) if any(offsets) else self
 
 
 class _Tape:
@@ -204,8 +197,16 @@ def _graded_sum(terms) -> dict:
     return acc
 
 
+def _sum(*ops: dict) -> dict:
+    return _graded_sum(term for op in ops for term in op.items())
+
+
+def _scaled(c: Any, op: dict) -> dict:
+    return {degrees: c * weights for degrees, weights in op.items()}
+
+
 def _compose(left: dict, right: dict) -> dict:
-    """Operator product ``left @ right``: degrees add, left weights are read where right lands."""
+    """The operator product ``left right``: degrees add, left weights are read where right lands."""
     return _graded_sum(
         (tuple(ml + mr for ml, mr in zip(left_deg, right_deg)), wl.shift(right_deg) * wr)
         for left_deg, wl in left.items()
@@ -226,21 +227,23 @@ def _swap(blocks: dict) -> dict:
     return {(m2, m1): w.swap() for (m1, m2), w in blocks.items()}
 
 
-def _affine(elem: tuple, dense: dict) -> Any:
+def _affine(elem: tuple, ops: dict) -> dict:
     """``coef * symbol + const * 1``."""
     coef, sym, const = elem
-    image = coef * dense[sym]
+    image = _scaled(coef, ops[sym])
     if isinstance(const, float) and not const:
         return image
-    return image + const * dense["one"]
+    return _sum(image, _scaled(const, ops["one"]))
 
 
-def _coproduct(cop_terms, graded: dict) -> dict:
-    return _graded_sum(_otimes(graded[le], graded[ri]) for le, ri in cop_terms)
+def _coproduct(cop_terms, left: dict, right: dict) -> dict:
+    """``sum(left[le] (x) right[ri])`` over the table's terms ``(le, ri)``."""
+    return _graded_sum(_otimes(x, y) for le, ri in cop_terms
+                       for x in left[le].items() for y in right[ri].items())
 
 
 _UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "outer": np.multiply,
-           "matmul": np.matmul, "neg": np.negative, "conj": np.conjugate,
+           "neg": np.negative, "conj": np.conjugate,
            "T": lambda x, out: np.copyto(out, x.swapaxes(-1, -2))}
 
 
@@ -249,7 +252,7 @@ class _Step:
 
     Per operand, the slots of the nodes' operands are read as a slice where
     they are consecutive; two operands of one rank that are not are read in
-    one gather.  A shift or band step takes, flat per member, the entries
+    one gather.  A shift step takes, flat per member, the entries
     :meth:`_index` names in a copy padded by ``pad`` zeros.
     """
 
@@ -260,10 +263,8 @@ class _Step:
         self.ranks = [plan.nodes[arg][1] for arg in args]
         self.slots = [[plan.slot[plan.nodes[i][2][j]] for i in nodes] for j in range(len(args))]
         reads = [_run(slots) or np.array(slots) for slots in self.slots]
-        if op in ("shift", "band"):
-            # a shift reads (j1 + n1, j2 + n2); a band, row j + degree of column j
-            params = [plan.nodes[i][3] for i in nodes]
-            self.offsets = np.array([p if op == "shift" else (p, 0) for p in params])
+        if op == "shift":  # reads (j1 + n1, ...) along each grade axis
+            self.offsets = np.array([plan.nodes[i][3] for i in nodes])
             self.pad = int(np.abs(self.offsets).max())
             self._indices: dict[int, np.ndarray] = {}
             self.read = reads[0]
@@ -291,23 +292,23 @@ class _Step:
         self.apply(ws[self.rank][self.out], *[ws[rank][at] for rank, at in self.reads])
 
     def _index(self, d: int) -> np.ndarray:
-        """The flat entries a shift or band step takes, per member, at dimension ``d``."""
+        """The flat entries a shift step takes, per member, at dimension ``d``."""
         index = self._indices.get(d)
         if index is None:
-            size = d + 2 * self.pad
-            rows, cols = (self.pad + self.offsets[:, axis, None] + np.arange(d) for axis in (0, 1))
-            if self.op == "shift":
-                rows, cols = rows[:, :, None], cols[:, None, :]
-            which = np.arange(self.count).reshape((-1,) + (1,) * self.rank)
-            index = self._indices[d] = ((which * size + rows) * size + cols).ravel()
+            size, axes = d + 2 * self.pad, range(self.rank)
+            index = np.arange(self.count).reshape((-1,) + (1,) * self.rank)
+            for axis in axes:  # row-major over the padded grade axes
+                at = self.pad + self.offsets[:, axis, None] + np.arange(d)
+                index = index * size + at.reshape([-1] + [d if a == axis else 1 for a in axes])
+            index = self._indices[d] = index.ravel()
         return index
 
     def _padded(self, ws: list[np.ndarray]) -> None:
         out = ws[self.rank][self.out]
-        block = ws[self.ranks[0]][self.read].swapaxes(0, 1)  # members first
+        block = ws[self.rank][self.read].swapaxes(0, 1)  # members first
         d, pad = block.shape[-1], self.pad
-        padded = np.zeros(block.shape[:2] + (d + 2 * pad,) * 2, dtype=complex)
-        padded[:, :, pad:pad + d, pad:pad + d] = block
+        padded = np.zeros(block.shape[:2] + (d + 2 * pad,) * self.rank, dtype=complex)
+        padded[(Ellipsis,) + (slice(pad, pad + d),) * self.rank] = block
         taken = padded.reshape(len(padded), -1).take(self._index(d), axis=1)
         out[...] = taken.reshape((len(padded),) + out.shape[:1] + out.shape[2:]).swapaxes(0, 1)
 
@@ -395,20 +396,10 @@ class _Plan:
         return ws
 
     def residuals(self, batch: RepBatch, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
-        """Per member of ``batch``, the residual of every arm.  ``inputs`` hold every
-        member, ``(arrays, members, D, ...)``; the plan runs once per k group of the
-        batch, on its members' own blocks."""
-        if len(batch.groups) == 1:
-            return self._residuals(len(batch.reps), batch.dim, inputs)
-        out = np.empty((len(batch.reps), len(self.names)))
-        for d, rows in batch.groups:
-            own = (slice(None), rows) + (slice(d),) * 2
-            group = {rank: [array[own[:2 + rank]] for array in arrays]
-                     for rank, arrays in inputs.items()}
-            out[rows] = self._residuals(group[1][0].shape[1], d, group)
-        return out
-
-    def _residuals(self, count: int, d: int, inputs: dict[int, list[np.ndarray]]) -> np.ndarray:
+        """Per member of ``batch``, the residual of every arm, from one run.  ``inputs``
+        hold every member, ``(arrays, members, D, ...)``, 0 past its block; so is every
+        operand block the plan computes, and a member's maxima read its own block alone."""
+        count, d = len(batch.reps), batch.dim
         ws = self.run(count, d, inputs)
         rows = [np.abs(ws[rank][at]).reshape(-1, count, d ** rank).max(axis=2)
                 for rank, at in self.norms]
@@ -496,32 +487,27 @@ def _hopf_values(batch: RepBatch) -> np.ndarray:
 
 
 class _Realization:
-    """Dense stacks and graded weights of every symbol of :func:`_hopf_table`.
+    """The graded weights ``(symbols, members, D)`` of every symbol of :func:`_hopf_table`.
 
-    ``stack`` holds the ``(symbols, members, d, d)`` dense matrices and
-    ``weights`` the ``(symbols, members, d)`` graded weights, in
-    :data:`_SYMBOLS` order; ``dense`` names the stack's symbols.  ``qp``,
-    ``qm`` are ``K``, ``K^-1``, read from the batch's power table; a member
-    whose powers leave the double range keeps its ``OverflowError`` in
-    ``overflow``.  The generators' weights are the batch's
+    ``weights`` is in :data:`_DEGREE` order and 0 past each member's block.
+    ``qp``, ``qm`` are ``K``, ``K^-1``, read from the batch's power table; a
+    member whose powers leave the double range keeps its ``OverflowError``
+    in ``overflow``.  The generators' weights are the batch's
     (:attr:`~qosc.repbuild.RepBatch.weights`), validated there.
     """
 
     def __init__(self, batch: RepBatch) -> None:
-        count, d = len(batch.reps), batch.dim
+        d = batch.dim
         pw, twice = batch.powers, 2 * np.arange(d)  # K = q**((N + gamma)/2): u**(2n - k)
+        self.weights = np.empty((len(_DEGREE), len(batch.reps), d), dtype=complex)
+        self.weights[:3] = batch.weights
+        self.weights[3] = 1.0
+        self.weights[4] = np.array([p.gamma for p in batch.params], dtype=complex)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = (pw.root[:, None] * pw(twice, -batch.ks),
-                      pw(-twice, batch.ks) / pw.root[:, None])
-        self.overflow = finite_members(*(blank(p, batch.groups) for p in powers))
-        self.stack = np.zeros((len(_SYMBOLS), count, d, d), dtype=complex)
-        self.stack[:3] = batch.A, batch.Abar, batch.Nmat
-        diagonals = self.stack.reshape(len(_SYMBOLS), count, d * d)[:, :, ::d + 1]
-        diagonals[3] = 1.0
-        diagonals[4] = np.array([p.gamma for p in batch.params], dtype=complex)[:, None]
-        diagonals[5:] = powers
-        self.dense = dict(zip(_SYMBOLS, self.stack))
-        self.weights = np.concatenate((batch.weights, diagonals[3:]))
+            self.weights[5] = pw.root[:, None] * pw(twice, -batch.ks)
+            self.weights[6] = pw(-twice, batch.ks) / pw.root[:, None]
+        blank(self.weights[3:], batch.groups)
+        self.overflow = finite_members(*self.weights[5:])
 
 
 def _realize(rep: Rep) -> _Realization:
@@ -532,10 +518,9 @@ def _realize(rep: Rep) -> _Realization:
     return real
 
 
-def _symbols(t: _Tape) -> tuple[dict, dict]:
-    """The graded weights and the dense matrices of every symbol, as inputs."""
-    graded = {sym: ((_DEGREE.get(sym, 0),), t.input(1, sym)) for sym in _SYMBOLS}
-    return graded, {sym: t.input(2, sym) for sym in _SYMBOLS}
+def _symbols(t: _Tape) -> dict:
+    """Every symbol as a graded operator ``{(m,): weights}``, the weights an input."""
+    return {sym: {(m,): t.input(1, sym)} for sym, m in _DEGREE.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -546,13 +531,13 @@ def _plan(family: Union[str, Flavor]) -> _Plan:
     (:func:`_hopf_values`), then a star flavor's (:func:`_star_values`).
     """
     t = _Tape()
-    graded, dense = _symbols(t)
+    ops = _symbols(t)
     if family == "coproduct":
-        arms = [(gen, (_coproduct(_COPRODUCT[gen], graded),)) for gen in _GENERATORS]
+        arms = [(gen, (_coproduct(_COPRODUCT[gen], ops, ops),)) for gen in _GENERATORS]
     elif family == "hopf":
-        arms = _hopf_arms(t, graded, dense, *_hopf_table(*(t.input(0, j) for j in range(3))))
+        arms = _hopf_arms(t, ops, *_hopf_table(*(t.input(0, j) for j in range(3))))
     else:
-        arms = _star_arms(t, graded, dense, *_hopf_table(*(t.input(0, j) for j in range(3))),
+        arms = _star_arms(t, ops, *_hopf_table(*(t.input(0, j) for j in range(3))),
                           _star_table(*(t.input(0, j) for j in range(3, 6))), family)
     return _Plan(t, arms)
 
@@ -563,7 +548,7 @@ def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
         raise ValueError(f"unknown generator {gen!r}")
     real = _realize(rep)
     plan = _plan("coproduct")
-    ws = plan.run(1, rep.dim, {1: [real.weights], 2: [real.stack]})
+    ws = plan.run(1, rep.dim, {1: [real.weights]})
     (blocks,) = dict(plan.arms)[gen]
     return {deg: ws[2][plan.slot[w.id], 0] for deg, w in blocks.items()}
 
@@ -586,13 +571,13 @@ def _coassociativity_defects(cop: dict) -> dict[str, int]:
     return out
 
 
-def _hopf_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict) -> list:
+def _hopf_arms(t: _Tape, ops: dict, counit: dict, antipode: dict) -> list:
     """The arms of :func:`check_hopf_axioms`, each ``(name, (defect, *operands))``."""
     cop = _COPRODUCT
     # the diagonal block of D(N) holds 2 nu0 + gamma + i + j = nu0 + eta + (4(i+j) - 2k)/4,
     # with q**eta = root**2
     steps = t.input(2, "steps")
-    da, dab, dn = (_coproduct(cop[gen], graded) for gen in _GENERATORS)
+    da, dab, dn = (_coproduct(cop[gen], ops, ops) for gen in _GENERATORS)
     arms = [
         ("homomorphism_commutator", (_minus(_commutator(da, dab), {(0, 0): steps}), da, dab)),
         ("homomorphism_raise", (_minus(_commutator(dn, dab), dab), dn, dab)),
@@ -603,19 +588,19 @@ def _hopf_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict
         arms.append((f"coassoc_{gen}", (t.node("lit", 0, param=complex(unmatched)),)))
 
     for gen in _GENERATORS:
-        lhs_l = sum(counit[le] * dense[ri] for le, ri in cop[gen])
-        lhs_r = sum(dense[le] * counit[ri] for le, ri in cop[gen])
-        arms.append((f"counit_left_{gen}", (lhs_l - dense[gen], lhs_l, dense[gen])))
-        arms.append((f"counit_right_{gen}", (lhs_r - dense[gen], lhs_r, dense[gen])))
+        lhs_l = _graded_sum((m, counit[le] * w) for le, ri in cop[gen] for m, w in ops[ri].items())
+        lhs_r = _graded_sum((m, w * counit[ri]) for le, ri in cop[gen] for m, w in ops[le].items())
+        arms.append((f"counit_left_{gen}", (_minus(lhs_l, ops[gen]), lhs_l, ops[gen])))
+        arms.append((f"counit_right_{gen}", (_minus(lhs_r, ops[gen]), lhs_r, ops[gen])))
 
-    s_image = {sym: _affine(antipode[sym], dense) for sym in cop}
+    s_image = {sym: _affine(antipode[sym], ops) for sym in cop}
     for gen in _GENERATORS:
-        target = counit[gen] * dense["one"]
+        target = _scaled(counit[gen], ops["one"])
         for side, products in (
-            ("left", [s_image[le] @ dense[ri] for le, ri in cop[gen]]),
-            ("right", [dense[le] @ s_image[ri] for le, ri in cop[gen]]),
+            ("left", [_compose(s_image[le], ops[ri]) for le, ri in cop[gen]]),
+            ("right", [_compose(ops[le], s_image[ri]) for le, ri in cop[gen]]),
         ):
-            arms.append((f"antipode_{side}_{gen}", (sum(products) - target, products[0])))
+            arms.append((f"antipode_{side}_{gen}", (_minus(_sum(*products), target), products[0])))
     return arms
 
 
@@ -642,7 +627,7 @@ def check_hopf_axioms(
     steps = blank(pw.step(4 * ij, shift=pw.root * pw.root, at=-2 * batch.ks), batch.groups, axes=2)
     plan = _plan("hopf")
     residuals = plan.residuals(batch, {
-        0: [batch.derived(_hopf_values)], 1: [real.weights], 2: [real.stack, steps[None]]})
+        0: [batch.derived(_hopf_values)], 1: [real.weights], 2: [steps[None]]})
     return unbatch(reps, cut(plan.names, residuals, tol,
                              finite_members(steps, errors=real.overflow)))
 
@@ -712,12 +697,13 @@ def _apply(elem, table, antilinear=False):
     return (c * coef, target, c * const + d)
 
 
-def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict, star: dict,
+def _star_arms(t: _Tape, ops: dict, counit: dict, antipode: dict, star: dict,
                flavor: Flavor) -> list:
     """The arms of :func:`check_star_structure`, each ``(name, (defect, *operands))``."""
     cop = _COPRODUCT
-    adj = {sym: t.input(2, ("adjoint", sym)) for sym in _SYMBOLS}
-    step_bar = t.input(2, "step_bar")
+    # the adjoint of a weighted shift is one of the opposite degree
+    adj = {sym: {(-m,): t.input(1, ("adjoint", sym))} for sym, m in _DEGREE.items()}
+    step_bar = {(0,): t.input(1, "step_bar")}
     counit_defects = []
     antipode_sides = []
     for gen in _GENERATORS:
@@ -733,28 +719,26 @@ def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict
             antipode_sides += [_apply(_apply(start, star, antilinear=True), antipode),
                                _apply(_apply(start, antipode), star, antilinear=True)]
 
-    img = {gen: _affine(star[gen], dense) for gen in _GENERATORS}
+    img = {gen: _affine(star[gen], ops) for gen in _GENERATORS}
     arms = []
 
-    def compare(name: str, lhs: Any, rhs: Any) -> None:
-        arms.append((name, (lhs - rhs, lhs, rhs)))
+    def compare(name: str, lhs: dict, rhs: dict) -> None:
+        arms.append((name, (_minus(lhs, rhs), lhs, rhs)))
 
-    compare("algebra_compat_commutator", img["abar"] @ img["a"] - img["a"] @ img["abar"], step_bar)
-    compare("algebra_compat_raise", img["abar"] @ img["N"] - img["N"] @ img["abar"], img["abar"])
-    compare("algebra_compat_lower", img["a"] @ img["N"] - img["N"] @ img["a"], -img["a"])
+    compare("algebra_compat_commutator", _commutator(img["abar"], img["a"]), step_bar)
+    compare("algebra_compat_raise", _commutator(img["abar"], img["N"]), img["abar"])
+    compare("algebra_compat_lower", _commutator(img["a"], img["N"]),
+            {m: -w for m, w in img["a"].items()})
     for gen in _GENERATORS:
         compare(f"star_matrix_{gen}", adj[gen], img[gen])
 
-    # the adjoint of a weighted shift is one of the opposite degree
-    graded_adj = {sym: ((-deg,), adj[sym].band(-deg)) for sym, ((deg,), _) in graded.items()}
+    (one,) = ops["one"].values()
     for gen in _GENERATORS:
         coef, target, const = star[gen]
-        dag = _coproduct(cop[gen], graded_adj)
-        image = _graded_sum(
-            _otimes((graded[le][0], coef * graded[le][1]), graded[ri]) for le, ri in cop[target]
-        )
+        dag = _coproduct(cop[gen], adj, adj)
+        image = _coproduct(cop[target], {le: _scaled(coef, ops[le]) for le, _ in cop[target]}, ops)
         if not (isinstance(const, float) and not const):  # the coproduct of 1 is 1 (x) 1
-            image[(0, 0)] = image[(0, 0)] + const
+            image[(0, 0)] = image[(0, 0)] + const * one.outer(one)
         if flavor is Flavor.NONSTANDARD:
             image = _swap(image)
         arms.append((f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image)))
@@ -762,7 +746,7 @@ def _star_arms(t: _Tape, graded: dict, dense: dict, counit: dict, antipode: dict
     for gen, defect in zip(_GENERATORS, counit_defects):  # its max-abs is its residual
         arms.append((f"counit_{gen}", (defect,)))
 
-    sides = [_affine(side, dense) for side in antipode_sides]
+    sides = [_affine(side, ops) for side in antipode_sides]
     for j, gen in enumerate(_GENERATORS):
         compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
     return arms
@@ -797,9 +781,7 @@ def check_star_structure(
         raise ValueError("the involutions of a batch must share one flavor")
     d = batch.dim
     real = batch.derived(_Realization)
-    adjoint = real.stack.conj().swapaxes(-1, -2)
-    if metric is not None:
-        adjoint = adjoint * _twist(metric, d)
+    adjoint = _adjoint(real.weights, metric)
     # conjugated defining relations: steps at base conj(q), which is 1/q on the
     # unit circle and q on the real line, taken at N + eta
     pw = batch.powers
@@ -809,11 +791,23 @@ def check_star_structure(
                      batch.groups)
     plan = _plan(flavor)
     residuals = plan.residuals(batch, {
-        0: [batch.derived(_hopf_values), _star_values(invs)], 1: [real.weights],
-        2: [real.stack, adjoint, diag_stack(step_bar)[None]]})
+        0: [batch.derived(_hopf_values), _star_values(invs)],
+        1: [real.weights, adjoint, step_bar[None]]})
     names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
     return unbatch(reps, cut(names, residuals, tol,
                              finite_members(step_bar, errors=real.overflow)))
+
+
+def _adjoint(weights: np.ndarray, metric: Optional[np.ndarray]) -> np.ndarray:
+    """The weights of every symbol's adjoint ``G^-1 M^H G``, a shift of the opposite degree:
+    ``conj(w)`` moved by ``-m`` (:func:`~qosc.repbuild.shift`), times the twist on that band."""
+    twist = None if metric is None else _twist(metric, weights.shape[-1])
+    out = np.empty_like(weights)
+    for i, m in enumerate(_DEGREE.values()):
+        out[i] = shift(weights[i].conj(), -m)
+        if twist is not None:
+            out[i] *= band(twist[None], -m)
+    return out
 
 
 def _twist(metric: np.ndarray, d: int) -> np.ndarray:

@@ -130,7 +130,8 @@ class RepBatch:
     ``(B, D, D)`` for the largest dimension ``D``: each member's block is
     the direct sum of its own with the zero representation, so every
     symbol, step and identity is exactly 0 past a member's own block.
-    The eager checks run on :attr:`weights`, once on the padded stack.
+    Every check family runs on :attr:`weights`, once on the padded stack;
+    the dense stacks ``A``, ``Abar`` and ``Nmat`` only feed it.
     """
 
     reps: tuple[Rep, ...]

@@ -58,8 +58,11 @@ def _rep(mode, eps, l, k):
 
 
 def _dense_symbols(rep):
-    """Dense matrix of every symbol of the Hopf table on one rep."""
-    return {sym: m[0] for sym, m in _realize(rep).dense.items()}
+    """Dense matrix of every symbol of the Hopf table on one rep, from its weights: entry
+    ``(j + m, j)`` of a symbol of degree ``m`` holds ``w[j]``."""
+    weights = _realize(rep).weights[:, 0]
+    return {sym: np.eye(rep.dim, k=-m) @ np.diag(w)
+            for (sym, m), w in zip(hopfstar._DEGREE.items(), weights)}
 
 
 def _by_name(reports):
@@ -429,12 +432,106 @@ def test_coassociativity_of_the_coproduct_table():
 def test_no_plan_has_a_rank_three_slot(family):
     plan = hopfstar._plan(family)
     assert max(plan.nodes[i][1] for i in plan.slot) <= 2
+    # the d x d arms run on weights: no matrix product, and no dense operator as an input
+    assert "matmul" not in {node[0] for node in plan.nodes}
+    rank_two = [node[3] for node in plan.nodes if node[:2] == ("in", 2)]
+    assert rank_two == (["steps"] if family == "hopf" else [])
+
+
+def test_plans_leave_every_slot_zero_past_each_members_block(monkeypatch):
+    """On a mixed-k batch every input is 0 past a member's block, and so is every weight
+    a plan computes, so one run on the padded batch keeps each member's bits.  The real
+    line's standard stars carry a constant eta != 0 into the star coproduct.  A shift
+    reads ``w[j - 1]`` at the first column past a block too, but it is only ever a factor
+    beside a weight that is 0 there."""
+    reps = [_rep("realline", 1.0, 1, 0), _rep("realline", 1.0, 1, 3), _rep("realline", -0.7, 0, 1)]
+    batch = RepBatch(tuple(reps))
+    spaces = []
+    run = _Plan.run
+
+    def recording(plan, count, d, inputs):
+        spaces.append(run(plan, count, d, inputs))
+        return spaces[-1]
+
+    monkeypatch.setattr(_Plan, "run", recording)
+    check_hopf_axioms(batch)
+    for invs, metric in _batch_star_arms("realline", batch.params, batch.dim):
+        check_star_structure(batch, invs, metric=metric)
+    assert any(inv.eta != 0 for inv in invs)
+    coproduct_plan = hopfstar._plan("coproduct")
+    coproduct_plan.run(len(reps), batch.dim, {1: [batch.derived(hopfstar._Realization).weights]})
+    assert len(spaces) == 5  # hopf, three star arms, the coproduct
+    plans = [hopfstar._plan(family) for family in ("hopf", Flavor.NONSTANDARD, Flavor.STANDARD,
+                                                   Flavor.STANDARD, "coproduct")]
+    for plan, ws in zip(plans, spaces):
+        shifts = {i for i in plan.slot if plan.nodes[i][0] == "shift"}
+        for i in plan.slot:
+            op, rank, args, _ = plan.nodes[i]
+            if shifts & set(args):
+                assert op == "mul" and len(shifts & set(args)) == 1
+            if i not in shifts and rank:
+                for member, rep in enumerate(reps):
+                    values = ws[rank][plan.slot[i], member]
+                    assert not values[rep.dim:].any() and not values[..., rep.dim:].any()
 
 
 @pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
 def test_graded_homomorphism_matches_dense(mode, eps):
     for k in range(10):
         _assert_homomorphism_matches_dense(_rep(mode, eps, _branch(mode, eps), k))
+
+
+def _dense_counit_antipode(rep):
+    """Counit and antipode residuals from the dense matrices, multiplied with ``@``."""
+    cop = _COPRODUCT
+    realize = _dense_symbols(rep)
+    counit, antipode = hopfstar._hopf_table(*hopfstar._hopf_values(RepBatch((rep,)))[:, 0])
+
+    def affine(elem):
+        coef, sym, const = elem
+        return coef * realize[sym] + const * realize["one"]
+
+    out = {}
+    for gen in ("a", "abar", "N"):
+        for side, lhs in (("left", sum(counit[le] * realize[ri] for le, ri in cop[gen])),
+                          ("right", sum(realize[le] * counit[ri] for le, ri in cop[gen]))):
+            out[f"counit_{side}_{gen}"] = residual_of(lhs - realize[gen], lhs, realize[gen])
+        target = counit[gen] * realize["one"]
+        for side, products in (
+            ("left", [affine(antipode[le]) @ realize[ri] for le, ri in cop[gen]]),
+            ("right", [realize[le] @ affine(antipode[ri]) for le, ri in cop[gen]]),
+        ):
+            out[f"antipode_{side}_{gen}"] = residual_of(sum(products) - target, products[0])
+    return out
+
+
+def _assert_counit_antipode_match_dense(rep):
+    by = _by_name(check_hopf_axioms(rep))
+    for name, residual in _dense_counit_antipode(rep).items():
+        assert abs(by[name].residual - residual) <= 2.0**-50, (rep.k, name)
+
+
+@pytest.mark.parametrize("mode,eps", [(m, e) for m, es in EQUIV_EPS.items() for e in es])
+def test_graded_counit_and_antipode_match_dense(mode, eps):
+    for k in range(10):
+        _assert_counit_antipode_match_dense(_rep(mode, eps, _branch(mode, eps), k))
+
+
+@pytest.mark.parametrize("metric", [parity_metric(4), np.diag([1.0, 3.0, 49.0, 0.7])],
+                         ids=["parity", "diag_1_3_49_0.7"])
+def test_graded_adjoint_is_the_dense_twisted_adjoint_to_the_bit(metric):
+    """Each symbol's adjoint weights are the band of the dense ``G^-1 M^H G``, whose entry
+    (i, j) is ``M^H[i, j] * ((1 / g_i) * g_j)``.  At ``g = (1, 3, 49, 0.7)`` even the
+    twist of the diagonal is not 1: ``(1 / 49) * 49 == 0.9999999999999999``."""
+    g = np.diagonal(metric)
+    twist = np.array([[(1.0 / gi) * gj for gj in g] for gi in g])
+    for rep in (_rep("realline", 1.0, 1, 3), _rep("unimodular", 0.9, 0, 3)):
+        weights = _realize(rep).weights
+        dense = (rep.A, rep.Abar, rep.Nmat, *(np.diag(w[0]) for w in weights[3:]))
+        got = hopfstar._adjoint(weights, metric)
+        for m, x, w in zip(hopfstar._DEGREE.values(), dense, got):
+            want = band((x.conj().T * twist)[None], -m)
+            assert np.array_equal(_words(w, True), _words(want, True))
 
 
 def test_plan_compose_matches_dense_product():
@@ -575,6 +672,7 @@ def test_graded_arms_equal_dense_on_generic_window(mode, eps, l):
     _assert_star_equal(rep)
     _assert_coassociativity_is_exact(rep)
     _assert_homomorphism_matches_dense(rep)
+    _assert_counit_antipode_match_dense(rep)
 
 
 def test_graded_arms_reject_non_shift_input():
