@@ -130,8 +130,8 @@ class RepBatch:
     ``(B, D, D)`` for the largest dimension ``D``: each member's block is
     the direct sum of its own with the zero representation, so every
     symbol, step and identity is exactly 0 past a member's own block.
-    Every check family runs on :attr:`weights`, once on the padded stack;
-    the dense stacks ``A``, ``Abar`` and ``Nmat`` only feed it.
+    Every check family runs on :attr:`weights`, once on the padded stack,
+    which reads the members' dense matrices once and keeps no dense stack.
     """
 
     reps: tuple[Rep, ...]
@@ -176,37 +176,19 @@ class RepBatch:
     def params(self) -> tuple[QParams, ...]:
         return tuple(rep.params for rep in self.reps)
 
-    def _stack(self, name: str) -> np.ndarray:
-        if len(self.groups) == 1:
-            matrices = [getattr(rep, name) for rep in self.reps]
-            return _freeze(matrices[0][None] if len(matrices) == 1 else np.stack(matrices))
-        out = np.zeros((len(self.reps), self.dim, self.dim), dtype=complex)
-        for i, rep in enumerate(self.reps):
-            out[i, :rep.dim, :rep.dim] = getattr(rep, name)
-        return _freeze(out)
-
-    @functools.cached_property
-    def A(self) -> np.ndarray:
-        """The members' lowering matrices, stacked ``(B, D, D)``."""
-        return self._stack("A")
-
-    @functools.cached_property
-    def Abar(self) -> np.ndarray:
-        """The members' raising matrices, stacked ``(B, D, D)``."""
-        return self._stack("Abar")
-
-    @functools.cached_property
-    def Nmat(self) -> np.ndarray:
-        """The members' number matrices, stacked ``(B, D, D)``."""
-        return self._stack("Nmat")
-
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """The weights ``(3, B, D)`` of ``A``, ``Abar`` and ``Nmat``, of degrees -1, +1, 0;
-        raises ``ValueError`` unless each is a weighted shift of its degree."""
-        return _freeze(np.stack([shift_weights("a", self.A, -1),
-                                 shift_weights("abar", self.Abar, 1),
-                                 shift_weights("N", self.Nmat, 0)]))
+        """The weights ``(3, B, D)`` of the members' ``A``, ``Abar`` and ``Nmat``, of degrees
+        -1, +1, 0, each read from one zero-padded ``(B, D, D)`` stack; raises ``ValueError``
+        unless each is a weighted shift of its degree."""
+        out = []
+        for name, field, degree in (("a", "A", -1), ("abar", "Abar", 1), ("N", "Nmat", 0)):
+            stack = np.zeros((len(self.reps), self.dim, self.dim), dtype=complex)
+            for i, rep in enumerate(self.reps):
+                m = getattr(rep, field)
+                stack[i, :len(m), :len(m)] = m
+            out.append(shift_weights(name, stack, degree))
+        return _freeze(np.stack(out))
 
     @functools.cached_property
     def one(self) -> np.ndarray:

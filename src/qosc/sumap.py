@@ -14,13 +14,14 @@ are stacked on a leading batch axis and checked in one pass, into one
 weights of ``Jp``, ``Jm`` and ``J0``, of degrees +1, -1 and 0, and multiplied
 as in :mod:`qosc.algcheck` (:func:`~qosc.repbuild.shift`).  :func:`check_su2` reads its
 deformed numbers from a :class:`~qosc.qcore.PowerTable` of a fourth root of ``Q``;
-only the reference blocks of :func:`check_equivalence` are built member by
-member.  So a member's residuals are bit for bit those of the single-rep
-call.  The two checks share one spin map per batch, and :func:`to_su2` is
-its row 0.  Every check evaluates every member, and a member leaves only
-when the block is cut: one at a singular locus with its
-``DegenerateParameter``, one whose scalars overflow with its
-``OverflowError``; a single rep gets its reports and raises them.
+:func:`check_equivalence` compares the map with the closed-form spin-``j``
+blocks of all members at once (:func:`_reference`), of which
+:func:`su2_direct` is the one-row view.  So a member's residuals are bit for
+bit those of the single-rep call.  The two checks share one spin map per
+batch, and :func:`to_su2` is its row 0.  Every check evaluates every member,
+and a member leaves only when the block is cut: one at a singular locus with
+its ``DegenerateParameter``, one whose scalars or reference weights overflow
+with its ``OverflowError``; a single rep gets its reports and raises them.
 :func:`check_su2` also takes a :class:`SuTriple`, the batch of one triple.
 """
 
@@ -30,7 +31,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .algcheck import (
     unbatch,
 )
 from .errors import DegenerateParameter
-from .qcore import GUARD_BAND, Mode, PowerTable, QParams, qnum
-from .repbuild import Group, Rep, RepBatch, _groups, _parity_factor, band, blank, require_parity
+from .qcore import GUARD_BAND, Mode, PowerTable, QParams
+from .repbuild import Group, Rep, RepBatch, _groups, _parity_factor, blank, require_parity
 from .repbuild import shift, shift_weights
 
 
@@ -67,48 +68,74 @@ class SuTriple:
         return self.Jp.shape[0]
 
 
-def su2_direct(j: float, Q: complex) -> SuTriple:
-    """Reference spin-j block of su_Q(2) on basis m = -j .. j ascending.
+def _dense(weights: Sequence[np.ndarray], Q: complex, j: float) -> SuTriple:
+    """The triple whose ``Jp``, ``Jm`` and ``J0`` have the given weights, of degrees +1, -1, 0."""
+    return SuTriple(*(np.diag(w[max(0, -m):len(w) - max(0, m)], -m)  # entry (j + m, j) is w[j]
+                      for w, m in zip(weights, (1, -1, 0))), Q=Q, j=j)
 
-    ``Jp|j,m> = sqrt([j-m][j+m+1]) |j,m+1>``,
-    ``Jm|j,m> = sqrt([j+m][j-m+1]) |j,m-1>``, ``J0|j,m> = m|j,m>``,
-    with deformed numbers at base Q.
-    """
-    d = round(2 * j) + 1
-    if abs(2 * j - round(2 * j)) > 1e-12 or d < 1:
+
+#: the bracket ``[x] = f(x * p) / f(p)`` at base ``Q`` as ``(p(Q), f)``: on the unit circle,
+#: on the positive real axis and elsewhere (as :func:`~qosc.qcore.qnum` forms it).  ``x`` is
+#: an integer, so on the first two the brackets are exactly real, which keeps the principal
+#: square roots of negative products on a stable branch.
+_BRANCHES = (
+    (cmath.phase, np.sin),
+    (lambda Q: math.log(Q.real), np.sinh),
+    (cmath.log, lambda z: np.exp(z) - np.exp(-z)),
+)
+
+
+def _branch(Q: complex) -> int:
+    """The index in :data:`_BRANCHES` of the first branch ``Q`` lies on."""
+    return 0 if abs(abs(Q) - 1.0) < 1e-14 else 1 if abs(Q.imag) < 1e-14 and Q.real > 0.0 else 2
+
+
+def _brackets(Q: Sequence[complex], x: np.ndarray) -> np.ndarray:
+    """``[x]`` at base ``Q``, for ``x`` of shape ``(..., members, n)`` with one ``Q`` per
+    member.  Only the branches some member lies on are evaluated."""
+    branch = [_branch(q) for q in Q]
+    values = np.empty(x.shape, dtype=complex)
+    for b in set(branch):
+        param, f = _BRANCHES[b]
+        rows = [i for i, c in enumerate(branch) if c == b]
+        p = np.array([param(Q[i]) for i in rows])[:, None]
+        # a real p divides as a real: numpy's complex division rounds differently
+        values[..., rows, :] = f(x[..., rows, :] * p) / f(p)
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the caller drops non-finite
+def _reference(j: Union[float, np.ndarray], Q: Sequence[complex], D: int) -> np.ndarray:
+    """The weights ``(3, members, D)`` of ``Jp``, ``Jm`` and ``J0`` of each member's spin-``j``
+    block of su_Q(2) at its own ``Q``, 0 past its ``2j + 1`` states: on the basis
+    ``m = -j .. j`` ascending, ``Jp|j,m> = sqrt([j-m][j+m+1]) |j,m+1>``,
+    ``Jm|j,m> = sqrt([j+m][j-m+1]) |j,m-1>`` and ``J0|j,m> = m|j,m>``."""
+    j = (np.zeros(len(Q)) + j)[:, None]  # one j per member, also from one shared j
+    n = np.arange(D)  # the state of m = n - j
+    m = -j + n
+    pm = np.stack([j - m, j + m])
+    b = _brackets(Q, np.concatenate([pm, pm[::-1] + 1]))  # [j-m], [j+m], [j+m+1], [j-m+1]
+    last = np.rint(2 * j) - [[[1]], [[0]], [[0]]]  # the last state of Jp, Jm and J0
+    refs = np.where(n <= last, np.concatenate([np.sqrt(b[:2] * b[2:]), m[None]]), 0)
+    refs[1, :, 0] = 0  # Jm lowers no state past m = -j
+    return refs
+
+
+def su2_direct(j: float, Q: complex) -> SuTriple:
+    """Reference spin-j block of su_Q(2) on basis m = -j .. j ascending: the one row of
+    :func:`_reference`, made dense.  Raises ``ValueError`` unless ``j`` is a finite
+    nonnegative half-integer, ``DegenerateParameter`` at ``Q = 0``, a non-finite ``Q`` or
+    where the brackets divide by 0, and ``OverflowError`` where a weight is not finite."""
+    if not math.isfinite(j) or abs(2 * j - round(2 * j)) > 1e-12 or round(2 * j) < 0:
         raise ValueError(f"j={j} is not a nonnegative half-integer")
     Q = complex(Q)
-    lg = cmath.log(Q)
-
-    # j +- m is an integer, so the brackets are exactly real whenever Q sits
-    # on the unit circle or the positive real axis; computing them that way
-    # keeps principal square roots of negative products on a stable branch.
-    if abs(abs(Q) - 1.0) < 1e-14:
-        theta = cmath.phase(Q)
-
-        def qn(x: float) -> complex:
-            return complex(math.sin(x * theta) / math.sin(theta), 0.0)
-
-    elif abs(Q.imag) < 1e-14 and Q.real > 0.0:
-        t = math.log(Q.real)
-
-        def qn(x: float) -> complex:
-            return complex(math.sinh(x * t) / math.sinh(t), 0.0)
-
-    else:
-
-        def qn(x: float) -> complex:
-            return qnum(x, lg)
-
-    Jp = np.zeros((d, d), dtype=complex)
-    Jm = np.zeros((d, d), dtype=complex)
-    ms = [-j + n for n in range(d)]
-    for n, m in enumerate(ms[:-1]):
-        Jp[n + 1, n] = cmath.sqrt(qn(j - m) * qn(j + m + 1))
-    for n, m in enumerate(ms):
-        if n > 0:
-            Jm[n - 1, n] = cmath.sqrt(qn(j + m) * qn(j - m + 1))
-    return SuTriple(Jp=Jp, Jm=Jm, J0=np.diag(ms).astype(complex), Q=complex(Q), j=j)
+    param, f = _BRANCHES[_branch(Q)]
+    if Q == 0 or not cmath.isfinite(Q) or f(param(Q)) == 0:
+        raise DegenerateParameter(f"Q={Q} is not a base of deformed numbers")
+    weights = _reference(j, [Q], round(2 * j) + 1)[:, 0]
+    if not np.isfinite(weights).all():
+        raise OverflowError(f"the spin-{j} block at Q={Q} leaves the double range")
+    return _dense(weights, Q, j)
 
 
 def _locus_distance(eps: float) -> float:
@@ -181,9 +208,7 @@ def to_su2(rep: Rep) -> SuTriple:
     spins = _triples(RepBatch((rep,)))
     if spins.errors:
         raise spins.errors[0]
-    Jp, Jm, J0 = (np.diag(w[max(0, -m):len(w) - max(0, m)], -m)  # entry (j + m, j) is w[j]
-                  for w, m in ((spins.Jp[0], 1), (spins.Jm[0], -1), (spins.J0[0], 0)))
-    return SuTriple(Jp=Jp, Jm=Jm, J0=J0, Q=spins.Q[0], j=spins.j)
+    return _dense((spins.Jp[0], spins.Jm[0], spins.J0[0]), spins.Q[0], spins.j)
 
 
 def _spin_map(source: Union[SuTriple, Rep, RepBatch]) -> _Triples:
@@ -248,19 +273,10 @@ def check_equivalence(
     :func:`check_su2` does; a single rep gives its report.
     """
     spins = _spin_map(reps)
-    errors = dict(spins.errors)
-    refs = np.zeros((3, *spins.J0.shape), dtype=complex)  # Jp, Jm, J0 weights; 0 where dropped
-    spin = np.broadcast_to(spins.j, (len(spins.Q),)).tolist()
-    for i, (j, Q) in enumerate(zip(spin, spins.Q)):
-        try:
-            ref = su2_direct(j, Q)
-        except (OverflowError, DegenerateParameter) as exc:
-            errors.setdefault(i, exc)
-            continue
-        refs[:, i, :ref.dim] = [band(m[None], degree)[0]
-                                for m, degree in ((ref.Jp, 1), (ref.Jm, -1), (ref.J0, 0))]
+    refs = _reference(spins.j, spins.Q, spins.J0.shape[1])
     arms = Arms(len(spins.Q))
     for mine, ref in zip((spins.Jp, spins.Jm, spins.J0), refs):
         arms.compare("su_equivalence", mine, ref)
+    errors = finite_members(refs.swapaxes(0, 1), errors=spins.errors)
     block = cut(("su_equivalence",), max_rule(arms._residuals())[:, None], tol, errors)
     return block if isinstance(reps, RepBatch) else block.reports(0)[0]

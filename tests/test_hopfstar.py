@@ -37,7 +37,7 @@ from qosc.qcore import make_params
 from qosc.repbuild import build_generic_window, build_rep
 from qosc.repbuild import band, shift
 from qosc.repbuild import shift_weights as _shift_weights
-from qosc.sumap import check_su2, to_su2
+from qosc.sumap import check_equivalence, check_su2, to_su2
 
 PI = math.pi
 
@@ -697,6 +697,25 @@ def test_graded_arms_reject_non_shift_input():
         check_star_structure(rep, inv, metric=metric)
     with pytest.raises(ValueError, match="invertible"):
         check_star_structure(rep, inv, metric=parity_metric(4) * np.array([1, 1, 0, 1]))
+
+
+def test_mixed_k_batch_weights_are_each_members_bands_and_refuse_non_shift_input():
+    reps = [_rep("unimodular", 0.9, 0, k) for k in (1, 3, 2)]
+    weights = RepBatch(tuple(reps)).weights
+    for i, rep in enumerate(reps):
+        for w, (m, degree) in zip(weights[:, i], ((rep.A, -1), (rep.Abar, 1), (rep.Nmat, 0))):
+            assert w[:rep.dim].tobytes() == band(m[None], degree)[0].tobytes()
+            assert not w[rep.dim:].any()
+    head = reps[0]  # the k 1 member of the padded stacks
+    for field, bad in (("A", head.A + np.eye(2)), ("Abar", head.Abar + head.A),
+                       ("Nmat", head.Nmat + np.eye(2, k=1))):
+        batch = RepBatch((dataclasses.replace(head, **{field: bad}), *reps[1:]))
+        invs = [involution("canonical", rep.params) for rep in batch.reps]
+        for check in (check_hopf_axioms, lambda b: check_star_structure(b, invs),
+                      check_defining_relations, casimir, check_su2, check_equivalence,
+                      lambda b: check_ladder_identities(b, 2)):
+            with pytest.raises(ValueError, match="weighted shift"):
+                check(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from qosc.algcheck import DEFAULT_TOL, report
 from qosc.errors import DegenerateParameter
 from qosc.qcore import make_params, qnum
-from qosc.repbuild import RepBatch, build_rep
+from qosc.repbuild import RepBatch, band, build_rep
 from qosc.sumap import (
     SuTriple,
+    _reference,
     _spin_map,
     _su2_numbers,
     check_equivalence,
@@ -45,6 +46,81 @@ def test_direct_spin_half_is_undeformed():
     t = su2_direct(0.5, np.exp(0.2j))
     assert np.allclose(t.Jp @ t.Jm - t.Jm @ t.Jp, np.diag([-1.0, 1.0]))
     assert np.allclose(np.diag(t.J0), [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan, -0.5, 0.3])
+def test_direct_spin_block_refuses_j_off_the_half_integers(j):
+    with pytest.raises(ValueError, match=f"j={j}"):
+        su2_direct(j, 1j)
+
+
+@pytest.mark.parametrize("j,Q", [(0.5, 1.0), (1.0, 1 + 1e-15), (0.5, 0.0), (2.0, 0j),
+                                 (1.5, complex(math.nan, 0.0)), (1.5, math.inf)])
+def test_direct_spin_block_refuses_a_base_without_deformed_numbers(j, Q):
+    with pytest.raises(DegenerateParameter, match="Q="):
+        su2_direct(j, Q)
+
+
+@pytest.mark.parametrize("j,Q", [(1.5, 1e300 + 1e300j), (32.0, np.exp(350.0))])
+def test_direct_spin_block_raises_where_its_weights_overflow(j, Q):
+    with pytest.raises(OverflowError, match="double range"):
+        su2_direct(j, Q)
+
+
+def _scalar_bracket(x, Q):
+    """``[x]`` at base ``Q``, entry by entry in ``math`` and ``cmath``: exactly real on the unit
+    circle and on the positive real axis."""
+    if abs(abs(Q) - 1.0) < 1e-14:
+        theta = cmath.phase(Q)
+        return complex(math.sin(x * theta) / math.sin(theta), 0.0)
+    if abs(Q.imag) < 1e-14 and Q.real > 0.0:
+        t = math.log(Q.real)
+        return complex(math.sinh(x * t) / math.sinh(t), 0.0)
+    return qnum(x, cmath.log(Q))
+
+
+def _scalar_reference(j, Q):
+    """The weights of ``Jp``, ``Jm`` and ``J0`` of the spin-j block, one closed form per entry."""
+    ms = [-j + n for n in range(round(2 * j) + 1)]
+    Jp = [cmath.sqrt(_scalar_bracket(j - m, Q) * _scalar_bracket(j + m + 1, Q)) for m in ms[:-1]]
+    Jm = [cmath.sqrt(_scalar_bracket(j + m, Q) * _scalar_bracket(j - m + 1, Q)) for m in ms[1:]]
+    return np.array([Jp + [0j], [0j] + Jm, ms], dtype=complex)
+
+
+# the unit circle and the positive real axis of both modes, and the three bases of
+# test_direct_spin_matrices_satisfy_deformed_relations
+REFERENCE_BASES = [make_params(mode, eps).sqrt_q for mode, eps in
+                   (("unimodular", 0.9), ("unimodular", -2.5), ("realline", 1.0),
+                    ("realline", -0.7), ("realline", 9.0))]
+REFERENCE_BASES += [np.exp(0.45j), np.exp(0.3), 1.3 * np.exp(0.4j)]
+# numpy's sinh may round differently from math's, and its complex division multiplies by a
+# reciprocal: 4 ulp at most on the real line and 2.5 off both axes were seen, so allow twice
+REFERENCE_ULPS = 8
+
+
+def _mixed_reference_batch():
+    """Every base at every k 0..64, shuffled into one batch of D = 65."""
+    rows = [(k / 2.0, complex(Q)) for Q in REFERENCE_BASES for k in range(65)]
+    rows = [rows[i] for i in np.random.default_rng(7).permutation(len(rows))]
+    return rows, _reference(np.array([j for j, _ in rows]), [Q for _, Q in rows], 65)
+
+
+def test_batched_reference_is_within_ulps_of_the_scalar_closed_form():
+    rows, refs = _mixed_reference_batch()
+    for i, (j, Q) in enumerate(rows):
+        want, got = _scalar_reference(j, Q), refs[:, i]
+        d = want.shape[1]
+        assert not got[:, d:].any()
+        bound = REFERENCE_ULPS * np.spacing(np.abs(want))
+        assert np.all(np.abs(got[:, :d] - want) <= bound), (j, Q)
+
+
+def test_direct_spin_block_is_one_row_of_a_mixed_batch_to_the_bit():
+    rows, refs = _mixed_reference_batch()
+    for i, (j, Q) in enumerate(rows):
+        t = su2_direct(j, Q)
+        weights = [band(x[None], degree)[0] for x, degree in ((t.Jp, 1), (t.Jm, -1), (t.J0, 0))]
+        assert np.array(weights).tobytes() == refs[:, i, :t.dim].tobytes(), (j, Q)
 
 
 @pytest.mark.parametrize("mode,eps,l,k", POINTS)
@@ -205,17 +281,16 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
     reps = [_rep("unimodular", eps, 0, 3) for eps in (0.9, 1.2, 2.5)]
     batch = RepBatch(tuple(reps))
     rescaled = []
-    rescaling, direct, su2_numbers = sumap._rescaling, sumap.su2_direct, sumap._su2_numbers
-    failing_q = reps[1].params.sqrt_q  # the reference block of member 1 "overflows"
+    rescaling, batched, su2_numbers = sumap._rescaling, sumap._reference, sumap._su2_numbers
 
     def counted(p):
         rescaled.append(p.epsilon)
         return rescaling(p)
 
-    def reference(j, Q):
-        if Q == failing_q:
-            raise OverflowError("reference block leaves the double range")
-        return direct(j, Q)
+    def reference(j, Q, D):
+        refs = batched(j, Q, D)
+        refs[0, 1, 0] = np.inf  # a reference weight of member 1 leaves the double range
+        return refs
 
     def numbers(pw, d):
         steps, casimirs, targets = su2_numbers(pw, d)
@@ -223,7 +298,7 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
         return steps, casimirs, targets
 
     monkeypatch.setattr(sumap, "_rescaling", counted)
-    monkeypatch.setattr(sumap, "su2_direct", reference)
+    monkeypatch.setattr(sumap, "_reference", reference)
     monkeypatch.setattr(sumap, "_su2_numbers", numbers)
     equivalence = check_equivalence(batch)
     relations = check_su2(batch)
@@ -231,7 +306,8 @@ def test_both_spin_checks_share_one_spin_map_and_keep_their_own_drops(monkeypatc
     assert rescaled == [0.9, 1.2, 2.5]  # one spin map per batch, not one per check
     assert equivalence.alive == (0, 2) and set(equivalence.errors) == {1}
     assert relations.alive == (1, 2) and set(relations.errors) == {0}
-    assert "reference block" in str(equivalence.errors[1])
+    assert isinstance(equivalence.errors[1], OverflowError)
+    assert equivalence.errors[1] is not relations.errors[0]
     assert isinstance(relations.errors[0], OverflowError)
     assert str(relations.errors[0]) == "math range error"
     monkeypatch.undo()
