@@ -60,10 +60,9 @@ from .hopfstar import (
     Flavor,
     RepBatch,
     check_hopf_axioms,
-    check_star_structure,
-    involution,
+    check_star_arms,
+    involution_values,
     parity_metric,
-    with_flavor,
 )
 from .jsonio import (
     check_to_json,
@@ -154,21 +153,16 @@ class RunConfig:
 # check family runners
 
 
-def _star_arms(batch: RepBatch, family: str) -> list[tuple[str, list, Any]]:
-    """Label, one involution per member and metric of each arm of a star family."""
-    params = batch.params
-    if family == "star:canonical":  # the canonical involution reads no parameter
-        canonical = involution("canonical", params[0])
-        arms = [("canonical", [canonical] * len(params), None)]
-        if batch.mode is Mode.UNIMODULAR:
-            standard = with_flavor(canonical, Flavor.STANDARD)
-            arms.append(("canonical_standard", [standard] * len(params), None))
-        return arms
-    return [
-        ("imaginary_minus", [involution("imaginary_minus", p) for p in params], None),
-        ("imaginary_plus", [involution("imaginary_plus", p) for p in params],
-         parity_metric(batch.dim)),
-    ]
+def _star_arms(batch: RepBatch, family: str) -> list[tuple]:
+    """Label, flavor, involution data ``(3, members)`` and metric of each arm of a star family."""
+    if family == "star:canonical":  # its own flavor, and on the circle the standard one too
+        canonical = involution_values("canonical", batch.params)
+        return [("canonical", Flavor.NONSTANDARD, canonical, None),
+                ("canonical_standard", Flavor.STANDARD, canonical, None)
+                ][:2 if batch.mode is Mode.UNIMODULAR else 1]
+    return [(label, Flavor.STANDARD, involution_values(label, batch.params), metric)
+            for label, metric in (("imaginary_minus", None),
+                                  ("imaginary_plus", parity_metric(batch.dim)))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,21 +182,25 @@ def _expected_fails(names: tuple[str, ...], mode: Mode, one_state: bool) -> np.n
     return out
 
 
-def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig) -> list[ReportBlock]:
-    """The blocks of one family over the batch.  Not casimir: every point runs that first."""
+def _family_blocks(family: str, batch: RepBatch, cfg: RunConfig) -> dict[str, list[ReportBlock]]:
+    """The blocks of one family over the batch, by family: a star family runs every star
+    family selected, in one plan run.  Not casimir: every point runs that first."""
     if family.startswith("star:"):
-        return [check_star_structure(batch, invs, cfg.tol, metric=metric, label=label)
-                for label, invs, metric in _star_arms(batch, family)]
+        arms = {star: _star_arms(batch, star) for star in cfg.checks if star.startswith("star:")}
+        blocks = iter(check_star_arms(batch, [arm for star in arms.values() for arm in star],
+                                      cfg.tol))
+        return {star: [next(blocks) for _ in star_arms] for star, star_arms in arms.items()}
     if family == "algebra":
-        return [check_defining_relations(batch, cfg.tol)]
+        return {family: [check_defining_relations(batch, cfg.tol)]}
     if family == "ladder":
-        return [check_ladder_identities(batch, np.minimum(cfg.n_max, batch.ks + 1), cfg.tol)]
+        n_max = np.minimum(cfg.n_max, batch.ks + 1)
+        return {family: [check_ladder_identities(batch, n_max, cfg.tol)]}
     if family == "hopf":
-        return [check_hopf_axioms(batch, cfg.tol)]
+        return {family: [check_hopf_axioms(batch, cfg.tol)]}
     if family == "suq2":  # one spin map serves both
-        return [check_su2(batch, cfg.tol), check_equivalence(batch, cfg.tol)]
+        return {family: [check_su2(batch, cfg.tol), check_equivalence(batch, cfg.tol)]}
     if family == "symbolic":
-        return [symbolic_block(batch.params, cfg.n_max, cfg.sym_tol, cfg.tamper)]
+        return {family: [symbolic_block(batch.params, cfg.n_max, cfg.sym_tol, cfg.tamper)]}
     raise ValueError(f"unknown check family {family!r}")
 
 
@@ -482,6 +480,8 @@ def _run_families(cfg: RunConfig, built: Sequence[_Point]) -> dict[str, list[Rep
     families: dict[str, list[ReportBlock]] = {}
     batch: Optional[RepBatch] = None
     for family in (None, *cfg.checks):  # None: the casimir every point runs first, for its row
+        if family in families:  # casimir, or a star family the first one ran
+            continue
         live = [point for point in built if point.skip is None]
         if not live:
             break
@@ -496,10 +496,11 @@ def _run_families(cfg: RunConfig, built: Sequence[_Point]) -> dict[str, list[Rep
             families["casimir"] = [cas]
             if "casimir" in cfg.checks:  # the family's reports are these, folded in at once
                 _fold(live, batch, [cas], None)
-        elif family != "casimir":  # both star families share res_star
-            families[family] = _family_blocks(family, batch, cfg)
-            column = "res_" + family.partition(":")[0]
-            _fold(live, batch, families[family], column if column in _CSV_COLUMNS else None)
+        else:  # both star families share res_star
+            for name, blocks in _family_blocks(family, batch, cfg).items():
+                families[name] = blocks
+                column = "res_" + name.partition(":")[0]
+                _fold(live, batch, blocks, column if column in _CSV_COLUMNS else None)
     for point in built:
         if point.skip is None:
             point.finish()
@@ -761,19 +762,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max={n_max} outside 1..{N_MAX_CAP}")
 
-    return RunConfig(
-        mode=mode,
-        epsilons=tuple(epsilons),
-        l=args.l,
-        ks=tuple(ks),
-        checks=tuple(checks),
-        tol=tol,
-        sym_tol=sym_tol,
-        fmt=args.format,
-        out=args.out,
-        n_max=n_max,
-        tamper=getattr(args, "tamper_delta", 0.0),
-    )
+    return RunConfig(mode=mode, epsilons=tuple(epsilons), l=args.l, ks=tuple(ks),
+                     checks=tuple(checks), tol=tol, sym_tol=sym_tol, fmt=args.format,
+                     out=args.out, n_max=n_max, tamper=getattr(args, "tamper_delta", 0.0))
 
 
 _COMMANDS: dict[str, Callable[[RunConfig], int]] = {

@@ -22,26 +22,21 @@ checked once per process on the coproduct table itself
 (:func:`_coassociativity_defects`).  The rep's dense ``A``/``Abar``/``Nmat``
 remain the public and JSON view.
 
-:func:`check_hopf_axioms` and :func:`check_star_structure` take either one
-:class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` (defined
-in :mod:`qosc.repbuild`, re-exported here) of representations of one mode
-and any ``k``, under the batch contract of :mod:`qosc.algcheck`, and give
-one :class:`~qosc.algcheck.ReportBlock` of residuals.  Which weights
-multiply which, at which offsets, and the order of every sum depend only on
-the family (the Hopf check, a star flavor or the coproduct), so each family
-is compiled once into a plan (:func:`_plan`): a fixed sequence of numpy
-calls on ``(slots, members, ...)`` stacks, whatever ``k`` and the batch
-size.  A plan runs once per batch, on its zero-padded stacks: every input is
-0 past each member's block, and so is every weight the plan computes (a
-shift only ever multiplies a weight that is 0 there), so the padding moves
-no bit of a member's own block.  The scalar data, the tables' values among
-them, are ``(members, ...)`` inputs: ``K``, the antipode constants and the
-bracket steps are read from the batch's :class:`~qosc.qcore.PowerTable` at
-each member's own ``k``, and the star steps take one ``q**eta`` per member
-on top.  So a member's residuals are bit for bit those of the single-rep
-call.  Every check evaluates every member, and a member whose scalars leave
-the double range leaves only when the block is cut.  A single rep is the
-batch of one and gets its reports.
+:func:`check_hopf_axioms`, :func:`check_star_structure` and :func:`check_star_arms`
+take one :class:`~qosc.repbuild.Rep` or a :class:`~qosc.repbuild.RepBatch` of one
+mode and any ``k``, under the batch contract of :mod:`qosc.algcheck`; a single rep
+is the batch of one.  Which weights multiply which, at which offsets, and the
+order of every sum depend only on the plan's key (the Hopf check, the coproduct,
+or the star arms a call asks for), so each key is compiled once into a plan
+(:func:`_plan`): a fixed sequence of numpy calls on ``(slots, members, ...)``
+stacks, whatever ``k`` and the batch size.  A plan runs once per batch, on its
+zero-padded stacks: every input is 0 past each member's block, and so is every
+weight the plan computes (a shift only ever multiplies a weight that is 0 there),
+so the padding moves no bit of a member's block.  The scalars are ``(members,
+...)`` inputs read from the batch's :class:`~qosc.qcore.PowerTable` at each
+member's own ``k``, the star steps with one ``q**eta`` per member on top, so a
+member's residuals are bit for bit those of the single-rep call.  A member whose
+scalars leave the double range leaves only when the block is cut.
 """
 
 from __future__ import annotations
@@ -384,10 +379,7 @@ class _Plan:
         ws = [np.empty((size, count) + (d,) * rank, dtype=complex)
               for rank, size in enumerate(self.sizes)]
         for rank, arrays in inputs.items():
-            at = 0
-            for array in arrays:
-                ws[rank][at:at + len(array)] = array
-                at += len(array)
+            np.concatenate(arrays, out=ws[rank][:sum(map(len, arrays))])
         at, values = self.literals
         if len(values):
             ws[0][at:at + len(values)] = values[:, None]
@@ -518,28 +510,22 @@ def _realize(rep: Rep) -> _Realization:
     return real
 
 
-def _symbols(t: _Tape) -> dict:
-    """Every symbol as a graded operator ``{(m,): weights}``, the weights an input."""
-    return {sym: {(m,): t.input(1, sym)} for sym, m in _DEGREE.items()}
-
-
 @functools.lru_cache(maxsize=None)
-def _plan(family: Union[str, Flavor]) -> _Plan:
-    """The plan of one family: ``"hopf"``, a star flavor or ``"coproduct"``.
+def _plan(family: Union[str, tuple]) -> _Plan:
+    """The plan of ``"hopf"``, ``"coproduct"`` or star arms ``((flavor, *inputs), ...)``.
 
     Each table is built once, here, on rank-0 inputs: the Hopf table's values
-    (:func:`_hopf_values`), then a star flavor's (:func:`_star_values`).
+    (:func:`_hopf_values`), then each star arm's (:func:`check_star_arms`).
     """
     t = _Tape()
-    ops = _symbols(t)
+    ops = {sym: {(m,): t.input(1, sym)} for sym, m in _DEGREE.items()}  # the weights are inputs
     if family == "coproduct":
-        arms = [(gen, (_coproduct(_COPRODUCT[gen], ops, ops),)) for gen in _GENERATORS]
-    elif family == "hopf":
-        arms = _hopf_arms(t, ops, *_hopf_table(*(t.input(0, j) for j in range(3))))
-    else:
-        arms = _star_arms(t, ops, *_hopf_table(*(t.input(0, j) for j in range(3))),
-                          _star_table(*(t.input(0, j) for j in range(3, 6))), family)
-    return _Plan(t, arms)
+        return _Plan(t, [(gen, (_coproduct(_COPRODUCT[gen], ops, ops),)) for gen in _GENERATORS])
+    hopf = _hopf_table(*(t.input(0, j) for j in range(3)))
+    if family == "hopf":
+        return _Plan(t, _hopf_arms(t, ops, *hopf))
+    return _Plan(t, [arm for flavor, *groups in family
+                     for arm in _star_arms(t, ops, *hopf, flavor, *groups)])
 
 
 def coproduct(rep: Rep, gen: str) -> dict[tuple[int, int], np.ndarray]:
@@ -665,13 +651,23 @@ def involution(kind: InvolutionKind | str, params: QParams) -> InvolutionSpec:
     differs); the imaginary pair exists on the real line only.
     """
     kind = InvolutionKind(kind)
+    flavor = Flavor.NONSTANDARD if kind is InvolutionKind.CANONICAL else Flavor.STANDARD
+    return InvolutionSpec(*involution_values(kind, (params,))[:, 0].tolist(), flavor, kind.value)
+
+
+def involution_values(kind: InvolutionKind | str, params: Sequence[QParams]) -> np.ndarray:
+    """The ``alpha, beta, eta`` of a named :func:`involution`, ``(3, members)``, one member
+    per ``params``."""
+    kind = InvolutionKind(kind)
+    values = np.zeros((3, len(params)), dtype=complex)
     if kind is InvolutionKind.CANONICAL:
-        return InvolutionSpec(1.0, 1.0, 0.0, Flavor.NONSTANDARD, kind.value)
-    if params.mode is not Mode.REAL_LINE:
+        values[:2] = 1.0
+        return values
+    if any(p.mode is not Mode.REAL_LINE for p in params):
         raise ModeMismatch(f"{kind.value} involution requires the real-line mode")
-    eta = complex(0.0, -2.0 * _branch_shift(params.l, params.epsilon))
-    sign = 1.0 if kind is InvolutionKind.IMAGINARY_PLUS else -1.0
-    return InvolutionSpec(sign * 1j, sign * 1j, eta, Flavor.STANDARD, kind.value)
+    values[:2] = (1.0 if kind is InvolutionKind.IMAGINARY_PLUS else -1.0) * 1j
+    values[2].imag = [-2.0 * _branch_shift(p.l, p.epsilon) for p in params]
+    return values
 
 
 def with_flavor(inv: InvolutionSpec, flavor: Flavor | str) -> InvolutionSpec:
@@ -683,11 +679,6 @@ def _star_table(alpha: Any, beta: Any, eta: Any):
     return {"a": (alpha, "abar", 0.0), "abar": (beta, "a", 0.0), "N": (1.0, "N", eta)}
 
 
-def _star_values(invs: Sequence[InvolutionSpec]) -> np.ndarray:
-    """The values :func:`_star_table` takes, ``(values, members)``, one member per involution."""
-    return np.array([[inv.alpha, inv.beta, inv.eta] for inv in invs], dtype=complex).T
-
-
 def _apply(elem, table, antilinear=False):
     """A table's image of the affine element ``c*gen + d``: the star's is antilinear."""
     c, gen, d = elem
@@ -697,28 +688,15 @@ def _apply(elem, table, antilinear=False):
     return (c * coef, target, c * const + d)
 
 
-def _star_arms(t: _Tape, ops: dict, counit: dict, antipode: dict, star: dict,
-               flavor: Flavor) -> list:
-    """The arms of :func:`check_star_structure`, each ``(name, (defect, *operands))``."""
+def _star_arms(t: _Tape, ops: dict, counit: dict, antipode: dict, flavor: Flavor,
+               star: int, adjoint: int, step: int) -> list:
+    """The reports of one star arm, each ``(name, (defect, *operands))``, on the star values,
+    the adjoint weights and ``step_bar`` of the arms ``star``, ``adjoint`` and ``step``."""
     cop = _COPRODUCT
+    star = _star_table(*(t.input(0, ("star", star, j)) for j in range(3)))
     # the adjoint of a weighted shift is one of the opposite degree
-    adj = {sym: {(-m,): t.input(1, ("adjoint", sym))} for sym, m in _DEGREE.items()}
-    step_bar = {(0,): t.input(1, "step_bar")}
-    counit_defects = []
-    antipode_sides = []
-    for gen in _GENERATORS:
-        coef, target, const = star[gen]
-        counit_defects.append(coef * counit[target] + const - counit[gen].conjugate())
-        start = (1.0, gen, 0.0)
-        if flavor is Flavor.STANDARD:
-            lhs = start
-            for _ in range(2):  # (star o S) twice
-                lhs = _apply(_apply(lhs, antipode), star, antilinear=True)
-            antipode_sides += [lhs, start]
-        else:
-            antipode_sides += [_apply(_apply(start, star, antilinear=True), antipode),
-                               _apply(_apply(start, antipode), star, antilinear=True)]
-
+    adj = {sym: {(-m,): t.input(1, ("adjoint", adjoint, sym))} for sym, m in _DEGREE.items()}
+    step_bar = {(0,): t.input(1, ("step_bar", step))}
     img = {gen: _affine(star[gen], ops) for gen in _GENERATORS}
     arms = []
 
@@ -743,23 +721,28 @@ def _star_arms(t: _Tape, ops: dict, counit: dict, antipode: dict, star: dict,
             image = _swap(image)
         arms.append((f"coproduct_{flavor.value}_{gen}", (_minus(dag, image), dag, image)))
 
-    for gen, defect in zip(_GENERATORS, counit_defects):  # its max-abs is its residual
-        arms.append((f"counit_{gen}", (defect,)))
+    for gen in _GENERATORS:  # its max-abs is its residual
+        coef, target, const = star[gen]
+        arms.append((f"counit_{gen}", (coef * counit[target] + const - counit[gen].conjugate(),)))
 
-    sides = [_affine(side, ops) for side in antipode_sides]
-    for j, gen in enumerate(_GENERATORS):
-        compare(f"antipode_{flavor.value}_{gen}", sides[2 * j], sides[2 * j + 1])
+    for gen in _GENERATORS:
+        start = (1.0, gen, 0.0)
+        if flavor is Flavor.STANDARD:
+            lhs = start
+            for _ in range(2):  # (star o S) twice
+                lhs = _apply(_apply(lhs, antipode), star, antilinear=True)
+            sides = (lhs, start)
+        else:
+            sides = (_apply(_apply(start, star, antilinear=True), antipode),
+                     _apply(_apply(start, antipode), star, antilinear=True))
+        compare(f"antipode_{flavor.value}_{gen}", *(_affine(side, ops) for side in sides))
     return arms
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
-def check_star_structure(
-    reps: Union[Rep, RepBatch],
-    inv: Union[InvolutionSpec, Sequence[InvolutionSpec]],
-    tol: float = DEFAULT_TOL,
-    metric: np.ndarray | None = None,
-    label: Optional[str] = None,
-) -> Union[list[CheckReport], ReportBlock]:
+def check_star_structure(reps: Union[Rep, RepBatch],
+                         inv: Union[InvolutionSpec, Sequence[InvolutionSpec]],
+                         tol: float = DEFAULT_TOL, metric: np.ndarray | None = None,
+                         label: Optional[str] = None) -> Union[list[CheckReport], ReportBlock]:
     """All compatibility arms of one involution on one representation.
 
     ``metric`` twists the matrix adjoint to ``G^-1 M^H G``; the default is
@@ -770,7 +753,7 @@ def check_star_structure(
 
     For a :class:`RepBatch`, ``inv`` holds one involution per member, all of
     one flavor, ``metric`` serves every member, and the result is one block
-    as in :func:`check_hopf_axioms`.
+    as in :func:`check_hopf_axioms`; this is the one-arm :func:`check_star_arms`.
     """
     batch = as_batch(reps)
     invs = tuple(inv) if isinstance(reps, RepBatch) else (inv,)
@@ -779,23 +762,51 @@ def check_star_structure(
     flavor = invs[0].flavor
     if any(spec.flavor is not flavor for spec in invs):
         raise ValueError("the involutions of a batch must share one flavor")
-    d = batch.dim
-    real = batch.derived(_Realization)
-    adjoint = _adjoint(real.weights, metric)
-    # conjugated defining relations: steps at base conj(q), which is 1/q on the
-    # unit circle and q on the real line, taken at N + eta
-    pw = batch.powers
-    shift = None if all(spec.eta == 0 for spec in invs) else np.array(
-        [cmath.exp(p.log_q.conjugate() * spec.eta) for p, spec in zip(batch.params, invs)])
-    step_bar = blank(pw.step(4 * np.arange(d), -1 if batch.mode is Mode.UNIMODULAR else 1, shift),
-                     batch.groups)
-    plan = _plan(flavor)
-    residuals = plan.residuals(batch, {
-        0: [batch.derived(_hopf_values), _star_values(invs)],
-        1: [real.weights, adjoint, step_bar[None]]})
-    names = plan.names if label is None else tuple(f"{label}.{name}" for name in plan.names)
-    return unbatch(reps, cut(names, residuals, tol,
-                             finite_members(step_bar, errors=real.overflow)))
+    values = np.array([[spec.alpha, spec.beta, spec.eta] for spec in invs], dtype=complex).T
+    (block,) = check_star_arms(batch, [(label, flavor, values, metric)], tol)
+    return unbatch(reps, block)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite scalar drops its member below
+def check_star_arms(reps: Union[Rep, RepBatch], arms: Sequence[tuple], tol: float = DEFAULT_TOL
+                    ) -> list[ReportBlock]:
+    """The block of each star arm ``(label, flavor, values, metric)``, from one plan run.
+
+    ``values`` holds ``alpha, beta, eta`` per member, ``(3, members)``; the rest
+    is as in :func:`check_star_structure`.  Arms share the star values and the
+    adjoint they are given as one object, and ``step_bar`` where their ``eta``
+    are equal: each such input is made once, and the nodes it feeds run once.
+    A block drops the members whose ``step_bar`` leaves the double range.
+    """
+    batch = as_batch(reps)
+    real, pw = batch.derived(_Realization), batch.powers
+    etas = [values[2].tolist() for _, _, values, _ in arms]
+    shared = [[id(arm[2]) for arm in arms], [id(arm[3]) for arm in arms], etas]
+    # per arm, its flavor and the first arm to give each input it shares
+    key = tuple((Flavor(arm[1]), *(col.index(col[i]) for col in shared))
+                for i, arm in enumerate(arms))
+    scalars, weights, errors = [batch.derived(_hopf_values)], [real.weights], {}
+    for i, ((_, star, adjoint, step), (_, _, values, metric)) in enumerate(zip(key, arms)):
+        if star == i:
+            scalars.append(values)
+        if adjoint == i:
+            weights.append(_adjoint(real.weights, metric))
+        if step == i:  # conjugated relations: steps at base conj(q), 1/q on the circle, at N + eta
+            shift = None if not any(etas[i]) else np.array(
+                [cmath.exp(p.log_q.conjugate() * eta) for p, eta in zip(batch.params, etas[i])])
+            step_bar = blank(pw.step(4 * np.arange(batch.dim), -1 if batch.mode is Mode.UNIMODULAR
+                                     else 1, shift), batch.groups)
+            weights.append(step_bar[None])
+            errors[i] = finite_members(step_bar, errors=real.overflow)
+    plan = _plan(key)
+    residuals = plan.residuals(batch, {0: scalars, 1: weights})
+    width = len(plan.names) // len(arms)  # every arm has as many reports
+    blocks = []
+    for at, (label, *_), (*_, step) in zip(range(0, len(plan.names), width), arms, key):
+        names = plan.names[at:at + width]
+        names = names if label is None else tuple(f"{label}.{name}" for name in names)
+        blocks.append(cut(names, residuals[:, at:at + width], tol, errors[step]))
+    return blocks
 
 
 def _adjoint(weights: np.ndarray, metric: Optional[np.ndarray]) -> np.ndarray:
@@ -869,17 +880,15 @@ def derive_involutions(rep: Rep, tol: float = DEFAULT_TOL) -> list[InvolutionSpe
     if abs(alpha * np.conjugate(beta) - 1.0) > tol:
         raise NoSolution(f"solved pair not involutive: alpha={alpha}, beta={beta}")
 
-    def build(al: complex, be: complex) -> InvolutionSpec:
-        label = (InvolutionKind.IMAGINARY_MINUS if al.imag < 0
-                 else InvolutionKind.IMAGINARY_PLUS).value
-        return InvolutionSpec(al, be, eta, Flavor.STANDARD, label)
-
-    solved, twin = build(alpha, beta), build(-alpha, -beta)
-    for spec, metric in ((solved, None), (twin, parity_metric(rep.dim))):
-        bad = [r for r in check_star_structure(rep, spec, tol, metric=metric) if not r.passed]
+    kinds = (InvolutionKind.IMAGINARY_PLUS, InvolutionKind.IMAGINARY_MINUS)
+    specs = [InvolutionSpec(al, be, eta, Flavor.STANDARD, kinds[al.imag < 0].value)
+             for al, be in ((alpha, beta), (-alpha, -beta))]  # the solved pair and its twin
+    values = np.array([[alpha, beta, eta], [-alpha, -beta, eta]], dtype=complex)[..., None]
+    blocks = check_star_arms(rep, [(None, Flavor.STANDARD, values[0], None),
+                                   (None, Flavor.STANDARD, values[1], parity_metric(rep.dim))], tol)
+    for spec, block in zip(specs, blocks):
+        bad = [r for r in block.reports(0) if not r.passed]
         if bad:
-            raise NoSolution(
-                f"recovered {spec.label} fails re-verification: "
-                + ", ".join(f"{r.name}={r.residual:.3e}" for r in bad)
-            )
-    return sorted((solved, twin), key=lambda s: s.alpha.imag)
+            raise NoSolution(f"recovered {spec.label} fails re-verification: "
+                             + ", ".join(f"{r.name}={r.residual:.3e}" for r in bad))
+    return sorted(specs, key=lambda s: s.alpha.imag)

@@ -523,7 +523,7 @@ def test_sweep_runs_each_family_once_per_sweep(capsys, monkeypatch):
     import qosc.cli as cli
 
     names = ("casimir", "check_defining_relations", "check_ladder_identities",
-             "check_hopf_axioms", "check_star_structure", "check_su2", "check_equivalence")
+             "check_hopf_axioms", "check_star_arms", "check_su2", "check_equivalence")
     calls = {name: [] for name in names}
 
     def counted(name):
@@ -540,10 +540,8 @@ def test_sweep_runs_each_family_once_per_sweep(capsys, monkeypatch):
     assert main(["sweep", "--mode", "unimodular", "--epsilon-grid", "0.2:1.0:0.2",
                  "--k", "0..3"]) == 0
     capsys.readouterr()
-    # one call over the 5 points at each of 4 k; the canonical star family has two arms
-    expected = {name: [20] for name in names}
-    expected["check_star_structure"] = [20] * 2
-    assert calls == expected
+    # one call over the 5 points at each of 4 k; one star run serves both canonical arms
+    assert calls == {name: [20] for name in names}
 
 
 def test_sweep_batches_a_k_beside_smaller_ones_only_where_its_grid_fits(capsys, monkeypatch):
@@ -679,15 +677,15 @@ _REAL_CANONICAL_FAILS = {"star_matrix_a", "star_matrix_abar", "star_matrix_N",
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_expected_failure_masks_match_the_name_sets(mode, k):
     import qosc.cli as cli
-    from qosc.hopfstar import RepBatch, check_star_structure
+    from qosc.hopfstar import RepBatch, check_star_arms
     from qosc.repbuild import auto_params, build_rep
 
     batch = RepBatch((build_rep(auto_params(mode, 0.9), k),))
     families = ["star:canonical"] + (["star:imaginary"] if mode == "realline" else [])
     seen = 0
     for family in families:
-        for label, invs, metric in cli._star_arms(batch, family):
-            block = check_star_structure(batch, invs, metric=metric, label=label)
+        arms = cli._star_arms(batch, family)
+        for (label, *_), block in zip(arms, check_star_arms(batch, arms)):
             fails = {("unimodular", "canonical_standard"): _UNI_STANDARD_FAILS,
                      ("realline", "canonical"): _REAL_CANONICAL_FAILS}.get((mode, label), set())
             if k == 0:  # a = abar = 0 on one state, so their arms hold trivially

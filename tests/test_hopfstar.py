@@ -21,10 +21,10 @@ from qosc.hopfstar import (
     _Plan,
     _realize,
     _star_table,
-    _star_values,
     _swap,
     _Tape,
     check_hopf_axioms,
+    check_star_arms,
     check_star_structure,
     coproduct,
     derive_involutions,
@@ -32,6 +32,7 @@ from qosc.hopfstar import (
     parity_metric,
     with_flavor,
 )
+import qosc.cli as cli
 from qosc.cli import main
 from qosc.qcore import make_params
 from qosc.repbuild import build_generic_window, build_rep
@@ -374,7 +375,7 @@ def _dense_star_coproduct(rep, inv, metric=None):
     """Star-coproduct residuals from dense Kronecker squares and a reshape swap."""
     cop = _COPRODUCT
     realize = _dense_symbols(rep)
-    star = _star_table(*_star_values([inv]))
+    star = _star_table(inv.alpha, inv.beta, inv.eta)
     d = rep.dim
 
     def adjoint(m):
@@ -428,9 +429,25 @@ def test_coassociativity_of_the_coproduct_table():
     assert _coassociativity_defects(plain) == {"a": 0, "abar": 0, "N": 0}
 
 
+#: the star arm sets the CLI forms, as plan keys: per arm, its flavor and the arms that give
+#: its star values, its adjoint and its step_bar
+ARM_SETS = {
+    "canonical_pair": ((Flavor.NONSTANDARD, 0, 0, 0), (Flavor.STANDARD, 0, 0, 0)),  # the circle
+    "canonical": ((Flavor.NONSTANDARD, 0, 0, 0),),  # the real line, star:canonical alone
+    "imaginary_pair": ((Flavor.STANDARD, 0, 0, 0), (Flavor.STANDARD, 1, 1, 0)),
+    "real_line": ((Flavor.NONSTANDARD, 0, 0, 0), (Flavor.STANDARD, 1, 0, 1),
+                  (Flavor.STANDARD, 2, 2, 1)),
+}
+
+
+def _plan_of(family):
+    """The plan of ``"hopf"``, ``"coproduct"``, an arm set or a flavor's one-arm set."""
+    return hopfstar._plan(((family, 0, 0, 0),) if isinstance(family, Flavor) else family)
+
+
 @pytest.mark.parametrize("family", ["coproduct", "hopf", Flavor.STANDARD, Flavor.NONSTANDARD])
 def test_no_plan_has_a_rank_three_slot(family):
-    plan = hopfstar._plan(family)
+    plan = _plan_of(family)
     assert max(plan.nodes[i][1] for i in plan.slot) <= 2
     # the d x d arms run on weights: no matrix product, and no dense operator as an input
     assert "matmul" not in {node[0] for node in plan.nodes}
@@ -455,14 +472,13 @@ def test_plans_leave_every_slot_zero_past_each_members_block(monkeypatch):
 
     monkeypatch.setattr(_Plan, "run", recording)
     check_hopf_axioms(batch)
-    for invs, metric in _batch_star_arms("realline", batch.params, batch.dim):
-        check_star_structure(batch, invs, metric=metric)
-    assert any(inv.eta != 0 for inv in invs)
+    arms = _cli_star_arms(batch)
+    check_star_arms(batch, arms)
+    assert arms[1][2][2].any()  # eta
     coproduct_plan = hopfstar._plan("coproduct")
     coproduct_plan.run(len(reps), batch.dim, {1: [batch.derived(hopfstar._Realization).weights]})
-    assert len(spaces) == 5  # hopf, three star arms, the coproduct
-    plans = [hopfstar._plan(family) for family in ("hopf", Flavor.NONSTANDARD, Flavor.STANDARD,
-                                                   Flavor.STANDARD, "coproduct")]
+    assert len(spaces) == 3  # hopf, the three star arms, the coproduct
+    plans = [hopfstar._plan(family) for family in ("hopf", ARM_SETS["real_line"], "coproduct")]
     for plan, ws in zip(plans, spaces):
         shifts = {i for i in plan.slot if plan.nodes[i][0] == "shift"}
         for i in plan.slot:
@@ -568,22 +584,30 @@ def test_plans_compile_once_per_key(capsys):
     for _ in range(2):
         assert main(argv) == 0
     capsys.readouterr()
-    # hopf, and the canonical star arm in both flavors, each for every k
-    assert hopfstar._plan.cache_info().misses == hopfstar._plan.cache_info().currsize == 3
+    # hopf, and the canonical pair's arm set, each once for every k
+    assert hopfstar._plan.cache_info().misses == hopfstar._plan.cache_info().currsize == 2
+    hopfstar._plan(ARM_SETS["canonical_pair"])
+    assert hopfstar._plan.cache_info().misses == 2  # that arm set is the key compiled
     reps = [_rep("unimodular", eps, 0, 3) for eps in (0.3, 0.5, 0.7, 0.9, 1.1)]
-    check_hopf_axioms(RepBatch(tuple(reps)))
-    check_hopf_axioms(reps[0])
-    assert hopfstar._plan.cache_info().misses == 3  # a batch of 5 and of 1 share a plan
-    # a plan is keyed by its family alone, so the real line's arms reuse all three
-    assert main(["sweep", "--mode", "realline", "--epsilon-grid", "0.5:2:0.5", "--k", "0..3"]) == 0
+    for batch in (RepBatch(tuple(reps)), RepBatch(tuple(reps[:1]))):
+        check_hopf_axioms(batch)
+        check_star_arms(batch, cli._star_arms(batch, "star:canonical"))
+    assert hopfstar._plan.cache_info().misses == 2  # a batch of 5 and of 1 share a plan
+    # the real line's three star arms are one more key, whatever the batch
+    for _ in range(2):
+        assert main(["sweep", "--mode", "realline", "--epsilon-grid", "0.5:2:0.5",
+                     "--k", "0..3"]) == 0
     capsys.readouterr()
+    assert hopfstar._plan.cache_info().misses == 3
+    hopfstar._plan(ARM_SETS["real_line"])
     assert hopfstar._plan.cache_info().misses == 3
 
 
-@pytest.mark.parametrize("family", ["coproduct", "hopf", Flavor.STANDARD, Flavor.NONSTANDARD])
+@pytest.mark.parametrize("family", ["coproduct", "hopf", Flavor.STANDARD, Flavor.NONSTANDARD,
+                                    *(pytest.param(key, id=name) for name, key in ARM_SETS.items())])
 def test_plan_steps_are_a_valid_schedule(family):
     """Every kept computed node runs in exactly one step of its own kind, after its operands."""
-    plan = hopfstar._plan(family)
+    plan = _plan_of(family)
     nodes = plan.nodes
     keep, stack = set(), [sym.id for _, term in plan.arms for op in term
                           for sym in hopfstar._operand_blocks(op)]
@@ -776,6 +800,54 @@ def _batch_star_arms(mode, params, dim):
         ([involution("imaginary_minus", p) for p in params], None),
         ([involution("imaginary_plus", p) for p in params], parity_metric(dim)),
     ]
+
+
+def _cli_star_arms(batch, families=("star:canonical", "star:imaginary")):
+    """The star arms the CLI runs for ``families`` over ``batch``, in its order."""
+    return [arm for family in families for arm in cli._star_arms(batch, family)]
+
+
+#: mixed-k members ``(eps, l, k)`` of each mode; star drops the real line's eps 400 member
+MIXED_MEMBERS = {
+    "unimodular": [(0.9, 0, 0), (-1.1, 1, 1), (PI / 5, 0, 3), (2.5, 0, 9), (0.9, 0, 20)],
+    "realline": [(1.0, 1, 0), (-0.7, 0, 1), (2.0, 1, 3), (400.0, 1, 3), (1.0, 3, 9),
+                 (-0.7, 2, 20)],
+}
+
+#: every arm set the CLI forms: mode, the star families selected, its plan key
+CLI_ARM_SETS = [
+    pytest.param("unimodular", ("star:canonical",), "canonical_pair", id="canonical_pair"),
+    pytest.param("realline", ("star:canonical",), "canonical", id="canonical"),
+    pytest.param("realline", ("star:imaginary",), "imaginary_pair", id="imaginary_pair"),
+    pytest.param("realline", ("star:canonical", "star:imaginary"), "real_line", id="real_line"),
+]
+
+
+@pytest.mark.parametrize("mode,families,arm_set", CLI_ARM_SETS)
+def test_multi_arm_run_equals_each_arms_own_call_to_the_bit(mode, families, arm_set, monkeypatch):
+    """One plan run gives every arm the block of its own one-arm call: names, members,
+    errors and residuals, bit for bit, on a mixed-k batch, a dropped member included."""
+    batch = RepBatch(tuple(_rep(mode, eps, l, k) for eps, l, k in MIXED_MEMBERS[mode]))
+    arms = _cli_star_arms(batch, families)
+    runs = []
+    run = _Plan.run
+    monkeypatch.setattr(_Plan, "run", lambda plan, *args: runs.append(plan) or run(plan, *args))
+    blocks = check_star_arms(batch, arms)
+    assert runs == [hopfstar._plan(ARM_SETS[arm_set])]
+    monkeypatch.undo()
+    assert len(blocks) == len(arms) == len(ARM_SETS[arm_set])
+    for (label, flavor, values, metric), block in zip(arms, blocks):
+        kind = "canonical" if label == "canonical_standard" else label
+        invs = [with_flavor(involution(kind, p), flavor) for p in batch.params]
+        assert np.array_equal(values, np.array([[i.alpha, i.beta, i.eta] for i in invs]).T)
+        want = check_star_structure(batch, invs, metric=metric, label=label)
+        assert block.names == want.names and block.alive == want.alive, label
+        assert ({i: (type(e), str(e)) for i, e in block.errors.items()}
+                == {i: (type(e), str(e)) for i, e in want.errors.items()}), label
+        assert block.residuals.shape == want.residuals.shape
+        assert block.residuals.tobytes() == want.residuals.tobytes(), label
+        if mode == "realline":
+            assert 3 not in block.alive and isinstance(block.errors[3], OverflowError)
 
 
 def _bits(reports):
